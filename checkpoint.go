@@ -23,10 +23,8 @@ package tinyevm
 // old checkpoint with the full tail, or the new one with the short
 // tail.
 //
-// Checkpoints require a deterministic tail: they are disabled under a
-// non-zero radio loss rate (the loss process draws from one seeded RNG
-// whose consumption order a checkpoint restore cannot reproduce) and
-// under cluster mode (peers replicate blocks, not snapshots).
+// Checkpoints are disabled under cluster mode (peers replicate blocks,
+// not snapshots).
 
 import (
 	"encoding/hex"
@@ -94,6 +92,9 @@ type ckptNode struct {
 	DeviceState   json.RawMessage `json:"deviceState"`
 	Channels      []ckptChannel   `json:"channels,omitempty"`
 	Log           []ckptLogEntry  `json:"log,omitempty"`
+	// LossDraws is the node's position in its radio loss stream (zero,
+	// and omitted, on a loss-free network).
+	LossDraws uint64 `json:"lossDraws,omitempty"`
 }
 
 type ckptChannel struct {
@@ -333,6 +334,7 @@ func (s *Service) buildCheckpointLocked() (*checkpointRecord, error) {
 		node := ckptNode{
 			Name:          sn.n.Name(),
 			LocalTemplate: sn.n.LocalTemplate.Hex(),
+			LossDraws:     sn.n.Radio.LossDraws(),
 		}
 		devState, err := chain.SnapshotState(sn.n.Dev.State)
 		if err != nil {
@@ -467,6 +469,7 @@ func (s *Service) restoreFromCheckpoint(ck *checkpointRecord) error {
 			if err := pn.n.RestoreProtocolState(channels, log); err != nil {
 				return err
 			}
+			pn.n.Radio.SetLossDraws(nrec.LossDraws)
 			continue
 		}
 		n, err := s.sys.RestoreNode(nrec.Name, localTemplate, func(dev *device.Device) error {
@@ -479,6 +482,7 @@ func (s *Service) restoreFromCheckpoint(ck *checkpointRecord) error {
 		if err := n.RestoreProtocolState(channels, log); err != nil {
 			return err
 		}
+		n.Radio.SetLossDraws(nrec.LossDraws)
 		s.adopt(n)
 	}
 

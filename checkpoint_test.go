@@ -160,6 +160,37 @@ func TestCheckpointMatchesFullReplay(t *testing.T) {
 	full := run()
 	ckpt := run(tinyevm.WithCheckpointInterval(1))
 	assertSameDeployment(t, full, ckpt)
+
+	// Lossy leg: default stripes, vehicles paying concurrently, some
+	// payments failing on the radio. The checkpoint carries each node's
+	// place in its loss stream, so the tail replays to the same failures:
+	// live state, checkpoint + tail and full replay must all agree.
+	t.Run("lossy", func(t *testing.T) {
+		run := func(extra ...tinyevm.Option) deploymentState {
+			kv := store.NewMem()
+			opts := recoveryOpts(lossyOpts(append(extra, tinyevm.WithStore(kv))...)...)
+			svc, hub, err := tinyevm.NewService("hub", opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lossyWorkload(t, svc, hub, true)
+			live := captureState(t, svc)
+			svc.Close()
+			svc2, _, err := tinyevm.NewService("hub", opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc2.Close()
+			info := svc2.RecoveryInfo()
+			if wantCkpt := len(extra) > 0; (info.CheckpointHeight > 0) != wantCkpt || info.ReplayedOps == 0 {
+				t.Fatalf("recovery %+v: want checkpoint %v and a replayed tail", info, wantCkpt)
+			}
+			recovered := captureState(t, svc2)
+			assertSameDeployment(t, live, recovered)
+			return recovered
+		}
+		assertSameDeployment(t, run(), run(tinyevm.WithCheckpointInterval(8)))
+	})
 }
 
 // TestCheckpointDiskBackendRoundTrip runs the checkpointed round-trip

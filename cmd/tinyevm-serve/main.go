@@ -53,7 +53,7 @@ func main() {
 		radioSeed = flag.Int64("radio-seed", 1, "radio loss process seed")
 		dataDir   = flag.String("data-dir", "", "persist the deployment to a write-ahead log in this directory; on restart the previous state (nodes, channels, balances, blocks) is recovered (cluster mode persists the block archive here instead)")
 		backend   = flag.String("backend", "wal", "storage engine under -data-dir: wal (single rewritten log file) or disk (memtable + sorted segments with background compaction)")
-		ckptEvery = flag.Uint64("checkpoint-interval", 64, "write a full state checkpoint every N sealed blocks and prune the folded-in op log, bounding restart time (0 disables; forced off with -radio-loss or cluster mode)")
+		ckptEvery = flag.Uint64("checkpoint-interval", 64, "write a full state checkpoint every N sealed blocks and prune the folded-in op log, bounding restart time (0 disables; forced off in cluster mode)")
 		stateMode = flag.String("state-commitment", "digest", "per-block state commitment: digest (legacy full-state hash) or mst (incremental Merkle-sum tree enabling tinyevm_stateProof); a -data-dir store is pinned to the mode that created it")
 
 		// Cluster mode: N daemons form one sidechain (see docs/CLUSTER.md).

@@ -12,9 +12,9 @@
 package radio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -83,12 +83,14 @@ type Message struct {
 // Network is a single TSCH broadcast domain joining two or more nodes.
 // Frame counters are atomic: disjoint node pairs may transmit
 // concurrently under the service's sharded hot path, and the shared
-// network object must not be the thing that races. (The loss RNG stays
-// plain — when LossRate > 0 the service collapses to a single shard so
-// the RNG consumption order matches the journal.)
+// network object must not be the thing that races. For the same reason
+// the loss process keeps no network-wide state: whether a frame is lost
+// is a pure function of the seed, the sender and how many frames that
+// sender has drawn for (Endpoint.lost), so it does not depend on how
+// transmissions of different senders interleave.
 type Network struct {
 	cfg   Config
-	rng   *rand.Rand
+	seed  uint64
 	nodes map[types.Address]*Endpoint
 
 	// stats
@@ -101,7 +103,7 @@ type Network struct {
 func NewNetwork(cfg Config, seed int64) *Network {
 	return &Network{
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(seed)),
+		seed:  uint64(seed),
 		nodes: make(map[types.Address]*Endpoint),
 	}
 }
@@ -121,6 +123,9 @@ type Endpoint struct {
 	txSlot int
 	// associated reports whether the node has joined the schedule.
 	associated bool
+	// lossDraws counts the frames this node has sent under a non-zero
+	// LossRate — its position in its own loss stream.
+	lossDraws uint64
 }
 
 // Join attaches a device to the network and assigns it a transmit cell.
@@ -236,8 +241,7 @@ func (ep *Endpoint) sendFrame(dst *Endpoint, chunk int) error {
 		dst.dev.SpendRX(air, "frame rx")
 
 		ep.net.framesSent.Add(1)
-		lost := cfg.LossRate > 0 && ep.net.rng.Float64() < cfg.LossRate
-		if lost {
+		if ep.lost() {
 			ep.net.framesLost.Add(1)
 			// Sender listens for the ACK that never comes.
 			ep.dev.SpendRX(cfg.RxGuard+ackAir, "ack timeout")
@@ -251,6 +255,40 @@ func (ep *Endpoint) sendFrame(dst *Endpoint, chunk int) error {
 	}
 	return fmt.Errorf("%w after %d attempts", ErrLinkFailure, cfg.MaxRetries+1)
 }
+
+// lost draws the fate of the sender's next frame: a 53-bit uniform
+// hashed (splitmix64) from the network seed, the sender's address and
+// its draw counter, compared against LossRate. Loss-free networks draw
+// nothing, so their counters stay zero.
+func (ep *Endpoint) lost() bool {
+	rate := ep.net.cfg.LossRate
+	if rate <= 0 {
+		return false
+	}
+	addr := ep.dev.Address()
+	x := ep.net.seed
+	for i := 0; i < len(addr); i += 4 {
+		x = mix64(x ^ uint64(binary.BigEndian.Uint32(addr[i:])))
+	}
+	x = mix64(x ^ ep.lossDraws)
+	ep.lossDraws++
+	return float64(x>>11)/(1<<53) < rate
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// LossDraws returns the endpoint's position in its loss stream; a
+// checkpoint records it and SetLossDraws puts a restored node back at it.
+func (ep *Endpoint) LossDraws() uint64 { return ep.lossDraws }
+
+// SetLossDraws restores the position LossDraws reported.
+func (ep *Endpoint) SetLossDraws(n uint64) { ep.lossDraws = n }
 
 // Peek returns the oldest pending message without removing it, so a
 // dispatcher can route on the payload type before handing the inbox to

@@ -3,6 +3,7 @@ package radio
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -147,6 +148,55 @@ func TestLossAndRetries(t *testing.T) {
 	}
 	if net.FramesSent() <= 50 {
 		t.Fatal("no retransmissions counted")
+	}
+}
+
+// TestLossIsPerSender: which of a sender's frames are lost depends only
+// on the seed, the sender and its own frame count — not on what other
+// senders transmit in between — and a restored LossDraws resumes the
+// stream where it stopped. A loss-free network draws nothing.
+func TestLossIsPerSender(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LossRate = 0.5
+	fates := func(ep *Endpoint, to *Endpoint, n int) []bool {
+		out := make([]bool, n)
+		for i := range out {
+			_, err := ep.Send(to.Address(), []byte("x"))
+			out[i] = err == nil
+		}
+		return out
+	}
+	lostBy := func(interleave bool) (uint64, uint64) {
+		net, a, b := twoNodes(t, cfg, 42)
+		for i := 0; i < 40; i++ {
+			a.Send(b.Address(), []byte("from a"))
+			if interleave {
+				b.Send(a.Address(), []byte("from b"))
+			}
+		}
+		return a.LossDraws(), net.FramesLost()
+	}
+	aloneDraws, aloneLost := lostBy(false)
+	mixedDraws, mixedLost := lostBy(true)
+	if aloneDraws != mixedDraws || aloneLost == 0 || mixedLost <= aloneLost {
+		t.Fatalf("a drew %d alone, %d interleaved; lost %d / %d", aloneDraws, mixedDraws, aloneLost, mixedLost)
+	}
+
+	cfg.MaxRetries = 0 // one draw per send: the fate sequence is the stream
+	_, a, b := twoNodes(t, cfg, 42)
+	whole := fates(a, b, 20)
+	_, a2, b2 := twoNodes(t, cfg, 42)
+	fates(a2, b2, 7)
+	_, a3, b3 := twoNodes(t, cfg, 42)
+	a3.SetLossDraws(a2.LossDraws())
+	if got := fates(a3, b3, 13); !reflect.DeepEqual(got, whole[7:]) {
+		t.Fatalf("resumed stream %v, want %v", got, whole[7:])
+	}
+
+	_, c, d := twoNodes(t, DefaultConfig(), 42)
+	fates(c, d, 3)
+	if c.LossDraws() != 0 {
+		t.Fatalf("loss-free network drew %d times", c.LossDraws())
 	}
 }
 

@@ -3,19 +3,19 @@
 // memtable, sorted immutable segment files with sparse indexes, and
 // background compaction.
 //
-// Write path: a committed batch appends one CRC-framed record to the
-// WAL (fsynced by default) and applies to the memtable — a commit is
-// crash-atomic exactly like the flat WAL backend. When the memtable
-// passes the flush threshold it is written out as a sorted segment
-// (temp file + fsync + rename + directory fsync), the MANIFEST is
-// atomically swapped to include it, and the WAL is truncated. Reads
-// consult the memtable, then segments newest → oldest; deletions
-// propagate as tombstones so newer segments shadow older ones.
+// Write path: a committed batch appends one record to the WAL — the
+// shared record log of package store under its own magic; format and
+// crash rules are in docs/STORAGE.md, "Record log" — and applies to the
+// memtable. When the memtable passes the flush threshold it is written
+// out as a sorted segment, the MANIFEST is atomically swapped to include
+// it, and the WAL is reset. Reads consult the memtable, then segments
+// newest → oldest; deletions propagate as tombstones so newer segments
+// shadow older ones.
 //
 // Crash safety is a chain of atomic pointer swaps: the MANIFEST names
 // the live segments and is replaced by rename only after the new
-// segment is durable, and the WAL is truncated only after the MANIFEST
-// is durable. A SIGKILL between any two steps leaves either the old
+// segment is durable, and the WAL is reset only after the MANIFEST is
+// durable. A SIGKILL between any two steps leaves either the old
 // manifest + full WAL (replay reconstructs the memtable) or the new
 // manifest + stale WAL records (replay is idempotent: the records
 // rewrite the values the segment already holds). Orphan files from a
@@ -28,14 +28,11 @@
 package disk
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -50,15 +47,14 @@ const (
 	defaultCompactSegs = 4
 )
 
-var walMagic = []byte("TEVMDWL1")
+const walMagic = "TEVMDWL1"
 
 // DB is the disk-backed KVStore.
 type DB struct {
 	mu  sync.Mutex
 	dir string
 
-	wal     *os.File
-	walSize int64
+	wal *store.Log
 
 	// mem is the memtable; a nil value is a tombstone shadowing older
 	// segments. memBytes drives the flush threshold.
@@ -161,10 +157,8 @@ func Open(dir string, opts ...Option) (*DB, error) {
 		db.nextSeg = m.Next
 	}
 
-	if err := db.openWAL(); err != nil {
-		if db.wal != nil {
-			db.wal.Close()
-		}
+	db.wal, err = store.OpenLog(filepath.Join(dir, walName), walMagic, db.syncWrites, db.apply)
+	if err != nil {
 		db.closeSegments()
 		return nil, err
 	}
@@ -205,46 +199,7 @@ func (db *DB) writeManifestLocked() error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(db.dir, manifestName)
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, b); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("disk: replacing manifest: %w", err)
-	}
-	return db.syncDir()
-}
-
-// writeFileSync writes b to path and fsyncs it.
-func writeFileSync(path string, b []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("disk: creating %s: %w", filepath.Base(path), err)
-	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return fmt.Errorf("disk: writing %s: %w", filepath.Base(path), err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("disk: syncing %s: %w", filepath.Base(path), err)
-	}
-	return f.Close()
-}
-
-// syncDir makes a rename in the store directory durable.
-func (db *DB) syncDir() error {
-	if !db.syncWrites {
-		return nil
-	}
-	d, err := os.Open(db.dir)
-	if err != nil {
-		return nil
-	}
-	d.Sync()
-	return d.Close()
+	return store.AtomicReplace(filepath.Join(db.dir, manifestName), b, db.syncWrites)
 }
 
 // sweepOrphans removes temp files and segment files the manifest does
@@ -275,113 +230,16 @@ func (db *DB) sweepOrphans(m manifest) error {
 	return nil
 }
 
-// openWAL opens and replays the write-ahead log, truncating a torn
-// tail exactly like the flat WAL backend.
-func (db *DB) openWAL() error {
-	f, err := os.OpenFile(filepath.Join(db.dir, walName), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("disk: opening wal: %w", err)
-	}
-	db.wal = f
-	info, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("disk: stat wal: %w", err)
-	}
-	if info.Size() == 0 {
-		if _, err := f.Write(walMagic); err != nil {
-			return fmt.Errorf("disk: writing wal header: %w", err)
+// apply folds one committed batch into the memtable (nil value =
+// tombstone), keeping the byte estimate current.
+func (db *DB) apply(ops []store.Op) {
+	for _, op := range ops {
+		if old, ok := db.mem[op.Key]; ok {
+			db.memBytes -= int64(len(op.Key) + len(old))
 		}
-		if err := db.maybeSync(f); err != nil {
-			return err
-		}
-		db.walSize = int64(len(walMagic))
-		return nil
+		db.mem[op.Key] = op.Value
+		db.memBytes += int64(len(op.Key) + len(op.Value))
 	}
-
-	r := io.NewSectionReader(f, 0, info.Size())
-	header := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(r, header); err != nil || string(header) != string(walMagic) {
-		return fmt.Errorf("%w: bad wal magic", ErrCorrupt)
-	}
-	valid := int64(len(walMagic))
-	var hdr [frameHeader]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			break // clean EOF or torn frame header
-		}
-		payloadLen := binary.LittleEndian.Uint32(hdr[0:4])
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		if int64(payloadLen) > info.Size()-valid-frameHeader {
-			break // length runs past EOF: torn record
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			break // torn or corrupted record: stop at the last valid one
-		}
-		if err := db.applyWALPayload(payload); err != nil {
-			break
-		}
-		valid += frameHeader + int64(payloadLen)
-	}
-	if valid < info.Size() {
-		if err := f.Truncate(valid); err != nil {
-			return fmt.Errorf("disk: truncating torn wal tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		return fmt.Errorf("disk: seeking wal: %w", err)
-	}
-	db.walSize = valid
-	return nil
-}
-
-// applyWALPayload replays one committed batch into the memtable.
-func (db *DB) applyWALPayload(payload []byte) error {
-	for len(payload) > 0 {
-		op := payload[0]
-		key, rest, err := decodeField(payload[1:])
-		if err != nil {
-			return err
-		}
-		payload = rest
-		switch op {
-		case opPut:
-			val, rest, err := decodeField(payload)
-			if err != nil {
-				return err
-			}
-			payload = rest
-			db.memApply(string(key), append([]byte(nil), val...))
-		case opDel:
-			db.memApply(string(key), nil)
-		default:
-			return fmt.Errorf("%w: unknown wal op %d", ErrCorrupt, op)
-		}
-	}
-	return nil
-}
-
-// memApply sets key in the memtable (nil value = tombstone), keeping
-// the byte estimate current.
-func (db *DB) memApply(key string, val []byte) {
-	if old, ok := db.mem[key]; ok {
-		db.memBytes -= int64(len(key) + len(old))
-	}
-	db.mem[key] = val
-	db.memBytes += int64(len(key) + len(val))
-}
-
-func (db *DB) maybeSync(f *os.File) error {
-	if !db.syncWrites {
-		return nil
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("disk: fsync: %w", err)
-	}
-	return nil
 }
 
 func (db *DB) closeSegments() {
@@ -391,51 +249,28 @@ func (db *DB) closeSegments() {
 }
 
 // Get implements store.KVStore: memtable first, then segments newest
-// to oldest; a tombstone anywhere stops the search.
+// to oldest; a tombstone (found, nil value) anywhere stops the search.
 func (db *DB) Get(key []byte) ([]byte, bool, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return nil, false, store.ErrClosed
 	}
-	if v, ok := db.mem[string(key)]; ok {
-		if v == nil {
-			return nil, false, nil
-		}
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		return cp, true, nil
-	}
-	for i := len(db.segs) - 1; i >= 0; i-- {
-		v, found, deleted, err := db.segs[i].get(key)
-		if err != nil {
+	v, found := db.mem[string(key)]
+	for i := len(db.segs) - 1; i >= 0 && !found; i-- {
+		var err error
+		if v, found, err = db.segs[i].get(string(key)); err != nil {
 			return nil, false, err
 		}
-		if deleted {
-			return nil, false, nil
-		}
-		if found {
-			cp := make([]byte, len(v))
-			copy(cp, v)
-			return cp, true, nil
-		}
 	}
-	return nil, false, nil
+	return bytes.Clone(v), v != nil, nil
 }
 
 // Put implements store.KVStore.
-func (db *DB) Put(key, value []byte) error {
-	b := db.Batch()
-	b.Put(key, value)
-	return b.Commit()
-}
+func (db *DB) Put(key, value []byte) error { return store.PutOne(db.Batch(), key, value) }
 
 // Delete implements store.KVStore.
-func (db *DB) Delete(key []byte) error {
-	b := db.Batch()
-	b.Delete(key)
-	return b.Commit()
-}
+func (db *DB) Delete(key []byte) error { return store.DeleteOne(db.Batch(), key) }
 
 // Iterate implements store.KVStore: the merged view (segments oldest
 // to newest, then the memtable) is collected under the lock and fn
@@ -446,59 +281,63 @@ func (db *DB) Iterate(prefix []byte, fn func(key, value []byte) error) error {
 		db.mu.Unlock()
 		return store.ErrClosed
 	}
-	p := string(prefix)
-	merged := make(map[string][]byte)
-	for _, s := range db.segs {
-		entries, err := s.all()
-		if err != nil {
-			db.mu.Unlock()
-			return err
-		}
-		for _, e := range entries {
-			if !strings.HasPrefix(e.key, p) {
-				continue
-			}
-			if e.del {
-				delete(merged, e.key)
-			} else {
-				merged[e.key] = e.val
-			}
-		}
+	merged, err := mergeSegments(db.segs, string(prefix))
+	if err != nil {
+		db.mu.Unlock()
+		return err
 	}
 	for k, v := range db.mem {
-		if !strings.HasPrefix(k, p) {
-			continue
-		}
-		if v == nil {
-			delete(merged, k)
-		} else {
-			merged[k] = v
+		if strings.HasPrefix(k, string(prefix)) {
+			store.Op{Key: k, Value: v}.ApplyTo(merged)
 		}
 	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	pairs := make([][2][]byte, len(keys))
-	for i, k := range keys {
-		v := merged[k]
-		kc, vc := make([]byte, len(k)), make([]byte, len(v))
-		copy(kc, k)
-		copy(vc, v)
-		pairs[i] = [2][]byte{kc, vc}
-	}
+	ops := store.SortedOps(merged, "")
 	db.mu.Unlock()
-	for _, kv := range pairs {
-		if err := fn(kv[0], kv[1]); err != nil {
-			return err
+	return store.EachOp(ops, fn)
+}
+
+// mergeSegments folds the entries of segs (oldest → newest) that carry
+// the prefix into one map: the newest value wins and a tombstone removes
+// the key.
+func mergeSegments(segs []*segment, prefix string) (map[string][]byte, error) {
+	merged := make(map[string][]byte)
+	for _, s := range segs {
+		entries, err := s.all()
+		if err != nil {
+			return nil, err
+		}
+		for _, e := range entries {
+			if strings.HasPrefix(e.Key, prefix) {
+				e.ApplyTo(merged)
+			}
 		}
 	}
-	return nil
+	return merged, nil
 }
 
 // Batch implements store.KVStore.
-func (db *DB) Batch() store.Batch { return &diskBatch{db: db} }
+func (db *DB) Batch() store.Batch { return store.NewBatch(db.commit) }
+
+// commit appends the batch to the WAL as one record, applies it to the
+// memtable, and may flush.
+func (db *DB) commit(ops []store.Op) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return store.ErrClosed
+	}
+	if err := db.wal.Append(ops); err != nil {
+		return err
+	}
+	db.apply(ops)
+	if db.memBytes >= db.flushBytes {
+		// The batch is durable (the WAL record committed); failing to
+		// flush is still surfaced so the caller halts rather than
+		// running on a store that cannot roll forward.
+		return db.flushLocked()
+	}
+	return nil
+}
 
 // Close implements store.KVStore: it waits for an in-flight compaction,
 // syncs the WAL and closes every file.
@@ -514,12 +353,8 @@ func (db *DB) Close() error {
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	err := db.maybeSync(db.wal)
-	if cerr := db.wal.Close(); err == nil {
-		err = cerr
-	}
 	db.closeSegments()
-	return err
+	return db.wal.Close()
 }
 
 // Stats implements store.StatsProvider.
@@ -567,118 +402,30 @@ func (db *DB) Compact() error {
 	return db.compactErr
 }
 
-// diskBatch buffers ops; Commit appends one framed WAL record, applies
-// to the memtable, and may flush.
-type diskBatch struct {
-	db  *DB
-	ops []batchOp
-}
-
-// batchOp is one buffered write; value == nil marks a delete (Put
-// copies into a non-nil slice).
-type batchOp struct {
-	key   string
-	value []byte
-}
-
-func (b *diskBatch) Put(key, value []byte) {
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	b.ops = append(b.ops, batchOp{key: string(key), value: cp})
-}
-
-func (b *diskBatch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{key: string(key)})
-}
-
-func (b *diskBatch) Len() int { return len(b.ops) }
-
-func (b *diskBatch) Commit() error {
-	if len(b.ops) == 0 {
-		return nil
-	}
-	db := b.db
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return store.ErrClosed
-	}
-
-	var payload []byte
-	for _, op := range b.ops {
-		if op.value == nil {
-			payload = append(payload, opDel)
-			payload = appendField(payload, []byte(op.key))
-		} else {
-			payload = append(payload, opPut)
-			payload = appendField(payload, []byte(op.key))
-			payload = appendField(payload, op.value)
-		}
-	}
-	rec := frame(payload)
-	if _, err := db.wal.Write(rec); err != nil {
-		// Roll a partial append back so later records don't land after
-		// a torn one (replay would stop at the tear and drop them).
-		db.wal.Truncate(db.walSize)
-		db.wal.Seek(db.walSize, io.SeekStart)
-		return fmt.Errorf("disk: appending wal record: %w", err)
-	}
-	if err := db.maybeSync(db.wal); err != nil {
-		// Same rollback: a batch reported as failed must not survive in
-		// the log, or a restart would resurrect it.
-		db.wal.Truncate(db.walSize)
-		db.wal.Seek(db.walSize, io.SeekStart)
-		return err
-	}
-	db.walSize += int64(len(rec))
-	for _, op := range b.ops {
-		db.memApply(op.key, op.value)
-	}
-	b.ops = nil
-
-	if db.memBytes >= db.flushBytes {
-		if err := db.flushLocked(); err != nil {
-			// The batch is durable (the WAL record committed); failing
-			// to flush is still surfaced so the caller halts rather
-			// than running on a store that cannot roll forward.
-			return err
-		}
-	}
-	return nil
+func (db *DB) segPath(id uint64) string {
+	return filepath.Join(db.dir, fmt.Sprintf("seg-%08d.seg", id))
 }
 
 // flushLocked writes the memtable out as a new segment, swaps the
-// MANIFEST and truncates the WAL. Tombstones are written only when an
+// MANIFEST and resets the WAL. Tombstones are written only when an
 // older segment exists for them to shadow.
 func (db *DB) flushLocked() error {
 	if len(db.mem) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(db.mem))
-	for k := range db.mem {
-		if db.mem[k] == nil && len(db.segs) == 0 {
-			continue // tombstone with nothing to shadow
+	entries := store.SortedOps(db.mem, "")
+	if len(db.segs) == 0 {
+		live := entries[:0]
+		for _, e := range entries {
+			if e.Value != nil {
+				live = append(live, e)
+			}
 		}
-		keys = append(keys, k)
+		entries = live
 	}
-	sort.Strings(keys)
-	entries := make([]segEntry, len(keys))
-	for i, k := range keys {
-		v := db.mem[k]
-		entries[i] = segEntry{key: k, val: v, del: v == nil}
-	}
-
 	if len(entries) > 0 {
-		name := fmt.Sprintf("seg-%08d.seg", db.nextSeg)
-		path := filepath.Join(db.dir, name)
-		if err := writeFileSync(path+".tmp", encodeSegment(entries)); err != nil {
-			return err
-		}
-		if err := os.Rename(path+".tmp", path); err != nil {
-			os.Remove(path + ".tmp")
-			return fmt.Errorf("disk: installing segment: %w", err)
-		}
-		if err := db.syncDir(); err != nil {
+		path := db.segPath(db.nextSeg)
+		if err := store.AtomicReplace(path, encodeSegment(entries), db.syncWrites); err != nil {
 			return err
 		}
 		seg, err := openSegment(path)
@@ -692,18 +439,11 @@ func (db *DB) flushLocked() error {
 		return err
 	}
 	// The segment and manifest are durable; drop the WAL and memtable.
-	// A crash before this truncate replays records whose values the
+	// A crash before this reset replays records whose values the
 	// segment already holds — harmless.
-	if err := db.wal.Truncate(int64(len(walMagic))); err != nil {
-		return fmt.Errorf("disk: truncating wal: %w", err)
-	}
-	if _, err := db.wal.Seek(int64(len(walMagic)), io.SeekStart); err != nil {
-		return fmt.Errorf("disk: seeking wal: %w", err)
-	}
-	if err := db.maybeSync(db.wal); err != nil {
+	if err := db.wal.Reset(); err != nil {
 		return err
 	}
-	db.walSize = int64(len(walMagic))
 	db.mem = make(map[string][]byte)
 	db.memBytes = 0
 	db.flushes++
@@ -724,83 +464,43 @@ func (db *DB) startCompactionLocked() {
 	db.compacting = true
 	snap := make([]*segment, len(db.segs))
 	copy(snap, db.segs)
-	id := db.nextSeg
+	path := db.segPath(db.nextSeg)
 	db.nextSeg++
 	db.compactWG.Add(1)
 	go func() {
 		defer db.compactWG.Done()
-		db.compact(snap, id)
+		err := db.compact(snap, path)
+		db.mu.Lock()
+		db.compactErr, db.compacting = err, false
+		db.mu.Unlock()
 	}()
 }
 
-// compact merges snap (oldest → newest, newest wins) into one segment.
-// The merge reads immutable files without the lock; the swap — rename,
-// manifest, segment-list splice, input deletion — runs under it.
-func (db *DB) compact(snap []*segment, id uint64) {
-	fail := func(err error) {
-		db.mu.Lock()
-		db.compactErr = err
-		db.compacting = false
-		db.mu.Unlock()
+// compact merges snap (oldest → newest, newest wins; snap starts at the
+// oldest live segment, so tombstones have nothing left to shadow and
+// are dropped) into one segment at path. The merge and the install of
+// the new file run without the lock — until the MANIFEST names it the
+// file is an orphan a reopen sweeps; the swap — manifest, segment-list
+// splice, input deletion — runs under it.
+func (db *DB) compact(snap []*segment, path string) error {
+	merged, err := mergeSegments(snap, "")
+	if err != nil {
+		return err
 	}
-
-	merged := make(map[string][]byte)
-	for _, s := range snap {
-		entries, err := s.all()
-		if err != nil {
-			fail(err)
-			return
-		}
-		for _, e := range entries {
-			if e.del {
-				// snap starts at the oldest live segment, so there is
-				// nothing left for a tombstone to shadow.
-				delete(merged, e.key)
-			} else {
-				merged[e.key] = e.val
-			}
-		}
-	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	entries := make([]segEntry, len(keys))
-	for i, k := range keys {
-		entries[i] = segEntry{key: k, val: merged[k]}
-	}
-
-	name := fmt.Sprintf("seg-%08d.seg", id)
-	path := filepath.Join(db.dir, name)
-	if err := writeFileSync(path+".tmp", encodeSegment(entries)); err != nil {
-		fail(err)
-		return
+	img := encodeSegment(store.SortedOps(merged, ""))
+	if err := store.AtomicReplace(path, img, db.syncWrites); err != nil {
+		return err
 	}
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		os.Remove(path + ".tmp")
-		db.compacting = false
-		return
-	}
-	if err := os.Rename(path+".tmp", path); err != nil {
-		os.Remove(path + ".tmp")
-		db.compactErr = fmt.Errorf("disk: installing compacted segment: %w", err)
-		db.compacting = false
-		return
-	}
-	if err := db.syncDir(); err != nil {
-		db.compactErr = err
-		db.compacting = false
-		return
+		os.Remove(path)
+		return nil
 	}
 	seg, err := openSegment(path)
 	if err != nil {
-		db.compactErr = err
-		db.compacting = false
-		return
+		return err
 	}
 	old := db.segs[:len(snap)]
 	db.segs = append([]*segment{seg}, db.segs[len(snap):]...)
@@ -810,15 +510,12 @@ func (db *DB) compact(snap []*segment, id uint64) {
 		db.segs = append(old[:len(old):len(old)], db.segs[1:]...)
 		seg.f.Close()
 		os.Remove(path)
-		db.compactErr = err
-		db.compacting = false
-		return
+		return err
 	}
 	for _, s := range old {
 		s.f.Close()
 		os.Remove(s.path)
 	}
 	db.compactions++
-	db.compactErr = nil
-	db.compacting = false
+	return nil
 }

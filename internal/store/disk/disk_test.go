@@ -48,29 +48,6 @@ func TestDiskBasicReopen(t *testing.T) {
 	}
 }
 
-func TestDiskBatchAtomic(t *testing.T) {
-	dir := t.TempDir()
-	db := openTest(t, dir)
-	defer db.Close()
-
-	b := db.Batch()
-	b.Put([]byte("x"), []byte("1"))
-	b.Put([]byte("y"), []byte("2"))
-	b.Delete([]byte("x"))
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d", b.Len())
-	}
-	if err := b.Commit(); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	if _, ok, _ := db.Get([]byte("x")); ok {
-		t.Fatal("x should be deleted by the same batch")
-	}
-	if v, ok, _ := db.Get([]byte("y")); !ok || string(v) != "2" {
-		t.Fatalf("y = %q, %v", v, ok)
-	}
-}
-
 // TestDiskFlushAndGet drives enough writes through a tiny flush
 // threshold to produce several segments, then checks point lookups and
 // overwrites across the memtable/segment boundary.
@@ -204,104 +181,18 @@ func TestDiskCompaction(t *testing.T) {
 	}
 }
 
-func TestDiskIteratePrefix(t *testing.T) {
-	dir := t.TempDir()
-	db := openTest(t, dir, WithCompactSegments(1000))
-	defer db.Close()
-
-	pairs := map[string]string{
-		"chain/a": "1", "chain/b": "2", "op/000": "3", "op/001": "4",
-	}
-	for k, v := range pairs {
-		if err := db.Put([]byte(k), []byte(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Post-flush mutations land in the memtable and must merge over
-	// the segment view.
-	if err := db.Put([]byte("op/002"), []byte("5")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Delete([]byte("op/000")); err != nil {
-		t.Fatal(err)
-	}
-
-	var got []string
-	err := db.Iterate([]byte("op/"), func(k, v []byte) error {
-		got = append(got, string(k)+"="+string(v))
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Iterate: %v", err)
-	}
-	want := []string{"op/001=4", "op/002=5"}
-	if len(got) != len(want) {
-		t.Fatalf("Iterate = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Iterate = %v, want %v", got, want)
-		}
-	}
-}
-
-// TestDiskTornWALTail simulates a crash mid-append: bytes past the
-// last committed record must be discarded, earlier records kept.
-func TestDiskTornWALTail(t *testing.T) {
-	dir := t.TempDir()
-	db := openTest(t, dir)
-	if err := db.Put([]byte("committed"), []byte("yes")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	walPath := filepath.Join(dir, walName)
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A torn frame: plausible header, missing payload bytes.
-	if _, err := f.Write([]byte{0xff, 0x00, 0x00, 0x00, 1, 2, 3, 4, 5}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	db = openTest(t, dir)
-	defer db.Close()
-	v, ok, err := db.Get([]byte("committed"))
-	if err != nil || !ok || string(v) != "yes" {
-		t.Fatalf("committed record lost: %q, %v, %v", v, ok, err)
-	}
-	// The torn tail must have been truncated away so appends resume on
-	// a record boundary.
-	if err := db.Put([]byte("after"), []byte("ok")); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-	db = openTest(t, dir)
-	defer db.Close()
-	if v, ok, _ := db.Get([]byte("after")); !ok || string(v) != "ok" {
-		t.Fatalf("post-repair append lost: %q, %v", v, ok)
-	}
-}
-
 // TestDiskSegmentBitFlip flips every byte of a segment file in turn;
 // each mutation must surface as an error on full parse — never as a
 // silently different decode.
 func TestDiskSegmentBitFlip(t *testing.T) {
-	var entries []segEntry
+	var entries []store.Op
 	for i := 0; i < 40; i++ {
-		entries = append(entries, segEntry{
-			key: fmt.Sprintf("key-%03d", i),
-			val: []byte(fmt.Sprintf("value-%d", i)),
+		entries = append(entries, store.Op{
+			Key:   fmt.Sprintf("key-%03d", i),
+			Value: []byte(fmt.Sprintf("value-%d", i)),
 		})
 	}
-	entries[5] = segEntry{key: entries[5].key, del: true}
+	entries[5].Value = nil // a tombstone
 	img := encodeSegment(entries)
 
 	orig, err := parseSegment(img)
@@ -350,7 +241,7 @@ func TestDiskCrashMidFlushOrphan(t *testing.T) {
 	}
 
 	// Fabricate the crash artifacts: an orphan segment and a temp file.
-	orphan := encodeSegment([]segEntry{{key: "zzz", val: []byte("orphan")}})
+	orphan := encodeSegment([]store.Op{{Key: "zzz", Value: []byte("orphan")}})
 	if err := os.WriteFile(filepath.Join(dir, "seg-09999999.seg"), orphan, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -373,46 +264,6 @@ func TestDiskCrashMidFlushOrphan(t *testing.T) {
 	}
 }
 
-// TestDiskAsKVStore runs the backend through the store.KVStore
-// interface under a Prefixed view, the way the service consumes it.
-func TestDiskAsKVStore(t *testing.T) {
-	dir := t.TempDir()
-	db := openTest(t, dir)
-	defer db.Close()
-	var kv store.KVStore = db
-	pre := store.Prefixed(kv, "chain/")
-	if err := pre.Put([]byte("head"), []byte("7")); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := kv.Get([]byte("chain/head"))
-	if err != nil || !ok || string(v) != "7" {
-		t.Fatalf("prefixed write not visible raw: %q %v %v", v, ok, err)
-	}
-	if _, ok := interface{}(db).(store.StatsProvider); !ok {
-		t.Fatal("disk backend must implement store.StatsProvider")
-	}
-}
-
-func TestDiskClosed(t *testing.T) {
-	dir := t.TempDir()
-	db := openTest(t, dir)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := db.Get([]byte("k")); err != store.ErrClosed {
-		t.Fatalf("Get after close: %v", err)
-	}
-	if err := db.Put([]byte("k"), []byte("v")); err != store.ErrClosed {
-		t.Fatalf("Put after close: %v", err)
-	}
-	if err := db.Iterate(nil, func(_, _ []byte) error { return nil }); err != store.ErrClosed {
-		t.Fatalf("Iterate after close: %v", err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatalf("double Close: %v", err)
-	}
-}
-
 // FuzzSegmentCodec pins the segment format's two safety properties:
 // parseSegment never panics on arbitrary bytes, and any image it does
 // accept is canonical — re-encoding the decoded entries reproduces the
@@ -423,15 +274,15 @@ func FuzzSegmentCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(segMagic))
 	f.Add(encodeSegment(nil))
-	f.Add(encodeSegment([]segEntry{{key: "a", val: []byte("1")}}))
-	f.Add(encodeSegment([]segEntry{
-		{key: "a", val: []byte{}},
-		{key: "b", del: true},
-		{key: "c", val: []byte("ccc")},
+	f.Add(encodeSegment([]store.Op{{Key: "a", Value: []byte("1")}}))
+	f.Add(encodeSegment([]store.Op{
+		{Key: "a", Value: []byte{}},
+		{Key: "b"}, // tombstone
+		{Key: "c", Value: []byte("ccc")},
 	}))
-	var many []segEntry
+	var many []store.Op
 	for i := 0; i < 50; i++ {
-		many = append(many, segEntry{key: fmt.Sprintf("k%04d", i), val: []byte{byte(i)}})
+		many = append(many, store.Op{Key: fmt.Sprintf("k%04d", i), Value: []byte{byte(i)}})
 	}
 	full := encodeSegment(many)
 	f.Add(full)
@@ -447,8 +298,8 @@ func FuzzSegmentCodec(f *testing.F) {
 			t.Fatalf("accepted non-canonical segment image (%d bytes)", len(data))
 		}
 		for i := 1; i < len(entries); i++ {
-			if entries[i-1].key >= entries[i].key {
-				t.Fatalf("accepted unsorted entries %q >= %q", entries[i-1].key, entries[i].key)
+			if entries[i-1].Key >= entries[i].Key {
+				t.Fatalf("accepted unsorted entries %q >= %q", entries[i-1].Key, entries[i].Key)
 			}
 		}
 	})

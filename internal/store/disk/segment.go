@@ -7,15 +7,13 @@ package disk
 // truncated file or a flipped bit surfaces as ErrCorrupt — never as a
 // silently wrong value.
 //
-// File layout:
+// File layout (frame and op codec are the record log's, package store;
+// see docs/STORAGE.md, "Record log"):
 //
 //	magic    "TEVMSEG1" (8 bytes)
-//	entries  one CRC frame per key, in strictly ascending key order:
-//	         frame   = payloadLen u32 LE | crc32(IEEE, payload) u32 LE | payload
-//	         payload = op u8 (1 = put, 2 = tombstone)
-//	                   keyLen u32 LE | key
-//	                   valLen u32 LE | value      (put only)
-//	index    one CRC frame holding every sparseEvery-th entry:
+//	entries  one frame per key, in strictly ascending key order; the
+//	         payload is exactly one op (a delete is a tombstone)
+//	index    one frame holding every sparseEvery-th entry:
 //	         repeated keyLen u32 LE | key | entryOffset u64 LE
 //	trailer  indexOff u64 LE | indexLen u32 LE | crc32(first 12 bytes) u32 LE
 //
@@ -27,133 +25,35 @@ package disk
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sort"
+
+	"tinyevm/internal/store"
 )
 
 const (
 	segMagic = "TEVMSEG1"
 
-	// frameHeader is payloadLen + crc.
-	frameHeader = 8
+	frameHeader = store.FrameHeader
 	trailerLen  = 16
 
 	// sparseEvery is the index granularity: every sparseEvery-th entry
 	// is indexed, so a point lookup scans at most sparseEvery frames.
 	sparseEvery = 16
-
-	opPut = 1
-	opDel = 2
 )
 
-// ErrCorrupt wraps every decode failure in the disk backend's files.
-var ErrCorrupt = errors.New("disk: corrupt file")
+// ErrCorrupt wraps every decode failure in the disk backend's files; it
+// is the store-wide value.
+var ErrCorrupt = store.ErrCorrupt
 
-// segEntry is one decoded segment entry. A tombstone (del) records a
-// deletion that must shadow older segments; its val is nil.
-type segEntry struct {
-	key string
-	val []byte
-	del bool
-}
-
-// frame wraps one payload in the length+checksum frame.
-func frame(payload []byte) []byte {
-	out := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[frameHeader:], payload)
-	return out
-}
-
-// readFrame decodes the frame starting at b[off:] and returns its
-// payload and the offset just past it.
-func readFrame(b []byte, off int64) (payload []byte, next int64, err error) {
-	if off < 0 || int64(len(b))-off < frameHeader {
-		return nil, 0, fmt.Errorf("%w: truncated frame header", ErrCorrupt)
+// decodeEntry parses one entry payload: exactly one op.
+func decodeEntry(payload []byte) (store.Op, error) {
+	op, rest, err := store.DecodeOp(payload)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%w: trailing bytes in entry", ErrCorrupt)
 	}
-	n := int64(binary.LittleEndian.Uint32(b[off:]))
-	want := binary.LittleEndian.Uint32(b[off+4:])
-	start := off + frameHeader
-	if n > int64(len(b))-start {
-		return nil, 0, fmt.Errorf("%w: frame overruns file", ErrCorrupt)
-	}
-	payload = b[start : start+n]
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, 0, fmt.Errorf("%w: frame checksum mismatch", ErrCorrupt)
-	}
-	return payload, start + n, nil
-}
-
-// appendField appends one length-prefixed field.
-func appendField(buf, b []byte) []byte {
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(b)))
-	buf = append(buf, n[:]...)
-	return append(buf, b...)
-}
-
-// decodeField decodes one length-prefixed field.
-func decodeField(b []byte) (field, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("%w: short field", ErrCorrupt)
-	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if uint32(len(b)) < n {
-		return nil, nil, fmt.Errorf("%w: field overruns payload", ErrCorrupt)
-	}
-	return b[:n], b[n:], nil
-}
-
-// encodeEntry builds one entry payload.
-func encodeEntry(e segEntry) []byte {
-	op := byte(opPut)
-	if e.del {
-		op = opDel
-	}
-	buf := append([]byte(nil), op)
-	buf = appendField(buf, []byte(e.key))
-	if !e.del {
-		buf = appendField(buf, e.val)
-	}
-	return buf
-}
-
-// decodeEntry parses one entry payload; the payload must be consumed
-// exactly.
-func decodeEntry(payload []byte) (segEntry, error) {
-	if len(payload) == 0 {
-		return segEntry{}, fmt.Errorf("%w: empty entry", ErrCorrupt)
-	}
-	op := payload[0]
-	key, rest, err := decodeField(payload[1:])
-	if err != nil {
-		return segEntry{}, err
-	}
-	e := segEntry{key: string(key)}
-	switch op {
-	case opPut:
-		val, rest2, err := decodeField(rest)
-		if err != nil {
-			return segEntry{}, err
-		}
-		if len(rest2) != 0 {
-			return segEntry{}, fmt.Errorf("%w: trailing bytes in entry", ErrCorrupt)
-		}
-		e.val = val
-	case opDel:
-		if len(rest) != 0 {
-			return segEntry{}, fmt.Errorf("%w: trailing bytes in tombstone", ErrCorrupt)
-		}
-		e.del = true
-	default:
-		return segEntry{}, fmt.Errorf("%w: unknown entry op %d", ErrCorrupt, op)
-	}
-	return e, nil
+	return op, err
 }
 
 // indexEntry is one sparse-index point: the key at a file offset.
@@ -164,30 +64,27 @@ type indexEntry struct {
 
 // encodeSegment builds a complete segment image from entries in
 // strictly ascending key order.
-func encodeSegment(entries []segEntry) []byte {
+func encodeSegment(entries []store.Op) []byte {
 	out := []byte(segMagic)
 	var index []indexEntry
 	for i := range entries {
 		if i%sparseEvery == 0 {
-			index = append(index, indexEntry{key: entries[i].key, off: int64(len(out))})
+			index = append(index, indexEntry{key: entries[i].Key, off: int64(len(out))})
 		}
-		out = append(out, frame(encodeEntry(entries[i]))...)
+		out = store.Frame(out, store.EncodeOps(nil, entries[i]))
 	}
 	indexOff := int64(len(out))
 	var ibuf []byte
 	for _, ie := range index {
-		ibuf = appendField(ibuf, []byte(ie.key))
-		var o [8]byte
-		binary.LittleEndian.PutUint64(o[:], uint64(ie.off))
-		ibuf = append(ibuf, o[:]...)
+		ibuf = store.AppendField(ibuf, ie.key)
+		ibuf = binary.LittleEndian.AppendUint64(ibuf, uint64(ie.off))
 	}
-	iframe := frame(ibuf)
-	out = append(out, iframe...)
+	out = store.Frame(out, ibuf)
 
 	var tr [trailerLen]byte
 	binary.LittleEndian.PutUint64(tr[0:8], uint64(indexOff))
-	binary.LittleEndian.PutUint32(tr[8:12], uint32(len(iframe)))
-	binary.LittleEndian.PutUint32(tr[12:16], crc32.ChecksumIEEE(tr[0:12]))
+	binary.LittleEndian.PutUint32(tr[8:12], uint32(int64(len(out))-indexOff))
+	binary.LittleEndian.PutUint32(tr[12:16], store.Checksum(tr[0:12]))
 	return append(out, tr[:]...)
 }
 
@@ -195,7 +92,7 @@ func encodeSegment(entries []segEntry) []byte {
 func decodeIndex(payload []byte) ([]indexEntry, error) {
 	var index []indexEntry
 	for len(payload) > 0 {
-		key, rest, err := decodeField(payload)
+		key, rest, err := store.DecodeField(payload)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +109,7 @@ func decodeIndex(payload []byte) ([]indexEntry, error) {
 // parseSegment fully decodes and verifies a segment image: every frame
 // checksum, strict key ordering, the trailer, and that the sparse
 // index matches the entries exactly. Any deviation is ErrCorrupt.
-func parseSegment(b []byte) ([]segEntry, error) {
+func parseSegment(b []byte) ([]store.Op, error) {
 	if len(b) < len(segMagic)+frameHeader+trailerLen {
 		return nil, fmt.Errorf("%w: segment too short", ErrCorrupt)
 	}
@@ -220,7 +117,7 @@ func parseSegment(b []byte) ([]segEntry, error) {
 		return nil, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
 	tr := b[len(b)-trailerLen:]
-	if crc32.ChecksumIEEE(tr[:12]) != binary.LittleEndian.Uint32(tr[12:16]) {
+	if store.Checksum(tr[:12]) != binary.LittleEndian.Uint32(tr[12:16]) {
 		return nil, fmt.Errorf("%w: trailer checksum mismatch", ErrCorrupt)
 	}
 	indexOff := int64(binary.LittleEndian.Uint64(tr[0:8]))
@@ -228,7 +125,7 @@ func parseSegment(b []byte) ([]segEntry, error) {
 	if indexOff < int64(len(segMagic)) || indexOff+indexLen != int64(len(b))-trailerLen {
 		return nil, fmt.Errorf("%w: index region out of bounds", ErrCorrupt)
 	}
-	ipayload, iend, err := readFrame(b, indexOff)
+	ipayload, iend, err := store.ReadFrame(b, indexOff)
 	if err != nil {
 		return nil, err
 	}
@@ -240,11 +137,11 @@ func parseSegment(b []byte) ([]segEntry, error) {
 		return nil, err
 	}
 
-	var entries []segEntry
+	var entries []store.Op
 	var want []indexEntry
 	off := int64(len(segMagic))
 	for off < indexOff {
-		payload, next, err := readFrame(b, off)
+		payload, next, err := store.ReadFrame(b, off)
 		if err != nil {
 			return nil, err
 		}
@@ -255,11 +152,11 @@ func parseSegment(b []byte) ([]segEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(entries) > 0 && entries[len(entries)-1].key >= e.key {
+		if len(entries) > 0 && entries[len(entries)-1].Key >= e.Key {
 			return nil, fmt.Errorf("%w: entries out of order", ErrCorrupt)
 		}
 		if len(entries)%sparseEvery == 0 {
-			want = append(want, indexEntry{key: e.key, off: off})
+			want = append(want, indexEntry{key: e.Key, off: off})
 		}
 		entries = append(entries, e)
 		off = next
@@ -313,7 +210,7 @@ func openSegment(path string) (*segment, error) {
 	if _, err := f.ReadAt(tr[:], size-trailerLen); err != nil {
 		return fail(fmt.Errorf("%w: unreadable trailer", ErrCorrupt))
 	}
-	if crc32.ChecksumIEEE(tr[:12]) != binary.LittleEndian.Uint32(tr[12:16]) {
+	if store.Checksum(tr[:12]) != binary.LittleEndian.Uint32(tr[12:16]) {
 		return fail(fmt.Errorf("%w: trailer checksum mismatch", ErrCorrupt))
 	}
 	indexOff := int64(binary.LittleEndian.Uint64(tr[0:8]))
@@ -325,7 +222,7 @@ func openSegment(path string) (*segment, error) {
 	if _, err := f.ReadAt(ibytes, indexOff); err != nil {
 		return fail(fmt.Errorf("%w: unreadable index", ErrCorrupt))
 	}
-	ipayload, iend, err := readFrame(ibytes, 0)
+	ipayload, iend, err := store.ReadFrame(ibytes, 0)
 	if err != nil {
 		return fail(err)
 	}
@@ -341,64 +238,62 @@ func openSegment(path string) (*segment, error) {
 
 // readEntryAt reads and verifies the entry frame at off, returning the
 // entry and the offset just past its frame.
-func (s *segment) readEntryAt(off int64) (segEntry, int64, error) {
-	var hdr [frameHeader]byte
+func (s *segment) readEntryAt(off int64) (store.Op, int64, error) {
+	fail := func(err error) (store.Op, int64, error) {
+		return store.Op{}, 0, fmt.Errorf("%s: %w", s.path, err)
+	}
 	if off < 0 || s.dataEnd-off < frameHeader {
-		return segEntry{}, 0, fmt.Errorf("%s: %w: truncated frame header", s.path, ErrCorrupt)
+		return fail(fmt.Errorf("%w: truncated frame header", ErrCorrupt))
 	}
+	var hdr [frameHeader]byte
 	if _, err := s.f.ReadAt(hdr[:], off); err != nil {
-		return segEntry{}, 0, fmt.Errorf("disk: reading segment: %w", err)
+		return fail(err)
 	}
-	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-	want := binary.LittleEndian.Uint32(hdr[4:8])
+	n := int64(binary.LittleEndian.Uint32(hdr[:]))
 	if n > s.dataEnd-off-frameHeader {
-		return segEntry{}, 0, fmt.Errorf("%s: %w: frame overruns data region", s.path, ErrCorrupt)
+		return fail(fmt.Errorf("%w: frame overruns data region", ErrCorrupt))
 	}
-	payload := make([]byte, n)
-	if _, err := s.f.ReadAt(payload, off+frameHeader); err != nil {
-		return segEntry{}, 0, fmt.Errorf("disk: reading segment: %w", err)
+	buf := make([]byte, frameHeader+n)
+	copy(buf, hdr[:])
+	if _, err := s.f.ReadAt(buf[frameHeader:], off+frameHeader); err != nil {
+		return fail(err)
 	}
-	if crc32.ChecksumIEEE(payload) != want {
-		return segEntry{}, 0, fmt.Errorf("%s: %w: frame checksum mismatch", s.path, ErrCorrupt)
+	payload, _, err := store.ReadFrame(buf, 0)
+	if err != nil {
+		return fail(err)
 	}
 	e, err := decodeEntry(payload)
 	if err != nil {
-		return segEntry{}, 0, fmt.Errorf("%s: %w", s.path, err)
+		return fail(err)
 	}
-	return e, off + frameHeader + n, nil
+	return e, off + int64(len(buf)), nil
 }
 
 // get searches the segment for key: binary-search the sparse index,
-// then scan at most sparseEvery frames.
-func (s *segment) get(key []byte) (val []byte, found, deleted bool, err error) {
-	k := string(key)
+// then scan at most sparseEvery frames. A found key with a nil value is
+// a tombstone.
+func (s *segment) get(k string) (val []byte, found bool, err error) {
 	i := sort.Search(len(s.index), func(i int) bool { return s.index[i].key > k }) - 1
 	if i < 0 {
-		return nil, false, false, nil
+		return nil, false, nil
 	}
 	off := s.index[i].off
 	for n := 0; n < sparseEvery && off < s.dataEnd; n++ {
 		e, next, err := s.readEntryAt(off)
-		if err != nil {
-			return nil, false, false, err
+		if err != nil || e.Key > k {
+			return nil, false, err
 		}
-		switch {
-		case e.key == k:
-			if e.del {
-				return nil, false, true, nil
-			}
-			return e.val, true, false, nil
-		case e.key > k:
-			return nil, false, false, nil
+		if e.Key == k {
+			return e.Value, true, nil
 		}
 		off = next
 	}
-	return nil, false, false, nil
+	return nil, false, nil
 }
 
 // all reads and fully verifies every entry of the segment — the path
 // used by Iterate and compaction merges.
-func (s *segment) all() ([]segEntry, error) {
+func (s *segment) all() ([]store.Op, error) {
 	b, err := os.ReadFile(s.path)
 	if err != nil {
 		return nil, fmt.Errorf("disk: reading segment: %w", err)

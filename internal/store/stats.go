@@ -45,5 +45,5 @@ func (s *Mem) Stats() Stats {
 func (w *WAL) Stats() Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return Stats{Kind: "wal", SegmentBytes: w.size, MemtableBytes: w.liveBytes}
+	return Stats{Kind: "wal", SegmentBytes: w.log.Size(), MemtableBytes: w.liveBytes}
 }

@@ -1,7 +1,8 @@
 // Package store is the pluggable persistence layer under TinyEVM's
 // durable state: a small key-value interface with an in-memory backend
-// (tests, ephemeral deployments) and an append-only, checksummed
-// write-ahead-log backend (see wal.go) that survives process crashes.
+// (tests, ephemeral deployments), the record log every durable backend
+// commits through (log.go), and the flat write-ahead-log backend built
+// on it (wal.go); the segment engine on the same log is store/disk.
 //
 // The chain layer commits sealed blocks and per-block state deltas
 // through a KVStore; the service layer journals its operation log into
@@ -10,8 +11,9 @@
 package store
 
 import (
+	"bytes"
 	"errors"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -69,27 +71,14 @@ func (s *Mem) Get(key []byte) ([]byte, bool, error) {
 		return nil, false, ErrClosed
 	}
 	v, ok := s.m[string(key)]
-	if !ok {
-		return nil, false, nil
-	}
-	cp := make([]byte, len(v))
-	copy(cp, v)
-	return cp, true, nil
+	return bytes.Clone(v), ok, nil
 }
 
 // Put implements KVStore.
-func (s *Mem) Put(key, value []byte) error {
-	b := s.Batch()
-	b.Put(key, value)
-	return b.Commit()
-}
+func (s *Mem) Put(key, value []byte) error { return PutOne(s.Batch(), key, value) }
 
 // Delete implements KVStore.
-func (s *Mem) Delete(key []byte) error {
-	b := s.Batch()
-	b.Delete(key)
-	return b.Commit()
-}
+func (s *Mem) Delete(key []byte) error { return DeleteOne(s.Batch(), key) }
 
 // Iterate implements KVStore.
 func (s *Mem) Iterate(prefix []byte, fn func(key, value []byte) error) error {
@@ -98,34 +87,25 @@ func (s *Mem) Iterate(prefix []byte, fn func(key, value []byte) error) error {
 		s.mu.RUnlock()
 		return ErrClosed
 	}
-	p := string(prefix)
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		if strings.HasPrefix(k, p) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	// Copy the selected pairs out under the lock so fn runs without it.
-	pairs := make([][2][]byte, len(keys))
-	for i, k := range keys {
-		v := s.m[k]
-		kc, vc := make([]byte, len(k)), make([]byte, len(v))
-		copy(kc, k)
-		copy(vc, v)
-		pairs[i] = [2][]byte{kc, vc}
-	}
+	ops := SortedOps(s.m, string(prefix))
 	s.mu.RUnlock()
-	for _, kv := range pairs {
-		if err := fn(kv[0], kv[1]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return EachOp(ops, fn)
 }
 
 // Batch implements KVStore.
-func (s *Mem) Batch() Batch { return &memBatch{s: s} }
+func (s *Mem) Batch() Batch { return NewBatch(s.commit) }
+
+func (s *Mem) commit(ops []Op) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	for _, op := range ops {
+		op.ApplyTo(s.m)
+	}
+	return nil
+}
 
 // Close implements KVStore.
 func (s *Mem) Close() error {
@@ -135,45 +115,76 @@ func (s *Mem) Close() error {
 	return nil
 }
 
-// memBatch buffers ops for Mem.
-type memBatch struct {
-	s   *Mem
-	ops []batchOp
+// opBatch is the Batch of every backend: it buffers ops and hands them
+// to the backend's commit, which applies them atomically.
+type opBatch struct {
+	ops    []Op
+	commit func([]Op) error
 }
 
-// batchOp is one buffered write; value == nil marks a delete (stored
-// values are never nil: Put copies into a non-nil slice).
-type batchOp struct {
-	key   string
-	value []byte
-}
+// NewBatch returns a Batch that buffers ops for commit. Put copies the
+// value, so commit may keep the ops it is handed.
+func NewBatch(commit func([]Op) error) Batch { return &opBatch{commit: commit} }
 
-func (b *memBatch) Put(key, value []byte) {
-	cp := make([]byte, len(value))
+func (b *opBatch) Put(key, value []byte) {
+	cp := make([]byte, len(value)) // non-nil even when empty: nil marks a delete
 	copy(cp, value)
-	b.ops = append(b.ops, batchOp{key: string(key), value: cp})
+	b.ops = append(b.ops, Op{Key: string(key), Value: cp})
 }
 
-func (b *memBatch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{key: string(key)})
-}
+func (b *opBatch) Delete(key []byte) { b.ops = append(b.ops, Op{Key: string(key)}) }
 
-func (b *memBatch) Len() int { return len(b.ops) }
+func (b *opBatch) Len() int { return len(b.ops) }
 
-func (b *memBatch) Commit() error {
-	b.s.mu.Lock()
-	defer b.s.mu.Unlock()
-	if b.s.closed {
-		return ErrClosed
+func (b *opBatch) Commit() error {
+	if len(b.ops) == 0 {
+		return nil
 	}
-	for _, op := range b.ops {
-		if op.value == nil {
-			delete(b.s.m, op.key)
-		} else {
-			b.s.m[op.key] = op.value
-		}
+	if err := b.commit(b.ops); err != nil {
+		return err
 	}
 	b.ops = nil
+	return nil
+}
+
+// PutOne commits a single put through b.
+func PutOne(b Batch, key, value []byte) error {
+	b.Put(key, value)
+	return b.Commit()
+}
+
+// DeleteOne commits a single delete through b.
+func DeleteOne(b Batch, key []byte) error {
+	b.Delete(key)
+	return b.Commit()
+}
+
+// SortedOps returns the pairs of m whose key starts with prefix, in
+// ascending key order. Values alias m; stored values are never mutated
+// in place, so the result stays valid after the backend's lock is
+// released.
+func SortedOps(m map[string][]byte, prefix string) []Op {
+	var ops []Op
+	if prefix == "" {
+		ops = make([]Op, 0, len(m))
+	}
+	for k, v := range m {
+		if strings.HasPrefix(k, prefix) {
+			ops = append(ops, Op{Key: k, Value: v})
+		}
+	}
+	slices.SortFunc(ops, func(a, b Op) int { return strings.Compare(a.Key, b.Key) })
+	return ops
+}
+
+// EachOp calls fn with a copy of every pair of ops, in order — the tail
+// of every backend's Iterate, run without the backend's lock.
+func EachOp(ops []Op, fn func(key, value []byte) error) error {
+	for _, op := range ops {
+		if err := fn([]byte(op.Key), bytes.Clone(op.Value)); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

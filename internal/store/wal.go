@@ -1,70 +1,38 @@
 package store
 
 import (
-	"encoding/binary"
-	"errors"
+	"bytes"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 )
 
-// WAL is a KVStore persisted as an append-only, checksummed write-ahead
-// log: the full live map is kept in memory (TinyEVM states are small)
-// and every committed batch appends exactly one framed record, so a
-// commit is crash-atomic — after a crash the log replays to the last
-// fully written record and the torn tail is discarded.
+// WAL is the flat durable KVStore: the shared record log (log.go; format
+// in docs/STORAGE.md, "Record log") plus the full live map in memory —
+// TinyEVM states are small. Every committed batch is one log record, so
+// a commit is crash-atomic.
 //
-// File layout:
-//
-//	header  = magic "TEVMWAL1" (8 bytes)
-//	record  = payloadLen u32 LE | crc32(IEEE, payload) u32 LE | payload
-//	payload = one committed batch, a sequence of ops:
-//	          op u8 (1 = put, 2 = delete)
-//	          keyLen u32 LE | key
-//	          valLen u32 LE | value        (put only)
-//
-// Replay rules: records apply in file order; the first record whose
-// frame is truncated or whose checksum mismatches ends the replay, and
-// the file is truncated to the last valid record (a torn write from a
-// crash mid-append). A batch is therefore visible after a crash iff its
-// whole record made it to the file.
-//
-// Compaction rewrites the live map as a single batch into a temporary
-// file and atomically renames it over the log; it runs automatically on
-// Open when the log carries substantially more dead weight than live
-// data, and can be forced with Compact.
+// Compaction rewrites the live map as a single record and atomically
+// replaces the file; it runs on Open when the log carries substantially
+// more dead weight than live data, and can be forced with Compact.
 type WAL struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	mu  sync.Mutex
+	log *Log
 
 	index map[string][]byte
+	// liveBytes estimates the payload bytes a compacted log would hold,
+	// driving auto-compaction.
+	liveBytes int64
 
 	// sync controls fsync-per-commit (on by default: a committed batch
 	// survives power loss, not just process death).
-	sync bool
-
-	// size is the current file length; liveBytes estimates the payload
-	// bytes a compacted log would hold, driving auto-compaction.
-	size      int64
-	liveBytes int64
-
+	sync   bool
 	closed bool
 }
 
-var walMagic = []byte("TEVMWAL1")
-
 const (
-	walOpPut    = 1
-	walOpDelete = 2
-
-	// walRecordHeader is payloadLen + crc.
-	walRecordHeader = 8
+	walMagic = "TEVMWAL1"
 
 	// compactMinSize and compactFactor gate auto-compaction on Open:
 	// only logs past the minimum size whose length exceeds factor x the
@@ -72,10 +40,6 @@ const (
 	compactMinSize = 1 << 20
 	compactFactor  = 4
 )
-
-// ErrCorrupt is wrapped by Open when the log's header is unreadable (as
-// opposed to a torn tail, which is repaired silently).
-var ErrCorrupt = errors.New("store: corrupt write-ahead log")
 
 // WALOption configures OpenWAL.
 type WALOption func(*WAL)
@@ -94,154 +58,35 @@ func OpenWAL(path string, opts ...WALOption) (*WAL, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating wal dir: %w", err)
 	}
-	w := &WAL{path: path, index: make(map[string][]byte), sync: true}
+	w := &WAL{index: make(map[string][]byte), sync: true}
 	for _, o := range opts {
 		o(w)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: opening wal: %w", err)
-	}
-	w.f = f
-	if err := w.replay(); err != nil {
-		f.Close()
+	var err error
+	if w.log, err = OpenLog(path, walMagic, w.sync, w.apply); err != nil {
 		return nil, err
 	}
-	if w.size > compactMinSize && w.size > compactFactor*(w.liveBytes+int64(len(walMagic))) {
-		if err := w.compactLocked(); err != nil {
-			f.Close()
+	if size := w.log.Size(); size > compactMinSize && size > compactFactor*(w.liveBytes+int64(len(walMagic))) {
+		if err := w.log.Rewrite(SortedOps(w.index, "")); err != nil {
+			w.log.Close()
 			return nil, err
 		}
 	}
 	return w, nil
 }
 
-// replay loads the log into the in-memory index, truncating a torn
-// tail. Called once from OpenWAL; w.mu is not yet shared.
-func (w *WAL) replay() error {
-	info, err := w.f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: stat wal: %w", err)
-	}
-	if info.Size() == 0 {
-		// Fresh log: write the header.
-		if _, err := w.f.Write(walMagic); err != nil {
-			return fmt.Errorf("store: writing wal header: %w", err)
+// apply folds one committed batch into the index.
+func (w *WAL) apply(ops []Op) {
+	for _, op := range ops {
+		if old, ok := w.index[op.Key]; ok {
+			w.liveBytes -= int64(len(op.Key) + len(old))
+			delete(w.index, op.Key)
 		}
-		if err := w.maybeSync(); err != nil {
-			return err
-		}
-		w.size = int64(len(walMagic))
-		return nil
-	}
-
-	r := io.NewSectionReader(w.f, 0, info.Size())
-	header := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(r, header); err != nil || string(header) != string(walMagic) {
-		return fmt.Errorf("%w: bad header in %s", ErrCorrupt, w.path)
-	}
-
-	valid := int64(len(walMagic))
-	var frame [walRecordHeader]byte
-	for {
-		if _, err := io.ReadFull(r, frame[:]); err != nil {
-			break // clean EOF or torn frame header
-		}
-		payloadLen := binary.LittleEndian.Uint32(frame[0:4])
-		wantCRC := binary.LittleEndian.Uint32(frame[4:8])
-		if int64(payloadLen) > info.Size()-valid-walRecordHeader {
-			break // length runs past EOF: torn record
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			break // torn or corrupted record: stop at the last valid one
-		}
-		if err := w.applyPayload(payload); err != nil {
-			break // structurally invalid payload despite checksum
-		}
-		valid += walRecordHeader + int64(payloadLen)
-	}
-
-	if valid < info.Size() {
-		// Discard the torn tail so future appends start on a record
-		// boundary.
-		if err := w.f.Truncate(valid); err != nil {
-			return fmt.Errorf("store: truncating torn wal tail: %w", err)
+		if op.Value != nil {
+			w.index[op.Key] = op.Value
+			w.liveBytes += int64(len(op.Key) + len(op.Value))
 		}
 	}
-	if _, err := w.f.Seek(valid, io.SeekStart); err != nil {
-		return fmt.Errorf("store: seeking wal: %w", err)
-	}
-	w.size = valid
-	return nil
-}
-
-// applyPayload decodes one committed batch into the index.
-func (w *WAL) applyPayload(payload []byte) error {
-	for len(payload) > 0 {
-		op := payload[0]
-		payload = payload[1:]
-		key, rest, err := walField(payload)
-		if err != nil {
-			return err
-		}
-		payload = rest
-		switch op {
-		case walOpPut:
-			val, rest, err := walField(payload)
-			if err != nil {
-				return err
-			}
-			payload = rest
-			w.indexPut(string(key), append([]byte(nil), val...))
-		case walOpDelete:
-			w.indexDelete(string(key))
-		default:
-			return fmt.Errorf("%w: unknown op %d", ErrCorrupt, op)
-		}
-	}
-	return nil
-}
-
-// walField decodes one length-prefixed field.
-func walField(b []byte) (field, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("%w: short field", ErrCorrupt)
-	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if uint32(len(b)) < n {
-		return nil, nil, fmt.Errorf("%w: field overruns payload", ErrCorrupt)
-	}
-	return b[:n], b[n:], nil
-}
-
-func (w *WAL) indexPut(key string, val []byte) {
-	if old, ok := w.index[key]; ok {
-		w.liveBytes -= int64(len(key) + len(old))
-	}
-	w.index[key] = val
-	w.liveBytes += int64(len(key) + len(val))
-}
-
-func (w *WAL) indexDelete(key string) {
-	if old, ok := w.index[key]; ok {
-		w.liveBytes -= int64(len(key) + len(old))
-		delete(w.index, key)
-	}
-}
-
-func (w *WAL) maybeSync() error {
-	if !w.sync {
-		return nil
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("store: fsync wal: %w", err)
-	}
-	return nil
 }
 
 // Get implements KVStore.
@@ -252,27 +97,14 @@ func (w *WAL) Get(key []byte) ([]byte, bool, error) {
 		return nil, false, ErrClosed
 	}
 	v, ok := w.index[string(key)]
-	if !ok {
-		return nil, false, nil
-	}
-	cp := make([]byte, len(v))
-	copy(cp, v)
-	return cp, true, nil
+	return bytes.Clone(v), ok, nil
 }
 
 // Put implements KVStore.
-func (w *WAL) Put(key, value []byte) error {
-	b := w.Batch()
-	b.Put(key, value)
-	return b.Commit()
-}
+func (w *WAL) Put(key, value []byte) error { return PutOne(w.Batch(), key, value) }
 
 // Delete implements KVStore.
-func (w *WAL) Delete(key []byte) error {
-	b := w.Batch()
-	b.Delete(key)
-	return b.Commit()
-}
+func (w *WAL) Delete(key []byte) error { return DeleteOne(w.Batch(), key) }
 
 // Iterate implements KVStore.
 func (w *WAL) Iterate(prefix []byte, fn func(key, value []byte) error) error {
@@ -281,33 +113,26 @@ func (w *WAL) Iterate(prefix []byte, fn func(key, value []byte) error) error {
 		w.mu.Unlock()
 		return ErrClosed
 	}
-	p := string(prefix)
-	keys := make([]string, 0, len(w.index))
-	for k := range w.index {
-		if strings.HasPrefix(k, p) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	pairs := make([][2][]byte, len(keys))
-	for i, k := range keys {
-		v := w.index[k]
-		kc, vc := make([]byte, len(k)), make([]byte, len(v))
-		copy(kc, k)
-		copy(vc, v)
-		pairs[i] = [2][]byte{kc, vc}
-	}
+	ops := SortedOps(w.index, string(prefix))
 	w.mu.Unlock()
-	for _, kv := range pairs {
-		if err := fn(kv[0], kv[1]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return EachOp(ops, fn)
 }
 
 // Batch implements KVStore.
-func (w *WAL) Batch() Batch { return &walBatch{w: w} }
+func (w *WAL) Batch() Batch { return NewBatch(w.commit) }
+
+func (w *WAL) commit(ops []Op) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return ErrClosed
+	}
+	if err := w.log.Append(ops); err != nil {
+		return err
+	}
+	w.apply(ops)
+	return nil
+}
 
 // Close implements KVStore: it syncs and closes the log file.
 func (w *WAL) Close() error {
@@ -317,11 +142,7 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	w.closed = true
-	if err := w.maybeSync(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
+	return w.log.Close()
 }
 
 // Compact rewrites the log to hold exactly the live pairs, atomically
@@ -332,163 +153,5 @@ func (w *WAL) Compact() error {
 	if w.closed {
 		return ErrClosed
 	}
-	return w.compactLocked()
-}
-
-func (w *WAL) compactLocked() error {
-	tmpPath := w.path + ".compact"
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: creating compaction file: %w", err)
-	}
-	defer os.Remove(tmpPath) // no-op after a successful rename
-
-	keys := make([]string, 0, len(w.index))
-	for k := range w.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	enc := walEncoder{}
-	for _, k := range keys {
-		enc.put([]byte(k), w.index[k])
-	}
-
-	out := walMagic
-	if len(enc.buf) > 0 {
-		out = append(append([]byte(nil), walMagic...), frameRecord(enc.buf)...)
-	}
-	if _, err := tmp.Write(out); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: writing compacted wal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: syncing compacted wal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpPath, w.path); err != nil {
-		return fmt.Errorf("store: replacing wal: %w", err)
-	}
-	// Make the rename itself durable: without a directory fsync, a
-	// power failure could roll the directory entry back to the old
-	// inode, losing every batch committed after the compaction.
-	if w.sync {
-		if dir, err := os.Open(filepath.Dir(w.path)); err == nil {
-			dir.Sync()
-			dir.Close()
-		}
-	}
-
-	f, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: reopening compacted wal: %w", err)
-	}
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("store: seeking compacted wal: %w", err)
-	}
-	w.f.Close()
-	w.f = f
-	w.size = size
-	return nil
-}
-
-// frameRecord wraps one payload in the length+checksum frame.
-func frameRecord(payload []byte) []byte {
-	out := make([]byte, walRecordHeader+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[walRecordHeader:], payload)
-	return out
-}
-
-// walEncoder builds a record payload.
-type walEncoder struct{ buf []byte }
-
-func (e *walEncoder) field(b []byte) {
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(b)))
-	e.buf = append(e.buf, n[:]...)
-	e.buf = append(e.buf, b...)
-}
-
-func (e *walEncoder) put(key, val []byte) {
-	e.buf = append(e.buf, walOpPut)
-	e.field(key)
-	e.field(val)
-}
-
-func (e *walEncoder) del(key []byte) {
-	e.buf = append(e.buf, walOpDelete)
-	e.field(key)
-}
-
-// walBatch buffers ops and appends one framed record on Commit.
-type walBatch struct {
-	w   *WAL
-	ops []batchOp
-}
-
-func (b *walBatch) Put(key, value []byte) {
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	b.ops = append(b.ops, batchOp{key: string(key), value: cp})
-}
-
-func (b *walBatch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{key: string(key)})
-}
-
-func (b *walBatch) Len() int { return len(b.ops) }
-
-func (b *walBatch) Commit() error {
-	if len(b.ops) == 0 {
-		return nil
-	}
-	w := b.w
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-
-	enc := walEncoder{}
-	for _, op := range b.ops {
-		if op.value == nil {
-			enc.del([]byte(op.key))
-		} else {
-			enc.put([]byte(op.key), op.value)
-		}
-	}
-	rec := frameRecord(enc.buf)
-	if _, err := w.f.Write(rec); err != nil {
-		// Roll a partial append back so later records don't land after
-		// a torn one (replay would stop at the tear and drop them).
-		w.f.Truncate(w.size)
-		w.f.Seek(w.size, io.SeekStart)
-		return fmt.Errorf("store: appending wal record: %w", err)
-	}
-	if err := w.maybeSync(); err != nil {
-		// Same rollback: the caller will report this batch as failed,
-		// so its bytes must not survive in the log (a restart would
-		// resurrect it) and the cursor must return to w.size (a later
-		// commit's rollback would otherwise tear an acknowledged
-		// record).
-		w.f.Truncate(w.size)
-		w.f.Seek(w.size, io.SeekStart)
-		return err
-	}
-	w.size += int64(len(rec))
-	for _, op := range b.ops {
-		if op.value == nil {
-			w.indexDelete(op.key)
-		} else {
-			w.indexPut(op.key, op.value)
-		}
-	}
-	b.ops = nil
-	return nil
+	return w.log.Rewrite(SortedOps(w.index, ""))
 }

@@ -94,10 +94,7 @@ func WithFusion(on bool) Option {
 
 // WithShards sets the number of lock stripes for the pairwise hot path
 // (DefaultShards when unset). n <= 1 collapses the service to a single
-// stripe — every operation serializes, the pre-sharding behavior. A
-// non-zero radio loss rate forces one stripe regardless, because the
-// loss process draws from one seeded RNG whose consumption order must
-// match the journal.
+// stripe — every operation serializes, the pre-sharding behavior.
 func WithShards(n int) Option {
 	return func(c *serviceConfig) { c.shards = n }
 }
@@ -154,9 +151,7 @@ func WithStoreBackend(kind string) Option {
 // atomically with each checkpoint. 0 (the default) disables
 // checkpointing — recovery replays the whole log.
 //
-// Checkpoints are automatically disabled under a non-zero radio loss
-// rate (the loss process draws from one seeded RNG whose consumption
-// order a snapshot cannot restore) and under cluster mode.
+// Checkpoints are automatically disabled under cluster mode.
 func WithCheckpointInterval(n uint64) Option {
 	return func(c *serviceConfig) { c.ckptInterval = n }
 }
@@ -277,9 +272,8 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 		// already carry the MST commitment.
 		sys.Chain.EnableMSTCommitment()
 	}
-	if cfg.core.RadioLossRate != 0 || cfg.cluster != nil {
-		// A checkpoint cannot restore the radio RNG's consumption
-		// position, and cluster peers replicate blocks, not snapshots.
+	if cfg.cluster != nil {
+		// Cluster peers replicate blocks, not snapshots.
 		cfg.ckptInterval = 0
 	}
 	s := &Service{

@@ -31,11 +31,9 @@ package tinyevm
 // meters, radio inboxes) is per-node. Single-threaded replay in
 // sequence order is therefore a linearization of the concurrent run,
 // and the chain's per-block byte comparison plus VerifyStoreHead keep
-// that honest on every recovery.
-//
-// The stripe count collapses to one when radio loss is enabled: the
-// loss process draws from a single seeded RNG, and its consumption
-// order must match the journal for replay to reproduce the run.
+// that honest on every recovery. Radio loss is per-node state too: each
+// sender draws from its own seeded stream (radio.Endpoint), so a lossy
+// deployment shards like a loss-free one.
 
 import (
 	"context"
@@ -59,9 +57,6 @@ type serviceShard struct {
 
 // shardCount resolves the configured stripe count.
 func shardCount(cfg serviceConfig) int {
-	if cfg.core.RadioLossRate > 0 {
-		return 1
-	}
 	n := cfg.shards
 	if n == 0 {
 		n = DefaultShards

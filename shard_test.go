@@ -10,6 +10,7 @@ package tinyevm_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -265,11 +266,84 @@ func shardDifferentialWorkload(t *testing.T, svc *tinyevm.Service, hub *tinyevm.
 	}
 }
 
+// lossyOpts is a radio bad enough (35 % frame loss, 4 retries) that some
+// payments of lossyWorkload exhaust their retries and fail.
+func lossyOpts(extra ...tinyevm.Option) []tinyevm.Option {
+	return append([]tinyevm.Option{tinyevm.WithRadioLossRate(0.35), tinyevm.WithRadioSeed(7)}, extra...)
+}
+
+// lossyWorkload drives six vehicles paying the hub over a lossy radio,
+// all vehicles at once when concurrent is set, one on-chain deposit
+// (a sealed block) between rounds. It returns which payments failed:
+// with each sender drawing from its own loss stream that, like every
+// balance and channel, is fixed by each vehicle's own op order and not
+// by how the vehicles interleave.
+func lossyWorkload(t *testing.T, svc *tinyevm.Service, hub *tinyevm.ServiceNode, concurrent bool) []string {
+	t.Helper()
+	ctx := context.Background()
+	const vehicles, rounds, paysPerRound = 6, 12, 4
+
+	if err := hub.RegisterSensorValue(ctx, tinyevm.SensorTemperature, 2150); err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]*tinyevm.ServiceNode, vehicles)
+	chans := make([]uint64, vehicles)
+	for i := range nodes {
+		n, err := svc.AddNode(ctx, fmt.Sprintf("veh-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.RegisterSensorValue(ctx, tinyevm.SensorTemperature, uint64(2000+i)); err != nil {
+			t.Fatal(err)
+		}
+		cs, err := n.OpenChannel(ctx, hub.Address(), 50_000, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i], chans[i] = n, cs.ID
+	}
+
+	failed := make([][]string, vehicles)
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for i := range nodes {
+			round := func(i int) {
+				defer wg.Done()
+				for j := 0; j < paysPerRound; j++ {
+					if _, err := nodes[i].Pay(ctx, chans[i], uint64(10+i+j)); err != nil {
+						failed[i] = append(failed[i], fmt.Sprintf("veh-%d round %d pay %d", i, r, j))
+					}
+				}
+			}
+			wg.Add(1)
+			if concurrent {
+				go round(i)
+			} else {
+				round(i)
+			}
+		}
+		wg.Wait()
+		if _, err := nodes[r%vehicles].Deposit(ctx, 1_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var all []string
+	for _, f := range failed {
+		all = append(all, f...)
+	}
+	if len(all) == 0 {
+		t.Fatal("no payment failed: the workload does not exercise the loss process")
+	}
+	return all
+}
+
 // TestShardedVsSerialDifferential feeds the identical deterministic
 // workload to a default-sharded service and a WithShards(1) (fully
 // serial) service: head hash, state digest, balances and channel
 // fingerprints must agree byte for byte — striping is a pure
-// concurrency optimisation, never a semantic change.
+// concurrency optimisation, never a semantic change. The lossy leg
+// runs the vehicles concurrently on the sharded side: the same payments
+// must fail and the deployments must still agree.
 func TestShardedVsSerialDifferential(t *testing.T) {
 	run := func(opts ...tinyevm.Option) deploymentState {
 		svc, hub, err := tinyevm.NewService("hub", opts...)
@@ -283,6 +357,24 @@ func TestShardedVsSerialDifferential(t *testing.T) {
 	sharded := run()
 	serial := run(tinyevm.WithShards(1))
 	assertSameDeployment(t, serial, sharded)
+
+	t.Run("lossy", func(t *testing.T) {
+		run := func(concurrent bool, opts ...tinyevm.Option) (deploymentState, []string) {
+			svc, hub, err := tinyevm.NewService("hub", lossyOpts(opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			failed := lossyWorkload(t, svc, hub, concurrent)
+			return captureState(t, svc), failed
+		}
+		sharded, shardedFailed := run(true)
+		serial, serialFailed := run(false, tinyevm.WithShards(1))
+		if !reflect.DeepEqual(shardedFailed, serialFailed) {
+			t.Fatalf("different payments failed:\nsharded %v\nserial  %v", shardedFailed, serialFailed)
+		}
+		assertSameDeployment(t, serial, sharded)
+	})
 }
 
 // cloneStore snapshots a Mem store — the moral equivalent of the bytes
