@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint test-fusion-off bench-check fuzz-smoke bench bench-smoke bench-report bench-gate recover-e2e load-smoke cluster-smoke store-smoke shard-contention docs-check
+.PHONY: all build test lint bench-check fuzz-smoke bench bench-smoke bench-report bench-gate recover-e2e load-smoke cluster-smoke store-smoke shard-contention docs-check
 
 all: build lint test
 
@@ -13,12 +13,6 @@ build:
 test:
 	$(GO) test -race ./...
 
-# Fusion-off matrix leg — what the CI "Race tests with fusion disabled"
-# step runs: the EVM and engine suites under pure tier-0 dispatch, so a
-# superinstruction bug cannot hide behind the default-on configuration.
-test-fusion-off:
-	TINYEVM_FUSION=off $(GO) test -race ./internal/evm/... ./internal/engine/...
-
 # The benchmark is a module of its own (bench/go.mod), so the root
 # ./... patterns never enter it, yet it imports the packages under
 # internal/: vet and test it on every push — what the CI "Bench module"
@@ -26,13 +20,15 @@ test-fusion-off:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test $(BENCH_CHECK_FLAGS) ./...
 
-# Run the two on-disk-format fuzzers for wall-clock time, not just their
-# seed corpora — what the CI "Fuzz" step runs (-fuzz takes one target
-# and one package per invocation).
+# Run the on-disk-format fuzzers (the record log, the segment codec,
+# the service's op-record decoder and replay) for wall-clock time, not
+# just their seed corpora — what the CI "Fuzz" step runs (-fuzz takes
+# one target and one package per invocation).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentCodec$$' -fuzztime $(FUZZTIME) ./internal/store/disk/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime $(FUZZTIME) .
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -218,7 +218,7 @@ func BenchmarkEVMTransferCall(b *testing.B) {
 // and the single-slot counter increment. Each variant warms the
 // per-code-hash execution counter past the tier-1 promotion threshold
 // before the timed loop, so the steady state measured is the fused
-// basic-block interpreter (set TINYEVM_FUSION=off to measure tier-0).
+// basic-block interpreter.
 // Under TINYEVM_PROFILE_OPS (the benchreport -profile-ops flag),
 // per-opcode and per-superinstruction hit counts are reported as custom
 // metrics.

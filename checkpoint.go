@@ -27,7 +27,6 @@ package tinyevm
 // not snapshots).
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
@@ -61,34 +60,34 @@ type ckptTemplate struct {
 	Deposits []ckptDeposit `json:"deposits,omitempty"`
 	Commits  []ckptCommit  `json:"commits,omitempty"`
 	Fraud    []ckptFraud   `json:"fraud,omitempty"`
-	ExitBy   string        `json:"exitBy,omitempty"`
+	ExitBy   addrField     `json:"exitBy,omitempty"`
 	ExitAt   uint64        `json:"exitDeadline,omitempty"`
 	HasExit  bool          `json:"hasExit,omitempty"`
 	Settled  bool          `json:"settled,omitempty"`
 }
 
 type ckptDeposit struct {
-	Addr   string `json:"addr"`
-	Amount uint64 `json:"amount"`
+	Addr   addrField `json:"addr"`
+	Amount uint64    `json:"amount"`
 }
 
 type ckptCommit struct {
-	Sender      string `json:"sender"`
-	ID          uint64 `json:"id"`
-	State       string `json:"state"` // hex protocol wire FinalState
-	SubmittedBy string `json:"submittedBy"`
-	Block       uint64 `json:"block"`
+	Sender      addrField `json:"sender"`
+	ID          uint64    `json:"id"`
+	State       blobField `json:"state"` // wire FinalState
+	SubmittedBy addrField `json:"submittedBy"`
+	Block       uint64    `json:"block"`
 }
 
 type ckptFraud struct {
-	Addr   string `json:"addr"`
-	Sender string `json:"sender"`
-	ID     uint64 `json:"id"`
+	Addr   addrField `json:"addr"`
+	Sender addrField `json:"sender"`
+	ID     uint64    `json:"id"`
 }
 
 type ckptNode struct {
 	Name          string          `json:"name"`
-	LocalTemplate string          `json:"localTemplate"`
+	LocalTemplate addrField       `json:"localTemplate"`
 	DeviceState   json.RawMessage `json:"deviceState"`
 	Channels      []ckptChannel   `json:"channels,omitempty"`
 	Log           []ckptLogEntry  `json:"log,omitempty"`
@@ -98,32 +97,32 @@ type ckptNode struct {
 }
 
 type ckptChannel struct {
-	ID             uint64 `json:"id"`
-	WireID         uint64 `json:"wireId"`
-	Template       string `json:"template"`
-	Addr           string `json:"addr"`
-	Peer           string `json:"peer"`
-	Opener         string `json:"opener"`
-	Role           uint8  `json:"role"`
-	Deposit        uint64 `json:"deposit"`
-	Seq            uint64 `json:"seq,omitempty"`
-	Cumulative     uint64 `json:"cumulative,omitempty"`
-	LastPayment    string `json:"lastPayment,omitempty"` // hex wire Payment
-	PendingHTLC    string `json:"pendingHtlc,omitempty"` // hex wire Payment
-	PendingInbound bool   `json:"pendingInbound,omitempty"`
-	LastPreimage   string `json:"lastPreimage,omitempty"` // hex Secret
-	Final          string `json:"final,omitempty"`        // hex wire FinalState
-	SensorValue    uint64 `json:"sensorValue,omitempty"`
+	ID             uint64    `json:"id"`
+	WireID         uint64    `json:"wireId"`
+	Template       addrField `json:"template"`
+	Addr           addrField `json:"addr"`
+	Peer           addrField `json:"peer"`
+	Opener         addrField `json:"opener"`
+	Role           uint8     `json:"role"`
+	Deposit        uint64    `json:"deposit"`
+	Seq            uint64    `json:"seq,omitempty"`
+	Cumulative     uint64    `json:"cumulative,omitempty"`
+	LastPayment    blobField `json:"lastPayment,omitempty"` // wire Payment
+	PendingHTLC    blobField `json:"pendingHtlc,omitempty"` // wire Payment
+	PendingInbound bool      `json:"pendingInbound,omitempty"`
+	LastPreimage   blobField `json:"lastPreimage,omitempty"` // Secret
+	Final          blobField `json:"final,omitempty"`        // wire FinalState
+	SensorValue    uint64    `json:"sensorValue,omitempty"`
 }
 
 type ckptLogEntry struct {
-	Index     uint64 `json:"index"`
-	Kind      uint8  `json:"kind"`
-	ChannelID uint64 `json:"channelId"`
-	Seq       uint64 `json:"seq,omitempty"`
-	Amount    uint64 `json:"amount,omitempty"`
-	Prev      string `json:"prev"`
-	Hash      string `json:"hash"`
+	Index     uint64    `json:"index"`
+	Kind      uint8     `json:"kind"`
+	ChannelID uint64    `json:"channelId"`
+	Seq       uint64    `json:"seq,omitempty"`
+	Amount    uint64    `json:"amount,omitempty"`
+	Prev      hashField `json:"prev"`
+	Hash      hashField `json:"hash"`
 }
 
 type ckptSensor struct {
@@ -132,87 +131,56 @@ type ckptSensor struct {
 	Value uint64 `json:"value"`
 }
 
+// install puts the fixed-value handler on the node's sensor bus.
+func (r ckptSensor) install(sn *ServiceNode) {
+	value := r.Value
+	sn.n.RegisterSensor(r.ID, func(uint64) (uint64, error) { return value, nil })
+}
+
 // --- building ----------------------------------------------------------
-
-func encodePayment(p *Payment) string {
-	if p == nil {
-		return ""
-	}
-	return hex.EncodeToString(protocol.EncodePayment(p))
-}
-
-func decodePayment(s string) (*Payment, error) {
-	if s == "" {
-		return nil, nil
-	}
-	buf, err := hex.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("tinyevm: checkpoint payment: %w", err)
-	}
-	p, err := protocol.DecodePayment(buf)
-	if err != nil {
-		return nil, fmt.Errorf("tinyevm: checkpoint payment: %w", err)
-	}
-	return p, nil
-}
 
 func encodeChannel(cs *ChannelState) ckptChannel {
 	out := ckptChannel{
 		ID: cs.ID, WireID: cs.WireID,
-		Template: cs.Template.Hex(), Addr: cs.Addr.Hex(),
-		Peer: cs.Peer.Hex(), Opener: cs.Opener.Hex(),
+		Template: addrOf(cs.Template), Addr: addrOf(cs.Addr),
+		Peer: addrOf(cs.Peer), Opener: addrOf(cs.Opener),
 		Role: uint8(cs.Role), Deposit: cs.Deposit,
 		Seq: cs.Seq, Cumulative: cs.Cumulative,
-		LastPayment: encodePayment(cs.LastPayment),
-		PendingHTLC: encodePayment(cs.PendingHTLC), PendingInbound: cs.PendingInbound,
+		LastPayment: paymentOf(cs.LastPayment),
+		PendingHTLC: paymentOf(cs.PendingHTLC), PendingInbound: cs.PendingInbound,
 		SensorValue: cs.SensorValue,
 	}
 	if cs.LastPreimage != (Secret{}) {
-		out.LastPreimage = encodeSecret(cs.LastPreimage)
+		out.LastPreimage = secretOf(cs.LastPreimage)
 	}
 	if cs.Final != nil {
-		out.Final = encodeFinalState(cs.Final)
+		out.Final = finalStateOf(cs.Final)
 	}
 	return out
 }
 
-func decodeChannel(rec *ckptChannel) (*ChannelState, error) {
-	tmpl, err := decodeAddr(rec.Template)
-	if err != nil {
-		return nil, err
-	}
-	addr, err := decodeAddr(rec.Addr)
-	if err != nil {
-		return nil, err
-	}
-	peer, err := decodeAddr(rec.Peer)
-	if err != nil {
-		return nil, err
-	}
-	opener, err := decodeAddr(rec.Opener)
-	if err != nil {
-		return nil, err
-	}
-	cs := &ChannelState{
+func decodeChannel(rec *ckptChannel) (cs *ChannelState, err error) {
+	cs = &ChannelState{
 		ID: rec.ID, WireID: rec.WireID,
-		Template: tmpl, Addr: addr, Peer: peer, Opener: opener,
+		Template: rec.Template.addr(), Addr: rec.Addr.addr(),
+		Peer: rec.Peer.addr(), Opener: rec.Opener.addr(),
 		Role: protocol.Role(rec.Role), Deposit: rec.Deposit,
 		Seq: rec.Seq, Cumulative: rec.Cumulative,
 		PendingInbound: rec.PendingInbound, SensorValue: rec.SensorValue,
 	}
-	if cs.LastPayment, err = decodePayment(rec.LastPayment); err != nil {
+	if cs.LastPayment, err = rec.LastPayment.payment(); err != nil {
 		return nil, err
 	}
-	if cs.PendingHTLC, err = decodePayment(rec.PendingHTLC); err != nil {
+	if cs.PendingHTLC, err = rec.PendingHTLC.payment(); err != nil {
 		return nil, err
 	}
-	if rec.LastPreimage != "" {
-		if cs.LastPreimage, err = decodeSecret(rec.LastPreimage); err != nil {
+	if len(rec.LastPreimage) > 0 {
+		if cs.LastPreimage, err = rec.LastPreimage.secret(); err != nil {
 			return nil, err
 		}
 	}
-	if rec.Final != "" {
-		if cs.Final, err = decodeFinalState(rec.Final); err != nil {
+	if len(rec.Final) > 0 {
+		if cs.Final, err = rec.Final.finalState(); err != nil {
 			return nil, err
 		}
 	}
@@ -223,44 +191,36 @@ func encodeLogEntry(e protocol.LogEntry) ckptLogEntry {
 	return ckptLogEntry{
 		Index: e.Index, Kind: e.Kind, ChannelID: e.ChannelID,
 		Seq: e.Seq, Amount: e.Amount,
-		Prev: e.Prev.Hex(), Hash: e.Hash.Hex(),
+		Prev: hashOf(e.Prev), Hash: hashOf(e.Hash),
 	}
 }
 
-func decodeLogEntry(rec *ckptLogEntry) (protocol.LogEntry, error) {
-	prev, err := decodeHash(rec.Prev)
-	if err != nil {
-		return protocol.LogEntry{}, err
-	}
-	hash, err := decodeHash(rec.Hash)
-	if err != nil {
-		return protocol.LogEntry{}, err
-	}
+func decodeLogEntry(rec *ckptLogEntry) protocol.LogEntry {
 	return protocol.LogEntry{
 		Index: rec.Index, Kind: rec.Kind, ChannelID: rec.ChannelID,
-		Seq: rec.Seq, Amount: rec.Amount, Prev: prev, Hash: hash,
-	}, nil
+		Seq: rec.Seq, Amount: rec.Amount,
+		Prev: rec.Prev.hash(), Hash: rec.Hash.hash(),
+	}
 }
 
 func encodeTemplateSnapshot(snap protocol.TemplateSnapshot) ckptTemplate {
 	var out ckptTemplate
 	for _, d := range snap.Deposits {
-		out.Deposits = append(out.Deposits, ckptDeposit{Addr: d.Addr.Hex(), Amount: d.Amount})
+		out.Deposits = append(out.Deposits, ckptDeposit{Addr: addrOf(d.Addr), Amount: d.Amount})
 	}
 	for _, cm := range snap.Commits {
-		fs := cm.State
 		out.Commits = append(out.Commits, ckptCommit{
-			Sender: cm.Sender.Hex(), ID: cm.ID,
-			State:       encodeFinalState(&fs),
-			SubmittedBy: cm.SubmittedBy.Hex(), Block: cm.Block,
+			Sender: addrOf(cm.Sender), ID: cm.ID,
+			State:       finalStateOf(&cm.State),
+			SubmittedBy: addrOf(cm.SubmittedBy), Block: cm.Block,
 		})
 	}
 	for _, f := range snap.Fraud {
-		out.Fraud = append(out.Fraud, ckptFraud{Addr: f.Addr.Hex(), Sender: f.Sender.Hex(), ID: f.ID})
+		out.Fraud = append(out.Fraud, ckptFraud{Addr: addrOf(f.Addr), Sender: addrOf(f.Sender), ID: f.ID})
 	}
 	if snap.Exit != nil {
 		out.HasExit = true
-		out.ExitBy = snap.Exit.By.Hex()
+		out.ExitBy = addrOf(snap.Exit.By)
 		out.ExitAt = snap.Exit.Deadline
 	}
 	out.Settled = snap.Settled
@@ -270,46 +230,23 @@ func encodeTemplateSnapshot(snap protocol.TemplateSnapshot) ckptTemplate {
 func decodeTemplateSnapshot(rec *ckptTemplate) (protocol.TemplateSnapshot, error) {
 	var snap protocol.TemplateSnapshot
 	for _, d := range rec.Deposits {
-		addr, err := decodeAddr(d.Addr)
-		if err != nil {
-			return snap, err
-		}
-		snap.Deposits = append(snap.Deposits, protocol.TemplateDeposit{Addr: addr, Amount: d.Amount})
+		snap.Deposits = append(snap.Deposits, protocol.TemplateDeposit{Addr: d.Addr.addr(), Amount: d.Amount})
 	}
 	for _, cm := range rec.Commits {
-		sender, err := decodeAddr(cm.Sender)
-		if err != nil {
-			return snap, err
-		}
-		by, err := decodeAddr(cm.SubmittedBy)
-		if err != nil {
-			return snap, err
-		}
-		fs, err := decodeFinalState(cm.State)
+		fs, err := cm.State.finalState()
 		if err != nil {
 			return snap, err
 		}
 		snap.Commits = append(snap.Commits, protocol.TemplateCommit{
-			Sender: sender, ID: cm.ID, State: *fs, SubmittedBy: by, Block: cm.Block,
+			Sender: cm.Sender.addr(), ID: cm.ID, State: *fs,
+			SubmittedBy: cm.SubmittedBy.addr(), Block: cm.Block,
 		})
 	}
 	for _, f := range rec.Fraud {
-		addr, err := decodeAddr(f.Addr)
-		if err != nil {
-			return snap, err
-		}
-		sender, err := decodeAddr(f.Sender)
-		if err != nil {
-			return snap, err
-		}
-		snap.Fraud = append(snap.Fraud, protocol.TemplateFraud{Addr: addr, Sender: sender, ID: f.ID})
+		snap.Fraud = append(snap.Fraud, protocol.TemplateFraud{Addr: f.Addr.addr(), Sender: f.Sender.addr(), ID: f.ID})
 	}
 	if rec.HasExit {
-		by, err := decodeAddr(rec.ExitBy)
-		if err != nil {
-			return snap, err
-		}
-		snap.Exit = &protocol.ExitRequest{By: by, Deadline: rec.ExitAt}
+		snap.Exit = &protocol.ExitRequest{By: rec.ExitBy.addr(), Deadline: rec.ExitAt}
 	}
 	snap.Settled = rec.Settled
 	return snap, nil
@@ -333,7 +270,7 @@ func (s *Service) buildCheckpointLocked() (*checkpointRecord, error) {
 	for _, sn := range s.order {
 		node := ckptNode{
 			Name:          sn.n.Name(),
-			LocalTemplate: sn.n.LocalTemplate.Hex(),
+			LocalTemplate: addrOf(sn.n.LocalTemplate),
 			LossDraws:     sn.n.Radio.LossDraws(),
 		}
 		devState, err := chain.SnapshotState(sn.n.Dev.State)
@@ -440,16 +377,9 @@ func (s *Service) restoreFromCheckpoint(ck *checkpointRecord) error {
 		}
 		log := make([]protocol.LogEntry, 0, len(nrec.Log))
 		for j := range nrec.Log {
-			e, err := decodeLogEntry(&nrec.Log[j])
-			if err != nil {
-				return err
-			}
-			log = append(log, e)
+			log = append(log, decodeLogEntry(&nrec.Log[j]))
 		}
-		localTemplate, err := decodeAddr(nrec.LocalTemplate)
-		if err != nil {
-			return err
-		}
+		localTemplate := nrec.LocalTemplate.addr()
 		if i == 0 {
 			// The provider joined when the system was built (its local
 			// template deploy is deterministic, so the address must come
@@ -460,7 +390,7 @@ func (s *Service) restoreFromCheckpoint(ck *checkpointRecord) error {
 				return fmt.Errorf("tinyevm: checkpoint provider %q, deployment provider %q", nrec.Name, pn.n.Name())
 			}
 			if pn.n.LocalTemplate != localTemplate {
-				return fmt.Errorf("tinyevm: checkpoint provider template %s, deployed %s", nrec.LocalTemplate, pn.n.LocalTemplate.Hex())
+				return fmt.Errorf("tinyevm: checkpoint provider template %s, deployed %s", localTemplate, pn.n.LocalTemplate)
 			}
 			pn.n.Dev.State.Reset()
 			if err := chain.RestoreState(pn.n.Dev.State, nrec.DeviceState); err != nil {
@@ -491,8 +421,7 @@ func (s *Service) restoreFromCheckpoint(ck *checkpointRecord) error {
 		if !ok {
 			return fmt.Errorf("tinyevm: checkpoint sensor on unknown node %q", sr.Node)
 		}
-		value := sr.Value
-		sn.n.RegisterSensor(sr.ID, func(uint64) (uint64, error) { return value, nil })
+		sr.install(sn)
 	}
 	s.sensorMu.Lock()
 	s.sensorRegs = append(s.sensorRegs[:0], ck.Sensors...)

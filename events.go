@@ -71,7 +71,7 @@ type Event struct {
 	Type EventType
 	// Node is the name of the observing node ("" for broadcast events).
 	Node string
-	// Time is the service wall-clock timestamp (see WithClock).
+	// Time is the service wall-clock timestamp.
 	Time time.Time
 
 	// Channel is the observing node's local channel handle.

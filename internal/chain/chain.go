@@ -191,9 +191,6 @@ type Chain struct {
 	// order so the next block can execute while the previous one hits
 	// the WAL (see pipeline.go).
 	pipe *sealPipeline
-	// disableFusion turns tier-1 superinstruction execution off for
-	// every EVM this chain builds (see SetFusion).
-	disableFusion bool
 	// commitMST and smt implement the incremental MST state commitment
 	// (see commit.go); smt is non-nil iff commitMST is set.
 	commitMST bool
@@ -380,20 +377,10 @@ func (c *Chain) SendTransaction(tx *Transaction) (*Receipt, error) {
 	return receipts[len(receipts)-1], nil
 }
 
-// SetFusion enables or disables tier-1 superinstruction execution for
-// every EVM this chain builds from now on. Fusion is on by default;
-// results are byte-identical either way (the fallback interpreter is
-// the reference), so this is a debugging/benchmarking knob.
-func (c *Chain) SetFusion(on bool) { c.disableFusion = !on }
-
 // newEVM builds a full-mode EVM bound to the given state and the block
 // being produced.
 func (c *Chain) newEVM(st evm.StateDB, block *Block, origin types.Address, gasPrice uint64) *evm.EVM {
-	cfg := evm.FullConfig()
-	if c.disableFusion {
-		cfg.DisableFusion = true
-	}
-	vm := evm.New(cfg, st)
+	vm := evm.New(evm.FullConfig(), st)
 	vm.Block = evm.BlockContext{
 		Coinbase:   block.Coinbase,
 		Number:     block.Number,

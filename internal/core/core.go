@@ -91,10 +91,6 @@ type Config struct {
 	// ProviderFunds and NodeFunds are the initial chain balances.
 	ProviderFunds uint64
 	NodeFunds     uint64
-	// DisableFusion turns tier-1 superinstruction execution off on the
-	// system's chain (results are identical either way; see
-	// evm.Config.DisableFusion).
-	DisableFusion bool
 }
 
 // DefaultConfig returns the standard experiment configuration.
@@ -120,7 +116,6 @@ func NewSystem(cfg Config, providerName string) (*System, *Node, error) {
 		cfg:     cfg,
 		nodes:   make(map[string]*Node),
 	}
-	s.Chain.SetFusion(!cfg.DisableFusion)
 
 	providerDev := device.New(providerName)
 	s.provider = providerDev.Address()

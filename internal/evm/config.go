@@ -1,8 +1,6 @@
 package evm
 
 import (
-	"os"
-
 	"tinyevm/internal/types"
 	"tinyevm/internal/uint256"
 )
@@ -109,7 +107,8 @@ type Config struct {
 	EnableSensorOpcode bool
 	// DisableFusion turns tier-1 execution off: all code runs through
 	// the per-opcode tier-0 dispatch loop, no programs are decoded or
-	// cached. The zero value (fusion on) is the default.
+	// cached. The zero value (fusion on) is the default; tier 0 is the
+	// reference FuzzFusedVsUnfused holds tier 1 to.
 	DisableFusion bool
 }
 
@@ -126,7 +125,6 @@ func TinyConfig() Config {
 		StepLimit:          TinyStepLimit,
 		CallDepthLimit:     TinyCallDepth,
 		EnableSensorOpcode: true,
-		DisableFusion:      fusionDisabledByEnv(),
 	}
 }
 
@@ -137,15 +135,8 @@ func FullConfig() Config {
 		StackLimit:     FullStackWords,
 		CodeSizeLimit:  FullCodeLimit,
 		CallDepthLimit: FullCallDepth,
-		DisableFusion:  fusionDisabledByEnv(),
 	}
 }
-
-// fusionDisabledByEnv reads the TINYEVM_FUSION escape hatch: "off"
-// disables tier-1 execution process-wide for configs built after the
-// read. CI's fusion-off test leg uses it; it is read per call (not
-// memoized) so tests can flip it with t.Setenv.
-func fusionDisabledByEnv() bool { return os.Getenv("TINYEVM_FUSION") == "off" }
 
 // BlockContext supplies the blockchain opcodes in ModeFull. In ModeTiny
 // these opcodes are removed and the context is never consulted.

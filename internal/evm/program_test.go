@@ -350,20 +350,6 @@ func TestProgramCacheBounded(t *testing.T) {
 	}
 }
 
-// TestFusionEnvKnob pins the TINYEVM_FUSION=off escape hatch used by
-// the CI fusion-off matrix leg: both stock configs must come up with
-// fusion disabled under the env var and enabled without it.
-func TestFusionEnvKnob(t *testing.T) {
-	t.Setenv("TINYEVM_FUSION", "off")
-	if !TinyConfig().DisableFusion || !FullConfig().DisableFusion {
-		t.Fatal("TINYEVM_FUSION=off did not disable fusion")
-	}
-	t.Setenv("TINYEVM_FUSION", "")
-	if TinyConfig().DisableFusion || FullConfig().DisableFusion {
-		t.Fatal("fusion not enabled by default")
-	}
-}
-
 // TestTracerForcesTierZero: attaching a tracer must pin execution to
 // tier-0 — superinstructions elide opcodes a tracer is entitled to see.
 func TestTracerForcesTierZero(t *testing.T) {

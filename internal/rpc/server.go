@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -212,7 +213,7 @@ func (s *Server) reply(w http.ResponseWriter, id json.RawMessage, result any, rp
 }
 
 // decode unmarshals params strictly into dst.
-func decode(params json.RawMessage, dst any) *Error {
+func decode(params json.RawMessage, dst any) error {
 	if len(params) == 0 {
 		params = []byte("{}")
 	}
@@ -225,139 +226,179 @@ func decode(params json.RawMessage, dst any) *Error {
 }
 
 // node resolves a node name.
-func (s *Server) node(name string) (*tinyevm.ServiceNode, *Error) {
+func (s *Server) node(name string) (*tinyevm.ServiceNode, error) {
 	sn, ok := s.svc.Node(name)
 	if !ok {
-		return nil, toError(fmt.Errorf("%w: %q", tinyevm.ErrUnknownNode, name))
+		return nil, fmt.Errorf("%w: %q", tinyevm.ErrUnknownNode, name)
 	}
 	return sn, nil
 }
 
 // addr parses a peer field holding either a hex address or a node name.
-func (s *Server) addr(v string) (types.Address, *Error) {
+func (s *Server) addr(v string) (types.Address, error) {
 	if strings.HasPrefix(v, "0x") {
 		a, err := types.HexToAddress(v)
 		if err != nil {
-			return types.Address{}, &Error{Code: codeInvalidParams, Message: err.Error()}
+			return a, &Error{Code: codeInvalidParams, Message: err.Error()}
 		}
 		return a, nil
 	}
-	sn, rpcErr := s.node(v)
-	if rpcErr != nil {
-		return types.Address{}, rpcErr
+	sn, err := s.node(v)
+	if err != nil {
+		return types.Address{}, err
 	}
 	return sn.Address(), nil
 }
 
-func toReceipt(r *tinyevm.Receipt) Receipt {
+// A method is one row of the gateway's method table. Handlers return
+// plain errors; dispatch turns them into wire errors in one place.
+type method func(s *Server, ctx context.Context, params json.RawMessage) (any, error)
+
+// bare adapts a method that takes no params (and, as it always has,
+// ignores any it is sent).
+func bare(fn func(s *Server, ctx context.Context) (any, error)) method {
+	return func(s *Server, ctx context.Context, _ json.RawMessage) (any, error) { return fn(s, ctx) }
+}
+
+// onService adapts a method whose params decode strictly into In.
+func onService[In any](fn func(s *Server, ctx context.Context, in In) (any, error)) method {
+	return func(s *Server, ctx context.Context, params json.RawMessage) (any, error) {
+		var in In
+		if err := decode(params, &in); err != nil {
+			return nil, err
+		}
+		return fn(s, ctx, in)
+	}
+}
+
+// onNode adapts a method acting on the node its params name: In is or
+// embeds nodeParam, and the handler gets the resolved node.
+func onNode[In interface{ nodeName() string }](fn func(ctx context.Context, sn *tinyevm.ServiceNode, in In) (any, error)) method {
+	return onService(func(s *Server, ctx context.Context, in In) (any, error) {
+		sn, err := s.node(in.nodeName())
+		if err != nil {
+			return nil, err
+		}
+		return fn(ctx, sn, in)
+	})
+}
+
+type nodeParam struct {
+	Node string `json:"node"`
+}
+
+func (p nodeParam) nodeName() string { return p.Node }
+
+type nodeChannel struct {
+	nodeParam
+	Channel uint64 `json:"channel"`
+}
+
+type addressOnly struct {
+	Address string `json:"address"`
+}
+
+type subscriptionOnly struct {
+	Subscription string `json:"subscription"`
+}
+
+// Wire conversions of (result, error) pairs, so a row can return the
+// service call directly.
+func receipt(r *tinyevm.Receipt, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
 	out := Receipt{Status: r.Status, GasUsed: r.GasUsed, Block: r.BlockNumber}
 	if r.Err != nil {
 		out.Error = r.Err.Error()
 	}
-	return out
+	return out, nil
 }
 
-// dispatch routes one method call.
-func (s *Server) dispatch(ctx context.Context, method string, params json.RawMessage) (any, *Error) {
-	switch method {
-	case "tinyevm_provider":
-		p := s.svc.Provider()
-		return map[string]string{"name": p.Name(), "address": p.Address().Hex()}, nil
+func head(n uint64, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return map[string]uint64{"head": n}, nil
+}
 
-	case "tinyevm_addNode":
-		var in struct {
-			Name string `json:"name"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
+func identity(sn *tinyevm.ServiceNode) map[string]string {
+	return map[string]string{"name": sn.Name(), "address": sn.Address().Hex()}
+}
+
+// channelOf looks a channel up, failing with the protocol's sentinel
+// when the node has no such channel.
+func channelOf(ctx context.Context, sn *tinyevm.ServiceNode, id uint64) (tinyevm.ChannelState, error) {
+	cs, ok, err := sn.Channel(ctx, id)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: %d", protocol.ErrUnknownChannel, id)
+	}
+	return cs, err
+}
+
+// methods is the gateway's method table: one row per JSON-RPC method,
+// holding its params struct, the service call and the wire conversion.
+var methods = map[string]method{
+	"tinyevm_provider": bare(func(s *Server, _ context.Context) (any, error) {
+		return identity(s.svc.Provider()), nil
+	}),
+
+	"tinyevm_addNode": onService(func(s *Server, ctx context.Context, in struct {
+		Name string `json:"name"`
+	}) (any, error) {
 		sn, err := s.svc.AddNode(ctx, in.Name)
 		if err != nil {
-			return nil, toError(err)
+			return nil, err
 		}
 		// Journaled registration: on a durable deployment the default
 		// sensor is replayed before the channel ops that read it.
 		if err := sn.RegisterSensorValue(ctx, device.SensorTemperature, DefaultSensorValue); err != nil {
-			return nil, toError(err)
+			return nil, err
 		}
-		return map[string]string{"name": sn.Name(), "address": sn.Address().Hex()}, nil
+		return identity(sn), nil
+	}),
 
-	case "tinyevm_registerSensor":
-		var in struct {
-			Node  string `json:"node"`
-			ID    uint64 `json:"id"`
-			Value uint64 `json:"value"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
-		sn, rpcErr := s.node(in.Node)
-		if rpcErr != nil {
-			return nil, rpcErr
-		}
-		if err := sn.RegisterSensorValue(ctx, in.ID, in.Value); err != nil {
-			return nil, toError(err)
-		}
-		return map[string]bool{"ok": true}, nil
+	"tinyevm_registerSensor": onNode(func(ctx context.Context, sn *tinyevm.ServiceNode, in struct {
+		nodeParam
+		ID    uint64 `json:"id"`
+		Value uint64 `json:"value"`
+	}) (any, error) {
+		return map[string]bool{"ok": true}, sn.RegisterSensorValue(ctx, in.ID, in.Value)
+	}),
 
-	case "tinyevm_openChannel":
-		var in struct {
-			Node        string `json:"node"`
-			Peer        string `json:"peer"`
-			Deposit     uint64 `json:"deposit"`
-			SensorParam uint64 `json:"sensorParam"`
+	"tinyevm_openChannel": onService(func(s *Server, ctx context.Context, in struct {
+		nodeParam
+		Peer        string `json:"peer"`
+		Deposit     uint64 `json:"deposit"`
+		SensorParam uint64 `json:"sensorParam"`
+	}) (any, error) {
+		sn, err := s.node(in.Node)
+		if err != nil {
+			return nil, err
 		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
-		sn, rpcErr := s.node(in.Node)
-		if rpcErr != nil {
-			return nil, rpcErr
-		}
-		peer, rpcErr := s.addr(in.Peer)
-		if rpcErr != nil {
-			return nil, rpcErr
+		peer, err := s.addr(in.Peer)
+		if err != nil {
+			return nil, err
 		}
 		cs, err := sn.OpenChannel(ctx, peer, in.Deposit, in.SensorParam)
-		if err != nil {
-			return nil, toError(err)
-		}
-		return toChannel(cs), nil
+		return toChannel(cs), err
+	}),
 
-	case "tinyevm_pay":
-		var in struct {
-			Node    string `json:"node"`
-			Channel uint64 `json:"channel"`
-			Amount  uint64 `json:"amount"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
-		sn, rpcErr := s.node(in.Node)
-		if rpcErr != nil {
-			return nil, rpcErr
-		}
+	"tinyevm_pay": onNode(func(ctx context.Context, sn *tinyevm.ServiceNode, in struct {
+		nodeChannel
+		Amount uint64 `json:"amount"`
+	}) (any, error) {
 		pay, err := sn.Pay(ctx, in.Channel, in.Amount)
 		if err != nil {
-			return nil, toError(err)
+			return nil, err
 		}
 		return Payment{Channel: in.Channel, Seq: pay.Seq, Cumulative: pay.Cumulative}, nil
+	}),
 
-	case "tinyevm_closeChannel":
-		var in struct {
-			Node    string `json:"node"`
-			Channel uint64 `json:"channel"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
-		sn, rpcErr := s.node(in.Node)
-		if rpcErr != nil {
-			return nil, rpcErr
-		}
+	"tinyevm_closeChannel": onNode(func(ctx context.Context, sn *tinyevm.ServiceNode, in nodeChannel) (any, error) {
 		fs, err := sn.Close(ctx, in.Channel)
 		if err != nil {
-			return nil, toError(err)
+			return nil, err
 		}
 		return FinalState{
 			Channel:    in.Channel,
@@ -367,282 +408,108 @@ func (s *Server) dispatch(ctx context.Context, method string, params json.RawMes
 			Cumulative: fs.Cumulative,
 			Signed:     fs.VerifySignatures() == nil,
 		}, nil
+	}),
 
-	case "tinyevm_channel":
-		var in struct {
-			Node    string `json:"node"`
-			Channel uint64 `json:"channel"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
-		sn, rpcErr := s.node(in.Node)
-		if rpcErr != nil {
-			return nil, rpcErr
-		}
-		cs, ok, err := sn.Channel(ctx, in.Channel)
-		if err != nil {
-			return nil, toError(err)
-		}
-		if !ok {
-			return nil, toError(fmt.Errorf("%w: %d", protocol.ErrUnknownChannel, in.Channel))
-		}
-		return toChannel(cs), nil
+	"tinyevm_channel": onNode(func(ctx context.Context, sn *tinyevm.ServiceNode, in nodeChannel) (any, error) {
+		cs, err := channelOf(ctx, sn, in.Channel)
+		return toChannel(cs), err
+	}),
 
-	case "tinyevm_channels":
-		var in struct {
-			Node string `json:"node"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
-		sn, rpcErr := s.node(in.Node)
-		if rpcErr != nil {
-			return nil, rpcErr
-		}
+	"tinyevm_channels": onNode(func(ctx context.Context, sn *tinyevm.ServiceNode, _ nodeParam) (any, error) {
 		list, err := sn.Channels(ctx)
-		if err != nil {
-			return nil, toError(err)
-		}
 		out := make([]Channel, 0, len(list))
 		for _, cs := range list {
 			out = append(out, toChannel(cs))
 		}
-		return out, nil
+		return out, err
+	}),
 
-	case "tinyevm_deposit":
-		var in struct {
-			Node   string `json:"node"`
-			Amount uint64 `json:"amount"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
-		sn, rpcErr := s.node(in.Node)
-		if rpcErr != nil {
-			return nil, rpcErr
-		}
-		r, err := sn.Deposit(ctx, in.Amount)
-		if err != nil {
-			return nil, toError(err)
-		}
-		return toReceipt(r), nil
+	"tinyevm_deposit": onNode(func(ctx context.Context, sn *tinyevm.ServiceNode, in struct {
+		nodeParam
+		Amount uint64 `json:"amount"`
+	}) (any, error) {
+		return receipt(sn.Deposit(ctx, in.Amount))
+	}),
 
-	case "tinyevm_commit":
-		var in struct {
-			Node    string `json:"node"`
-			Channel uint64 `json:"channel"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
-		sn, rpcErr := s.node(in.Node)
-		if rpcErr != nil {
-			return nil, rpcErr
-		}
-		cs, ok, err := sn.Channel(ctx, in.Channel)
+	"tinyevm_commit": onNode(func(ctx context.Context, sn *tinyevm.ServiceNode, in nodeChannel) (any, error) {
+		cs, err := channelOf(ctx, sn, in.Channel)
 		if err != nil {
-			return nil, toError(err)
-		}
-		if !ok {
-			return nil, toError(fmt.Errorf("%w: %d", protocol.ErrUnknownChannel, in.Channel))
+			return nil, err
 		}
 		if cs.Final == nil {
-			return nil, toError(fmt.Errorf("%w: channel %d has no final state", tinyevm.ErrIncompleteClose, in.Channel))
+			return nil, fmt.Errorf("%w: channel %d has no final state", tinyevm.ErrIncompleteClose, in.Channel)
 		}
-		r, err := sn.Commit(ctx, cs.Final)
-		if err != nil {
-			return nil, toError(err)
-		}
-		return toReceipt(r), nil
+		return receipt(sn.Commit(ctx, cs.Final))
+	}),
 
-	case "tinyevm_exit":
-		var in struct {
-			Node string `json:"node"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
-		sn, rpcErr := s.node(in.Node)
-		if rpcErr != nil {
-			return nil, rpcErr
-		}
-		r, err := sn.Exit(ctx)
-		if err != nil {
-			return nil, toError(err)
-		}
-		return toReceipt(r), nil
+	"tinyevm_exit": onNode(func(ctx context.Context, sn *tinyevm.ServiceNode, _ nodeParam) (any, error) {
+		return receipt(sn.Exit(ctx))
+	}),
 
-	case "tinyevm_settle":
-		var in struct {
-			Node string `json:"node"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
-		sn, rpcErr := s.node(in.Node)
-		if rpcErr != nil {
-			return nil, rpcErr
-		}
-		r, err := sn.Settle(ctx)
-		if err != nil {
-			return nil, toError(err)
-		}
-		return toReceipt(r), nil
+	"tinyevm_settle": onNode(func(ctx context.Context, sn *tinyevm.ServiceNode, _ nodeParam) (any, error) {
+		return receipt(sn.Settle(ctx))
+	}),
 
-	case "tinyevm_runChallengePeriod":
+	"tinyevm_runChallengePeriod": bare(func(s *Server, ctx context.Context) (any, error) {
 		if err := s.svc.RunChallengePeriod(ctx); err != nil {
-			return nil, toError(err)
+			return nil, err
 		}
-		head, err := s.svc.HeadBlock(ctx)
-		if err != nil {
-			return nil, toError(err)
-		}
-		return map[string]uint64{"head": head}, nil
+		return head(s.svc.HeadBlock(ctx))
+	}),
 
-	case "tinyevm_balance":
-		var in struct {
-			Address string `json:"address"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
-		a, rpcErr := s.addr(in.Address)
-		if rpcErr != nil {
-			return nil, rpcErr
+	"tinyevm_balance": onService(func(s *Server, ctx context.Context, in addressOnly) (any, error) {
+		a, err := s.addr(in.Address)
+		if err != nil {
+			return nil, err
 		}
 		bal, err := s.svc.BalanceOf(ctx, a)
-		if err != nil {
-			return nil, toError(err)
-		}
-		return map[string]uint64{"balance": bal}, nil
+		return map[string]uint64{"balance": bal}, err
+	}),
 
-	case "tinyevm_head":
-		head, err := s.svc.HeadBlock(ctx)
-		if err != nil {
-			return nil, toError(err)
-		}
-		return map[string]uint64{"head": head}, nil
+	"tinyevm_head": bare(func(s *Server, ctx context.Context) (any, error) {
+		return head(s.svc.HeadBlock(ctx))
+	}),
 
-	case "tinyevm_nodeStatus", "tinyevm_node_status":
-		st, err := s.svc.NodeStatus(ctx)
-		if err != nil {
-			return nil, toError(err)
-		}
-		return toNodeStatus(st), nil
+	"tinyevm_nodeStatus":  bare((*Server).nodeStatus),
+	"tinyevm_node_status": bare((*Server).nodeStatus),
 
-	case "tinyevm_serviceStats":
+	"tinyevm_serviceStats": bare(func(s *Server, ctx context.Context) (any, error) {
 		st, err := s.svc.ServiceStats(ctx)
-		if err != nil {
-			return nil, toError(err)
-		}
-		return toServiceStats(st), nil
+		return toServiceStats(st), err
+	}),
 
-	case "tinyevm_storeStatus":
+	"tinyevm_storeStatus": bare(func(s *Server, ctx context.Context) (any, error) {
 		st, ok, err := s.svc.StoreStatus(ctx)
-		if err != nil {
-			return nil, toError(err)
+		if err == nil && !ok {
+			err = &Error{Code: codeServer, Message: "no durable store configured"}
 		}
-		if !ok {
-			return nil, &Error{Code: codeServer, Message: "no durable store configured"}
-		}
-		return toStoreStatus(st), nil
+		return toStoreStatus(st), err
+	}),
 
-	case "tinyevm_stateProof":
-		var in struct {
-			Address string `json:"address"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
-		a, rpcErr := s.addr(in.Address)
-		if rpcErr != nil {
-			return nil, rpcErr
+	"tinyevm_stateProof": onService(func(s *Server, ctx context.Context, in addressOnly) (any, error) {
+		a, err := s.addr(in.Address)
+		if err != nil {
+			return nil, err
 		}
 		p, err := s.svc.StateProof(ctx, a)
 		if err != nil {
-			return nil, toError(err)
+			return nil, err
 		}
 		return toStateProof(p), nil
+	}),
 
-	case "tinyevm_blockHash":
-		var in struct {
-			Number uint64 `json:"number"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
+	"tinyevm_blockHash": onService(func(s *Server, ctx context.Context, in struct {
+		Number uint64 `json:"number"`
+	}) (any, error) {
 		h, err := s.svc.BlockHash(ctx, in.Number)
-		if err != nil {
-			return nil, toError(err)
-		}
-		return map[string]string{"hash": h.Hex()}, nil
+		return map[string]string{"hash": h.Hex()}, err
+	}),
 
-	case "tinyevm_subscribe":
-		var in struct {
-			Node string `json:"node"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
-		sn, rpcErr := s.node(in.Node)
-		if rpcErr != nil {
-			return nil, rpcErr
-		}
-		// The subscription outlives this HTTP request; it is bounded by
-		// the service lifetime and explicit unsubscribe.
-		subCtx, cancel := context.WithCancel(context.Background())
-		events := sn.Subscribe(subCtx)
-		s.mu.Lock()
-		s.nextSub++
-		id := fmt.Sprintf("sub-%d", s.nextSub)
-		s.subs[id] = &serverSub{events: events, cancel: cancel, lastPoll: time.Now()}
-		s.mu.Unlock()
-		return map[string]string{"subscription": id}, nil
+	"tinyevm_subscribe": onService((*Server).subscribe),
 
-	case "tinyevm_poll":
-		var in struct {
-			Subscription string `json:"subscription"`
-			Max          int    `json:"max"`
-			TimeoutMs    int    `json:"timeoutMs"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
-		s.mu.Lock()
-		sub, ok := s.subs[in.Subscription]
-		if ok {
-			sub.lastPoll = time.Now()
-		}
-		s.mu.Unlock()
-		if !ok {
-			return nil, &Error{Code: codeInvalidParams, Message: "unknown subscription " + in.Subscription}
-		}
-		events, closed := sub.poll(ctx, in.Max, in.TimeoutMs)
-		if closed {
-			// The stream ended (service closed or ctx cancelled): reap.
-			s.mu.Lock()
-			if cur, ok := s.subs[in.Subscription]; ok && cur == sub {
-				cur.cancel()
-				delete(s.subs, in.Subscription)
-			}
-			s.mu.Unlock()
-		} else {
-			s.mu.Lock()
-			if cur, ok := s.subs[in.Subscription]; ok && cur == sub {
-				cur.lastPoll = time.Now()
-			}
-			s.mu.Unlock()
-		}
-		return map[string]any{"events": events, "closed": closed}, nil
+	"tinyevm_poll": onService((*Server).poll),
 
-	case "tinyevm_unsubscribe":
-		var in struct {
-			Subscription string `json:"subscription"`
-		}
-		if e := decode(params, &in); e != nil {
-			return nil, e
-		}
+	"tinyevm_unsubscribe": onService(func(s *Server, _ context.Context, in subscriptionOnly) (any, error) {
 		s.mu.Lock()
 		sub, ok := s.subs[in.Subscription]
 		delete(s.subs, in.Subscription)
@@ -651,10 +518,77 @@ func (s *Server) dispatch(ctx context.Context, method string, params json.RawMes
 			sub.cancel()
 		}
 		return map[string]bool{"ok": ok}, nil
+	}),
+}
 
-	default:
-		return nil, &Error{Code: codeMethodNotFound, Message: "method not found: " + method}
+// dispatch routes one method call through the table and converts the
+// handler's error to its wire form: an *Error passes through, anything
+// else gets its kind from the taxonomy in rpc.go.
+func (s *Server) dispatch(ctx context.Context, name string, params json.RawMessage) (any, *Error) {
+	m, ok := methods[name]
+	if !ok {
+		return nil, &Error{Code: codeMethodNotFound, Message: "method not found: " + name}
 	}
+	result, err := m(s, ctx, params)
+	if err == nil {
+		return result, nil
+	}
+	var rpcErr *Error
+	if !errors.As(err, &rpcErr) {
+		rpcErr = toError(err)
+	}
+	return nil, rpcErr
+}
+
+func (s *Server) nodeStatus(ctx context.Context) (any, error) {
+	st, err := s.svc.NodeStatus(ctx)
+	return toNodeStatus(st), err
+}
+
+func (s *Server) subscribe(_ context.Context, in nodeParam) (any, error) {
+	sn, err := s.node(in.Node)
+	if err != nil {
+		return nil, err
+	}
+	// The subscription outlives this HTTP request; it is bounded by
+	// the service lifetime and explicit unsubscribe.
+	subCtx, cancel := context.WithCancel(context.Background())
+	events := sn.Subscribe(subCtx)
+	s.mu.Lock()
+	s.nextSub++
+	id := fmt.Sprintf("sub-%d", s.nextSub)
+	s.subs[id] = &serverSub{events: events, cancel: cancel, lastPoll: time.Now()}
+	s.mu.Unlock()
+	return map[string]string{"subscription": id}, nil
+}
+
+func (s *Server) poll(ctx context.Context, in struct {
+	Subscription string `json:"subscription"`
+	Max          int    `json:"max"`
+	TimeoutMs    int    `json:"timeoutMs"`
+}) (any, error) {
+	s.mu.Lock()
+	sub, ok := s.subs[in.Subscription]
+	if ok {
+		sub.lastPoll = time.Now()
+	}
+	s.mu.Unlock()
+	if !ok {
+		return nil, &Error{Code: codeInvalidParams, Message: "unknown subscription " + in.Subscription}
+	}
+	events, closed := sub.poll(ctx, in.Max, in.TimeoutMs)
+	s.mu.Lock()
+	if cur, ok := s.subs[in.Subscription]; ok && cur == sub {
+		if closed {
+			// The stream ended (service closed or ctx cancelled): reap.
+			cur.cancel()
+			delete(s.subs, in.Subscription)
+		} else {
+			cur.lastPoll = time.Now()
+		}
+	}
+	s.mu.Unlock()
+	return map[string]any{"events": events, "closed": closed}, nil
 }
 
 // poll long-polls the subscription: it blocks until at least one event

@@ -2,10 +2,10 @@ package tinyevm
 
 import (
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tinyevm/internal/chain"
@@ -42,7 +42,6 @@ type serviceConfig struct {
 	core          core.Config
 	engineWorkers int
 	shards        int
-	clock         func() time.Time
 	kv            store.KVStore
 	dataDir       string
 	backend       string
@@ -85,30 +84,11 @@ func WithEngineWorkers(n int) Option {
 	return func(c *serviceConfig) { c.engineWorkers = n }
 }
 
-// WithFusion enables or disables tier-1 superinstruction execution on
-// the service's chain (default on). Results are byte-identical either
-// way; the knob exists for debugging and benchmark comparisons.
-func WithFusion(on bool) Option {
-	return func(c *serviceConfig) { c.core.DisableFusion = !on }
-}
-
 // WithShards sets the number of lock stripes for the pairwise hot path
 // (DefaultShards when unset). n <= 1 collapses the service to a single
 // stripe — every operation serializes, the pre-sharding behavior.
 func WithShards(n int) Option {
 	return func(c *serviceConfig) { c.shards = n }
-}
-
-// WithClock sets the wall-clock source used to stamp events — tests
-// inject a deterministic clock. nil restores time.Now.
-func WithClock(now func() time.Time) Option {
-	return func(c *serviceConfig) { c.clock = now }
-}
-
-// WithConfig replaces the whole core configuration (escape hatch for
-// callers migrating from the deprecated NewSystem façade).
-func WithConfig(cfg Config) Option {
-	return func(c *serviceConfig) { c.core = cfg }
 }
 
 // WithStore makes the deployment durable over the given key-value
@@ -201,15 +181,15 @@ type Service struct {
 	shards []serviceShard
 	logMu  sync.Mutex
 
-	clock func() time.Time
-
 	nodes  map[string]*ServiceNode
 	byAddr map[Address]*ServiceNode
 	order  []*ServiceNode
 
+	// closed is flipped by Close under subMu (so subscribe cannot race
+	// it) and read lock-free by every operation.
 	subMu  sync.Mutex
 	subs   map[*subscription]struct{}
-	closed bool
+	closed atomic.Bool
 
 	// fraudSeen counts template fraud entries already reported per
 	// address, so each new entry emits exactly one dispute event.
@@ -255,12 +235,9 @@ type Service struct {
 // byte-for-byte against the persisted chain records, and a mismatch
 // fails construction instead of forking history.
 func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, error) {
-	cfg := serviceConfig{core: core.DefaultConfig(), clock: time.Now}
+	cfg := serviceConfig{core: core.DefaultConfig()}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.clock == nil {
-		cfg.clock = time.Now
 	}
 
 	sys, provider, err := core.NewSystem(cfg.core, providerName)
@@ -278,7 +255,6 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 	}
 	s := &Service{
 		sys:          sys,
-		clock:        cfg.clock,
 		nodes:        make(map[string]*ServiceNode),
 		byAddr:       make(map[Address]*ServiceNode),
 		subs:         make(map[*subscription]struct{}),
@@ -372,37 +348,30 @@ func (s *Service) adopt(n *core.Node) *ServiceNode {
 	return sn
 }
 
-// do runs fn under the exclusive service lock — the path for global
-// operations and consistent snapshots — honouring context cancellation
-// and service shutdown at the boundary. The pairwise hot path does not
-// come through here; see runSharded in shard.go.
+// do runs fn under the exclusive service lock — the path for
+// consistent read-only snapshots — honouring context cancellation and
+// service shutdown at the boundary. Journaled operations go through
+// run (ops.go).
 func (s *Service) do(ctx context.Context, fn func() error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.isClosed() {
+	if s.closed.Load() {
 		return ErrServiceClosed
 	}
 	return fn()
-}
-
-func (s *Service) isClosed() bool {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	return s.closed
 }
 
 // Close shuts the service down: every Subscribe stream is closed and
 // subsequent operations fail with ErrServiceClosed. Close is idempotent.
 func (s *Service) Close() error {
 	s.subMu.Lock()
-	if s.closed {
+	if s.closed.Swap(true) {
 		s.subMu.Unlock()
 		return nil
 	}
-	s.closed = true
 	subs := make([]*subscription, 0, len(s.subs))
 	for sub := range s.subs {
 		subs = append(subs, sub)
@@ -427,7 +396,7 @@ func (s *Service) Close() error {
 
 // AddNode creates, funds and joins a new node.
 func (s *Service) AddNode(ctx context.Context, name string) (*ServiceNode, error) {
-	res, err := s.run(ctx, &opRecord{Op: opAddNode, Name: name})
+	res, err := s.run(ctx, opAddNode, &opRecord{Name: name}, nil)
 	return res.node, err
 }
 
@@ -479,13 +448,13 @@ func (s *Service) HeadBlock(ctx context.Context) (uint64, error) {
 // MineBlock produces one block from any pending transactions, through
 // the parallel engine when WithEngineWorkers configured one.
 func (s *Service) MineBlock(ctx context.Context) error {
-	_, err := s.run(ctx, &opRecord{Op: opMineBlock})
+	_, err := s.run(ctx, opMineBlock, &opRecord{}, nil)
 	return err
 }
 
 // RunChallengePeriod advances the chain past the active exit deadline.
 func (s *Service) RunChallengePeriod(ctx context.Context) error {
-	_, err := s.run(ctx, &opRecord{Op: opRunChallenge})
+	_, err := s.run(ctx, opRunChallenge, &opRecord{}, nil)
 	return err
 }
 
@@ -691,14 +660,11 @@ func (s *Service) RoutePayment(ctx context.Context, steps []RouteStep, receiver 
 	if err != nil {
 		return Hash{}, err
 	}
-	rec := &opRecord{
-		Op: opRoutePayment, Receiver: receiver,
-		Amount: amount, Fee: hopFee, Secret: encodeSecret(secret),
-	}
+	rec := &opRecord{Receiver: receiver, Amount: amount, Fee: hopFee, Secret: secretOf(secret)}
 	for _, st := range steps {
-		rec.Steps = append(rec.Steps, opStep{Node: st.Node, Channel: st.Channel})
+		rec.Steps = append(rec.Steps, opStep(st))
 	}
-	res, err := s.run(ctx, rec)
+	res, err := s.run(ctx, opRoutePayment, rec, nil)
 	return res.lock, err
 }
 
@@ -776,7 +742,7 @@ func (sub *subscription) pump() {
 func (s *Service) subscribe(ctx context.Context, node string) <-chan Event {
 	sub := newSubscription(node)
 	s.subMu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.subMu.Unlock()
 		sub.cancel()
 		return sub.out
@@ -799,7 +765,7 @@ func (s *Service) subscribe(ctx context.Context, node string) <-chan Event {
 // emit delivers an event to the named node's streams; broadcast events
 // (Node == "") reach every stream.
 func (s *Service) emit(e Event) {
-	e.Time = s.clock()
+	e.Time = time.Now()
 	s.subMu.Lock()
 	for sub := range s.subs {
 		if e.Node == "" || sub.node == "" || sub.node == e.Node {
@@ -1030,9 +996,7 @@ func (sn *ServiceNode) RegisterSensor(id uint64, fn SensorFunc) {
 // constructors read the sensor — this is the registration path the RPC
 // gateway uses.
 func (sn *ServiceNode) RegisterSensorValue(ctx context.Context, id, value uint64) error {
-	_, err := sn.svc.run(ctx, &opRecord{
-		Op: opRegisterSensor, Node: sn.n.Name(), SensorID: id, Value: value,
-	})
+	_, err := sn.svc.run(ctx, opRegisterSensor, &opRecord{Node: sn.n.Name(), SensorID: id, Value: value}, nil)
 	return err
 }
 
@@ -1040,10 +1004,9 @@ func (sn *ServiceNode) RegisterSensorValue(ctx context.Context, id, value uint64
 // channel funded with deposit and announces it to the peer, which
 // replicates it immediately (the peer's stream sees channel-opened).
 func (sn *ServiceNode) OpenChannel(ctx context.Context, peer Address, deposit, sensorParam uint64) (ChannelState, error) {
-	res, err := sn.svc.run(ctx, &opRecord{
-		Op: opOpenChannel, Node: sn.n.Name(), Peer: peer.Hex(),
-		Deposit: deposit, SensorParam: sensorParam,
-	})
+	res, err := sn.svc.run(ctx, opOpenChannel, &opRecord{
+		Node: sn.n.Name(), Peer: addrOf(peer), Deposit: deposit, SensorParam: sensorParam,
+	}, nil)
 	return res.channel, err
 }
 
@@ -1051,28 +1014,25 @@ func (sn *ServiceNode) OpenChannel(ctx context.Context, peer Address, deposit, s
 // verifies and registers it before Pay returns; its stream sees
 // payment-received.
 func (sn *ServiceNode) Pay(ctx context.Context, channelID, amount uint64) (*Payment, error) {
-	res, err := sn.svc.run(ctx, &opRecord{
-		Op: opPay, Node: sn.n.Name(), Channel: channelID, Amount: amount,
-	})
+	res, err := sn.svc.run(ctx, opPay, &opRecord{Node: sn.n.Name(), Channel: channelID, Amount: amount}, nil)
 	return res.pay, err
 }
 
 // PayConditional sends a hash-locked payment; the peer holds it pending
 // until Claim reveals the preimage.
 func (sn *ServiceNode) PayConditional(ctx context.Context, channelID, amount uint64, lock Hash) (*Payment, error) {
-	res, err := sn.svc.run(ctx, &opRecord{
-		Op: opPayConditional, Node: sn.n.Name(), Channel: channelID,
-		Amount: amount, Lock: lock.Hex(),
-	})
+	res, err := sn.svc.run(ctx, opPayConditional, &opRecord{
+		Node: sn.n.Name(), Channel: channelID, Amount: amount, Lock: hashOf(lock),
+	}, nil)
 	return res.pay, err
 }
 
 // Claim resolves a pending inbound conditional payment by revealing the
 // preimage; the payer finalizes it in the same call (claim-settled).
 func (sn *ServiceNode) Claim(ctx context.Context, channelID uint64, secret Secret) (*Payment, error) {
-	res, err := sn.svc.run(ctx, &opRecord{
-		Op: opClaim, Node: sn.n.Name(), Channel: channelID, Secret: encodeSecret(secret),
-	})
+	res, err := sn.svc.run(ctx, opClaim, &opRecord{
+		Node: sn.n.Name(), Channel: channelID, Secret: secretOf(secret),
+	}, nil)
 	return res.pay, err
 }
 
@@ -1081,14 +1041,14 @@ func (sn *ServiceNode) Claim(ctx context.Context, channelID uint64, secret Secre
 // parties' streams see channel-closed. The returned state carries both
 // signatures.
 func (sn *ServiceNode) Close(ctx context.Context, channelID uint64) (*FinalState, error) {
-	res, err := sn.svc.run(ctx, &opRecord{Op: opClose, Node: sn.n.Name(), Channel: channelID})
+	res, err := sn.svc.run(ctx, opClose, &opRecord{Node: sn.n.Name(), Channel: channelID}, nil)
 	return res.fs, err
 }
 
 // Reopen clears a countersigned checkpoint on this side so payments can
 // continue (both parties must reopen).
 func (sn *ServiceNode) Reopen(ctx context.Context, channelID uint64) error {
-	_, err := sn.svc.run(ctx, &opRecord{Op: opReopen, Node: sn.n.Name(), Channel: channelID})
+	_, err := sn.svc.run(ctx, opReopen, &opRecord{Node: sn.n.Name(), Channel: channelID}, nil)
 	return err
 }
 
@@ -1123,11 +1083,11 @@ func (sn *ServiceNode) Channels(ctx context.Context) ([]ChannelState, error) {
 // SendSensorData reads the given sensors and pushes the readings to the
 // peer, whose stream sees sensor-data.
 func (sn *ServiceNode) SendSensorData(ctx context.Context, peer Address, sensorIDs ...uint64) (*SensorData, error) {
-	rec := &opRecord{Op: opSendSensorData, Node: sn.n.Name(), Peer: peer.Hex()}
+	rec := &opRecord{Node: sn.n.Name(), Peer: addrOf(peer)}
 	// Sensor values are nondeterministic inputs: read them under the
 	// shard locks, before journaling, so recovery replays the exact
 	// frames without needing the (non-persistable) Go handlers.
-	res, err := sn.svc.runShardedPrepared(ctx, rec, func() error {
+	res, err := sn.svc.run(ctx, opSendSensorData, rec, func() error {
 		for _, id := range sensorIDs {
 			v, err := sn.n.Dev.Sensors.Sense(id, 0)
 			if err != nil {
@@ -1142,7 +1102,7 @@ func (sn *ServiceNode) SendSensorData(ctx context.Context, peer Address, sensorI
 
 // Deposit locks funds into the on-chain template (phase 1).
 func (sn *ServiceNode) Deposit(ctx context.Context, amount uint64) (*Receipt, error) {
-	res, err := sn.svc.run(ctx, &opRecord{Op: opDeposit, Node: sn.n.Name(), Amount: amount})
+	res, err := sn.svc.run(ctx, opDeposit, &opRecord{Node: sn.n.Name(), Amount: amount}, nil)
 	return res.receipt, err
 }
 
@@ -1150,39 +1110,34 @@ func (sn *ServiceNode) Deposit(ctx context.Context, amount uint64) (*Receipt, er
 // commit superseding a counterparty's stale commit raises a dispute
 // event.
 func (sn *ServiceNode) Commit(ctx context.Context, fs *FinalState) (*Receipt, error) {
-	res, err := sn.svc.run(ctx, &opRecord{
-		Op: opCommit, Node: sn.n.Name(), Final: encodeFinalState(fs),
-	})
+	res, err := sn.svc.run(ctx, opCommit, &opRecord{Node: sn.n.Name(), Final: finalStateOf(fs)}, nil)
 	return res.receipt, err
 }
 
 // Exit starts the on-chain exit / challenge period.
 func (sn *ServiceNode) Exit(ctx context.Context) (*Receipt, error) {
-	res, err := sn.svc.run(ctx, &opRecord{Op: opExit, Node: sn.n.Name()})
+	res, err := sn.svc.run(ctx, opExit, &opRecord{Node: sn.n.Name()}, nil)
 	return res.receipt, err
 }
 
 // Settle dissolves the template after the challenge period and
 // distributes funds.
 func (sn *ServiceNode) Settle(ctx context.Context) (*Receipt, error) {
-	res, err := sn.svc.run(ctx, &opRecord{Op: opSettle, Node: sn.n.Name()})
+	res, err := sn.svc.run(ctx, opSettle, &opRecord{Node: sn.n.Name()}, nil)
 	return res.receipt, err
 }
 
 // DeployContract deploys EVM init code on the node's TinyEVM.
 func (sn *ServiceNode) DeployContract(ctx context.Context, initCode []byte) (DeployResult, error) {
-	res, err := sn.svc.run(ctx, &opRecord{
-		Op: opDeployContract, Node: sn.n.Name(), Data: hex.EncodeToString(initCode),
-	})
+	res, err := sn.svc.run(ctx, opDeployContract, &opRecord{Node: sn.n.Name(), Data: initCode}, nil)
 	return res.deploy, err
 }
 
 // CallContract executes a deployed contract on the node's TinyEVM.
 func (sn *ServiceNode) CallContract(ctx context.Context, addr Address, input []byte, value uint64) (CallResult, error) {
-	res, err := sn.svc.run(ctx, &opRecord{
-		Op: opCallContract, Node: sn.n.Name(), Addr: addr.Hex(),
-		Data: hex.EncodeToString(input), Value: value,
-	})
+	res, err := sn.svc.run(ctx, opCallContract, &opRecord{
+		Node: sn.n.Name(), Addr: addrOf(addr), Data: input, Value: value,
+	}, nil)
 	return res.call, err
 }
 

@@ -37,7 +37,6 @@ package tinyevm
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -97,147 +96,46 @@ func (s *Service) unlockShard(i int) {
 	sh.pending.Add(-1)
 }
 
-// lockPair locks the stripes for two addresses in ascending order and
-// returns the locked indexes (one entry when they collide).
-func (s *Service) lockPair(a, b int) []int {
-	if a == b {
-		s.lockShard(a)
-		return []int{a}
-	}
-	if b < a {
-		a, b = b, a
-	}
-	s.lockShard(a)
-	s.lockShard(b)
-	return []int{a, b}
-}
-
-func (s *Service) unlockShards(idxs []int) {
-	for i := len(idxs) - 1; i >= 0; i-- {
-		s.unlockShard(idxs[i])
-	}
-}
-
-// opIsSharded reports whether an operation kind runs on the sharded
-// hot path. Everything else (node registration, on-chain transactions,
-// block production, multi-hop routes) takes the exclusive lock.
-func opIsSharded(op string) bool {
-	switch op {
-	case opRegisterSensor, opOpenChannel, opPay, opPayConditional, opClaim,
-		opClose, opReopen, opSendSensorData, opDeployContract, opCallContract:
-		return true
-	}
-	return false
-}
-
-// lockShardsFor acquires the stripes covering rec's nodes and returns
-// their indexes in locked (ascending) order. Resolution failures —
-// unknown node, unknown channel, malformed peer — lock conservatively
-// and let applyLocked produce the same deterministic error the serial
-// path would.
-func (s *Service) lockShardsFor(rec *opRecord) []int {
+// lockStripes acquires the stripes an operation's scope covers — the
+// acting node's, plus the counterparty's for a pairwise op — and returns
+// them in locked (ascending) order, -1 for "none". The counterparty may
+// sit behind the channel table, which the node's own stripe guards: lock
+// that, look up, and when the peer's stripe sorts lower release and
+// re-acquire both in order (rule 2 above). An unknown node locks
+// nothing and an unknown channel only the node's stripe; apply then
+// fails with the same deterministic error a serial run would.
+func (s *Service) lockStripes(def *opDef, rec *opRecord) (lo, hi int) {
 	sn, ok := s.nodes[rec.Node]
 	if !ok {
-		return nil
+		return -1, -1
 	}
 	a := s.shardOf(sn.n.Address())
-	switch rec.Op {
-	case opOpenChannel, opSendSensorData:
-		if addr, err := decodeAddr(rec.Peer); err == nil {
-			return s.lockPair(a, s.shardOf(addr))
-		}
-		return s.lockPair(a, a)
-
-	case opPay, opPayConditional, opClaim, opClose, opReopen:
-		// The peer sits behind the channel table, which is itself
-		// guarded by the node's stripe: lock it, look up, and when the
-		// peer's stripe sorts lower re-acquire both in order (see the
-		// lock-ordering rules in the package comment above).
-		s.lockShard(a)
-		cs, ok := sn.n.Channel(rec.Channel)
-		if !ok {
-			return []int{a}
-		}
-		p := s.shardOf(cs.Peer)
-		if p == a {
-			return []int{a}
-		}
-		if p > a {
-			s.lockShard(p)
-			return []int{a, p}
-		}
-		s.unlockShard(a)
-		return s.lockPair(a, p)
-
-	default:
-		s.lockShard(a)
-		return []int{a}
+	s.lockShard(a)
+	peer, ok := peerOf(def.scope, rec, sn)
+	if !ok {
+		return a, -1
 	}
+	p := s.shardOf(peer)
+	switch {
+	case p == a:
+		return a, -1
+	case p > a:
+		s.lockShard(p)
+		return a, p
+	}
+	s.unlockShard(a)
+	s.lockShard(p)
+	s.lockShard(a)
+	return p, a
 }
 
-// opScope resolves the dispatch scope of one pairwise op: the acting
-// node plus its counterparty. It runs with the op's shard locks held
-// (or single-threaded during replay), so the lookups are stable.
-func (s *Service) opScope(rec *opRecord, sn *ServiceNode) []*ServiceNode {
-	scope := []*ServiceNode{sn}
-	var peer Address
-	switch rec.Op {
-	case opOpenChannel, opSendSensorData:
-		addr, err := decodeAddr(rec.Peer)
-		if err != nil {
-			return scope
-		}
-		peer = addr
-	case opPay, opPayConditional, opClaim, opClose, opReopen:
-		cs, ok := sn.n.Channel(rec.Channel)
-		if !ok {
-			return scope
-		}
-		peer = cs.Peer
-	default:
-		return scope
+func (s *Service) unlockStripes(lo, hi int) {
+	if hi >= 0 {
+		s.unlockShard(hi)
 	}
-	if pn, ok := s.byAddr[peer]; ok && pn != sn {
-		scope = append(scope, pn)
+	if lo >= 0 {
+		s.unlockShard(lo)
 	}
-	return scope
-}
-
-// runSharded executes one pairwise journaled operation under the read
-// side of the service lock plus the pair's shard locks.
-func (s *Service) runSharded(ctx context.Context, rec *opRecord) (opResult, error) {
-	return s.runShardedPrepared(ctx, rec, nil)
-}
-
-// runShardedPrepared is runSharded with a pre-journal hook that runs
-// under the shard locks — the seam SendSensorData uses to capture its
-// nondeterministic sensor readings into the record before it is logged.
-func (s *Service) runShardedPrepared(ctx context.Context, rec *opRecord, prepare func() error) (opResult, error) {
-	var res opResult
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.isClosed() {
-		return res, ErrServiceClosed
-	}
-	idxs := s.lockShardsFor(rec)
-	defer s.unlockShards(idxs)
-	if prepare != nil {
-		if err := prepare(); err != nil {
-			return res, err
-		}
-	}
-	if err := s.logOp(rec); err != nil {
-		return res, err
-	}
-	var err error
-	res, err = s.applyLocked(rec)
-	if serr := s.sys.Chain.StoreErr(); serr != nil {
-		return res, fmt.Errorf("tinyevm: persistence failed: %w", serr)
-	}
-	return res, err
 }
 
 // shardPending snapshots the per-stripe pending-op counters.
@@ -276,7 +174,7 @@ func (s *Service) ServiceStats(ctx context.Context) (ServiceStats, error) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.isClosed() {
+	if s.closed.Load() {
 		return st, ErrServiceClosed
 	}
 	st.Shards = len(s.shards)
