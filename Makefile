@@ -21,14 +21,24 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test $(BENCH_CHECK_FLAGS) ./...
 
 # Run the on-disk-format fuzzers (the record log, the segment codec,
-# the service's op-record decoder and replay) for wall-clock time, not
+# the service's op-record decoder and replay) and the crypto fast paths'
+# differential fuzzers (fixed-limb field, scalar and ECDSA against the
+# math/big oracle in internal/secp256k1/oracle_test.go; the unrolled
+# Keccak against the reference permutation) for wall-clock time, not
 # just their seed corpora — what the CI "Fuzz" step runs (-fuzz takes
-# one target and one package per invocation).
+# one target and one package per invocation). The ECDSA fuzzer's oracle
+# costs ~20 ms an execution, so its minimiser is capped: left at the
+# default minute per interesting input it would spend the whole budget
+# shrinking the first one.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentCodec$$' -fuzztime $(FUZZTIME) ./internal/store/disk/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzFieldVsBig$$' -fuzztime $(FUZZTIME) ./internal/secp256k1/
+	$(GO) test -run '^$$' -fuzz '^FuzzScalarVsBig$$' -fuzztime $(FUZZTIME) ./internal/secp256k1/
+	$(GO) test -run '^$$' -fuzz '^FuzzSignRecoverVsBig$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/secp256k1/
+	$(GO) test -run '^$$' -fuzz '^FuzzKeccakVsReference$$' -fuzztime $(FUZZTIME) ./internal/keccak/
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -154,9 +154,13 @@ func formatWorkloadTail(t testing.TB, svc *tinyevm.Service, lot *tinyevm.Service
 	}
 }
 
-// formatOpts are the deployment parameters of the format workload.
+// formatOpts are the deployment parameters of the format workload. The
+// funds are spelled out because the checkpoint golden holds balances:
+// they are what the default was when the goldens were written, and a
+// pinned format must not move with a default.
 func formatOpts(kv store.KVStore, extra ...tinyevm.Option) []tinyevm.Option {
-	return append([]tinyevm.Option{tinyevm.WithChallengePeriod(4), tinyevm.WithStore(kv)}, extra...)
+	return append([]tinyevm.Option{tinyevm.WithChallengePeriod(4), tinyevm.WithStore(kv),
+		tinyevm.WithFunds(100_000_000, 100_000_000)}, extra...)
 }
 
 // journalLines renders the op/ keyspace as "key value" lines.

@@ -65,7 +65,7 @@ type Transaction struct {
 // SigHash returns the digest the sender signs: a deterministic binary
 // encoding of all transaction fields.
 func (tx *Transaction) SigHash() types.Hash {
-	h := keccak.New()
+	var h keccak.Hasher
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], tx.Nonce)
 	h.Write(buf[:])
@@ -82,7 +82,7 @@ func (tx *Transaction) SigHash() types.Hash {
 	binary.BigEndian.PutUint64(buf[:], tx.Value)
 	h.Write(buf[:])
 	h.Write(tx.Data)
-	return types.BytesToHash(h.Sum(nil))
+	return types.Hash(h.Digest())
 }
 
 // Hash returns the transaction identity hash (fields plus signature).
@@ -217,7 +217,7 @@ func New() *Chain {
 }
 
 func blockHash(b *Block) types.Hash {
-	h := keccak.New()
+	var h keccak.Hasher
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], b.Number)
 	h.Write(buf[:])
@@ -228,7 +228,7 @@ func blockHash(b *Block) types.Hash {
 	for _, tx := range b.TxHashes {
 		h.Write(tx[:])
 	}
-	return types.BytesToHash(h.Sum(nil))
+	return types.Hash(h.Digest())
 }
 
 // ComputeBlockHash returns the canonical hash of a block. It covers

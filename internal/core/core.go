@@ -93,12 +93,16 @@ type Config struct {
 	NodeFunds     uint64
 }
 
-// DefaultConfig returns the standard experiment configuration.
+// DefaultConfig returns the standard experiment configuration. The
+// provider pays the gas of every commit, exit and settle of every
+// channel it serves for as long as the service runs (≈ 75k per
+// session), so it starts with enough for millions of sessions; a node
+// pays for its own deposits only.
 func DefaultConfig() Config {
 	return Config{
 		RadioSeed:       1,
 		ChallengePeriod: 10,
-		ProviderFunds:   100_000_000,
+		ProviderFunds:   1 << 40,
 		NodeFunds:       100_000_000,
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"tinyevm/internal/chain"
 	"tinyevm/internal/device"
 	"tinyevm/internal/radio"
-	"tinyevm/internal/secp256k1"
 	"tinyevm/internal/types"
 )
 
@@ -125,7 +124,7 @@ func RunOracleComparison() (OracleComparison, error) {
 	if err != nil {
 		return out, err
 	}
-	update.Sig = &secp256k1.Signature{R: sig.R, S: sig.S, V: sig.V}
+	update.Sig = sig
 
 	// 2. Radio the ~200-byte transaction to the gateway.
 	txWire := append(update.Data, update.Sig.Serialize()...)

@@ -407,6 +407,45 @@ func TestECRecoverPrecompile(t *testing.T) {
 	}
 }
 
+// TestHighSTwin pins the one high-s rule (secp256k1 package comment):
+// low-s is enforced where signatures enter — ParseSignature — and nowhere
+// in the math, because ECRECOVER must accept high-s as Ethereum's does.
+// The twin (r, N-s, v^1) of a valid signature is the same authorisation.
+func TestHighSTwin(t *testing.T) {
+	key := secp256k1.DeterministicKey("high-s twin")
+	want := key.PublicKey.Address()
+	digest := types.HashData([]byte("one authorisation, two encodings"))
+	sig, err := key.Sign(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s uint256.Int
+	s.SetBytes(sig.S[:])
+	n := uint256.MustFromHex("0xfffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141")
+	twin := &secp256k1.Signature{R: sig.R, S: s.Sub(n, &s).Bytes32(), V: sig.V ^ 1}
+
+	if got, err := secp256k1.RecoverAddress(digest, twin); err != nil || got != want {
+		t.Fatalf("twin recovered %s, %v; want %s", got, err, want)
+	}
+	if !secp256k1.Verify(&key.PublicKey, digest, twin) {
+		t.Fatal("twin does not verify")
+	}
+	input := make([]byte, 128)
+	copy(input[0:32], digest[:])
+	input[63] = twin.V + 27
+	copy(input[64:96], twin.R[:])
+	copy(input[96:128], twin.S[:])
+	if out := runPrecompile(PrecompileECRecover, input); len(out) != 32 || types.BytesToAddress(out[12:]) != want {
+		t.Fatalf("precompile returned %x for the twin, want %s", out, want)
+	}
+	if _, err := secp256k1.ParseSignature(twin.Serialize()); !errors.Is(err, secp256k1.ErrInvalidSignature) {
+		t.Fatalf("ParseSignature accepted the high-s twin: %v", err)
+	}
+	if _, err := secp256k1.ParseSignature(sig.Serialize()); err != nil {
+		t.Fatalf("ParseSignature refused the low-s original: %v", err)
+	}
+}
+
 func TestSHA256AndIdentityPrecompiles(t *testing.T) {
 	out := runPrecompile(PrecompileSHA256, []byte("abc"))
 	// SHA-256("abc") well-known vector.

@@ -77,10 +77,7 @@ func ecrecover(input []byte) []byte {
 	var hash types.Hash
 	copy(hash[:], padded[0:32])
 
-	// Word parsing goes through the EVM's own 256-bit arithmetic; only
-	// the final signature hand-off converts to the big.Int form the
-	// curve implementation expects.
-	var vWord, r, s uint256.Int
+	var vWord uint256.Int
 	vWord.SetBytes(padded[32:64])
 	if !vWord.IsUint64() {
 		return nil
@@ -92,15 +89,13 @@ func ecrecover(input []byte) []byte {
 	if v > 1 {
 		return nil
 	}
-	r.SetBytes(padded[64:96])
-	s.SetBytes(padded[96:128])
-
-	sig := &secp256k1.Signature{R: r.ToBig(), S: s.ToBig(), V: byte(v)}
-	pub, err := secp256k1.RecoverPublicKey(hash, sig)
+	// r and s go to the curve as the calldata words they are: it
+	// range-checks them and, like Ethereum's precompile, accepts high-s.
+	sig := &secp256k1.Signature{R: [32]byte(padded[64:96]), S: [32]byte(padded[96:128]), V: byte(v)}
+	addr, err := secp256k1.RecoverAddress(hash, sig)
 	if err != nil {
 		return nil
 	}
-	addr := pub.Address()
 	out := make([]byte, 32)
 	copy(out[12:], addr[:])
 	return out

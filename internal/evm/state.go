@@ -3,7 +3,6 @@ package evm
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -496,14 +495,14 @@ func (s *MemState) Addresses() []types.Address {
 // digest equal; the parallel engine's tests use this to prove
 // speculative execution converges to the serial result.
 func (s *MemState) Digest() types.Hash {
-	h := keccak.New()
+	var h keccak.Hasher
 	for _, addr := range s.Addresses() {
 		if !s.Exists(addr) {
 			continue
 		}
-		s.writeAccount(h, addr)
+		s.writeAccount(&h, addr)
 	}
-	return types.BytesToHash(h.Sum(nil))
+	return types.Hash(h.Digest())
 }
 
 // writeAccount streams one live account's canonical encoding — the
@@ -511,7 +510,7 @@ func (s *MemState) Digest() types.Hash {
 // between Digest and AccountDigest pins the two to the same layout, so
 // the MST state commitment's leaves and the legacy digest can never
 // disagree about what an account's bytes are.
-func (s *MemState) writeAccount(w io.Writer, addr types.Address) {
+func (s *MemState) writeAccount(w *keccak.Hasher, addr types.Address) {
 	a := s.accounts[addr]
 	var buf [8]byte
 	w.Write(addr[:])
@@ -540,9 +539,9 @@ func (s *MemState) AccountDigest(addr types.Address) (types.Hash, bool) {
 	if !s.Exists(addr) {
 		return types.Hash{}, false
 	}
-	h := keccak.New()
-	s.writeAccount(h, addr)
-	return types.BytesToHash(h.Sum(nil)), true
+	var h keccak.Hasher
+	s.writeAccount(&h, addr)
+	return types.Hash(h.Digest()), true
 }
 
 // Reset drops every account, returning the state to empty. The code

@@ -58,7 +58,7 @@ func TestWireRoundTrips(t *testing.T) {
 	if gotPay.Digest() != pay.Digest() {
 		t.Fatal("payment digest changed through codec")
 	}
-	if gotPay.Sig.R.Cmp(sig.R) != 0 {
+	if *gotPay.Sig != *sig {
 		t.Fatal("signature lost through codec")
 	}
 

@@ -102,16 +102,16 @@ type Payment struct {
 
 // Digest returns the signed message hash of the payment.
 func (p *Payment) Digest() types.Hash {
-	h := keccak.New()
+	var h keccak.Hasher
 	h.Write([]byte{byte(MsgPayment)})
 	h.Write(p.Template[:])
 	h.Write(p.Channel[:])
-	writeU64(h, p.ChannelID)
-	writeU64(h, p.Seq)
-	writeU64(h, p.Cumulative)
-	writeU64(h, p.SensorValue)
+	writeU64(&h, p.ChannelID)
+	writeU64(&h, p.Seq)
+	writeU64(&h, p.Cumulative)
+	writeU64(&h, p.SensorValue)
 	h.Write(p.HashLock[:])
-	return types.BytesToHash(h.Sum(nil))
+	return types.Hash(h.Digest())
 }
 
 // FinalState is the channel's closing state, signed by both parties:
@@ -185,7 +185,7 @@ func (f *FinalState) VerifySignatures() error {
 
 // --- binary encoding -------------------------------------------------
 
-func writeU64(h interface{ Write([]byte) (int, error) }, v uint64) {
+func writeU64(h *keccak.Hasher, v uint64) {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], v)
 	h.Write(buf[:]) //nolint:errcheck

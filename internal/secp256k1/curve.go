@@ -6,45 +6,48 @@
 // engine; here they run in software on the host, while the device model
 // (internal/device) charges the engine's published latencies and energy.
 //
-// The implementation uses math/big with Jacobian projective coordinates.
-// It is NOT constant-time and must not be used to guard real funds; it
-// exists to make the off-chain protocol cryptographically real inside
-// the simulation.
+// # Implementation
+//
+// Field elements (mod P) and scalars (mod N) are fixed-width value types
+// of four 64-bit limbs, fully reduced after every operation; a 512-bit
+// product folds back through 2^256 ≡ 2^32 + 977 (mod P). Points are
+// Jacobian with mixed-affine addition. k·G reads a 60 KB table of
+// j·16^i·G built once on first use; u1·G + u2·Q, the core of Verify and
+// RecoverPublicKey, interleaves two width-5 wNAF recodings over one
+// shared doubling chain (Strauss). Nothing on these paths touches the
+// heap except Sign's returned Signature. The math/big implementation
+// this replaced lives on in oracle_test.go as the differential oracle
+// for the fuzzers and for testdata/vectors.json.
+//
+// It is NOT constant-time and must not be used to guard real funds:
+// table indices, wNAF digits and the exceptional-case branches of the
+// group law all depend on secret scalars. That is acceptable here
+// because every key in this repository is a simulation identity derived
+// from a public seed string, the adversary the paper considers sits on
+// the radio link rather than on the host's caches, and the device model
+// charges the CC2538 engine's fixed latency whatever the host spent.
+//
+// # High-S
+//
+// Low-S is a transport rule, not a property of the math. Sign emits
+// s <= N/2 and ParseSignature — the one door every signature from the
+// wire, the disk or a peer comes through — refuses s > N/2, so two
+// encodings of one authorisation never circulate. Verify and
+// RecoverPublicKey only range-check (0 < r, s < N): the ECRECOVER
+// precompile hands them words straight from contract calldata and must
+// accept high-S exactly as Ethereum's does. The twin (r, N-s, v^1) of a
+// valid signature therefore verifies and recovers the same key, and does
+// not parse.
 package secp256k1
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 
 	"tinyevm/internal/keccak"
 	"tinyevm/internal/types"
 )
-
-// Curve parameters for secp256k1 (SEC 2, §2.4.1).
-var (
-	// P is the field prime 2^256 - 2^32 - 977.
-	P = mustBig("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
-	// N is the group order.
-	N = mustBig("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141")
-	// B is the curve constant in y^2 = x^3 + 7.
-	B = big.NewInt(7)
-	// Gx, Gy are the generator coordinates.
-	Gx = mustBig("79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798")
-	Gy = mustBig("483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8")
-
-	// halfN = N/2, the low-s boundary.
-	halfN = new(big.Int).Rsh(N, 1)
-)
-
-func mustBig(hexStr string) *big.Int {
-	v, ok := new(big.Int).SetString(hexStr, 16)
-	if !ok {
-		panic("secp256k1: bad constant " + hexStr)
-	}
-	return v
-}
 
 // Errors returned by signature operations.
 var (
@@ -54,248 +57,49 @@ var (
 	ErrRecoveryFailed   = errors.New("secp256k1: public key recovery failed")
 )
 
-// jacobianPoint is a point in Jacobian projective coordinates where the
-// affine point is (X/Z^2, Y/Z^3). The point at infinity has Z == 0.
-type jacobianPoint struct {
-	x, y, z *big.Int
-}
-
-func newInfinity() *jacobianPoint {
-	return &jacobianPoint{x: big.NewInt(1), y: big.NewInt(1), z: big.NewInt(0)}
-}
-
-func fromAffine(x, y *big.Int) *jacobianPoint {
-	if x.Sign() == 0 && y.Sign() == 0 {
-		return newInfinity()
-	}
-	return &jacobianPoint{
-		x: new(big.Int).Set(x),
-		y: new(big.Int).Set(y),
-		z: big.NewInt(1),
-	}
-}
-
-func (p *jacobianPoint) isInfinity() bool { return p.z.Sign() == 0 }
-
-// toAffine converts p back to affine coordinates. The zero point maps to
-// (0, 0).
-func (p *jacobianPoint) toAffine() (x, y *big.Int) {
-	if p.isInfinity() {
-		return new(big.Int), new(big.Int)
-	}
-	zInv := new(big.Int).ModInverse(p.z, P)
-	zInv2 := new(big.Int).Mul(zInv, zInv)
-	zInv2.Mod(zInv2, P)
-	x = new(big.Int).Mul(p.x, zInv2)
-	x.Mod(x, P)
-	zInv3 := zInv2.Mul(zInv2, zInv)
-	zInv3.Mod(zInv3, P)
-	y = new(big.Int).Mul(p.y, zInv3)
-	y.Mod(y, P)
-	return x, y
-}
-
-// double returns 2p using the standard Jacobian doubling formulas for a
-// curve with a == 0.
-func (p *jacobianPoint) double() *jacobianPoint {
-	if p.isInfinity() || p.y.Sign() == 0 {
-		return newInfinity()
-	}
-	// A = X^2, Bv = Y^2, C = Bv^2
-	a := new(big.Int).Mul(p.x, p.x)
-	a.Mod(a, P)
-	bv := new(big.Int).Mul(p.y, p.y)
-	bv.Mod(bv, P)
-	c := new(big.Int).Mul(bv, bv)
-	c.Mod(c, P)
-	// D = 2*((X+Bv)^2 - A - C)
-	d := new(big.Int).Add(p.x, bv)
-	d.Mul(d, d)
-	d.Sub(d, a)
-	d.Sub(d, c)
-	d.Lsh(d, 1)
-	d.Mod(d, P)
-	// E = 3*A, F = E^2
-	e := new(big.Int).Lsh(a, 1)
-	e.Add(e, a)
-	e.Mod(e, P)
-	f := new(big.Int).Mul(e, e)
-	f.Mod(f, P)
-	// X3 = F - 2*D
-	x3 := new(big.Int).Lsh(d, 1)
-	x3.Sub(f, x3)
-	x3.Mod(x3, P)
-	// Y3 = E*(D - X3) - 8*C
-	y3 := new(big.Int).Sub(d, x3)
-	y3.Mul(y3, e)
-	c.Lsh(c, 3)
-	y3.Sub(y3, c)
-	y3.Mod(y3, P)
-	// Z3 = 2*Y*Z
-	z3 := new(big.Int).Mul(p.y, p.z)
-	z3.Lsh(z3, 1)
-	z3.Mod(z3, P)
-	return &jacobianPoint{x: x3, y: y3, z: z3}
-}
-
-// add returns p + q using the standard Jacobian addition formulas.
-func (p *jacobianPoint) add(q *jacobianPoint) *jacobianPoint {
-	if p.isInfinity() {
-		return &jacobianPoint{
-			x: new(big.Int).Set(q.x),
-			y: new(big.Int).Set(q.y),
-			z: new(big.Int).Set(q.z),
-		}
-	}
-	if q.isInfinity() {
-		return &jacobianPoint{
-			x: new(big.Int).Set(p.x),
-			y: new(big.Int).Set(p.y),
-			z: new(big.Int).Set(p.z),
-		}
-	}
-	// U1 = X1*Z2^2, U2 = X2*Z1^2
-	z1z1 := new(big.Int).Mul(p.z, p.z)
-	z1z1.Mod(z1z1, P)
-	z2z2 := new(big.Int).Mul(q.z, q.z)
-	z2z2.Mod(z2z2, P)
-	u1 := new(big.Int).Mul(p.x, z2z2)
-	u1.Mod(u1, P)
-	u2 := new(big.Int).Mul(q.x, z1z1)
-	u2.Mod(u2, P)
-	// S1 = Y1*Z2^3, S2 = Y2*Z1^3
-	s1 := new(big.Int).Mul(p.y, z2z2)
-	s1.Mul(s1, q.z)
-	s1.Mod(s1, P)
-	s2 := new(big.Int).Mul(q.y, z1z1)
-	s2.Mul(s2, p.z)
-	s2.Mod(s2, P)
-
-	if u1.Cmp(u2) == 0 {
-		if s1.Cmp(s2) != 0 {
-			return newInfinity() // p == -q
-		}
-		return p.double() // p == q
-	}
-
-	// H = U2-U1, I = (2H)^2, J = H*I, Rv = 2*(S2-S1)
-	h := new(big.Int).Sub(u2, u1)
-	h.Mod(h, P)
-	i := new(big.Int).Lsh(h, 1)
-	i.Mul(i, i)
-	i.Mod(i, P)
-	j := new(big.Int).Mul(h, i)
-	j.Mod(j, P)
-	rv := new(big.Int).Sub(s2, s1)
-	rv.Lsh(rv, 1)
-	rv.Mod(rv, P)
-	// V = U1*I
-	v := new(big.Int).Mul(u1, i)
-	v.Mod(v, P)
-	// X3 = Rv^2 - J - 2*V
-	x3 := new(big.Int).Mul(rv, rv)
-	x3.Sub(x3, j)
-	x3.Sub(x3, new(big.Int).Lsh(v, 1))
-	x3.Mod(x3, P)
-	// Y3 = Rv*(V - X3) - 2*S1*J
-	y3 := new(big.Int).Sub(v, x3)
-	y3.Mul(y3, rv)
-	s1j := new(big.Int).Mul(s1, j)
-	s1j.Lsh(s1j, 1)
-	y3.Sub(y3, s1j)
-	y3.Mod(y3, P)
-	// Z3 = ((Z1+Z2)^2 - Z1Z1 - Z2Z2) * H
-	z3 := new(big.Int).Add(p.z, q.z)
-	z3.Mul(z3, z3)
-	z3.Sub(z3, z1z1)
-	z3.Sub(z3, z2z2)
-	z3.Mul(z3, h)
-	z3.Mod(z3, P)
-	return &jacobianPoint{x: x3, y: y3, z: z3}
-}
-
-// scalarMult returns k*(x, y) in affine coordinates using a simple
-// double-and-add ladder (not constant time; see package comment).
-func scalarMult(x, y, k *big.Int) (rx, ry *big.Int) {
-	k = new(big.Int).Mod(k, N)
-	acc := newInfinity()
-	addend := fromAffine(x, y)
-	for i := 0; i < k.BitLen(); i++ {
-		if k.Bit(i) == 1 {
-			acc = acc.add(addend)
-		}
-		addend = addend.double()
-	}
-	return acc.toAffine()
-}
-
-// scalarBaseMult returns k*G in affine coordinates.
-func scalarBaseMult(k *big.Int) (x, y *big.Int) {
-	return scalarMult(Gx, Gy, k)
-}
-
-// IsOnCurve reports whether (x, y) satisfies y^2 = x^3 + 7 (mod P) and is
-// within field range. The point at infinity (0,0) is not on the curve.
-func IsOnCurve(x, y *big.Int) bool {
-	if x.Sign() < 0 || y.Sign() < 0 || x.Cmp(P) >= 0 || y.Cmp(P) >= 0 {
-		return false
-	}
-	if x.Sign() == 0 && y.Sign() == 0 {
-		return false
-	}
-	y2 := new(big.Int).Mul(y, y)
-	y2.Mod(y2, P)
-	x3 := new(big.Int).Mul(x, x)
-	x3.Mul(x3, x)
-	x3.Add(x3, B)
-	x3.Mod(x3, P)
-	return y2.Cmp(x3) == 0
-}
-
-// PublicKey is a point on the secp256k1 curve.
+// PublicKey is a point on the secp256k1 curve, as big-endian affine
+// coordinates.
 type PublicKey struct {
-	X, Y *big.Int
+	X, Y [32]byte
 }
 
-// PrivateKey is a secp256k1 scalar with its public point.
+// PrivateKey is a secp256k1 scalar, big-endian, with its public point.
 type PrivateKey struct {
 	PublicKey
-	D *big.Int
+	D [32]byte
 }
 
 // GenerateKey creates a private key using entropy from rand.
 func GenerateKey(rand io.Reader) (*PrivateKey, error) {
-	buf := make([]byte, 32)
+	var buf [32]byte
 	for {
-		if _, err := io.ReadFull(rand, buf); err != nil {
+		if _, err := io.ReadFull(rand, buf[:]); err != nil {
 			return nil, fmt.Errorf("secp256k1: reading entropy: %w", err)
 		}
-		d := new(big.Int).SetBytes(buf)
-		if d.Sign() > 0 && d.Cmp(N) < 0 {
-			return NewPrivateKey(d)
+		if key, err := PrivateKeyFromBytes(buf[:]); err == nil {
+			return key, nil
 		}
 	}
-}
-
-// NewPrivateKey builds a private key from scalar d, validating range.
-func NewPrivateKey(d *big.Int) (*PrivateKey, error) {
-	if d.Sign() <= 0 || d.Cmp(N) >= 0 {
-		return nil, ErrInvalidKey
-	}
-	x, y := scalarBaseMult(d)
-	return &PrivateKey{
-		PublicKey: PublicKey{X: x, Y: y},
-		D:         new(big.Int).Set(d),
-	}, nil
 }
 
 // PrivateKeyFromBytes builds a private key from a 32-byte big-endian
-// scalar.
+// scalar d, 0 < d < N.
 func PrivateKeyFromBytes(b []byte) (*PrivateKey, error) {
 	if len(b) != 32 {
 		return nil, fmt.Errorf("%w: need 32 bytes, got %d", ErrInvalidKey, len(b))
 	}
-	return NewPrivateKey(new(big.Int).SetBytes(b))
+	var d scalar
+	if !d.setBytes((*[32]byte)(b)) || d.isZero() {
+		return nil, ErrInvalidKey
+	}
+	return newPrivateKey(&d), nil
+}
+
+// newPrivateKey derives the public point of a non-zero scalar.
+func newPrivateKey(d *scalar) *PrivateKey {
+	var p jacobianPoint
+	p.baseMult(d)
+	return &PrivateKey{PublicKey: publicKeyOf(p.toAffine()), D: d.bytes()}
 }
 
 // DeterministicKey derives a private key from a seed string. It is a
@@ -306,43 +110,40 @@ func DeterministicKey(seed string) *PrivateKey {
 	data := []byte(seed)
 	for i := 0; ; i++ {
 		h := keccak.Sum256(data)
-		d := new(big.Int).SetBytes(h[:])
-		d.Mod(d, N)
-		if d.Sign() > 0 {
-			key, err := NewPrivateKey(d)
-			if err == nil {
-				return key
-			}
+		var d scalar
+		d.setBytes(&h)
+		if !d.isZero() {
+			return newPrivateKey(&d)
 		}
 		data = append(data, byte(i))
 	}
 }
 
-// Bytes returns the 32-byte big-endian scalar of the private key.
-func (k *PrivateKey) Bytes() []byte {
-	out := make([]byte, 32)
-	k.D.FillBytes(out)
-	return out
+func publicKeyOf(a affinePoint) PublicKey {
+	return PublicKey{X: a.x.bytes(), Y: a.y.bytes()}
+}
+
+// point decodes p and reports whether its coordinates are in field
+// range and on the curve.
+func (p *PublicKey) point() (a affinePoint, ok bool) {
+	okX, okY := a.x.setBytes(&p.X), a.y.setBytes(&p.Y)
+	return a, okX && okY && a.isOnCurve()
 }
 
 // SerializeUncompressed returns the 65-byte 0x04||X||Y encoding.
 func (p *PublicKey) SerializeUncompressed() []byte {
 	out := make([]byte, 65)
 	out[0] = 0x04
-	p.X.FillBytes(out[1:33])
-	p.Y.FillBytes(out[33:65])
+	copy(out[1:33], p.X[:])
+	copy(out[33:65], p.Y[:])
 	return out
 }
 
 // SerializeCompressed returns the 33-byte 0x02/0x03||X encoding.
 func (p *PublicKey) SerializeCompressed() []byte {
 	out := make([]byte, 33)
-	if p.Y.Bit(0) == 0 {
-		out[0] = 0x02
-	} else {
-		out[0] = 0x03
-	}
-	p.X.FillBytes(out[1:33])
+	out[0] = 0x02 | p.Y[31]&1
+	copy(out[1:33], p.X[:])
 	return out
 }
 
@@ -351,58 +152,33 @@ func (p *PublicKey) SerializeCompressed() []byte {
 func ParsePublicKey(b []byte) (*PublicKey, error) {
 	switch {
 	case len(b) == 65 && b[0] == 0x04:
-		x := new(big.Int).SetBytes(b[1:33])
-		y := new(big.Int).SetBytes(b[33:65])
-		if !IsOnCurve(x, y) {
+		pub := &PublicKey{X: [32]byte(b[1:33]), Y: [32]byte(b[33:65])}
+		if _, ok := pub.point(); !ok {
 			return nil, ErrInvalidPubKey
 		}
-		return &PublicKey{X: x, Y: y}, nil
+		return pub, nil
 	case len(b) == 33 && (b[0] == 0x02 || b[0] == 0x03):
-		x := new(big.Int).SetBytes(b[1:33])
-		if x.Cmp(P) >= 0 {
+		var x fieldVal
+		var a affinePoint
+		if !x.setBytes((*[32]byte)(b[1:33])) || !a.liftX(&x, b[0] == 0x03) {
 			return nil, ErrInvalidPubKey
 		}
-		y, err := liftX(x, b[0] == 0x03)
-		if err != nil {
-			return nil, err
-		}
-		return &PublicKey{X: x, Y: y}, nil
+		pub := publicKeyOf(a)
+		return &pub, nil
 	default:
 		return nil, fmt.Errorf("%w: bad encoding (len %d)", ErrInvalidPubKey, len(b))
 	}
 }
 
-// liftX computes the curve point y coordinate for x with the requested
-// parity. P ≡ 3 (mod 4), so sqrt(a) = a^((P+1)/4).
-func liftX(x *big.Int, odd bool) (*big.Int, error) {
-	y2 := new(big.Int).Mul(x, x)
-	y2.Mul(y2, x)
-	y2.Add(y2, B)
-	y2.Mod(y2, P)
-	exp := new(big.Int).Add(P, big.NewInt(1))
-	exp.Rsh(exp, 2)
-	y := new(big.Int).Exp(y2, exp, P)
-	// Validate that y is a real square root.
-	check := new(big.Int).Mul(y, y)
-	check.Mod(check, P)
-	if check.Cmp(y2) != 0 {
-		return nil, ErrInvalidPubKey
-	}
-	if (y.Bit(0) == 1) != odd {
-		y.Sub(P, y)
-	}
-	return y, nil
-}
-
 // Address returns the Ethereum address of the public key:
 // keccak256(X||Y)[12:].
 func (p *PublicKey) Address() types.Address {
-	raw := p.SerializeUncompressed()
-	h := keccak.Sum256(raw[1:]) // skip the 0x04 prefix byte
+	var raw [64]byte
+	copy(raw[:32], p.X[:])
+	copy(raw[32:], p.Y[:])
+	h := keccak.Sum256(raw[:])
 	return types.BytesToAddress(h[12:])
 }
 
 // Equal reports whether two public keys are the same point.
-func (p *PublicKey) Equal(q *PublicKey) bool {
-	return p.X.Cmp(q.X) == 0 && p.Y.Cmp(q.Y) == 0
-}
+func (p *PublicKey) Equal(q *PublicKey) bool { return *p == *q }

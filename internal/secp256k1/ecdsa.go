@@ -1,19 +1,18 @@
 package secp256k1
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"fmt"
-	"math/big"
 
 	"tinyevm/internal/types"
 )
 
 // Signature is an ECDSA signature over secp256k1 in Ethereum form:
-// (r, s) plus the recovery id v in {0, 1}. S is always normalized to the
-// lower half of the group order.
+// big-endian (r, s) plus the recovery id v in {0, 1}. Sign and
+// ParseSignature only ever produce low-s values; see the package
+// comment for what the other functions accept.
 type Signature struct {
-	R, S *big.Int
+	R, S [32]byte
 	V    byte
 }
 
@@ -23,10 +22,16 @@ const SignatureLength = 65
 // Serialize encodes the signature as 65 bytes r||s||v.
 func (sig *Signature) Serialize() []byte {
 	out := make([]byte, SignatureLength)
-	sig.R.FillBytes(out[0:32])
-	sig.S.FillBytes(out[32:64])
+	copy(out[0:32], sig.R[:])
+	copy(out[32:64], sig.S[:])
 	out[64] = sig.V
 	return out
+}
+
+// scalars decodes r and s and reports whether both are in (0, N).
+func (sig *Signature) scalars() (r, s scalar, ok bool) {
+	okR, okS := r.setBytes(&sig.R), s.setBytes(&sig.S)
+	return r, s, okR && okS && !r.isZero() && !s.isZero()
 }
 
 // ParseSignature decodes a 65-byte r||s||v signature and validates the
@@ -35,196 +40,195 @@ func ParseSignature(b []byte) (*Signature, error) {
 	if len(b) != SignatureLength {
 		return nil, fmt.Errorf("%w: need %d bytes, got %d", ErrInvalidSignature, SignatureLength, len(b))
 	}
-	r := new(big.Int).SetBytes(b[0:32])
-	s := new(big.Int).SetBytes(b[32:64])
-	v := b[64]
-	if r.Sign() <= 0 || r.Cmp(N) >= 0 || s.Sign() <= 0 || s.Cmp(N) >= 0 {
+	sig := &Signature{R: [32]byte(b[0:32]), S: [32]byte(b[32:64]), V: b[64]}
+	_, s, ok := sig.scalars()
+	if !ok {
 		return nil, fmt.Errorf("%w: component out of range", ErrInvalidSignature)
 	}
-	if s.Cmp(halfN) > 0 {
+	if s.isHigh() {
 		return nil, fmt.Errorf("%w: s not normalized (high-s)", ErrInvalidSignature)
 	}
-	if v > 1 {
-		return nil, fmt.Errorf("%w: recovery id %d out of range", ErrInvalidSignature, v)
+	if sig.V > 1 {
+		return nil, fmt.Errorf("%w: recovery id %d out of range", ErrInvalidSignature, sig.V)
 	}
-	return &Signature{R: r, S: s, V: v}, nil
+	return sig, nil
 }
 
-// rfc6979Nonce derives the deterministic ECDSA nonce k per RFC 6979 using
-// HMAC-SHA256, for the 256-bit curve order (qlen == hlen == 256 bits, so
-// bits2int is the identity on the hash).
-func rfc6979Nonce(d *big.Int, hash []byte) *big.Int {
-	q := N
-	x := make([]byte, 32)
-	d.FillBytes(x)
+// nonceGen is the RFC 6979 HMAC-SHA256 DRBG for the 256-bit curve order
+// (qlen == hlen == 256 bits, so bits2int is the identity on the hash).
+type nonceGen struct {
+	k, v [32]byte
+}
 
-	// bits2octets: reduce the hash mod q, then pad to 32 bytes.
-	h := new(big.Int).SetBytes(hash)
-	if h.Cmp(q) >= 0 {
-		h.Sub(h, q)
+// hmac sets g.k or g.v (dst) to HMAC-SHA256(g.k, g.v || msg), with the
+// key block and message assembled on the stack.
+func (g *nonceGen) hmac(dst *[32]byte, msg []byte) {
+	// ipad block, V, then at most 0x00/0x01 || x || h.
+	var inner [64 + 32 + 65]byte
+	var outer [64 + 32]byte
+	for i := range inner[:64] {
+		inner[i], outer[i] = 0x36, 0x5c
 	}
-	hBytes := make([]byte, 32)
-	h.FillBytes(hBytes)
-
-	v := make([]byte, 32)
-	k := make([]byte, 32)
-	for i := range v {
-		v[i] = 0x01
+	for i, b := range g.k {
+		inner[i] ^= b
+		outer[i] ^= b
 	}
+	copy(inner[64:], g.v[:])
+	n := 96 + copy(inner[96:], msg)
+	sum := sha256.Sum256(inner[:n])
+	copy(outer[64:], sum[:])
+	*dst = sha256.Sum256(outer[:])
+}
 
-	mac := hmac.New(sha256.New, k)
-	mac.Write(v)
-	mac.Write([]byte{0x00})
-	mac.Write(x)
-	mac.Write(hBytes)
-	k = mac.Sum(nil)
+// newNonceGen seeds the generator from the private scalar and the
+// digest (RFC 6979 §3.2 steps b–g).
+func newNonceGen(d *scalar, hash *[32]byte) (g nonceGen) {
+	for i := range g.v {
+		g.v[i] = 0x01
+	}
+	// bits2octets: the digest reduced mod N.
+	var h scalar
+	h.setBytes(hash)
+	var seed [65]byte
+	x, hb := d.bytes(), h.bytes()
+	copy(seed[1:33], x[:])
+	copy(seed[33:65], hb[:])
+	for _, sep := range []byte{0x00, 0x01} {
+		seed[0] = sep
+		g.hmac(&g.k, seed[:])
+		g.hmac(&g.v, nil)
+	}
+	return g
+}
 
-	mac = hmac.New(sha256.New, k)
-	mac.Write(v)
-	v = mac.Sum(nil)
-
-	mac = hmac.New(sha256.New, k)
-	mac.Write(v)
-	mac.Write([]byte{0x01})
-	mac.Write(x)
-	mac.Write(hBytes)
-	k = mac.Sum(nil)
-
-	mac = hmac.New(sha256.New, k)
-	mac.Write(v)
-	v = mac.Sum(nil)
-
+// next returns the next candidate nonce in (0, N) (§3.2 step h). Calling
+// it again is the RFC's own continuation for a k the caller rejected.
+func (g *nonceGen) next() (k scalar) {
 	for {
-		mac = hmac.New(sha256.New, k)
-		mac.Write(v)
-		v = mac.Sum(nil)
-		candidate := new(big.Int).SetBytes(v)
-		if candidate.Sign() > 0 && candidate.Cmp(q) < 0 {
-			return candidate
+		g.hmac(&g.v, nil)
+		if k.setBytes(&g.v) && !k.isZero() {
+			return k
 		}
-		mac = hmac.New(sha256.New, k)
-		mac.Write(v)
-		mac.Write([]byte{0x00})
-		k = mac.Sum(nil)
-		mac = hmac.New(sha256.New, k)
-		mac.Write(v)
-		v = mac.Sum(nil)
+		g.hmac(&g.k, []byte{0x00})
+		g.hmac(&g.v, nil)
 	}
 }
 
 // Sign produces a deterministic (RFC 6979) low-s signature of the given
 // 32-byte digest.
 func (k *PrivateKey) Sign(hash types.Hash) (*Signature, error) {
-	z := new(big.Int).SetBytes(hash[:])
-	nonceHash := hash[:]
-	for attempt := 0; ; attempt++ {
-		kNonce := rfc6979Nonce(k.D, nonceHash)
-		rx, ry := scalarBaseMult(kNonce)
-		r := new(big.Int).Mod(rx, N)
-		if r.Sign() == 0 {
-			// Astronomically unlikely; re-derive with a tweaked message.
-			nonceHash = append(append([]byte{}, nonceHash...), byte(attempt))
+	var d, z scalar
+	if !d.setBytes(&k.D) || d.isZero() {
+		return nil, ErrInvalidKey
+	}
+	z.setBytes((*[32]byte)(&hash))
+	gen := newNonceGen(&d, (*[32]byte)(&hash))
+	for {
+		nonce := gen.next()
+		var rj jacobianPoint
+		rj.baseMult(&nonce)
+		rp := rj.toAffine()
+		var s scalar
+		r := rp.xModN()
+		if r.isZero() {
+			continue // astronomically unlikely
+		}
+		// s = k^-1 (z + r·d)
+		s.mul(&r, &d)
+		s.add(&s, &z)
+		nonce.inv(&nonce)
+		s.mul(&s, &nonce)
+		if s.isZero() {
 			continue
 		}
-		kInv := new(big.Int).ModInverse(kNonce, N)
-		s := new(big.Int).Mul(r, k.D)
-		s.Add(s, z)
-		s.Mul(s, kInv)
-		s.Mod(s, N)
-		if s.Sign() == 0 {
-			nonceHash = append(append([]byte{}, nonceHash...), byte(attempt))
-			continue
-		}
-		v := byte(ry.Bit(0))
+		v := byte(rp.y[0] & 1)
 		// Normalize to low-s; flipping s mirrors the R point's parity.
-		if s.Cmp(halfN) > 0 {
-			s.Sub(N, s)
+		if s.isHigh() {
+			s.neg(&s)
 			v ^= 1
 		}
-		return &Signature{R: r, S: s, V: v}, nil
+		return &Signature{R: r.bytes(), S: s.bytes(), V: v}, nil
 	}
 }
 
 // Verify reports whether sig is a valid signature of hash under pub.
 func Verify(pub *PublicKey, hash types.Hash, sig *Signature) bool {
-	if sig.R.Sign() <= 0 || sig.R.Cmp(N) >= 0 || sig.S.Sign() <= 0 || sig.S.Cmp(N) >= 0 {
+	r, s, ok := sig.scalars()
+	if !ok {
 		return false
 	}
-	if !IsOnCurve(pub.X, pub.Y) {
+	q, ok := pub.point()
+	if !ok {
 		return false
 	}
-	z := new(big.Int).SetBytes(hash[:])
-	sInv := new(big.Int).ModInverse(sig.S, N)
-	u1 := new(big.Int).Mul(z, sInv)
-	u1.Mod(u1, N)
-	u2 := new(big.Int).Mul(sig.R, sInv)
-	u2.Mod(u2, N)
-
-	p1 := newInfinity()
-	if u1.Sign() != 0 {
-		x1, y1 := scalarBaseMult(u1)
-		p1 = fromAffine(x1, y1)
-	}
-	x2, y2 := scalarMult(pub.X, pub.Y, u2)
-	sum := p1.add(fromAffine(x2, y2))
+	var z, sInv, u1, u2 scalar
+	z.setBytes((*[32]byte)(&hash))
+	sInv.inv(&s)
+	u1.mul(&z, &sInv)
+	u2.mul(&r, &sInv)
+	var sum jacobianPoint
+	sum.doubleMult(&u1, &q, &u2)
 	if sum.isInfinity() {
 		return false
 	}
-	sx, _ := sum.toAffine()
-	sx.Mod(sx, N)
-	return sx.Cmp(sig.R) == 0
+	a := sum.toAffine()
+	return a.xModN() == r
+}
+
+// xModN returns a's x coordinate as a scalar, the r of ECDSA.
+func (a *affinePoint) xModN() (r scalar) {
+	x := a.x.bytes()
+	r.setBytes(&x) // x < P < 2N: one subtraction reduces it
+	return r
 }
 
 // RecoverPublicKey recovers the signing public key from a signature and
 // the signed digest, the operation behind Ethereum's ecrecover.
 func RecoverPublicKey(hash types.Hash, sig *Signature) (*PublicKey, error) {
-	if sig.R.Sign() <= 0 || sig.R.Cmp(N) >= 0 || sig.S.Sign() <= 0 || sig.S.Cmp(N) >= 0 {
-		return nil, ErrInvalidSignature
+	pub, err := recoverKey(hash, sig)
+	if err != nil {
+		return nil, err
+	}
+	return &pub, nil
+}
+
+// recoverKey is RecoverPublicKey by value, so RecoverAddress stays off
+// the heap.
+func recoverKey(hash types.Hash, sig *Signature) (PublicKey, error) {
+	r, s, ok := sig.scalars()
+	if !ok {
+		return PublicKey{}, ErrInvalidSignature
 	}
 	if sig.V > 1 {
-		return nil, fmt.Errorf("%w: recovery id %d", ErrInvalidSignature, sig.V)
+		return PublicKey{}, fmt.Errorf("%w: recovery id %d", ErrInvalidSignature, sig.V)
 	}
-	// R point x coordinate. (We ignore the r+N overflow case, which has
-	// probability ~2^-127 and no legitimate use.)
-	rx := new(big.Int).Set(sig.R)
-	if rx.Cmp(P) >= 0 {
-		return nil, ErrRecoveryFailed
+	// R's x coordinate is r itself. (The r+N overflow case, which has
+	// probability ~2^-127 and no legitimate use, is not tried.) r < N < P,
+	// so it is always in field range.
+	var rx fieldVal
+	var rp affinePoint
+	rx.setBytes(&sig.R)
+	if !rp.liftX(&rx, sig.V == 1) {
+		return PublicKey{}, ErrRecoveryFailed
 	}
-	ry, err := liftX(rx, sig.V == 1)
-	if err != nil {
-		return nil, ErrRecoveryFailed
-	}
-	// Q = r^-1 (s*R - z*G)
-	rInv := new(big.Int).ModInverse(sig.R, N)
-	z := new(big.Int).SetBytes(hash[:])
-
-	u1 := new(big.Int).Mul(z, rInv)
-	u1.Neg(u1)
-	u1.Mod(u1, N)
-	u2 := new(big.Int).Mul(sig.S, rInv)
-	u2.Mod(u2, N)
-
-	p1 := newInfinity()
-	if u1.Sign() != 0 {
-		x1, y1 := scalarBaseMult(u1)
-		p1 = fromAffine(x1, y1)
-	}
-	x2, y2 := scalarMult(rx, ry, u2)
-	q := p1.add(fromAffine(x2, y2))
+	// Q = r^-1 (s·R - z·G)
+	var z, rInv, u1, u2 scalar
+	z.setBytes((*[32]byte)(&hash))
+	rInv.inv(&r)
+	u1.mul(&z, &rInv)
+	u1.neg(&u1)
+	u2.mul(&s, &rInv)
+	var q jacobianPoint
+	q.doubleMult(&u1, &rp, &u2)
 	if q.isInfinity() {
-		return nil, ErrRecoveryFailed
+		return PublicKey{}, ErrRecoveryFailed
 	}
-	qx, qy := q.toAffine()
-	pub := &PublicKey{X: qx, Y: qy}
-	if !IsOnCurve(qx, qy) {
-		return nil, ErrRecoveryFailed
-	}
-	return pub, nil
+	return publicKeyOf(q.toAffine()), nil
 }
 
 // RecoverAddress recovers the Ethereum address that signed hash.
 func RecoverAddress(hash types.Hash, sig *Signature) (types.Address, error) {
-	pub, err := RecoverPublicKey(hash, sig)
+	pub, err := recoverKey(hash, sig)
 	if err != nil {
 		return types.Address{}, err
 	}

@@ -3,6 +3,7 @@ package secp256k1
 import (
 	"bytes"
 	"crypto/rand"
+	"errors"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -12,36 +13,42 @@ import (
 )
 
 func TestGeneratorOnCurve(t *testing.T) {
-	if !IsOnCurve(Gx, Gy) {
+	if !generator.isOnCurve() {
 		t.Fatal("generator not on curve")
+	}
+	if generator.x.big().Cmp(bigGx) != 0 || generator.y.big().Cmp(bigGy) != 0 {
+		t.Fatal("generator limbs differ from the SEC 2 constants")
 	}
 }
 
 func TestGeneratorOrder(t *testing.T) {
-	// N*G must be the point at infinity.
-	x, y := scalarBaseMult(N)
-	if x.Sign() != 0 || y.Sign() != 0 {
-		t.Fatalf("N*G != infinity: (%s, %s)", x, y)
+	// (N-1)*G must be -G (same x, negated y) ...
+	nm1 := scalarFromBig(new(big.Int).Sub(bigN, big.NewInt(1)))
+	var p jacobianPoint
+	p.baseMult(&nm1)
+	got := p.toAffine()
+	var negG affinePoint
+	negG.neg(&generator)
+	if got != negG {
+		t.Fatalf("(N-1)*G = (%x, %x), want -G", got.x.bytes(), got.y.bytes())
 	}
-	// (N-1)*G must be -G (same x, negated y).
-	nm1 := new(big.Int).Sub(N, big.NewInt(1))
-	x, y = scalarBaseMult(nm1)
-	if x.Cmp(Gx) != 0 {
-		t.Fatalf("(N-1)*G x mismatch: %s", x)
-	}
-	negY := new(big.Int).Sub(P, Gy)
-	if y.Cmp(negY) != 0 {
-		t.Fatalf("(N-1)*G y mismatch: %s", y)
+	// ... so one more G is the point at infinity.
+	p.addAffine(&p, &generator)
+	if !p.isInfinity() {
+		t.Fatal("N*G != infinity")
 	}
 }
 
 func TestScalarMultKnownVector(t *testing.T) {
 	// 2*G, a published curve vector.
-	x, y := scalarBaseMult(big.NewInt(2))
+	two := scalar{2}
+	var p jacobianPoint
+	p.baseMult(&two)
+	got := p.toAffine()
 	wantX := mustBig("c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5")
 	wantY := mustBig("1ae168fea63dc339a3c58419466ceaeef7f632653266d0e1236431a950cfe52a")
-	if x.Cmp(wantX) != 0 || y.Cmp(wantY) != 0 {
-		t.Fatalf("2*G = (%x, %x), want (%x, %x)", x, y, wantX, wantY)
+	if got.x.big().Cmp(wantX) != 0 || got.y.big().Cmp(wantY) != 0 {
+		t.Fatalf("2*G = (%x, %x), want (%x, %x)", got.x.bytes(), got.y.bytes(), wantX, wantY)
 	}
 }
 
@@ -49,54 +56,91 @@ func TestScalarMultDistributes(t *testing.T) {
 	// (a+b)*G == a*G + b*G for random scalars.
 	r := mrand.New(mrand.NewSource(4))
 	for i := 0; i < 10; i++ {
-		a := new(big.Int).Rand(r, N)
-		b := new(big.Int).Rand(r, N)
-		sum := new(big.Int).Add(a, b)
-		sum.Mod(sum, N)
+		a := scalarFromBig(new(big.Int).Rand(r, bigN))
+		b := scalarFromBig(new(big.Int).Rand(r, bigN))
+		var sum scalar
+		sum.add(&a, &b)
 
-		sx, sy := scalarBaseMult(sum)
-
-		ax, ay := scalarBaseMult(a)
-		bx, by := scalarBaseMult(b)
-		p := fromAffine(ax, ay).add(fromAffine(bx, by))
-		px, py := p.toAffine()
-
-		if sx.Cmp(px) != 0 || sy.Cmp(py) != 0 {
-			t.Fatalf("distributivity failed for a=%s b=%s", a, b)
+		var want, pa, pb, got jacobianPoint
+		want.baseMult(&sum)
+		pa.baseMult(&a)
+		pb.baseMult(&b)
+		got.add(&pa, &pb)
+		if got.toAffine() != want.toAffine() {
+			t.Fatalf("distributivity failed for a=%x b=%x", a.bytes(), b.bytes())
 		}
 	}
 }
 
 func TestPointAddEdgeCases(t *testing.T) {
-	g := fromAffine(Gx, Gy)
-	inf := newInfinity()
+	var g, inf, r jacobianPoint
+	g.setAffine(&generator)
 
-	// G + inf == G
-	r := g.add(inf)
-	x, y := r.toAffine()
-	if x.Cmp(Gx) != 0 || y.Cmp(Gy) != 0 {
+	// G + inf == G, inf + G == G, in both addition forms.
+	r.add(&g, &inf)
+	if r.toAffine() != generator {
 		t.Fatal("G + infinity != G")
 	}
-	// inf + G == G
-	r = inf.add(g)
-	x, y = r.toAffine()
-	if x.Cmp(Gx) != 0 || y.Cmp(Gy) != 0 {
+	r.add(&inf, &g)
+	if r.toAffine() != generator {
 		t.Fatal("infinity + G != G")
 	}
-	// G + (-G) == inf
-	negG := fromAffine(Gx, new(big.Int).Sub(P, Gy))
-	r = g.add(negG)
+	r.addAffine(&inf, &generator)
+	if r.toAffine() != generator {
+		t.Fatal("infinity + G != G (mixed)")
+	}
+	// inf + inf == inf, 2*inf == inf.
+	r.add(&inf, &inf)
+	if !r.isInfinity() {
+		t.Fatal("infinity + infinity != infinity")
+	}
+	r.double(&inf)
+	if !r.isInfinity() {
+		t.Fatal("2*infinity != infinity")
+	}
+	// G + (-G) == inf.
+	var negA affinePoint
+	var negG jacobianPoint
+	negA.neg(&generator)
+	negG.setAffine(&negA)
+	r.add(&g, &negG)
 	if !r.isInfinity() {
 		t.Fatal("G + (-G) != infinity")
 	}
-	// G + G == double(G)
-	viaAdd := g.add(g)
-	viaDouble := g.double()
-	ax, ay := viaAdd.toAffine()
-	dx, dy := viaDouble.toAffine()
-	if ax.Cmp(dx) != 0 || ay.Cmp(dy) != 0 {
+	r.addAffine(&g, &negA)
+	if !r.isInfinity() {
+		t.Fatal("G + (-G) != infinity (mixed)")
+	}
+	// G + G == double(G), also when the two sides carry different Z.
+	var viaAdd, viaMixed, viaDouble, scaled jacobianPoint
+	viaDouble.double(&g)
+	viaAdd.add(&g, &g)
+	viaMixed.addAffine(&g, &generator)
+	if viaAdd.toAffine() != viaDouble.toAffine() || viaMixed.toAffine() != viaDouble.toAffine() {
 		t.Fatal("G+G != 2G")
 	}
+	scaled = rescale(&g, &fieldVal{5})
+	viaAdd.add(&scaled, &g)
+	viaMixed.addAffine(&scaled, &generator)
+	if viaAdd.toAffine() != viaDouble.toAffine() || viaMixed.toAffine() != viaDouble.toAffine() {
+		t.Fatal("G+G != 2G across representations")
+	}
+	r.add(&scaled, &negG)
+	if !r.isInfinity() {
+		t.Fatal("G + (-G) != infinity across representations")
+	}
+}
+
+// rescale returns the same point as p in another Jacobian
+// representation: (X·c^2, Y·c^3, Z·c).
+func rescale(p *jacobianPoint, c *fieldVal) (q jacobianPoint) {
+	var c2, c3 fieldVal
+	c2.sqr(c)
+	c3.mul(&c2, c)
+	q.x.mul(&p.x, &c2)
+	q.y.mul(&p.y, &c3)
+	q.z.mul(&p.z, c)
+	return q
 }
 
 func TestKeyGeneration(t *testing.T) {
@@ -104,37 +148,44 @@ func TestKeyGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsOnCurve(key.X, key.Y) {
+	if _, ok := key.PublicKey.point(); !ok {
 		t.Fatal("generated public key not on curve")
 	}
-	round, err := PrivateKeyFromBytes(key.Bytes())
+	round, err := PrivateKeyFromBytes(key.D[:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if round.D.Cmp(key.D) != 0 {
+	if *round != *key {
 		t.Fatal("private key bytes round trip failed")
 	}
 }
 
 func TestNewPrivateKeyRejectsBadScalars(t *testing.T) {
-	for _, d := range []*big.Int{big.NewInt(0), new(big.Int).Set(N), new(big.Int).Add(N, big.NewInt(5))} {
-		if _, err := NewPrivateKey(d); err == nil {
-			t.Fatalf("NewPrivateKey(%s) should fail", d)
+	for _, d := range []*big.Int{big.NewInt(0), new(big.Int).Set(bigN), new(big.Int).Add(bigN, big.NewInt(5))} {
+		if _, err := PrivateKeyFromBytes(d.FillBytes(make([]byte, 32))); !errors.Is(err, ErrInvalidKey) {
+			t.Fatalf("PrivateKeyFromBytes(%s) = %v, want ErrInvalidKey", d, err)
 		}
 	}
-	if _, err := NewPrivateKey(big.NewInt(1)); err != nil {
-		t.Fatalf("NewPrivateKey(1) failed: %v", err)
+	if _, err := PrivateKeyFromBytes(make([]byte, 31)); !errors.Is(err, ErrInvalidKey) {
+		t.Fatalf("short key accepted: %v", err)
+	}
+	if _, err := PrivateKeyFromBytes(big.NewInt(1).FillBytes(make([]byte, 32))); err != nil {
+		t.Fatalf("PrivateKeyFromBytes(1) failed: %v", err)
+	}
+	// A hand-built key outside (0, N) is refused by Sign, not signed with.
+	if _, err := (&PrivateKey{}).Sign(types.Hash{1}); !errors.Is(err, ErrInvalidKey) {
+		t.Fatalf("zero key signed: %v", err)
 	}
 }
 
 func TestDeterministicKeyStable(t *testing.T) {
 	a := DeterministicKey("parking-sensor-1")
 	b := DeterministicKey("parking-sensor-1")
-	if a.D.Cmp(b.D) != 0 {
+	if *a != *b {
 		t.Fatal("DeterministicKey not deterministic")
 	}
 	c := DeterministicKey("parking-sensor-2")
-	if a.D.Cmp(c.D) == 0 {
+	if a.D == c.D {
 		t.Fatal("distinct seeds gave identical keys")
 	}
 }
@@ -157,9 +208,16 @@ func TestSignVerify(t *testing.T) {
 			t.Fatal("signature verified against wrong digest")
 		}
 		// Tampered s must fail.
-		tampered := &Signature{R: sig.R, S: new(big.Int).Add(sig.S, big.NewInt(1)), V: sig.V}
-		if Verify(&key.PublicKey, digest, tampered) {
+		tampered := *sig
+		tampered.S[31] ^= 1
+		if Verify(&key.PublicKey, digest, &tampered) {
 			t.Fatal("tampered signature verified")
+		}
+		// So must a key that is not on the curve.
+		offCurve := key.PublicKey
+		offCurve.Y[31] ^= 1
+		if Verify(&offCurve, digest, sig) {
+			t.Fatal("signature verified under an off-curve key")
 		}
 	}
 }
@@ -175,7 +233,7 @@ func TestSignDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sig1.R.Cmp(sig2.R) != 0 || sig1.S.Cmp(sig2.S) != 0 || sig1.V != sig2.V {
+	if *sig1 != *sig2 {
 		t.Fatal("RFC6979 signing is not deterministic")
 	}
 }
@@ -188,7 +246,7 @@ func TestLowS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sig.S.Cmp(halfN) > 0 {
+		if new(big.Int).SetBytes(sig.S[:]).Cmp(bigHalfN) > 0 {
 			t.Fatalf("signature %d has high s", i)
 		}
 	}
@@ -231,6 +289,27 @@ func TestRecoverRejectsWrongV(t *testing.T) {
 	if err == nil && pub.Equal(&key.PublicKey) {
 		t.Fatal("recovery with flipped v returned the true signer")
 	}
+	if _, err := RecoverPublicKey(digest, &Signature{R: sig.R, S: sig.S, V: 2}); !errors.Is(err, ErrInvalidSignature) {
+		t.Fatalf("recovery id 2 accepted: %v", err)
+	}
+}
+
+// TestRecoverNoPointForR: an r that is not the x coordinate of any curve
+// point — which is also what a signature whose R.x overflowed N looks
+// like, since the r + N candidate is not tried — fails recovery cleanly.
+func TestRecoverNoPointForR(t *testing.T) {
+	digest := types.HashData([]byte("no such point"))
+	for x := int64(1); ; x++ {
+		if _, err := bigLiftX(big.NewInt(x), false); err == nil {
+			continue
+		}
+		sig := &Signature{V: 0}
+		sig.R[31], sig.S[31] = byte(x), 1
+		if _, err := RecoverPublicKey(digest, sig); !errors.Is(err, ErrRecoveryFailed) {
+			t.Fatalf("r = %d: %v, want ErrRecoveryFailed", x, err)
+		}
+		return
+	}
 }
 
 func TestSignatureSerializeRoundTrip(t *testing.T) {
@@ -248,7 +327,7 @@ func TestSignatureSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed.R.Cmp(sig.R) != 0 || parsed.S.Cmp(sig.S) != 0 || parsed.V != sig.V {
+	if *parsed != *sig {
 		t.Fatal("signature round trip mismatch")
 	}
 }
@@ -270,9 +349,19 @@ func TestParseSignatureRejectsGarbage(t *testing.T) {
 		t.Fatal("bad recovery id accepted")
 	}
 	// High-s rejection.
-	highS := &Signature{R: sig.R, S: new(big.Int).Sub(N, sig.S), V: sig.V}
+	var s scalar
+	s.setBytes(&sig.S)
+	s.neg(&s)
+	highS := &Signature{R: sig.R, S: s.bytes(), V: sig.V}
 	if _, err := ParseSignature(highS.Serialize()); err == nil {
 		t.Fatal("high-s signature accepted")
+	}
+	// r = N and s = N are out of range.
+	n := scalarN.bytes()
+	for _, bad := range []*Signature{{R: n, S: sig.S}, {R: sig.R, S: n}} {
+		if _, err := ParseSignature(bad.Serialize()); err == nil {
+			t.Fatal("component = N accepted")
+		}
 	}
 }
 
@@ -312,6 +401,24 @@ func TestPublicKeySerializeRoundTrip(t *testing.T) {
 	if _, err := ParsePublicKey(bad); err == nil {
 		t.Fatal("off-curve point accepted")
 	}
+	// A coordinate >= P is refused, not reduced: P + x would otherwise
+	// alias the point at x.
+	for x := int64(1); ; x++ {
+		y, err := bigLiftX(big.NewInt(x), false)
+		if err != nil {
+			continue
+		}
+		aliased := append([]byte{0x04}, new(big.Int).Add(bigP, big.NewInt(x)).FillBytes(make([]byte, 32))...)
+		aliased = append(aliased, y.FillBytes(make([]byte, 32))...)
+		if _, err := ParsePublicKey(aliased); err == nil {
+			t.Fatal("uncompressed x >= P accepted")
+		}
+		aliased[0] = 0x02
+		if _, err := ParsePublicKey(aliased[:33]); err == nil {
+			t.Fatal("compressed x >= P accepted")
+		}
+		break
+	}
 }
 
 func TestAddressDerivationStable(t *testing.T) {
@@ -345,6 +452,33 @@ func TestSignRecoverQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllocs gates the allocation floor of the payment path: Sign
+// allocates its result and nothing else, recovery and verification
+// nothing at all.
+func TestAllocs(t *testing.T) {
+	key := DeterministicKey("allocs")
+	digest := types.HashData([]byte("allocation gate"))
+	sig, err := key.Sign(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"Sign", 5, func() { key.Sign(digest) }},
+		{"RecoverAddress", 5, func() { RecoverAddress(digest, sig) }},
+		{"Verify", 5, func() { Verify(&key.PublicKey, digest, sig) }},
+	} {
+		if got := testing.AllocsPerRun(20, tc.fn); got > tc.max {
+			t.Errorf("%s: %v allocs/op, want <= %v", tc.name, got, tc.max)
+		} else {
+			t.Logf("%s: %v allocs/op", tc.name, got)
+		}
 	}
 }
 

@@ -102,14 +102,38 @@ type serviceMeta struct {
 	// refuses to open in the other. Stores from before the knob existed
 	// decode to "" and keep working in digest mode.
 	StateCommitment string `json:"stateCommitment,omitempty"`
+	// ProviderFunds and NodeFunds are the initial chain balances every
+	// replay starts from. Stores from before they were recorded decode
+	// to 0 and were funded with legacyFunds, the default of their day.
+	ProviderFunds uint64 `json:"providerFunds,omitempty"`
+	NodeFunds     uint64 `json:"nodeFunds,omitempty"`
 }
 
-const serviceMetaKey = "meta/service"
+const (
+	serviceMetaKey = "meta/service"
+	legacyFunds    = 100_000_000
+)
+
+// storedMeta reads the deployment parameters a store was first used
+// with, if it has been used.
+func storedMeta(kv store.KVStore) (meta serviceMeta, ok bool, err error) {
+	data, ok, err := kv.Get([]byte(serviceMetaKey))
+	if err != nil || !ok {
+		return meta, false, err
+	}
+	if err := json.Unmarshal(data, &meta); err != nil {
+		return meta, false, fmt.Errorf("tinyevm: decoding store meta: %w", err)
+	}
+	if meta.ProviderFunds == 0 && meta.NodeFunds == 0 {
+		meta.ProviderFunds, meta.NodeFunds = legacyFunds, legacyFunds
+	}
+	return meta, true, nil
+}
 
 // checkMeta verifies (or, on first use, records) the store's deployment
 // parameters.
 func (s *Service) checkMeta(meta serviceMeta) error {
-	data, ok, err := s.ops.Get([]byte(serviceMetaKey))
+	have, ok, err := storedMeta(s.ops)
 	if err != nil {
 		return err
 	}
@@ -119,10 +143,6 @@ func (s *Service) checkMeta(meta serviceMeta) error {
 			return err
 		}
 		return s.ops.Put([]byte(serviceMetaKey), out)
-	}
-	var have serviceMeta
-	if err := json.Unmarshal(data, &have); err != nil {
-		return fmt.Errorf("tinyevm: decoding store meta: %w", err)
 	}
 	if have != meta {
 		return fmt.Errorf("tinyevm: store belongs to a different deployment (store %+v, requested %+v)", have, meta)

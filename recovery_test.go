@@ -7,6 +7,7 @@ package tinyevm_test
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"tinyevm"
@@ -297,4 +298,69 @@ func TestServiceRecoveryRejectsForeignStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc2.Close()
+}
+
+// TestServiceRecoveryKeepsItsFunds: the initial balances are deployment
+// parameters like the challenge period. A store from before they were
+// recorded was funded with the default of its day (100M / 100M) and must
+// still replay under today's larger default; a recorded store reopens
+// with its own funds when none are given and refuses different ones.
+func TestServiceRecoveryKeepsItsFunds(t *testing.T) {
+	const legacy = 100_000_000
+	kv := store.NewMem()
+	svc, lot, err := tinyevm.NewService("lot", recoveryOpts(tinyevm.WithStore(kv), tinyevm.WithFunds(legacy, legacy))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runRecoveryWorkload(t, svc, lot)
+	want := captureState(t, svc)
+	svc.Close()
+
+	// Make it a store from before the record: strip the two fields.
+	meta, ok, err := kv.Get([]byte("meta/service"))
+	if err != nil || !ok {
+		t.Fatalf("meta record: %v %v", ok, err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(meta, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if fields["providerFunds"] != float64(legacy) || fields["nodeFunds"] != float64(legacy) {
+		t.Fatalf("funds not recorded: %s", meta)
+	}
+	delete(fields, "providerFunds")
+	delete(fields, "nodeFunds")
+	if meta, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Put([]byte("meta/service"), meta); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2, _, err := tinyevm.NewService("lot", recoveryOpts(tinyevm.WithStore(kv))...)
+	if err != nil {
+		t.Fatalf("legacy store under the current defaults: %v", err)
+	}
+	assertSameDeployment(t, want, captureState(t, svc2))
+	svc2.Close()
+
+	if _, _, err := tinyevm.NewService("lot", recoveryOpts(tinyevm.WithStore(kv), tinyevm.WithFunds(legacy+1, legacy))...); err == nil {
+		t.Fatal("different funds accepted")
+	}
+
+	// A store created under the defaults records them and reopens.
+	kv = store.NewMem()
+	svc, lot, err = tinyevm.NewService("lot", recoveryOpts(tinyevm.WithStore(kv))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runRecoveryWorkload(t, svc, lot)
+	want = captureState(t, svc)
+	svc.Close()
+	svc2, _, err = tinyevm.NewService("lot", recoveryOpts(tinyevm.WithStore(kv))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	assertSameDeployment(t, want, captureState(t, svc2))
 }

@@ -40,6 +40,7 @@ type Option func(*serviceConfig)
 
 type serviceConfig struct {
 	core          core.Config
+	fundsSet      bool
 	engineWorkers int
 	shards        int
 	kv            store.KVStore
@@ -67,11 +68,14 @@ func WithRadioLossRate(rate float64) Option {
 }
 
 // WithFunds sets the initial chain balances of the provider and of each
-// subsequently added node.
+// subsequently added node. A store records the funds its deployment was
+// created with: reopening it without WithFunds uses those, and with
+// different ones is refused.
 func WithFunds(provider, node uint64) Option {
 	return func(c *serviceConfig) {
 		c.core.ProviderFunds = provider
 		c.core.NodeFunds = node
+		c.fundsSet = true
 	}
 }
 
@@ -240,9 +244,35 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 		o(&cfg)
 	}
 
+	kv, ownedKV := cfg.kv, store.KVStore(nil)
+	if kv == nil && cfg.dataDir != "" {
+		var err error
+		if kv, err = openDataDir(cfg.dataDir, cfg.backend); err != nil {
+			return nil, nil, err
+		}
+		ownedKV = kv
+	}
+	fail := func(err error) (*Service, *ServiceNode, error) {
+		if ownedKV != nil {
+			ownedKV.Close()
+		}
+		return nil, nil, err
+	}
+	if kv != nil && !cfg.fundsSet {
+		// Replay must start from the balances the deployment was created
+		// with, whatever the defaults are by now.
+		have, ok, err := storedMeta(kv)
+		if err != nil {
+			return fail(err)
+		}
+		if ok {
+			cfg.core.ProviderFunds, cfg.core.NodeFunds = have.ProviderFunds, have.NodeFunds
+		}
+	}
+
 	sys, provider, err := core.NewSystem(cfg.core, providerName)
 	if err != nil {
-		return nil, nil, err
+		return fail(err)
 	}
 	if cfg.mstCommit {
 		// Before any store attaches: the first persisted seal must
@@ -261,6 +291,7 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 		fraudSeen:    make(map[Address]int),
 		shards:       make([]serviceShard, shardCount(cfg)),
 		ckptInterval: cfg.ckptInterval,
+		ownedKV:      ownedKV,
 	}
 	if cfg.engineWorkers > 1 {
 		s.eng = engine.New(sys.Chain, engine.Options{Workers: cfg.engineWorkers})
@@ -270,13 +301,6 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 	})
 	pn := s.adopt(provider)
 
-	kv := cfg.kv
-	if kv == nil && cfg.dataDir != "" {
-		if kv, err = openDataDir(cfg.dataDir, cfg.backend); err != nil {
-			return nil, nil, err
-		}
-		s.ownedKV = kv
-	}
 	if kv != nil {
 		start := time.Now()
 		s.ops = kv
@@ -290,33 +314,30 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 			RadioSeed:       cfg.core.RadioSeed,
 			RadioLossRate:   cfg.core.RadioLossRate,
 			StateCommitment: commitMode,
+			ProviderFunds:   cfg.core.ProviderFunds,
+			NodeFunds:       cfg.core.NodeFunds,
 		}); err != nil {
-			s.closeOwnedStore()
-			return nil, nil, err
+			return fail(err)
 		}
 		if err := sys.Chain.AttachStore(store.Prefixed(kv, "chain/")); err != nil {
-			s.closeOwnedStore()
-			return nil, nil, err
+			return fail(err)
 		}
 		// Recovery: restore the latest checkpoint when one exists, then
 		// replay the journaled operation tail on top of it.
 		ck, hasCkpt, err := s.loadCheckpoint()
 		if err != nil {
-			s.closeOwnedStore()
-			return nil, nil, err
+			return fail(err)
 		}
 		if hasCkpt {
 			if err := s.restoreFromCheckpoint(ck); err != nil {
-				s.closeOwnedStore()
-				return nil, nil, err
+				return fail(err)
 			}
 			s.recovery.CheckpointHeight = ck.Height
 			s.recovery.CheckpointSeq = ck.Seq
 		}
 		replayed, err := s.replayOps()
 		if err != nil {
-			s.closeOwnedStore()
-			return nil, nil, err
+			return fail(err)
 		}
 		s.recovery.ReplayedOps = replayed
 		s.recovery.Recovered = hasCkpt || replayed > 0
