@@ -20,21 +20,26 @@ test:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test $(BENCH_CHECK_FLAGS) ./...
 
-# Run the on-disk-format fuzzers (the record log, the segment codec,
-# the service's op-record decoder and replay) and the crypto fast paths'
-# differential fuzzers (fixed-limb field, scalar and ECDSA against the
+# Run the on-disk-format fuzzers (the byte codec's reader, the record
+# log, the segment codec, the service's op-record decoder and replay,
+# its checkpoint decoder, the chain's record decoders) and the crypto
+# fast paths' differential fuzzers (fixed-limb field, scalar and ECDSA against the
 # math/big oracle in internal/secp256k1/oracle_test.go; the unrolled
 # Keccak against the reference permutation) for wall-clock time, not
 # just their seed corpora — what the CI "Fuzz" step runs (-fuzz takes
 # one target and one package per invocation). The ECDSA fuzzer's oracle
 # costs ~20 ms an execution, so its minimiser is capped: left at the
 # default minute per interesting input it would spend the whole budget
-# shrinking the first one.
+# shrinking the first one. The checkpoint fuzzer's minimiser is capped
+# for the same reason: its richest seed is the 12 KB pinned checkpoint.
 FUZZTIME ?= 30s
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecReader$$' -fuzztime $(FUZZTIME) ./internal/codec/
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentCodec$$' -fuzztime $(FUZZTIME) ./internal/store/disk/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s .
+	$(GO) test -run '^$$' -fuzz '^FuzzChainRecordDecode$$' -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -run '^$$' -fuzz '^FuzzFieldVsBig$$' -fuzztime $(FUZZTIME) ./internal/secp256k1/
 	$(GO) test -run '^$$' -fuzz '^FuzzScalarVsBig$$' -fuzztime $(FUZZTIME) ./internal/secp256k1/
 	$(GO) test -run '^$$' -fuzz '^FuzzSignRecoverVsBig$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/secp256k1/

@@ -14,7 +14,7 @@ package tinyevm
 //
 // Keyspace (root namespace of the shared store, next to op/ and meta/):
 //
-//	ckpt/state -> checkpointRecord JSON
+//	ckpt/state -> checkpointRecord, binary (layout at its encode)
 //
 // The snapshot and the op-prune deletes travel in ONE atomic batch,
 // routed through the chain's commit ordering (Chain.SubmitBatch) so the
@@ -27,10 +27,10 @@ package tinyevm
 // not snapshots).
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"tinyevm/internal/chain"
+	"tinyevm/internal/codec"
 	"tinyevm/internal/device"
 	"tinyevm/internal/evm"
 	"tinyevm/internal/protocol"
@@ -42,93 +42,301 @@ const checkpointKey = "ckpt/state"
 type checkpointRecord struct {
 	// Seq is the op-log watermark: operations with Seq < this value are
 	// folded into the snapshot (and pruned); replay starts here.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Height is the chain block height the snapshot was taken at.
-	Height uint64 `json:"height"`
+	Height uint64
 	// ChainState is chain.SnapshotState of the main-chain accounts.
-	ChainState json.RawMessage `json:"chainState"`
+	ChainState blobField
 	// Template is the on-chain template's mutable state.
-	Template ckptTemplate `json:"template"`
+	Template ckptTemplate
 	// Nodes holds every node in join order (the provider first).
-	Nodes []ckptNode `json:"nodes"`
+	Nodes []ckptNode
 	// Sensors are the journaled fixed-value sensor registrations, in
 	// registration order.
-	Sensors []ckptSensor `json:"sensors,omitempty"`
+	Sensors []ckptSensor
 }
 
 type ckptTemplate struct {
-	Deposits []ckptDeposit `json:"deposits,omitempty"`
-	Commits  []ckptCommit  `json:"commits,omitempty"`
-	Fraud    []ckptFraud   `json:"fraud,omitempty"`
-	ExitBy   addrField     `json:"exitBy,omitempty"`
-	ExitAt   uint64        `json:"exitDeadline,omitempty"`
-	HasExit  bool          `json:"hasExit,omitempty"`
-	Settled  bool          `json:"settled,omitempty"`
+	Deposits []ckptDeposit
+	Commits  []ckptCommit
+	Fraud    []ckptFraud
+	ExitBy   addrField
+	ExitAt   uint64
+	HasExit  bool
+	Settled  bool
 }
 
 type ckptDeposit struct {
-	Addr   addrField `json:"addr"`
-	Amount uint64    `json:"amount"`
+	Addr   addrField
+	Amount uint64
 }
 
 type ckptCommit struct {
-	Sender      addrField `json:"sender"`
-	ID          uint64    `json:"id"`
-	State       blobField `json:"state"` // wire FinalState
-	SubmittedBy addrField `json:"submittedBy"`
-	Block       uint64    `json:"block"`
+	Sender      addrField
+	ID          uint64
+	State       blobField // wire FinalState
+	SubmittedBy addrField
+	Block       uint64
 }
 
 type ckptFraud struct {
-	Addr   addrField `json:"addr"`
-	Sender addrField `json:"sender"`
-	ID     uint64    `json:"id"`
+	Addr   addrField
+	Sender addrField
+	ID     uint64
 }
 
 type ckptNode struct {
-	Name          string          `json:"name"`
-	LocalTemplate addrField       `json:"localTemplate"`
-	DeviceState   json.RawMessage `json:"deviceState"`
-	Channels      []ckptChannel   `json:"channels,omitempty"`
-	Log           []ckptLogEntry  `json:"log,omitempty"`
-	// LossDraws is the node's position in its radio loss stream (zero,
-	// and omitted, on a loss-free network).
-	LossDraws uint64 `json:"lossDraws,omitempty"`
+	Name          string
+	LocalTemplate addrField
+	// DeviceState is chain.SnapshotState of the device's accounts.
+	DeviceState blobField
+	Channels    []ckptChannel
+	Log         []ckptLogEntry
+	// LossDraws is the node's position in its radio loss stream (zero on
+	// a loss-free network).
+	LossDraws uint64
 }
 
 type ckptChannel struct {
-	ID             uint64    `json:"id"`
-	WireID         uint64    `json:"wireId"`
-	Template       addrField `json:"template"`
-	Addr           addrField `json:"addr"`
-	Peer           addrField `json:"peer"`
-	Opener         addrField `json:"opener"`
-	Role           uint8     `json:"role"`
-	Deposit        uint64    `json:"deposit"`
-	Seq            uint64    `json:"seq,omitempty"`
-	Cumulative     uint64    `json:"cumulative,omitempty"`
-	LastPayment    blobField `json:"lastPayment,omitempty"` // wire Payment
-	PendingHTLC    blobField `json:"pendingHtlc,omitempty"` // wire Payment
-	PendingInbound bool      `json:"pendingInbound,omitempty"`
-	LastPreimage   blobField `json:"lastPreimage,omitempty"` // Secret
-	Final          blobField `json:"final,omitempty"`        // wire FinalState
-	SensorValue    uint64    `json:"sensorValue,omitempty"`
+	ID             uint64
+	WireID         uint64
+	Template       addrField
+	Addr           addrField
+	Peer           addrField
+	Opener         addrField
+	Role           uint8
+	Deposit        uint64
+	Seq            uint64
+	Cumulative     uint64
+	LastPayment    blobField // wire Payment
+	PendingHTLC    blobField // wire Payment
+	PendingInbound bool
+	LastPreimage   blobField // Secret
+	Final          blobField // wire FinalState
+	SensorValue    uint64
 }
 
 type ckptLogEntry struct {
-	Index     uint64    `json:"index"`
-	Kind      uint8     `json:"kind"`
-	ChannelID uint64    `json:"channelId"`
-	Seq       uint64    `json:"seq,omitempty"`
-	Amount    uint64    `json:"amount,omitempty"`
-	Prev      hashField `json:"prev"`
-	Hash      hashField `json:"hash"`
+	Index     uint64
+	Kind      uint8
+	ChannelID uint64
+	Seq       uint64
+	Amount    uint64
+	Prev      hashField
+	Hash      hashField
 }
 
 type ckptSensor struct {
-	Node  string `json:"node"`
-	ID    uint64 `json:"id"`
-	Value uint64 `json:"value"`
+	Node  string
+	ID    uint64
+	Value uint64
+}
+
+// Smallest encodings of the repeated elements, which bound how many of
+// them a record of a given size can claim to hold.
+const (
+	minDepositBytes = 20 + 1
+	minCommitBytes  = 20 + 1 + 4 + 20 + 1
+	minFraudBytes   = 20 + 20 + 1
+	minNodeBytes    = 4 + 20 + 1 + 4 + 4 + 4
+	minChannelBytes = 2 + 4*20 + 1 + 3 + 4 + 4 + 1 + 4 + 4 + 1
+	minLogBytes     = 1 + 1 + 3 + 32 + 32
+	minSensorBytes  = 4 + 1 + 1
+)
+
+// encode gives the checkpoint's disk form. Integers are uvarints,
+// addresses 20 raw bytes, hashes 32, "bytes" and strings a u32 length
+// and the bytes, every list a u32 count and its elements:
+//
+//	record   format | seq | height | chainState bytes | template |
+//	         nodes | sensors
+//	template deposits (addr, amount) | commits (sender, id, state bytes,
+//	         submittedBy, block) | fraud (addr, sender, id) |
+//	         flags u8 (1: exit pending, 2: settled) |
+//	         [exitBy addr, exitAt — only with flag 1]
+//	node     name | localTemplate | lossDraws | deviceState bytes |
+//	         channels | log
+//	channel  id | wireId | template | addr | peer | opener | role u8 |
+//	         deposit | seq | cumulative | lastPayment bytes |
+//	         pendingHTLC bytes | pendingInbound u8 (0/1) |
+//	         lastPreimage bytes | final bytes | sensorValue
+//	log      index | kind u8 | channelId | seq | amount | prev[32] |
+//	         hash[32]
+//	sensor   node | id | value
+//
+// chainState and deviceState are chain.SnapshotState records.
+func (ck *checkpointRecord) encode() []byte {
+	w := codec.NewRecord(nil)
+	w.Uvarint(ck.Seq)
+	w.Uvarint(ck.Height)
+	w.Bytes(ck.ChainState)
+
+	t := &ck.Template
+	w.U32(uint32(len(t.Deposits)))
+	for _, d := range t.Deposits {
+		w.Addr(d.Addr.addr())
+		w.Uvarint(d.Amount)
+	}
+	w.U32(uint32(len(t.Commits)))
+	for _, cm := range t.Commits {
+		w.Addr(cm.Sender.addr())
+		w.Uvarint(cm.ID)
+		w.Bytes(cm.State)
+		w.Addr(cm.SubmittedBy.addr())
+		w.Uvarint(cm.Block)
+	}
+	w.U32(uint32(len(t.Fraud)))
+	for _, f := range t.Fraud {
+		w.Addr(f.Addr.addr())
+		w.Addr(f.Sender.addr())
+		w.Uvarint(f.ID)
+	}
+	var flags byte
+	if t.HasExit {
+		flags |= ckptFlagExit
+	}
+	if t.Settled {
+		flags |= ckptFlagSettled
+	}
+	w.U8(flags)
+	if t.HasExit {
+		w.Addr(t.ExitBy.addr())
+		w.Uvarint(t.ExitAt)
+	}
+
+	w.U32(uint32(len(ck.Nodes)))
+	for i := range ck.Nodes {
+		n := &ck.Nodes[i]
+		w.String(n.Name)
+		w.Addr(n.LocalTemplate.addr())
+		w.Uvarint(n.LossDraws)
+		w.Bytes(n.DeviceState)
+		w.U32(uint32(len(n.Channels)))
+		for j := range n.Channels {
+			c := &n.Channels[j]
+			w.Uvarint(c.ID)
+			w.Uvarint(c.WireID)
+			w.Addr(c.Template.addr())
+			w.Addr(c.Addr.addr())
+			w.Addr(c.Peer.addr())
+			w.Addr(c.Opener.addr())
+			w.U8(c.Role)
+			w.Uvarint(c.Deposit)
+			w.Uvarint(c.Seq)
+			w.Uvarint(c.Cumulative)
+			w.Bytes(c.LastPayment)
+			w.Bytes(c.PendingHTLC)
+			w.Bool(c.PendingInbound)
+			w.Bytes(c.LastPreimage)
+			w.Bytes(c.Final)
+			w.Uvarint(c.SensorValue)
+		}
+		w.U32(uint32(len(n.Log)))
+		for j := range n.Log {
+			e := &n.Log[j]
+			w.Uvarint(e.Index)
+			w.U8(e.Kind)
+			w.Uvarint(e.ChannelID)
+			w.Uvarint(e.Seq)
+			w.Uvarint(e.Amount)
+			w.Hash(e.Prev.hash())
+			w.Hash(e.Hash.hash())
+		}
+	}
+	w.U32(uint32(len(ck.Sensors)))
+	for _, sr := range ck.Sensors {
+		w.String(sr.Node)
+		w.Uvarint(sr.ID)
+		w.Uvarint(sr.Value)
+	}
+	return w.Buf
+}
+
+const (
+	ckptFlagExit    = 1
+	ckptFlagSettled = 2
+)
+
+// decodeCheckpoint parses a checkpoint record, exactly (a short field,
+// an unknown flag or a trailing byte is errBadRecord). Addresses,
+// hashes and byte strings in the result are views into data.
+func decodeCheckpoint(data []byte) (*checkpointRecord, error) {
+	r := codec.OpenRecord(data, errBadRecord)
+	count := func(minBytes int) int { return r.Count(r.Remaining() / minBytes) }
+	addr := func() addrField { return r.Fixed(len(Address{})) }
+	blob := func() blobField { return r.View(r.Remaining()) }
+	ck := &checkpointRecord{Seq: r.Uvarint(), Height: r.Uvarint(), ChainState: blob()}
+
+	t := &ck.Template
+	if n := count(minDepositBytes); n > 0 {
+		t.Deposits = make([]ckptDeposit, n)
+		for i := range t.Deposits {
+			t.Deposits[i] = ckptDeposit{Addr: addr(), Amount: r.Uvarint()}
+		}
+	}
+	if n := count(minCommitBytes); n > 0 {
+		t.Commits = make([]ckptCommit, n)
+		for i := range t.Commits {
+			t.Commits[i] = ckptCommit{Sender: addr(), ID: r.Uvarint(), State: blob(), SubmittedBy: addr(), Block: r.Uvarint()}
+		}
+	}
+	if n := count(minFraudBytes); n > 0 {
+		t.Fraud = make([]ckptFraud, n)
+		for i := range t.Fraud {
+			t.Fraud[i] = ckptFraud{Addr: addr(), Sender: addr(), ID: r.Uvarint()}
+		}
+	}
+	flags := r.U8()
+	if flags&^(ckptFlagExit|ckptFlagSettled) != 0 {
+		r.Fail("template flags %#02x", flags)
+	}
+	t.HasExit, t.Settled = flags&ckptFlagExit != 0, flags&ckptFlagSettled != 0
+	if t.HasExit {
+		t.ExitBy, t.ExitAt = addr(), r.Uvarint()
+	}
+
+	if n := count(minNodeBytes); n > 0 {
+		ck.Nodes = make([]ckptNode, n)
+	}
+	for i := range ck.Nodes {
+		node := &ck.Nodes[i]
+		node.Name = r.String(r.Remaining())
+		node.LocalTemplate = addr()
+		node.LossDraws = r.Uvarint()
+		node.DeviceState = blob()
+		if n := count(minChannelBytes); n > 0 {
+			node.Channels = make([]ckptChannel, n)
+		}
+		for j := range node.Channels {
+			node.Channels[j] = ckptChannel{
+				ID: r.Uvarint(), WireID: r.Uvarint(),
+				Template: addr(), Addr: addr(), Peer: addr(), Opener: addr(),
+				Role: r.U8(), Deposit: r.Uvarint(), Seq: r.Uvarint(), Cumulative: r.Uvarint(),
+				LastPayment: blob(), PendingHTLC: blob(), PendingInbound: r.Bool(),
+				LastPreimage: blob(), Final: blob(), SensorValue: r.Uvarint(),
+			}
+		}
+		if n := count(minLogBytes); n > 0 {
+			node.Log = make([]ckptLogEntry, n)
+		}
+		for j := range node.Log {
+			node.Log[j] = ckptLogEntry{
+				Index: r.Uvarint(), Kind: r.U8(), ChannelID: r.Uvarint(),
+				Seq: r.Uvarint(), Amount: r.Uvarint(),
+				Prev: r.Fixed(len(Hash{})), Hash: r.Fixed(len(Hash{})),
+			}
+		}
+	}
+	if n := count(minSensorBytes); n > 0 {
+		ck.Sensors = make([]ckptSensor, n)
+		for i := range ck.Sensors {
+			ck.Sensors[i] = ckptSensor{Node: r.String(r.Remaining()), ID: r.Uvarint(), Value: r.Uvarint()}
+		}
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("tinyevm: decoding checkpoint: %w", err)
+	}
+	return ck, nil
 }
 
 // install puts the fixed-value handler on the node's sensor bus.
@@ -256,28 +464,20 @@ func decodeTemplateSnapshot(rec *ckptTemplate) (protocol.TemplateSnapshot, error
 // under the exclusive service lock, between operations (all radio
 // inboxes drained — the snapshot does not capture in-flight frames
 // because there never are any between operations).
-func (s *Service) buildCheckpointLocked() (*checkpointRecord, error) {
+func (s *Service) buildCheckpointLocked() *checkpointRecord {
 	ck := &checkpointRecord{
 		Seq:    s.opSeq,
 		Height: s.sys.Chain.Head().Number,
 	}
-	chainState, err := chain.SnapshotState(s.sys.Chain.State())
-	if err != nil {
-		return nil, err
-	}
-	ck.ChainState = chainState
+	ck.ChainState = chain.SnapshotState(s.sys.Chain.State())
 	ck.Template = encodeTemplateSnapshot(s.sys.Template.Snapshot())
 	for _, sn := range s.order {
 		node := ckptNode{
 			Name:          sn.n.Name(),
 			LocalTemplate: addrOf(sn.n.LocalTemplate),
 			LossDraws:     sn.n.Radio.LossDraws(),
+			DeviceState:   chain.SnapshotState(sn.n.Dev.State),
 		}
-		devState, err := chain.SnapshotState(sn.n.Dev.State)
-		if err != nil {
-			return nil, err
-		}
-		node.DeviceState = devState
 		for _, cs := range sn.n.ChannelList() {
 			node.Channels = append(node.Channels, encodeChannel(cs))
 		}
@@ -289,7 +489,7 @@ func (s *Service) buildCheckpointLocked() (*checkpointRecord, error) {
 	s.sensorMu.Lock()
 	ck.Sensors = append(ck.Sensors, s.sensorRegs...)
 	s.sensorMu.Unlock()
-	return ck, nil
+	return ck
 }
 
 // maybeCheckpointLocked writes a checkpoint when the chain head has
@@ -304,19 +504,12 @@ func (s *Service) maybeCheckpointLocked() error {
 	if head < s.lastCkptHeight+s.ckptInterval {
 		return nil
 	}
-	ck, err := s.buildCheckpointLocked()
-	if err != nil {
-		return fmt.Errorf("tinyevm: building checkpoint: %w", err)
-	}
-	data, err := json.Marshal(ck)
-	if err != nil {
-		return fmt.Errorf("tinyevm: encoding checkpoint: %w", err)
-	}
+	ck := s.buildCheckpointLocked()
 	// One atomic batch: the snapshot plus the pruning of every journaled
 	// op it folds in — routed through the chain's commit ordering so it
 	// lands only after all previously sealed blocks are durable.
 	batch := s.ops.Batch()
-	batch.Put([]byte(checkpointKey), data)
+	batch.Put([]byte(checkpointKey), ck.encode())
 	for seq := s.opPruned; seq < ck.Seq; seq++ {
 		batch.Delete(opKey(seq))
 	}
@@ -337,11 +530,8 @@ func (s *Service) loadCheckpoint() (*checkpointRecord, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	var ck checkpointRecord
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, false, fmt.Errorf("tinyevm: decoding checkpoint: %w", err)
-	}
-	return &ck, true, nil
+	ck, err := decodeCheckpoint(data)
+	return ck, err == nil, err
 }
 
 // restoreFromCheckpoint pours a checkpoint into the freshly built

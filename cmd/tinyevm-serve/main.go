@@ -128,8 +128,9 @@ func main() {
 		// bench line is machine-readable (benchreport -parse).
 		ri := svc.RecoveryInfo()
 		fmt.Fprintf(os.Stderr,
-			"tinyevm-serve: recovered state from %s (head block %d, checkpoint height %d, replayed %d tail ops)\n",
-			*dataDir, mustHead(ctx, svc), ri.CheckpointHeight, ri.ReplayedOps)
+			"tinyevm-serve: recovered state from %s (head block %d, checkpoint height %d, replayed %d tail ops; store open %s, checkpoint load %s, replay %s)\n",
+			*dataDir, mustHead(ctx, svc), ri.CheckpointHeight, ri.ReplayedOps,
+			ri.StoreOpen.Round(time.Microsecond), ri.CheckpointLoad.Round(time.Microsecond), ri.Replay.Round(time.Microsecond))
 		fmt.Fprintf(os.Stderr, "BenchmarkServeRecovery 1 %.3f recovery_ms\n",
 			float64(ri.Duration.Microseconds())/1000)
 	} else if *dataDir != "" {

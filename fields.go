@@ -1,19 +1,12 @@
 package tinyevm
 
-// Field types of the journal and checkpoint records. In memory they are
-// plain bytes; the MarshalText/UnmarshalText pairs below are the only
-// place the service writes or parses hex, so a record built by the live
-// path is never encoded unless a store is attached, and a record read
-// back from a store has had every address, hash and blob checked by the
-// time json.Unmarshal returns.
-//
-// They are slices, not arrays, so `omitempty` drops an unset field, and
-// they stay private to this package: types.Address and types.Hash have
-// no text form of their own and other JSON that embeds them must not
-// silently change.
+// Field types of the journal and checkpoint records: plain bytes in
+// memory, raw fixed-width or length-prefixed bytes on disk (oplog.go,
+// checkpoint.go). They are slices, not arrays, so an unset field is an
+// empty one — which is what the journal record's presence bitmap keys
+// on — and a decoded field can be a view into the record it came from.
 
 import (
-	"encoding/hex"
 	"errors"
 	"fmt"
 
@@ -21,60 +14,30 @@ import (
 	"tinyevm/internal/types"
 )
 
-// errBadRecord marks a record field that holds well-formed hex of the
-// wrong shape (a 31-byte secret, an undecodable final state): the live
-// path cannot have written it, so replay refuses the store.
+// errBadRecord marks a record that does not decode, or a field of the
+// wrong shape inside one that does (a 31-byte secret, an undecodable
+// final state): the live path cannot have written it, so replay refuses
+// the store.
 var errBadRecord = errors.New("tinyevm: malformed record")
 
-// addrField is a 20-byte address, written as 0x-prefixed hex.
+// addrField is a 20-byte address.
 type addrField []byte
 
 func addrOf(a Address) addrField { return a[:] }
 
 func (f addrField) addr() Address { return types.BytesToAddress(f) }
 
-func (f addrField) MarshalText() ([]byte, error) {
-	a := f.addr()
-	return hex.AppendEncode([]byte("0x"), a[:]), nil
-}
-
-func (f *addrField) UnmarshalText(text []byte) error {
-	a, err := types.HexToAddress(string(text))
-	*f = a[:]
-	return err
-}
-
-// hashField is a 32-byte hash, written as 0x-prefixed hex.
+// hashField is a 32-byte hash.
 type hashField []byte
 
 func hashOf(h Hash) hashField { return h[:] }
 
 func (f hashField) hash() Hash { return types.BytesToHash(f) }
 
-func (f hashField) MarshalText() ([]byte, error) {
-	h := f.hash()
-	return hex.AppendEncode([]byte("0x"), h[:]), nil
-}
-
-func (f *hashField) UnmarshalText(text []byte) error {
-	h, err := types.HexToHash(string(text))
-	*f = h[:]
-	return err
-}
-
-// blobField is a byte string written as bare hex: EVM code and
-// calldata, hash-lock preimages, and protocol wire encodings (which
-// round-trip signatures exactly) of payments and final states.
+// blobField is a byte string: EVM code and calldata, hash-lock
+// preimages, and protocol wire encodings (which round-trip signatures
+// exactly) of payments and final states.
 type blobField []byte
-
-func (f blobField) MarshalText() ([]byte, error) {
-	return hex.AppendEncode(nil, f), nil
-}
-
-func (f *blobField) UnmarshalText(text []byte) (err error) {
-	*f, err = hex.AppendDecode(nil, text)
-	return err
-}
 
 func secretOf(sec Secret) blobField { return sec[:] }
 

@@ -1,35 +1,51 @@
 package tinyevm_test
 
-// The on-disk format pin for the service's own records: the operation
-// journal (op/<seq> -> opRecord JSON) and the checkpoint (ckpt/state).
-// testdata/format holds what the commit BEFORE the op-table refactor
-// wrote for a fixed workload that issues every operation kind; this
-// tree must write the same bytes, and must replay that commit's journal
-// to the deployment that commit recorded.
+// The on-disk format pins for the service's own records: the operation
+// journal (op/<seq>) and the checkpoint (ckpt/state).
 //
-// Regenerate (only for an intentional format change) with
+// testdata/format/v2 holds what this tree writes — binary records, kept
+// as hex — for a fixed workload that issues every operation kind; the
+// tree must keep writing those bytes and must replay them to the
+// deployment recorded beside them.
+//
+// testdata/format itself holds the LEGACY fixtures: the JSON journal
+// and checkpoint the commit before the op table wrote for the same
+// workload, what it recovered to (expect.json), and the chain/* and
+// meta/service records the commit before the binary records wrote when
+// replaying that journal (chain.golden). They are never regenerated:
+// TestMigrateLegacyStore opens a store made of them.
+//
+// Regenerate v2 (only for an intentional format change) with
 //
 //	go test -run 'TestOpRecordFormatPin|TestCheckpointFormatPin' -update-format .
 
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"tinyevm"
+	"tinyevm/internal/codec"
 	"tinyevm/internal/store"
 )
 
 var updateFormat = flag.Bool("update-format", false, "rewrite testdata/format from this tree")
 
-const formatDir = "testdata/format"
+const (
+	legacyFormatDir = "testdata/format"
+	formatDir       = legacyFormatDir + "/v2"
+)
 
 // formatSecret is the fixed preimage of every conditional payment in
 // the format workload.
@@ -163,12 +179,12 @@ func formatOpts(kv store.KVStore, extra ...tinyevm.Option) []tinyevm.Option {
 		tinyevm.WithFunds(100_000_000, 100_000_000)}, extra...)
 }
 
-// journalLines renders the op/ keyspace as "key value" lines.
+// journalLines renders the op/ keyspace as "key hex(value)" lines.
 func journalLines(t testing.TB, kv store.KVStore) []string {
 	t.Helper()
 	var lines []string
 	err := kv.Iterate([]byte("op/"), func(k, v []byte) error {
-		lines = append(lines, fmt.Sprintf("%s %s", k, v))
+		lines = append(lines, fmt.Sprintf("%s %x", k, v))
 		return nil
 	})
 	if err != nil {
@@ -177,14 +193,29 @@ func journalLines(t testing.TB, kv store.KVStore) []string {
 	return lines
 }
 
-var routeSecretRE = regexp.MustCompile(`"secret":"[0-9a-f]{64}"`)
-
-// maskRouteSecret blanks the one nondeterministic field of the journal.
-func maskRouteSecret(line string) string {
-	if !strings.Contains(line, `"op":"routePayment"`) {
-		return line
+// cutRecord splits a "key hex(value)" line.
+func cutRecord(t testing.TB, line string) (key string, value []byte) {
+	t.Helper()
+	key, text, _ := strings.Cut(line, " ")
+	value, err := hex.DecodeString(text)
+	if err != nil {
+		t.Fatalf("%s: %v", key, err)
 	}
-	return routeSecretRE.ReplaceAllString(line, `"secret":"<random>"`)
+	return key, value
+}
+
+// maskRouteSecret blanks the one nondeterministic field of the journal:
+// the secret RoutePayment draws at random.
+func maskRouteSecret(t testing.TB, value []byte) (string, []byte) {
+	t.Helper()
+	rec, err := tinyevm.DecodeOpRecord(value)
+	if err != nil {
+		t.Fatalf("%x: %v", value, err)
+	}
+	if rec.Op == "routePayment" {
+		rec.Secret = make([]byte, len(rec.Secret))
+	}
+	return rec.Op, rec.Encode()
 }
 
 // formatExpect is what the golden-writing commit observed after
@@ -201,19 +232,38 @@ func expectOf(ds deploymentState) formatExpect {
 	return formatExpect{ds.headNumber, ds.headHash, ds.stateDigest, ds.balances, ds.channels}
 }
 
-func readGolden(t testing.TB, name string) []byte {
+func readGolden(t testing.TB, dir, name string) []byte {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(formatDir, name))
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update-format)", err)
 	}
 	return data
 }
 
-// goldenJournal returns the golden journal's "key value" lines.
-func goldenJournal(t testing.TB) []string {
+// goldenLines returns a golden file's "key value" lines.
+func goldenLines(t testing.TB, dir, name string) []string {
 	t.Helper()
-	return strings.Split(strings.TrimSuffix(string(readGolden(t, "journal.golden")), "\n"), "\n")
+	return strings.Split(strings.TrimSuffix(string(readGolden(t, dir, name)), "\n"), "\n")
+}
+
+// goldenJournal returns the v2 golden journal's "key hex(value)" lines.
+func goldenJournal(t testing.TB) []string { return goldenLines(t, formatDir, "journal.golden") }
+
+// assertExpect holds a recovered deployment to an expect.json.
+func assertExpect(t *testing.T, dir string, svc *tinyevm.Service) {
+	t.Helper()
+	var want formatExpect
+	if err := json.Unmarshal(readGolden(t, dir, "expect.json"), &want); err != nil {
+		t.Fatal(err)
+	}
+	got := captureState(t, svc)
+	assertSameDeployment(t, deploymentState{
+		want.HeadNumber, want.HeadHash, want.StateDigest, want.Balances, want.Channels,
+	}, got)
+	if len(got.channels) != len(want.Channels) {
+		t.Fatalf("channels on %d nodes, golden %d", len(got.channels), len(want.Channels))
+	}
 }
 
 func writeGolden(t testing.TB, name string, data []byte) {
@@ -226,11 +276,22 @@ func writeGolden(t testing.TB, name string, data []byte) {
 	}
 }
 
+// copyKey copies one record between stores.
+func copyKey(t testing.TB, dst, src store.KVStore, key string) {
+	t.Helper()
+	value, ok, err := src.Get([]byte(key))
+	if err != nil || !ok {
+		t.Fatalf("%s: missing (%v)", key, err)
+	}
+	if err := dst.Put([]byte(key), value); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestOpRecordFormatPin runs the every-kind workload and compares each
 // journaled record byte-for-byte with the golden journal, then replays
-// the GOLDEN journal (the other commit's bytes, its route secret
-// included) and requires the recorded head hash, state digest, balances
-// and channel states.
+// the GOLDEN journal (its route secret included) and requires the
+// recorded head hash, state digest, balances and channel states.
 func TestOpRecordFormatPin(t *testing.T) {
 	kv := store.NewMem()
 	svc, lot, err := tinyevm.NewService("lot", formatOpts(kv)...)
@@ -262,31 +323,30 @@ func TestOpRecordFormatPin(t *testing.T) {
 		t.Fatalf("journal has %d records, golden %d", len(lines), len(golden))
 	}
 	kinds := make(map[string]bool)
+	replay := store.NewMem()
 	for i := range golden {
-		if got, want := maskRouteSecret(lines[i]), maskRouteSecret(golden[i]); got != want {
-			t.Errorf("record %d differs:\n got %s\nwant %s", i, got, want)
+		gotKey, got := cutRecord(t, lines[i])
+		wantKey, want := cutRecord(t, golden[i])
+		_, gotMasked := maskRouteSecret(t, got)
+		op, wantMasked := maskRouteSecret(t, want)
+		if gotKey != wantKey || !bytes.Equal(gotMasked, wantMasked) {
+			t.Errorf("record %d (%s) differs:\n got %s %x\nwant %s %x", i, op, gotKey, got, wantKey, want)
 		}
-		var rec struct {
-			Op string `json:"op"`
+		if want[0] != codec.DiskFormat {
+			t.Errorf("record %d starts with %#02x, not the format byte", i, want[0])
 		}
-		_, value, _ := strings.Cut(golden[i], " ")
-		if err := json.Unmarshal([]byte(value), &rec); err != nil {
+		kinds[op] = true
+		if err := replay.Put([]byte(wantKey), want); err != nil {
 			t.Fatal(err)
 		}
-		kinds[rec.Op] = true
 	}
 	if len(kinds) != 18 {
 		t.Errorf("golden journal covers %d op kinds, want all 18: %v", len(kinds), kinds)
 	}
 
-	// The golden journal, replayed from nothing but its records.
-	replay := store.NewMem()
-	for _, line := range golden {
-		key, value, _ := strings.Cut(line, " ")
-		if err := replay.Put([]byte(key), []byte(value)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// The golden journal, replayed from nothing but its records and the
+	// stamp that says they are binary.
+	copyKey(t, replay, kv, "meta/service")
 	svc2, _, err := tinyevm.NewService("lot", formatOpts(replay)...)
 	if err != nil {
 		t.Fatalf("replaying the golden journal: %v", err)
@@ -295,17 +355,7 @@ func TestOpRecordFormatPin(t *testing.T) {
 	if n := svc2.RecoveryInfo().ReplayedOps; n != len(golden) {
 		t.Fatalf("replayed %d of %d golden records", n, len(golden))
 	}
-	var want formatExpect
-	if err := json.Unmarshal(readGolden(t, "expect.json"), &want); err != nil {
-		t.Fatal(err)
-	}
-	got := captureState(t, svc2)
-	assertSameDeployment(t, deploymentState{
-		want.HeadNumber, want.HeadHash, want.StateDigest, want.Balances, want.Channels,
-	}, got)
-	if len(got.channels) != len(want.Channels) {
-		t.Fatalf("channels on %d nodes, golden %d", len(got.channels), len(want.Channels))
-	}
+	assertExpect(t, formatDir, svc2)
 }
 
 // TestCheckpointFormatPin checkpoints after every sealed block of the
@@ -326,12 +376,15 @@ func TestCheckpointFormatPin(t *testing.T) {
 		t.Fatalf("no checkpoint written: %v", err)
 	}
 	if *updateFormat {
-		writeGolden(t, "checkpoint.golden", got)
+		writeGolden(t, "checkpoint.golden", []byte(hex.EncodeToString(got)+"\n"))
 		return
 	}
-	want := readGolden(t, "checkpoint.golden")
+	want, err := hex.DecodeString(strings.TrimSpace(string(readGolden(t, formatDir, "checkpoint.golden"))))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("checkpoint differs from golden:\n got %s\nwant %s", got, want)
+		t.Fatalf("checkpoint differs from golden:\n got %x\nwant %x", got, want)
 	}
 
 	// Restore from the golden bytes and compare with the live run.
@@ -355,4 +408,208 @@ func TestCheckpointFormatPin(t *testing.T) {
 		t.Fatalf("recovery did not start from the checkpoint alone: %+v", info)
 	}
 	assertSameDeployment(t, captureState(t, svc2), captureState(t, svc3))
+}
+
+// countingKV counts the atomic commits that reach a store.
+type countingKV struct {
+	store.KVStore
+	commits int
+}
+
+func (c *countingKV) Put(key, value []byte) error { return store.PutOne(c.Batch(), key, value) }
+func (c *countingKV) Delete(key []byte) error     { return store.DeleteOne(c.Batch(), key) }
+func (c *countingKV) Batch() store.Batch          { return &countingBatch{c.KVStore.Batch(), c} }
+
+type countingBatch struct {
+	store.Batch
+	kv *countingKV
+}
+
+func (b *countingBatch) Commit() error {
+	if b.Len() > 0 {
+		b.kv.commits++
+	}
+	return b.Batch.Commit()
+}
+
+// legacyStore builds a store out of the legacy fixtures, returning it
+// and the journal's length.
+func legacyStore(t *testing.T) (*store.Mem, int) {
+	t.Helper()
+	kv := store.NewMem()
+	journal := goldenLines(t, legacyFormatDir, "journal.golden")
+	for _, line := range append(journal, goldenLines(t, legacyFormatDir, "chain.golden")...) {
+		key, value, _ := strings.Cut(line, " ")
+		if err := kv.Put([]byte(key), []byte(value)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := kv.Put([]byte("ckpt/state"), readGolden(t, legacyFormatDir, "checkpoint.golden")); err != nil {
+		t.Fatal(err)
+	}
+	return kv, len(journal)
+}
+
+// TestMigrateLegacyStore opens a store made of the legacy fixtures —
+// the JSON journal (unpruned), the JSON checkpoint taken 27 ops into
+// it, and the JSON chain archive and meta record — and requires: one
+// atomic batch migrates it; it recovers, checkpoint first and tail on
+// top, to the deployment expect.json recorded; every record is then
+// byte-for-byte what this tree writes natively for the same workload;
+// and a second open writes nothing.
+func TestMigrateLegacyStore(t *testing.T) {
+	legacy, journal := legacyStore(t)
+
+	counted := &countingKV{KVStore: legacy}
+	svc, _, err := tinyevm.NewService("lot", formatOpts(counted)...)
+	if err != nil {
+		t.Fatalf("opening the legacy store: %v", err)
+	}
+	info := svc.RecoveryInfo()
+	if info.CheckpointHeight != 6 || info.CheckpointSeq != 27 || info.ReplayedOps != journal-27 {
+		t.Fatalf("recovered from checkpoint %d/%d with %d ops on top, want 6/27 with %d",
+			info.CheckpointHeight, info.CheckpointSeq, info.ReplayedOps, journal-27)
+	}
+	assertExpect(t, legacyFormatDir, svc)
+	svc.Close()
+	if counted.commits != 1 {
+		t.Fatalf("the migration took %d commits, want one atomic batch", counted.commits)
+	}
+
+	// The same store, written natively: the whole workload without
+	// checkpoints, plus the checkpoint a run that checkpoints every
+	// block holds after the workload's head.
+	native := store.NewMem()
+	svc2, lot2, err := tinyevm.NewService("lot", formatOpts(native)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	formatWorkloadHead(t, svc2, lot2)
+	formatWorkloadTail(t, svc2, lot2)
+	svc2.Close()
+	ckpt := store.NewMem()
+	svc3, lot3, err := tinyevm.NewService("lot", formatOpts(ckpt, tinyevm.WithCheckpointInterval(1))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	formatWorkloadHead(t, svc3, lot3)
+	svc3.Close()
+	copyKey(t, native, ckpt, "ckpt/state")
+
+	dump := func(kv store.KVStore) (keys []string, values map[string][]byte) {
+		values = make(map[string][]byte)
+		if err := kv.Iterate(nil, func(k, v []byte) error {
+			if strings.HasPrefix(string(k), "op/") {
+				_, v = maskRouteSecret(t, v)
+			}
+			keys = append(keys, string(k))
+			values[string(k)] = v
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return keys, values
+	}
+	gotKeys, got := dump(legacy)
+	wantKeys, want := dump(native)
+	if strings.Join(gotKeys, "\n") != strings.Join(wantKeys, "\n") {
+		t.Fatalf("migrated store holds keys\n%s\na native one\n%s", strings.Join(gotKeys, "\n"), strings.Join(wantKeys, "\n"))
+	}
+	for _, k := range wantKeys {
+		if !bytes.Equal(got[k], want[k]) {
+			t.Errorf("%s differs:\nmigrated %x\n  native %x", k, got[k], want[k])
+		}
+		if k != "meta/service" && got[k][0] != codec.DiskFormat {
+			t.Errorf("%s starts with %#02x, not the format byte", k, got[k][0])
+		}
+	}
+	if !bytes.Contains(got["meta/service"], []byte(`"format":2`)) {
+		t.Errorf("meta record carries no stamp: %s", got["meta/service"])
+	}
+
+	// Stamped: the second open reads binary and writes nothing.
+	counted.commits = 0
+	svc4, _, err := tinyevm.NewService("lot", formatOpts(counted)...)
+	if err != nil {
+		t.Fatalf("second open: %v", err)
+	}
+	defer svc4.Close()
+	assertExpect(t, legacyFormatDir, svc4)
+	if counted.commits != 0 {
+		t.Fatalf("the second open committed %d batches, want none", counted.commits)
+	}
+}
+
+// TestMigrationRefusesWhatItCannotRead: a legacy record that does not
+// decode fails the open and leaves the store exactly as it was.
+func TestMigrationRefusesWhatItCannotRead(t *testing.T) {
+	for _, bad := range []struct{ key, value string }{
+		{"op/0000000000000003", `{"seq":3,"op":"openChannel","node":"car","peer":"0xzz"}`},
+		{"ckpt/state", `{"seq":27,"height":6,"chainState":{"zz":{}}}`},
+		{"chain/block/0000000000000002", `{"number":2,"hash":"0x12"}`},
+		{"chain/acct/0c4a8b51fe89b07f81f7396327dc56f9c5408ee7", `{"balance":"0g"}`},
+	} {
+		t.Run(bad.key, func(t *testing.T) {
+			legacy, _ := legacyStore(t)
+			if err := legacy.Put([]byte(bad.key), []byte(bad.value)); err != nil {
+				t.Fatal(err)
+			}
+			before := cloneStore(t, legacy)
+			svc, _, err := tinyevm.NewService("lot", formatOpts(legacy)...)
+			if err == nil {
+				svc.Close()
+				t.Fatal("the store opened")
+			}
+			if !strings.Contains(err.Error(), strings.TrimPrefix(bad.key, "chain/")) {
+				t.Errorf("error does not name %s: %v", bad.key, err)
+			}
+			if err := before.Iterate(nil, func(k, v []byte) error {
+				if now, _, _ := legacy.Get(k); !bytes.Equal(now, v) {
+					return fmt.Errorf("%s was rewritten by a failed migration", k)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestDiskFormatsAreBinary fails when a non-test file outside the
+// packages that speak JSON to the outside world (the RPC gateway, the
+// load harness, the commands, the disk backend's MANIFEST) and outside
+// the migrate files imports encoding/json, or when fields.go grows its
+// hex back: no JSON encoder for a disk record may exist.
+func TestDiskFormatsAreBinary(t *testing.T) {
+	allowed := func(path string) bool {
+		for _, dir := range []string{"internal/rpc/", "internal/load/", "cmd/", "internal/store/disk/", "bench/", "examples/"} {
+			if strings.HasPrefix(path, dir) {
+				return true
+			}
+		}
+		return filepath.Base(path) == "migrate.go"
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			name, _ := strconv.Unquote(imp.Path.Value)
+			if name == "encoding/json" && !allowed(filepath.ToSlash(path)) {
+				t.Errorf("%s imports encoding/json", path)
+			}
+			if name == "encoding/hex" && path == "fields.go" {
+				t.Errorf("%s imports encoding/hex", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

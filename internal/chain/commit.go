@@ -27,8 +27,6 @@ package chain
 
 import (
 	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -169,16 +167,12 @@ func (c *Chain) StateProof(addr types.Address) (*AccountProof, error) {
 	if err != nil {
 		return nil, err
 	}
-	acct, err := EncodeAccountRecord(c.state, addr)
-	if err != nil {
-		return nil, err
-	}
 	root := c.smt.Root()
 	return &AccountProof{
 		Address:       addr,
 		AccountDigest: d,
 		Sum:           c.state.Balance(addr).Uint64(),
-		Account:       acct,
+		Account:       EncodeAccountRecord(c.state, addr),
 		Proof:         proof,
 		Root:          root,
 		Commitment:    commitmentDigest(root),
@@ -201,27 +195,23 @@ func VerifyAccountProof(commitment types.Hash, p *AccountProof) error {
 	return nil
 }
 
-// EncodeAccountRecord marshals one account in the chain's persisted
-// acctRecord JSON form — the same bytes a restore would decode, and
-// the preimage companion to MemState.AccountDigest for proof clients.
-func EncodeAccountRecord(st *evm.MemState, addr types.Address) ([]byte, error) {
-	return json.Marshal(encodeAcct(st, addr))
+// EncodeAccountRecord encodes one account in the chain's persisted
+// account-record form — the same bytes a restore would decode, and the
+// preimage companion to MemState.AccountDigest for proof clients.
+func EncodeAccountRecord(st *evm.MemState, addr types.Address) []byte {
+	return encodeAcct(nil, st, addr)
 }
 
-// VerifyAccountRecord checks that an account record (the acctRecord
-// JSON carried in an AccountProof) re-digests to the claimed MST leaf
-// value: the record is decoded into a scratch state and the canonical
-// account digest recomputed from scratch. This is the proof client's
-// half of verification — the Merkle path only binds the digest, this
-// binds the digest to the actual account contents.
+// VerifyAccountRecord checks that an account record (as carried in an
+// AccountProof) re-digests to the claimed MST leaf value: the record is
+// decoded into a scratch state and the canonical account digest
+// recomputed from scratch. This is the proof client's half of
+// verification — the Merkle path only binds the digest, this binds the
+// digest to the actual account contents.
 func VerifyAccountRecord(addr types.Address, record []byte, want types.Hash) error {
-	var rec acctRecord
-	if err := json.Unmarshal(record, &rec); err != nil {
-		return fmt.Errorf("chain: decoding account record: %w", err)
-	}
 	st := evm.NewMemState()
-	if err := decodeAcctInto(st, hex.EncodeToString(addr[:]), &rec); err != nil {
-		return err
+	if err := decodeAcct(st, addr, record); err != nil {
+		return fmt.Errorf("chain: decoding account record: %w", err)
 	}
 	d, ok := st.AccountDigest(addr)
 	if !ok || d != want {

@@ -4,10 +4,14 @@
 //
 // Keyspace (within whatever namespace the caller hands AttachStore):
 //
-//	meta/head            -> headRecord     (latest sealed block)
-//	block/<num %016x>    -> blockRecord    (header, receipts, state digest)
-//	acct/<addr hex>      -> acctRecord     (full account value; deleted
+//	meta/head            -> head record    (latest sealed block)
+//	block/<num %016x>    -> block record   (header, receipts, state digest)
+//	acct/<addr hex>      -> account record (full account value; deleted
 //	                                        when the account dies)
+//
+// Every value is a binary record on internal/codec (layouts in
+// record.go and docs/STORAGE.md); stores written before that are
+// rewritten once, on attach (migrate.go).
 //
 // One atomic batch per seal carries the block record, the head pointer
 // and the account records mutated since the previous seal (the dirty
@@ -31,74 +35,40 @@ package chain
 import (
 	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 
 	"tinyevm/internal/evm"
 	"tinyevm/internal/store"
 	"tinyevm/internal/types"
-	"tinyevm/internal/uint256"
 )
 
 // ErrStoreMismatch marks a replayed block that diverges from the
 // persisted record — the store belongs to a different history.
 var ErrStoreMismatch = errors.New("chain: replayed block diverges from persisted record")
 
-const headKey = "meta/head"
+const (
+	headKey    = "meta/head"
+	blockPfx   = "block/"
+	acctPfx    = "acct/"
+	acctKeyLen = len(acctPfx) + 2*len(types.Address{})
+)
 
-func blockKey(n uint64) []byte { return []byte(fmt.Sprintf("block/%016x", n)) }
+func blockKey(n uint64) []byte { return store.HexKey(blockPfx, n) }
 
 func acctKey(addr types.Address) []byte {
-	return []byte("acct/" + hex.EncodeToString(addr[:]))
+	return hex.AppendEncode(append(make([]byte, 0, acctKeyLen), acctPfx...), addr[:])
 }
 
-// headRecord is the persisted head pointer.
-type headRecord struct {
-	Number uint64 `json:"number"`
-	Hash   string `json:"hash"`
-}
-
-// blockRecord is one persisted sealed block: the header, its receipts
-// and the state digest observed immediately after sealing. The digest
-// is what makes crash recovery verifiable: a restore (or an op-log
-// replay) that does not reproduce it byte-identically fails loudly.
-type blockRecord struct {
-	Number      uint64          `json:"number"`
-	ParentHash  string          `json:"parent_hash"`
-	Hash        string          `json:"hash"`
-	Timestamp   uint64          `json:"timestamp"`
-	Coinbase    string          `json:"coinbase"`
-	GasUsed     uint64          `json:"gas_used"`
-	TxHashes    []string        `json:"tx_hashes,omitempty"`
-	StateDigest string          `json:"state_digest"`
-	Receipts    []receiptRecord `json:"receipts,omitempty"`
-}
-
-type receiptRecord struct {
-	TxHash          string      `json:"tx_hash"`
-	Status          bool        `json:"status"`
-	GasUsed         uint64      `json:"gas_used"`
-	ContractAddress string      `json:"contract_address,omitempty"`
-	ReturnData      string      `json:"return_data,omitempty"`
-	Logs            []logRecord `json:"logs,omitempty"`
-	Err             string      `json:"err,omitempty"`
-}
-
-type logRecord struct {
-	Address string   `json:"address"`
-	Topics  []string `json:"topics,omitempty"`
-	Data    string   `json:"data,omitempty"`
-}
-
-// acctRecord is one persisted account value. Storage maps hex slot keys
-// to hex values; encoding/json sorts map keys, so records are
-// deterministic.
-type acctRecord struct {
-	Balance string            `json:"balance"`
-	Nonce   uint64            `json:"nonce,omitempty"`
-	Code    string            `json:"code,omitempty"`
-	Storage map[string]string `json:"storage,omitempty"`
+// acctKeyAddr parses the address out of an acct/ key.
+func acctKeyAddr(key []byte) (addr types.Address, err error) {
+	if len(key) != acctKeyLen {
+		return addr, fmt.Errorf("%w: account key %q", ErrBadRecord, key)
+	}
+	if _, err := hex.Decode(addr[:], key[len(acctPfx):]); err != nil {
+		return addr, fmt.Errorf("%w: account key %q", ErrBadRecord, key)
+	}
+	return addr, nil
 }
 
 // AttachStore wires a persistence store into the chain: the state
@@ -112,6 +82,9 @@ type acctRecord struct {
 func (c *Chain) AttachStore(kv store.KVStore) error {
 	if c.kv != nil {
 		return errors.New("chain: store already attached")
+	}
+	if err := migrateStandalone(kv); err != nil {
+		return err
 	}
 	c.kv = kv
 	c.state.EnableDirtyTracking()
@@ -154,18 +127,18 @@ func (c *Chain) VerifyStoreHead() error {
 	if !ok {
 		return nil
 	}
-	var head headRecord
-	if err := json.Unmarshal(data, &head); err != nil {
-		return fmt.Errorf("chain: decoding head record: %w", err)
+	head, err := decodeHead(data)
+	if err != nil {
+		return err
 	}
 	b, err := c.BlockByNumber(head.Number)
 	if err != nil {
 		return fmt.Errorf("%w: persisted head is block %d, replay reached %d",
 			ErrStoreMismatch, head.Number, c.Head().Number)
 	}
-	if b.Hash.Hex() != head.Hash {
+	if b.Hash != head.Hash {
 		return fmt.Errorf("%w: block %d hash %s != persisted head %s",
-			ErrStoreMismatch, head.Number, b.Hash.Hex(), head.Hash)
+			ErrStoreMismatch, head.Number, b.Hash, head.Hash)
 	}
 	return nil
 }
@@ -187,11 +160,7 @@ func (c *Chain) persistSeal(b *Block, receipts []*Receipt) {
 	if c.commitMST {
 		c.applyCommitmentDelta(dirty)
 	}
-	rec, err := json.Marshal(encodeBlock(b, receipts, c.stateCommitment()))
-	if err != nil {
-		c.setStoreErr(err)
-		return
-	}
+	rec := encodeBlock(b, receipts, c.stateCommitment())
 
 	if existing, ok, err := c.kv.Get(blockKey(b.Number)); err != nil {
 		c.setStoreErr(err)
@@ -207,25 +176,18 @@ func (c *Chain) persistSeal(b *Block, receipts []*Receipt) {
 	}
 
 	batch := c.kv.Batch()
+	var acct []byte
 	for _, addr := range dirty {
 		if !c.state.Exists(addr) {
 			batch.Delete(acctKey(addr))
 			continue
 		}
-		data, err := json.Marshal(encodeAcct(c.state, addr))
-		if err != nil {
-			c.setStoreErr(err)
-			return
-		}
-		batch.Put(acctKey(addr), data)
+		// The batch copies the value, so one buffer serves every account.
+		acct = encodeAcct(acct, c.state, addr)
+		batch.Put(acctKey(addr), acct)
 	}
 	batch.Put(blockKey(b.Number), rec)
-	head, err := json.Marshal(headRecord{Number: b.Number, Hash: b.Hash.Hex()})
-	if err != nil {
-		c.setStoreErr(err)
-		return
-	}
-	batch.Put([]byte(headKey), head)
+	batch.Put([]byte(headKey), encodeHead(headRecord{Number: b.Number, Hash: b.Hash}))
 	if c.pipe != nil {
 		c.pipe.enqueue(batch)
 		return
@@ -245,21 +207,23 @@ func (c *Chain) persistSeal(b *Block, receipts []*Receipt) {
 // transactions that target them.
 func NewFromStore(kv store.KVStore) (*Chain, error) {
 	c := New()
+	if err := c.AttachStore(kv); err != nil {
+		return nil, err
+	}
 	data, ok, err := kv.Get([]byte(headKey))
 	if err != nil {
 		return nil, err
 	}
 	if ok {
-		var head headRecord
-		if err := json.Unmarshal(data, &head); err != nil {
-			return nil, fmt.Errorf("chain: decoding head record: %w", err)
+		head, err := decodeHead(data)
+		if err != nil {
+			return nil, err
 		}
 		if err := c.restore(kv, head); err != nil {
 			return nil, err
 		}
-	}
-	if err := c.AttachStore(kv); err != nil {
-		return nil, err
+		// Restoring is not a mutation any seal should persist again.
+		c.state.ClearDirty()
 	}
 	return c, nil
 }
@@ -275,13 +239,12 @@ func (c *Chain) restoreBlocks(kv store.KVStore, upto uint64) error {
 		if !ok {
 			return fmt.Errorf("chain: store missing block %d (want through %d)", n, upto)
 		}
-		var rec blockRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return fmt.Errorf("chain: decoding block %d: %w", n, err)
-		}
-		b, receipts, err := decodeBlock(&rec)
+		b, receipts, _, err := decodeBlock(data)
 		if err != nil {
 			return fmt.Errorf("chain: decoding block %d: %w", n, err)
+		}
+		if b.Number != n {
+			return fmt.Errorf("chain: block %d stored under the key of block %d", b.Number, n)
 		}
 		if b.ParentHash != c.Head().Hash {
 			return fmt.Errorf("chain: block %d parent hash does not link to block %d", n, n-1)
@@ -298,32 +261,32 @@ func (c *Chain) restoreBlocks(kv store.KVStore, upto uint64) error {
 }
 
 // persistedCommitment loads the state commitment recorded with block n.
-func (c *Chain) persistedCommitment(kv store.KVStore, n uint64) (string, error) {
+func (c *Chain) persistedCommitment(kv store.KVStore, n uint64) (types.Hash, error) {
 	data, ok, err := kv.Get(blockKey(n))
 	if err != nil || !ok {
-		return "", fmt.Errorf("chain: reloading block %d: %v", n, err)
+		return types.Hash{}, fmt.Errorf("chain: reloading block %d: %v", n, err)
 	}
-	var rec blockRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return "", err
-	}
-	return rec.StateDigest, nil
+	_, _, digest, err := decodeBlock(data)
+	return digest, err
 }
 
 func (c *Chain) restore(kv store.KVStore, head headRecord) error {
 	if err := c.restoreBlocks(kv, head.Number); err != nil {
 		return err
 	}
-	if got := c.Head().Hash.Hex(); got != head.Hash {
+	if got := c.Head().Hash; got != head.Hash {
 		return fmt.Errorf("chain: head hash mismatch (stored %s, restored %s)", head.Hash, got)
 	}
 
-	if err := kv.Iterate([]byte("acct/"), func(key, value []byte) error {
-		var rec acctRecord
-		if err := json.Unmarshal(value, &rec); err != nil {
+	if err := kv.Iterate([]byte(acctPfx), func(key, value []byte) error {
+		addr, err := acctKeyAddr(key)
+		if err != nil {
+			return err
+		}
+		if err := decodeAcct(c.state, addr, value); err != nil {
 			return fmt.Errorf("chain: decoding account %s: %w", key, err)
 		}
-		return decodeAcctInto(c.state, string(key[len("acct/"):]), &rec)
+		return nil
 	}); err != nil {
 		return err
 	}
@@ -335,7 +298,7 @@ func (c *Chain) restore(kv store.KVStore, head headRecord) error {
 		if err != nil {
 			return err
 		}
-		if got := c.state.Digest().Hex(); got != want {
+		if got := c.state.Digest(); got != want {
 			return fmt.Errorf("chain: restored state digest %s does not match persisted %s", got, want)
 		}
 	}
@@ -377,230 +340,9 @@ func (c *Chain) RestoreCheckpoint(height uint64, apply func(st *evm.MemState) er
 		if err != nil {
 			return err
 		}
-		if got := c.stateCommitment().Hex(); got != want {
+		if got := c.stateCommitment(); got != want {
 			return fmt.Errorf("chain: checkpoint state commitment %s does not match block %d's %s", got, height, want)
 		}
-	}
-	return nil
-}
-
-// SnapshotState encodes the full live account set of st as one
-// deterministic JSON object (address hex -> account record, the same
-// per-account form the acct/ keyspace persists). Only observationally
-// existing accounts are included — exactly the set Digest covers — so
-// restoring the snapshot reproduces the state commitment bit-for-bit.
-func SnapshotState(st *evm.MemState) ([]byte, error) {
-	out := make(map[string]*acctRecord)
-	for _, addr := range st.Addresses() {
-		if !st.Exists(addr) {
-			continue
-		}
-		out[hex.EncodeToString(addr[:])] = encodeAcct(st, addr)
-	}
-	return json.Marshal(out)
-}
-
-// RestoreState decodes a SnapshotState blob into st. Call it on an
-// empty (or freshly Reset) state: accounts present in st but absent
-// from the snapshot are NOT removed.
-func RestoreState(st *evm.MemState, data []byte) error {
-	var recs map[string]*acctRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return fmt.Errorf("chain: decoding state snapshot: %w", err)
-	}
-	for addrHex, rec := range recs {
-		if err := decodeAcctInto(st, addrHex, rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// --- encoding ----------------------------------------------------------
-
-func encodeBlock(b *Block, receipts []*Receipt, digest types.Hash) *blockRecord {
-	rec := &blockRecord{
-		Number:      b.Number,
-		ParentHash:  b.ParentHash.Hex(),
-		Hash:        b.Hash.Hex(),
-		Timestamp:   b.Timestamp,
-		Coinbase:    b.Coinbase.Hex(),
-		GasUsed:     b.GasUsed,
-		StateDigest: digest.Hex(),
-	}
-	for _, tx := range b.TxHashes {
-		rec.TxHashes = append(rec.TxHashes, tx.Hex())
-	}
-	for _, r := range receipts {
-		rr := receiptRecord{
-			TxHash:  r.TxHash.Hex(),
-			Status:  r.Status,
-			GasUsed: r.GasUsed,
-		}
-		if r.ContractAddress != (types.Address{}) {
-			rr.ContractAddress = r.ContractAddress.Hex()
-		}
-		if len(r.ReturnData) > 0 {
-			rr.ReturnData = hex.EncodeToString(r.ReturnData)
-		}
-		for _, l := range r.Logs {
-			lr := logRecord{Address: l.Address.Hex(), Data: hex.EncodeToString(l.Data)}
-			for _, topic := range l.Topics {
-				lr.Topics = append(lr.Topics, topic.Hex())
-			}
-			rr.Logs = append(rr.Logs, lr)
-		}
-		if r.Err != nil {
-			rr.Err = r.Err.Error()
-		}
-		rec.Receipts = append(rec.Receipts, rr)
-	}
-	return rec
-}
-
-func decodeBlock(rec *blockRecord) (*Block, []*Receipt, error) {
-	parent, err := types.HexToHash(rec.ParentHash)
-	if err != nil {
-		return nil, nil, err
-	}
-	hash, err := types.HexToHash(rec.Hash)
-	if err != nil {
-		return nil, nil, err
-	}
-	coinbase, err := types.HexToAddress(rec.Coinbase)
-	if err != nil {
-		return nil, nil, err
-	}
-	b := &Block{
-		Number:     rec.Number,
-		ParentHash: parent,
-		Hash:       hash,
-		Timestamp:  rec.Timestamp,
-		Coinbase:   coinbase,
-		GasUsed:    rec.GasUsed,
-	}
-	for _, s := range rec.TxHashes {
-		h, err := types.HexToHash(s)
-		if err != nil {
-			return nil, nil, err
-		}
-		b.TxHashes = append(b.TxHashes, h)
-	}
-	receipts := make([]*Receipt, 0, len(rec.Receipts))
-	for i := range rec.Receipts {
-		r, err := decodeReceipt(&rec.Receipts[i], rec.Number)
-		if err != nil {
-			return nil, nil, err
-		}
-		receipts = append(receipts, r)
-	}
-	return b, receipts, nil
-}
-
-func decodeReceipt(rr *receiptRecord, blockNumber uint64) (*Receipt, error) {
-	txHash, err := types.HexToHash(rr.TxHash)
-	if err != nil {
-		return nil, err
-	}
-	r := &Receipt{
-		TxHash:      txHash,
-		Status:      rr.Status,
-		GasUsed:     rr.GasUsed,
-		BlockNumber: blockNumber,
-	}
-	if rr.ContractAddress != "" {
-		if r.ContractAddress, err = types.HexToAddress(rr.ContractAddress); err != nil {
-			return nil, err
-		}
-	}
-	if rr.ReturnData != "" {
-		if r.ReturnData, err = hex.DecodeString(rr.ReturnData); err != nil {
-			return nil, err
-		}
-	}
-	for _, lr := range rr.Logs {
-		addr, err := types.HexToAddress(lr.Address)
-		if err != nil {
-			return nil, err
-		}
-		l := evm.Log{Address: addr}
-		for _, ts := range lr.Topics {
-			topic, err := types.HexToHash(ts)
-			if err != nil {
-				return nil, err
-			}
-			l.Topics = append(l.Topics, topic)
-		}
-		if lr.Data != "" {
-			if l.Data, err = hex.DecodeString(lr.Data); err != nil {
-				return nil, err
-			}
-		}
-		r.Logs = append(r.Logs, l)
-	}
-	if rr.Err != "" {
-		// The failure reason survives as text; error identity
-		// (errors.Is) does not cross a restore.
-		r.Err = errors.New(rr.Err)
-	}
-	return r, nil
-}
-
-func encodeAcct(st *evm.MemState, addr types.Address) *acctRecord {
-	bal := st.Balance(addr).Bytes32()
-	rec := &acctRecord{
-		Balance: hex.EncodeToString(bal[:]),
-		Nonce:   st.Nonce(addr),
-	}
-	if code := st.Code(addr); len(code) > 0 {
-		rec.Code = hex.EncodeToString(code)
-	}
-	for _, key := range st.StorageKeys(addr) {
-		if rec.Storage == nil {
-			rec.Storage = make(map[string]string)
-		}
-		val := st.GetState(addr, &key)
-		kb, vb := key.Bytes32(), val.Bytes32()
-		rec.Storage[hex.EncodeToString(kb[:])] = hex.EncodeToString(vb[:])
-	}
-	return rec
-}
-
-func decodeAcctInto(st *evm.MemState, addrHex string, rec *acctRecord) error {
-	addr, err := types.HexToAddress(addrHex)
-	if err != nil {
-		return err
-	}
-	balBytes, err := hex.DecodeString(rec.Balance)
-	if err != nil {
-		return err
-	}
-	var bal uint256.Int
-	bal.SetBytes(balBytes)
-	st.SetBalance(addr, &bal)
-	if rec.Nonce != 0 {
-		st.SetNonce(addr, rec.Nonce)
-	}
-	if rec.Code != "" {
-		code, err := hex.DecodeString(rec.Code)
-		if err != nil {
-			return err
-		}
-		st.SetCode(addr, code)
-	}
-	for k, v := range rec.Storage {
-		kb, err := hex.DecodeString(k)
-		if err != nil {
-			return err
-		}
-		vb, err := hex.DecodeString(v)
-		if err != nil {
-			return err
-		}
-		var key, val uint256.Int
-		key.SetBytes(kb)
-		val.SetBytes(vb)
-		st.SetState(addr, &key, &val)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package chain
 
 import (
-	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -12,7 +11,7 @@ import (
 
 // buildPersistedChain produces a few blocks (transfers + a contract
 // deployment with storage writes) on a chain attached to kv.
-func buildPersistedChain(t *testing.T, kv store.KVStore) *Chain {
+func buildPersistedChain(t testing.TB, kv store.KVStore) *Chain {
 	t.Helper()
 	c := New()
 	if err := c.AttachStore(kv); err != nil {
@@ -198,7 +197,9 @@ func TestChainRestoreDetectsTampering(t *testing.T) {
 	t.Run("account balance", func(t *testing.T) {
 		tamper(t, func(kv store.KVStore) {
 			key := secpAddrKey(t, kv) // any acct/ key
-			kv.Put(key, []byte(`{"balance":"00"}`))
+			rec, _, _ := kv.Get(key)
+			rec[32] ^= 0x01 // the balance's low byte
+			kv.Put(key, rec)
 		})
 	})
 	t.Run("missing block", func(t *testing.T) {
@@ -208,7 +209,7 @@ func TestChainRestoreDetectsTampering(t *testing.T) {
 	})
 	t.Run("head hash", func(t *testing.T) {
 		tamper(t, func(kv store.KVStore) {
-			kv.Put([]byte(headKey), []byte(`{"number":4,"hash":"0x`+hexZeros(64)+`"}`))
+			kv.Put([]byte(headKey), encodeHead(headRecord{Number: 4}))
 		})
 	})
 }
@@ -224,8 +225,4 @@ func secpAddrKey(t *testing.T, kv store.KVStore) []byte {
 		t.Fatalf("no account records (%v)", err)
 	}
 	return key
-}
-
-func hexZeros(n int) string {
-	return hex.EncodeToString(make([]byte, n/2))
 }

@@ -3,14 +3,18 @@ package p2p
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"tinyevm/internal/chain"
+	"tinyevm/internal/codec"
 	"tinyevm/internal/types"
 )
 
@@ -62,20 +66,48 @@ func TestWireDecodeRejectsOversizedClaims(t *testing.T) {
 		"truncated tx":  {byte(TypeTx), 0x01},
 	}
 	// A tx whose Data length claims 2 MiB (over MaxTxData) in a tiny frame.
-	w := &writer{buf: []byte{byte(TypeTx)}}
-	w.u64(0)
-	w.u64(1)
-	w.u64(1)
-	w.u8(0)
-	w.u64(0)
-	w.u32(2 << 20)
-	cases["oversized tx data"] = w.buf
+	w := &codec.Writer{Buf: []byte{byte(TypeTx)}}
+	w.U64(0)
+	w.U64(1)
+	w.U64(1)
+	w.U8(0)
+	w.U64(0)
+	w.U32(2 << 20)
+	cases["oversized tx data"] = w.Buf
 
 	for name, frame := range cases {
 		if _, err := Decode(frame); err == nil {
 			t.Errorf("%s: Decode accepted malformed frame", name)
 		} else if !errors.Is(err, ErrBadMessage) && !errors.Is(err, ErrBadMsgType) {
 			t.Errorf("%s: untyped error %v", name, err)
+		}
+	}
+}
+
+// TestWireGolden holds the wire to testdata/wire.golden — one hex line
+// per seedMsgs message, written by the commit before the codec moved to
+// internal/codec — in both directions.
+func TestWireGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/wire.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Fields(string(data))
+	msgs := seedMsgs(t)
+	if len(lines) != len(msgs) {
+		t.Fatalf("golden has %d frames, seedMsgs %d", len(lines), len(msgs))
+	}
+	for i, m := range msgs {
+		if got := hex.EncodeToString(Encode(m)); got != lines[i] {
+			t.Errorf("frame %d (%T) encodes differently:\n got %s\nwant %s", i, m, got, lines[i])
+		}
+		frame, _ := hex.DecodeString(lines[i])
+		back, err := Decode(frame)
+		if err != nil {
+			t.Fatalf("golden frame %d: %v", i, err)
+		}
+		if !bytes.Equal(Encode(back), frame) {
+			t.Errorf("golden frame %d does not survive decode + encode", i)
 		}
 	}
 }

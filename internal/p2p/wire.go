@@ -4,18 +4,18 @@
 // transactions and sealed blocks backed by a dedup cache.
 //
 // The wire codec below is deliberately defensive: every message decodes
-// through bounds-checked reads with hard caps on element counts and
-// byte lengths, and malformed input from a peer yields a typed
-// ErrBadMessage — never a panic and never an attacker-sized allocation.
-// FuzzWireCodec pins both properties.
+// through internal/codec's bounds-checked reader with hard caps on
+// element counts and byte lengths, and malformed input from a peer
+// yields a typed ErrBadMessage — never a panic and never an
+// attacker-sized allocation. FuzzWireCodec pins both properties.
 package p2p
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"tinyevm/internal/chain"
+	"tinyevm/internal/codec"
 	"tinyevm/internal/secp256k1"
 	"tinyevm/internal/types"
 )
@@ -170,37 +170,37 @@ func PeekType(buf []byte) (MsgType, error) {
 
 // Encode serializes any wire message with its leading type byte.
 func Encode(m Msg) []byte {
-	w := &writer{buf: []byte{byte(m.msgType())}}
+	w := &codec.Writer{Buf: []byte{byte(m.msgType())}}
 	switch v := m.(type) {
 	case *Hello:
-		w.u32(v.Version)
-		w.hash(v.Genesis)
-		w.u64(v.Height)
-		w.hash(v.Head)
+		w.U32(v.Version)
+		w.Hash(v.Genesis)
+		w.U64(v.Height)
+		w.Hash(v.Head)
 	case *TxMsg:
-		w.tx(v.Tx)
+		writeTx(w, v.Tx)
 	case *BlockMsg:
-		w.block(v)
+		writeBlock(w, v)
 	case *GetHeaders:
-		w.u64(v.From)
-		w.u64(v.Count)
+		w.U64(v.From)
+		w.U64(v.Count)
 	case *Headers:
-		w.u32(uint32(len(v.Headers)))
+		w.U32(uint32(len(v.Headers)))
 		for i := range v.Headers {
-			w.header(&v.Headers[i])
+			writeHeader(w, &v.Headers[i])
 		}
 	case *GetBlocks:
-		w.u64(v.From)
-		w.u64(v.Count)
+		w.U64(v.From)
+		w.U64(v.Count)
 	case *Blocks:
-		w.u32(uint32(len(v.Blocks)))
+		w.U32(uint32(len(v.Blocks)))
 		for _, b := range v.Blocks {
-			w.block(b)
+			writeBlock(w, b)
 		}
 	default:
 		panic(fmt.Sprintf("p2p: Encode of unregistered message %T", m))
 	}
-	return w.buf
+	return w.Buf
 }
 
 // Decode parses one frame. Every returned error wraps ErrBadMessage or
@@ -211,278 +211,149 @@ func Decode(buf []byte) (Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{buf: buf, off: 1}
+	r := codec.NewReader(buf[1:], ErrBadMessage)
 	var m Msg
 	switch t {
 	case TypeHello:
-		h := &Hello{Version: r.u32(), Genesis: r.hash(), Height: r.u64(), Head: r.hash()}
+		h := &Hello{Version: r.U32(), Genesis: r.Hash(), Height: r.U64(), Head: r.Hash()}
 		m = h
 	case TypeTx:
-		m = &TxMsg{Tx: r.tx()}
+		m = &TxMsg{Tx: readTx(r)}
 	case TypeBlock:
-		m = r.block()
+		m = readBlock(r)
 	case TypeGetHeaders:
-		m = &GetHeaders{From: r.u64(), Count: r.u64()}
+		m = &GetHeaders{From: r.U64(), Count: r.U64()}
 	case TypeHeaders:
-		n := r.count(MaxHeaders)
+		n := r.Count(MaxHeaders)
 		hs := &Headers{}
-		for i := uint32(0); i < n && r.err == nil; i++ {
-			hs.Headers = append(hs.Headers, r.header())
+		for i := 0; i < n && r.Err() == nil; i++ {
+			hs.Headers = append(hs.Headers, readHeader(r))
 		}
 		m = hs
 	case TypeGetBlocks:
-		m = &GetBlocks{From: r.u64(), Count: r.u64()}
+		m = &GetBlocks{From: r.U64(), Count: r.U64()}
 	case TypeBlocks:
-		n := r.count(MaxBlocks)
+		n := r.Count(MaxBlocks)
 		bs := &Blocks{}
-		for i := uint32(0); i < n && r.err == nil; i++ {
-			bs.Blocks = append(bs.Blocks, r.block())
+		for i := 0; i < n && r.Err() == nil; i++ {
+			bs.Blocks = append(bs.Blocks, readBlock(r))
 		}
 		m = bs
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(buf)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// --- writer ------------------------------------------------------------
+// --- message bodies ----------------------------------------------------
 
-type writer struct{ buf []byte }
-
-func (w *writer) u8(v byte) { w.buf = append(w.buf, v) }
-func (w *writer) u32(v uint32) {
-	w.buf = binary.BigEndian.AppendUint32(w.buf, v)
-}
-func (w *writer) u64(v uint64) {
-	w.buf = binary.BigEndian.AppendUint64(w.buf, v)
-}
-func (w *writer) hash(h types.Hash)    { w.buf = append(w.buf, h[:]...) }
-func (w *writer) addr(a types.Address) { w.buf = append(w.buf, a[:]...) }
-func (w *writer) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-func (w *writer) tx(tx *chain.Transaction) {
-	w.u64(tx.Nonce)
-	w.u64(tx.GasPrice)
-	w.u64(tx.GasLimit)
+func writeTx(w *codec.Writer, tx *chain.Transaction) {
+	w.U64(tx.Nonce)
+	w.U64(tx.GasPrice)
+	w.U64(tx.GasLimit)
 	if tx.To != nil {
-		w.u8(1)
-		w.addr(*tx.To)
+		w.U8(1)
+		w.Addr(*tx.To)
 	} else {
-		w.u8(0)
+		w.U8(0)
 	}
-	w.u64(tx.Value)
-	w.bytes(tx.Data)
+	w.U64(tx.Value)
+	w.Bytes(tx.Data)
 	if tx.Sig != nil {
-		w.u8(1)
-		w.buf = append(w.buf, tx.Sig.Serialize()...)
+		w.U8(1)
+		w.Raw(tx.Sig.Serialize())
 	} else {
-		w.u8(0)
+		w.U8(0)
 	}
 }
 
-func (w *writer) header(h *Header) {
-	w.u64(h.Number)
-	w.hash(h.ParentHash)
-	w.hash(h.Hash)
-	w.u64(h.Timestamp)
-	w.addr(h.Coinbase)
-	w.u64(h.GasUsed)
-	w.u32(uint32(len(h.TxHashes)))
+func writeHeader(w *codec.Writer, h *Header) {
+	w.U64(h.Number)
+	w.Hash(h.ParentHash)
+	w.Hash(h.Hash)
+	w.U64(h.Timestamp)
+	w.Addr(h.Coinbase)
+	w.U64(h.GasUsed)
+	w.U32(uint32(len(h.TxHashes)))
 	for _, th := range h.TxHashes {
-		w.hash(th)
+		w.Hash(th)
 	}
 }
 
-func (w *writer) block(b *BlockMsg) {
-	w.header(&b.Header)
-	w.u32(uint32(len(b.Txs)))
+func writeBlock(w *codec.Writer, b *BlockMsg) {
+	writeHeader(w, &b.Header)
+	w.U32(uint32(len(b.Txs)))
 	for _, tx := range b.Txs {
-		w.tx(tx)
+		writeTx(w, tx)
 	}
-	w.bytes(b.Sig)
-	w.hash(b.StateDigest)
+	w.Bytes(b.Sig)
+	w.Hash(b.StateDigest)
 }
 
-// --- reader ------------------------------------------------------------
-
-// reader is a bounds-checked cursor: the first failed read latches err
-// and every subsequent read returns zero values, so decode paths stay
-// linear without per-field error plumbing.
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: "+format, append([]any{ErrBadMessage}, args...)...)
-	}
-}
-
-// need reserves n bytes, returning false (and latching err) when the
-// frame is short.
-func (r *reader) need(n int) bool {
-	if r.err != nil {
-		return false
-	}
-	if n < 0 || len(r.buf)-r.off < n {
-		r.fail("truncated (need %d bytes at offset %d of %d)", n, r.off, len(r.buf))
-		return false
-	}
-	return true
-}
-
-func (r *reader) u8() byte {
-	if !r.need(1) {
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if !r.need(4) {
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if !r.need(8) {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) hash() types.Hash {
-	var h types.Hash
-	if !r.need(len(h)) {
-		return h
-	}
-	copy(h[:], r.buf[r.off:])
-	r.off += len(h)
-	return h
-}
-
-func (r *reader) addr() types.Address {
-	var a types.Address
-	if !r.need(len(a)) {
-		return a
-	}
-	copy(a[:], r.buf[r.off:])
-	r.off += len(a)
-	return a
-}
-
-// bytes reads a length-prefixed byte string, rejecting claims above max
-// BEFORE allocating.
-func (r *reader) bytes(max int) []byte {
-	n := int(r.u32())
-	if r.err != nil {
-		return nil
-	}
-	if n > max {
-		r.fail("byte string of %d exceeds cap %d", n, max)
-		return nil
-	}
-	if !r.need(n) {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
-	r.off += n
-	return out
-}
-
-// count reads an element count, rejecting claims above max.
-func (r *reader) count(max uint32) uint32 {
-	n := r.u32()
-	if r.err != nil {
-		return 0
-	}
-	if n > max {
-		r.fail("element count %d exceeds cap %d", n, max)
-		return 0
-	}
-	return n
-}
-
-func (r *reader) tx() *chain.Transaction {
+func readTx(r *codec.Reader) *chain.Transaction {
 	tx := &chain.Transaction{
-		Nonce:    r.u64(),
-		GasPrice: r.u64(),
-		GasLimit: r.u64(),
+		Nonce:    r.U64(),
+		GasPrice: r.U64(),
+		GasLimit: r.U64(),
 	}
-	switch r.u8() {
+	switch r.U8() {
 	case 0:
 	case 1:
-		a := r.addr()
+		a := r.Addr()
 		tx.To = &a
 	default:
-		r.fail("invalid to-address flag")
+		r.Fail("invalid to-address flag")
 	}
-	tx.Value = r.u64()
-	tx.Data = r.bytes(MaxTxData)
-	switch sigFlag := r.u8(); {
-	case sigFlag == 0 || r.err != nil:
+	tx.Value = r.U64()
+	tx.Data = r.Bytes(MaxTxData)
+	switch sigFlag := r.U8(); {
+	case sigFlag == 0 || r.Err() != nil:
 	case sigFlag != 1:
-		r.fail("invalid signature flag")
+		r.Fail("invalid signature flag")
 	default:
-		if !r.need(secp256k1.SignatureLength) {
+		raw := r.Fixed(secp256k1.SignatureLength)
+		if r.Err() != nil {
 			return nil
 		}
-		sig, err := secp256k1.ParseSignature(r.buf[r.off : r.off+secp256k1.SignatureLength])
+		sig, err := secp256k1.ParseSignature(raw)
 		if err != nil {
-			r.fail("transaction signature: %v", err)
+			r.Fail("transaction signature: %v", err)
 			return nil
 		}
-		r.off += secp256k1.SignatureLength
 		tx.Sig = sig
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
 	return tx
 }
 
-func (r *reader) header() Header {
+func readHeader(r *codec.Reader) Header {
 	h := Header{
-		Number:     r.u64(),
-		ParentHash: r.hash(),
-		Hash:       r.hash(),
-		Timestamp:  r.u64(),
-		Coinbase:   r.addr(),
-		GasUsed:    r.u64(),
+		Number:     r.U64(),
+		ParentHash: r.Hash(),
+		Hash:       r.Hash(),
+		Timestamp:  r.U64(),
+		Coinbase:   r.Addr(),
+		GasUsed:    r.U64(),
 	}
-	n := r.count(MaxBlockTxs)
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		h.TxHashes = append(h.TxHashes, r.hash())
+	n := r.Count(MaxBlockTxs)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		h.TxHashes = append(h.TxHashes, r.Hash())
 	}
 	return h
 }
 
-func (r *reader) block() *BlockMsg {
-	b := &BlockMsg{Header: r.header()}
-	n := r.count(MaxBlockTxs)
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		b.Txs = append(b.Txs, r.tx())
+func readBlock(r *codec.Reader) *BlockMsg {
+	b := &BlockMsg{Header: readHeader(r)}
+	n := r.Count(MaxBlockTxs)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		b.Txs = append(b.Txs, readTx(r))
 	}
-	b.Sig = r.bytes(secp256k1.SignatureLength)
-	b.StateDigest = r.hash()
-	if r.err != nil {
+	b.Sig = r.Bytes(secp256k1.SignatureLength)
+	b.StateDigest = r.Hash()
+	if r.Err() != nil {
 		return nil
 	}
 	return b

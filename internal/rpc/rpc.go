@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"time"
 
 	"tinyevm"
 	"tinyevm/internal/protocol"
@@ -294,6 +295,17 @@ type StoreStatus struct {
 	CheckpointInterval uint64 `json:"checkpointInterval"`
 	CheckpointHeight   uint64 `json:"checkpointHeight"`
 	CheckpointSeq      uint64 `json:"checkpointSeq"`
+	// Where the daemon's last cold start went, in milliseconds:
+	// RecoveryMs is the whole recovery inside NewService, of which
+	// CheckpointLoadMs read, decoded and restored the checkpoint and
+	// ReplayMs replayed ReplayedOps journal records on top; StoreOpenMs
+	// (opening the data directory) comes before RecoveryMs, not out of
+	// it.
+	ReplayedOps      int     `json:"replayedOps"`
+	StoreOpenMs      float64 `json:"storeOpenMs"`
+	RecoveryMs       float64 `json:"recoveryMs"`
+	CheckpointLoadMs float64 `json:"checkpointLoadMs"`
+	ReplayMs         float64 `json:"replayMs"`
 }
 
 func toStoreStatus(st tinyevm.StoreStatus) StoreStatus {
@@ -307,8 +319,15 @@ func toStoreStatus(st tinyevm.StoreStatus) StoreStatus {
 		CheckpointInterval: st.CheckpointInterval,
 		CheckpointHeight:   st.CheckpointHeight,
 		CheckpointSeq:      st.CheckpointSeq,
+		ReplayedOps:        st.Recovery.ReplayedOps,
+		StoreOpenMs:        ms(st.Recovery.StoreOpen),
+		RecoveryMs:         ms(st.Recovery.Duration),
+		CheckpointLoadMs:   ms(st.Recovery.CheckpointLoad),
+		ReplayMs:           ms(st.Recovery.Replay),
 	}
 }
+
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // StateProofStep is one ancestor on a state-proof path.
 type StateProofStep struct {

@@ -41,6 +41,12 @@ func TestStoreStatusRPC(t *testing.T) {
 		t.Fatalf("RPC/local checkpoint position diverged: %+v vs %+v", st, local)
 	}
 
+	// The cold-start stage timers cross the wire (this service started
+	// on an empty store: nothing replayed, stages inside the whole).
+	if st.ReplayedOps != 0 || st.StoreOpenMs != 0 || st.RecoveryMs < st.CheckpointLoadMs+st.ReplayMs {
+		t.Fatalf("recovery stages over RPC: %+v", st)
+	}
+
 	// Storeless service: the method must fail loudly, not fabricate.
 	_, storeless := newTestGateway(t)
 	if _, err := storeless.StoreStatus(ctx); err == nil {

@@ -330,7 +330,11 @@ func (db *DB) commit(ops []store.Op) error {
 		return err
 	}
 	db.apply(ops)
-	if db.memBytes >= db.flushBytes {
+	// The memtable counts live bytes only, so a store that keeps
+	// rewriting the same keys never fills it while the log keeps every
+	// dead copy — and Open replays them all. The log's own size flushes
+	// too.
+	if db.memBytes >= db.flushBytes || db.wal.Size() > store.CompactFactor*db.flushBytes {
 		// The batch is durable (the WAL record committed); failing to
 		// flush is still surfaced so the caller halts rather than
 		// running on a store that cannot roll forward.

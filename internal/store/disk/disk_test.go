@@ -48,6 +48,43 @@ func TestDiskBasicReopen(t *testing.T) {
 	}
 }
 
+// TestDiskOverwritesBoundTheWAL rewrites one key until the log has
+// carried many times the flush threshold in dead copies: the memtable
+// never fills (it holds one live value), so only the log's own size can
+// trigger the flush that resets it.
+func TestDiskOverwritesBoundTheWAL(t *testing.T) {
+	const flushBytes = 4096
+	dir := t.TempDir()
+	db := openTest(t, dir, WithFlushBytes(flushBytes))
+	value := bytes.Repeat([]byte{0xab}, 256)
+	maxWAL := int64(0)
+	for i := 0; i < 40*flushBytes/len(value); i++ {
+		value[0] = byte(i)
+		if err := db.Put([]byte("ckpt/state"), value); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+		fi, err := os.Stat(filepath.Join(dir, walName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxWAL = max(maxWAL, fi.Size())
+	}
+	if bound := int64(store.CompactFactor*flushBytes + 2*len(value)); maxWAL > bound {
+		t.Fatalf("wal.log reached %d bytes under overwrites of one %d-byte value, bound %d", maxWAL, len(value), bound)
+	}
+	if st := db.Stats(); st.Flushes == 0 || st.MemtableBytes >= flushBytes {
+		t.Fatalf("expected size-triggered flushes with a near-empty memtable: %+v", st)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = openTest(t, dir, WithFlushBytes(flushBytes))
+	defer db.Close()
+	if got, ok, err := db.Get([]byte("ckpt/state")); err != nil || !ok || !bytes.Equal(got, value) {
+		t.Fatalf("last overwrite lost across reopen: ok=%v err=%v", ok, err)
+	}
+}
+
 // TestDiskFlushAndGet drives enough writes through a tiny flush
 // threshold to produce several segments, then checks point lookups and
 // overwrites across the memtable/segment boundary.

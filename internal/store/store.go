@@ -53,6 +53,20 @@ type Batch interface {
 	Commit() error
 }
 
+// HexKey returns prefix followed by n as sixteen lower-case hex digits —
+// the spelling of every sequence-numbered key (op/<seq>, block/<num>),
+// whose byte order is therefore numeric order.
+func HexKey(prefix string, n uint64) []byte {
+	const digits = "0123456789abcdef"
+	key := make([]byte, len(prefix)+16)
+	copy(key, prefix)
+	for i := len(key) - 1; i >= len(prefix); i-- {
+		key[i] = digits[n&15]
+		n >>= 4
+	}
+	return key
+}
+
 // Mem is the in-memory KVStore backend.
 type Mem struct {
 	mu     sync.RWMutex

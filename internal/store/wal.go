@@ -34,12 +34,17 @@ type WAL struct {
 const (
 	walMagic = "TEVMWAL1"
 
-	// compactMinSize and compactFactor gate auto-compaction on Open:
+	// compactMinSize and CompactFactor gate auto-compaction on Open:
 	// only logs past the minimum size whose length exceeds factor x the
 	// live payload are rewritten.
 	compactMinSize = 1 << 20
-	compactFactor  = 4
 )
+
+// CompactFactor is how many dead copies a record log may carry per live
+// byte before a backend rewrites it: the flat backend compacts on Open
+// past CompactFactor x its live payload, the disk backend flushes
+// (which resets its log) past CompactFactor x its memtable threshold.
+const CompactFactor = 4
 
 // WALOption configures OpenWAL.
 type WALOption func(*WAL)
@@ -66,7 +71,7 @@ func OpenWAL(path string, opts ...WALOption) (*WAL, error) {
 	if w.log, err = OpenLog(path, walMagic, w.sync, w.apply); err != nil {
 		return nil, err
 	}
-	if size := w.log.Size(); size > compactMinSize && size > compactFactor*(w.liveBytes+int64(len(walMagic))) {
+	if size := w.log.Size(); size > compactMinSize && size > CompactFactor*(w.liveBytes+int64(len(walMagic))) {
 		if err := w.log.Rewrite(SortedOps(w.index, "")); err != nil {
 			w.log.Close()
 			return nil, err

@@ -1,0 +1,346 @@
+package tinyevm
+
+// The store's format stamp and the one-shot migration of a store
+// written before the binary records.
+//
+// The journal (op/*), the checkpoint (ckpt/state) and the chain archive
+// (chain/*) used to be JSON objects with every address, hash and byte
+// string spelled in hex. This file and internal/chain/migrate.go are the
+// only code that still understands them, and they only read them.
+//
+// The stamp is the "format" field of meta/service, the deployment's
+// parameter record — a handful of scalars read once per open, and the
+// one record that stays JSON, which is why it lives in this file.
+// storedMeta is the single place a format is inspected. A store whose
+// meta carries no stamp — or that has no meta at all — is rewritten in
+// ONE atomic batch that also writes the stamped meta, so a crash leaves
+// either the legacy store or the migrated one, a second open migrates
+// nothing, and every decoder on the recovery path sees binary only. A
+// legacy record that does not decode fails the migration (and so the
+// open): nothing is skipped. No option selects a format.
+
+import (
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+
+	"tinyevm/internal/chain"
+	"tinyevm/internal/store"
+	"tinyevm/internal/types"
+)
+
+// serviceMeta pins the deployment parameters that change replay
+// semantics. It is written the first time a store is used and verified
+// on every recovery: replaying a log under a different provider name,
+// challenge period or radio loss process would reconstruct a different
+// history, so it is refused up front.
+type serviceMeta struct {
+	Provider        string  `json:"provider"`
+	ChallengePeriod uint64  `json:"challengePeriod"`
+	RadioSeed       int64   `json:"radioSeed"`
+	RadioLossRate   float64 `json:"radioLossRate"`
+	// StateCommitment is "" for the legacy full-state digest and "mst"
+	// for the incremental Merkle-sum-tree commitment — persisted state
+	// commitments differ between the modes, so a store written in one
+	// refuses to open in the other. Stores from before the knob existed
+	// decode to "" and keep working in digest mode.
+	StateCommitment string `json:"stateCommitment,omitempty"`
+	// ProviderFunds and NodeFunds are the initial chain balances every
+	// replay starts from. Stores from before they were recorded decode
+	// to 0 and were funded with legacyFunds, the default of their day.
+	ProviderFunds uint64 `json:"providerFunds,omitempty"`
+	NodeFunds     uint64 `json:"nodeFunds,omitempty"`
+	// Format stamps the store: absent (0) on one whose records are JSON,
+	// binaryRecords once they are codec.DiskFormat records.
+	Format int `json:"format,omitempty"`
+}
+
+const (
+	serviceMetaKey = "meta/service"
+	legacyFunds    = 100_000_000
+	binaryRecords  = 2
+)
+
+// storedMeta reads the deployment parameters a store was first used
+// with, if it has been used, migrating the store first when its meta
+// carries no stamp.
+func storedMeta(kv store.KVStore) (meta serviceMeta, ok bool, err error) {
+	data, ok, err := kv.Get([]byte(serviceMetaKey))
+	if err != nil || !ok {
+		return meta, false, err
+	}
+	if err := json.Unmarshal(data, &meta); err != nil {
+		return meta, false, fmt.Errorf("tinyevm: decoding store meta: %w", err)
+	}
+	if meta.ProviderFunds == 0 && meta.NodeFunds == 0 {
+		meta.ProviderFunds, meta.NodeFunds = legacyFunds, legacyFunds
+	}
+	if meta.Format != binaryRecords {
+		if meta.Format != 0 {
+			return meta, false, fmt.Errorf("tinyevm: store has record format %d, this build reads %d", meta.Format, binaryRecords)
+		}
+		meta.Format = binaryRecords
+		if err := migrateStore(kv, meta); err != nil {
+			return meta, false, err
+		}
+	}
+	return meta, true, nil
+}
+
+// checkMeta verifies the store's deployment parameters against the
+// requested ones, or records them on first use.
+func checkMeta(kv store.KVStore, have serviceMeta, used bool, meta serviceMeta) error {
+	meta.Format = binaryRecords
+	if !used {
+		// No meta, no stamp: whatever the store already holds (nothing,
+		// on a real first use) predates the stamp and is rewritten in
+		// the batch that writes it.
+		return migrateStore(kv, meta)
+	}
+	if have != meta {
+		return fmt.Errorf("tinyevm: store belongs to a different deployment (store %+v, requested %+v)", have, meta)
+	}
+	return nil
+}
+
+// The hex spellings of the record fields.
+
+type hexAddr addrField
+
+func (f *hexAddr) UnmarshalText(text []byte) error {
+	a, err := types.HexToAddress(string(text))
+	*f = a[:]
+	return err
+}
+
+type hexHash hashField
+
+func (f *hexHash) UnmarshalText(text []byte) error {
+	h, err := types.HexToHash(string(text))
+	*f = h[:]
+	return err
+}
+
+type hexBlob blobField
+
+func (f *hexBlob) UnmarshalText(text []byte) (err error) {
+	*f, err = hex.AppendDecode(nil, text)
+	return err
+}
+
+type legacyStep struct {
+	Node    string `json:"node"`
+	Channel uint64 `json:"channel"`
+}
+
+type legacyReading struct {
+	ID    uint64 `json:"id"`
+	Value uint64 `json:"value"`
+}
+
+type legacyOp struct {
+	Seq         uint64          `json:"seq"`
+	Op          string          `json:"op"`
+	Node        string          `json:"node,omitempty"`
+	Name        string          `json:"name,omitempty"`
+	Peer        hexAddr         `json:"peer,omitempty"`
+	Channel     uint64          `json:"channel,omitempty"`
+	Amount      uint64          `json:"amount,omitempty"`
+	Fee         uint64          `json:"fee,omitempty"`
+	Deposit     uint64          `json:"deposit,omitempty"`
+	SensorParam uint64          `json:"sensorParam,omitempty"`
+	SensorID    uint64          `json:"sensorId,omitempty"`
+	Value       uint64          `json:"value,omitempty"`
+	Lock        hexHash         `json:"lock,omitempty"`
+	Secret      hexBlob         `json:"secret,omitempty"`
+	Final       hexBlob         `json:"final,omitempty"`
+	Receiver    string          `json:"receiver,omitempty"`
+	Steps       []legacyStep    `json:"steps,omitempty"`
+	Readings    []legacyReading `json:"readings,omitempty"`
+	Data        hexBlob         `json:"data,omitempty"`
+	Addr        hexAddr         `json:"addr,omitempty"`
+}
+
+func (l *legacyOp) record() *opRecord {
+	rec := &opRecord{
+		Seq: l.Seq, Op: l.Op, Node: l.Node, Name: l.Name, Peer: addrField(l.Peer),
+		Channel: l.Channel, Amount: l.Amount, Fee: l.Fee, Deposit: l.Deposit,
+		SensorParam: l.SensorParam, SensorID: l.SensorID, Value: l.Value,
+		Lock: hashField(l.Lock), Secret: blobField(l.Secret), Final: blobField(l.Final),
+		Receiver: l.Receiver, Data: blobField(l.Data), Addr: addrField(l.Addr),
+	}
+	for _, st := range l.Steps {
+		rec.Steps = append(rec.Steps, opStep(st))
+	}
+	for _, rd := range l.Readings {
+		rec.Readings = append(rec.Readings, opReading(rd))
+	}
+	return rec
+}
+
+type legacyCheckpoint struct {
+	Seq        uint64          `json:"seq"`
+	Height     uint64          `json:"height"`
+	ChainState json.RawMessage `json:"chainState"`
+	Template   struct {
+		Deposits []struct {
+			Addr   hexAddr `json:"addr"`
+			Amount uint64  `json:"amount"`
+		} `json:"deposits,omitempty"`
+		Commits []struct {
+			Sender      hexAddr `json:"sender"`
+			ID          uint64  `json:"id"`
+			State       hexBlob `json:"state"`
+			SubmittedBy hexAddr `json:"submittedBy"`
+			Block       uint64  `json:"block"`
+		} `json:"commits,omitempty"`
+		Fraud []struct {
+			Addr   hexAddr `json:"addr"`
+			Sender hexAddr `json:"sender"`
+			ID     uint64  `json:"id"`
+		} `json:"fraud,omitempty"`
+		ExitBy  hexAddr `json:"exitBy,omitempty"`
+		ExitAt  uint64  `json:"exitDeadline,omitempty"`
+		HasExit bool    `json:"hasExit,omitempty"`
+		Settled bool    `json:"settled,omitempty"`
+	} `json:"template"`
+	Nodes   []legacyNode `json:"nodes"`
+	Sensors []struct {
+		Node  string `json:"node"`
+		ID    uint64 `json:"id"`
+		Value uint64 `json:"value"`
+	} `json:"sensors,omitempty"`
+}
+
+type legacyNode struct {
+	Name          string          `json:"name"`
+	LocalTemplate hexAddr         `json:"localTemplate"`
+	DeviceState   json.RawMessage `json:"deviceState"`
+	Channels      []struct {
+		ID             uint64  `json:"id"`
+		WireID         uint64  `json:"wireId"`
+		Template       hexAddr `json:"template"`
+		Addr           hexAddr `json:"addr"`
+		Peer           hexAddr `json:"peer"`
+		Opener         hexAddr `json:"opener"`
+		Role           uint8   `json:"role"`
+		Deposit        uint64  `json:"deposit"`
+		Seq            uint64  `json:"seq,omitempty"`
+		Cumulative     uint64  `json:"cumulative,omitempty"`
+		LastPayment    hexBlob `json:"lastPayment,omitempty"`
+		PendingHTLC    hexBlob `json:"pendingHtlc,omitempty"`
+		PendingInbound bool    `json:"pendingInbound,omitempty"`
+		LastPreimage   hexBlob `json:"lastPreimage,omitempty"`
+		Final          hexBlob `json:"final,omitempty"`
+		SensorValue    uint64  `json:"sensorValue,omitempty"`
+	} `json:"channels,omitempty"`
+	Log []struct {
+		Index     uint64  `json:"index"`
+		Kind      uint8   `json:"kind"`
+		ChannelID uint64  `json:"channelId"`
+		Seq       uint64  `json:"seq,omitempty"`
+		Amount    uint64  `json:"amount,omitempty"`
+		Prev      hexHash `json:"prev"`
+		Hash      hexHash `json:"hash"`
+	} `json:"log,omitempty"`
+	LossDraws uint64 `json:"lossDraws,omitempty"`
+}
+
+// record converts the decoded legacy checkpoint; the two nested state
+// snapshots are converted by the chain package, which owns their form.
+func (l *legacyCheckpoint) record() (*checkpointRecord, error) {
+	ck := &checkpointRecord{Seq: l.Seq, Height: l.Height}
+	var err error
+	if ck.ChainState, err = chain.MigrateStateSnapshot(l.ChainState); err != nil {
+		return nil, err
+	}
+	lt := &l.Template
+	ck.Template = ckptTemplate{
+		ExitBy: addrField(lt.ExitBy), ExitAt: lt.ExitAt, HasExit: lt.HasExit, Settled: lt.Settled,
+	}
+	for _, d := range lt.Deposits {
+		ck.Template.Deposits = append(ck.Template.Deposits, ckptDeposit{Addr: addrField(d.Addr), Amount: d.Amount})
+	}
+	for _, cm := range lt.Commits {
+		ck.Template.Commits = append(ck.Template.Commits, ckptCommit{
+			Sender: addrField(cm.Sender), ID: cm.ID, State: blobField(cm.State),
+			SubmittedBy: addrField(cm.SubmittedBy), Block: cm.Block,
+		})
+	}
+	for _, f := range lt.Fraud {
+		ck.Template.Fraud = append(ck.Template.Fraud, ckptFraud{Addr: addrField(f.Addr), Sender: addrField(f.Sender), ID: f.ID})
+	}
+	for i := range l.Nodes {
+		ln := &l.Nodes[i]
+		node := ckptNode{Name: ln.Name, LocalTemplate: addrField(ln.LocalTemplate), LossDraws: ln.LossDraws}
+		if node.DeviceState, err = chain.MigrateStateSnapshot(ln.DeviceState); err != nil {
+			return nil, err
+		}
+		for _, c := range ln.Channels {
+			node.Channels = append(node.Channels, ckptChannel{
+				ID: c.ID, WireID: c.WireID,
+				Template: addrField(c.Template), Addr: addrField(c.Addr),
+				Peer: addrField(c.Peer), Opener: addrField(c.Opener),
+				Role: c.Role, Deposit: c.Deposit, Seq: c.Seq, Cumulative: c.Cumulative,
+				LastPayment: blobField(c.LastPayment), PendingHTLC: blobField(c.PendingHTLC),
+				PendingInbound: c.PendingInbound, LastPreimage: blobField(c.LastPreimage),
+				Final: blobField(c.Final), SensorValue: c.SensorValue,
+			})
+		}
+		for _, e := range ln.Log {
+			node.Log = append(node.Log, ckptLogEntry{
+				Index: e.Index, Kind: e.Kind, ChannelID: e.ChannelID, Seq: e.Seq, Amount: e.Amount,
+				Prev: hashField(e.Prev), Hash: hashField(e.Hash),
+			})
+		}
+		ck.Nodes = append(ck.Nodes, node)
+	}
+	for _, sr := range l.Sensors {
+		ck.Sensors = append(ck.Sensors, ckptSensor{Node: sr.Node, ID: sr.ID, Value: sr.Value})
+	}
+	return ck, nil
+}
+
+// migrateStore rewrites whatever journal, checkpoint and chain records
+// kv holds from JSON to binary and writes the stamped meta, in one
+// atomic batch. On a store's first use there is nothing to rewrite and
+// the batch is the meta record alone.
+func migrateStore(kv store.KVStore, meta serviceMeta) error {
+	batch := kv.Batch()
+	var buf []byte
+	if err := kv.Iterate([]byte(opKeyPrefix), func(key, value []byte) error {
+		var l legacyOp
+		if err := json.Unmarshal(value, &l); err != nil {
+			return fmt.Errorf("tinyevm: migrating op record %s: %w", key, err)
+		}
+		buf = l.record().encode(buf)
+		batch.Put(key, buf)
+		return nil
+	}); err != nil {
+		return err
+	}
+	if data, ok, err := kv.Get([]byte(checkpointKey)); err != nil {
+		return err
+	} else if ok {
+		var l legacyCheckpoint
+		if err := json.Unmarshal(data, &l); err != nil {
+			return fmt.Errorf("tinyevm: migrating %s: %w", checkpointKey, err)
+		}
+		ck, err := l.record()
+		if err != nil {
+			return fmt.Errorf("tinyevm: migrating %s: %w", checkpointKey, err)
+		}
+		batch.Put([]byte(checkpointKey), ck.encode())
+	}
+	if err := chain.MigrateLegacy(store.Prefixed(kv, chainPrefix), func(key, value []byte) {
+		batch.Put(append([]byte(chainPrefix), key...), value)
+	}); err != nil {
+		return err
+	}
+	out, err := json.Marshal(meta)
+	if err != nil {
+		return err
+	}
+	batch.Put([]byte(serviceMetaKey), out)
+	return batch.Commit()
+}

@@ -21,7 +21,7 @@ package tinyevm
 //
 // Keyspace (under the service's "op/" namespace of the shared store):
 //
-//	op/<seq %016x> -> opRecord JSON
+//	op/<seq %016x> -> opRecord, binary (layout at opRecord.encode)
 //
 // The log is append-only through the KVStore; on the WAL backend each
 // record is one checksummed batch. Logging intent-first means an
@@ -30,125 +30,246 @@ package tinyevm
 // operations survive; the tail may include the in-flight one".
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 
+	"tinyevm/internal/codec"
 	"tinyevm/internal/store"
 	"tinyevm/internal/store/disk"
 )
 
 // opStep is one hop of a journaled multi-hop route.
 type opStep struct {
-	Node    string `json:"node"`
-	Channel uint64 `json:"channel"`
+	Node    string
+	Channel uint64
 }
 
 // opReading is one journaled sensor reading (nondeterministic input,
 // captured at log time so replay does not touch the sensor bus).
 type opReading struct {
-	ID    uint64 `json:"id"`
-	Value uint64 `json:"value"`
+	ID    uint64
+	Value uint64
 }
 
 // opRecord is one journaled operation: a flat union over every op
-// kind whose JSON is the journal's disk format (pinned by
-// TestOpRecordFormatPin); unused fields stay out of the JSON. Op is the
-// opDef's name, filled in by run.
+// kind. Op is the opDef's name, filled in by run. Its disk form (pinned
+// by TestOpRecordFormatPin) carries only the fields that are set.
 type opRecord struct {
-	Seq uint64 `json:"seq"`
-	Op  string `json:"op"`
+	Seq uint64
+	Op  string
 
-	Node        string      `json:"node,omitempty"`
-	Name        string      `json:"name,omitempty"`
-	Peer        addrField   `json:"peer,omitempty"`
-	Channel     uint64      `json:"channel,omitempty"`
-	Amount      uint64      `json:"amount,omitempty"`
-	Fee         uint64      `json:"fee,omitempty"`
-	Deposit     uint64      `json:"deposit,omitempty"`
-	SensorParam uint64      `json:"sensorParam,omitempty"`
-	SensorID    uint64      `json:"sensorId,omitempty"`
-	Value       uint64      `json:"value,omitempty"`
-	Lock        hashField   `json:"lock,omitempty"`
-	Secret      blobField   `json:"secret,omitempty"`
-	Final       blobField   `json:"final,omitempty"`
-	Receiver    string      `json:"receiver,omitempty"`
-	Steps       []opStep    `json:"steps,omitempty"`
-	Readings    []opReading `json:"readings,omitempty"`
-	Data        blobField   `json:"data,omitempty"`
-	Addr        addrField   `json:"addr,omitempty"`
+	Node        string
+	Name        string
+	Peer        addrField
+	Channel     uint64
+	Amount      uint64
+	Fee         uint64
+	Deposit     uint64
+	SensorParam uint64
+	SensorID    uint64
+	Value       uint64
+	Lock        hashField
+	Secret      blobField
+	Final       blobField
+	Receiver    string
+	Steps       []opStep
+	Readings    []opReading
+	Data        blobField
+	Addr        addrField
+}
+
+// Presence bits of the optional fields, in declaration order. A bit is
+// never reused: a retired field keeps its bit and decode refuses it.
+const (
+	fNode uint32 = 1 << iota
+	fName
+	fPeer
+	fChannel
+	fAmount
+	fFee
+	fDeposit
+	fSensorParam
+	fSensorID
+	fValue
+	fLock
+	fSecret
+	fFinal
+	fReceiver
+	fSteps
+	fReadings
+	fData
+	fAddr
+	opFieldBits = iota
+)
+
+// encode appends the record's disk form to buf[:0]:
+//
+//	format | seq uvarint | op string | present u32 | the present fields
+//
+// in declaration order — strings and blobs as a u32 length and the
+// bytes, integers as uvarints, Peer and Addr as 20 raw bytes, Lock as
+// 32, Steps as a u32 count of (node string, channel uvarint), Readings
+// as a u32 count of (id uvarint, value uvarint). A field is present iff
+// it is non-zero (non-empty), so a record has exactly one encoding.
+func (rec *opRecord) encode(buf []byte) []byte {
+	w := codec.NewRecord(buf)
+	w.Uvarint(rec.Seq)
+	w.String(rec.Op)
+	mark := len(w.Buf)
+	w.U32(0)
+	var present uint32
+	str := func(bit uint32, v string) {
+		if v != "" {
+			present |= bit
+			w.String(v)
+		}
+	}
+	u64 := func(bit uint32, v uint64) {
+		if v != 0 {
+			present |= bit
+			w.Uvarint(v)
+		}
+	}
+	blob := func(bit uint32, v []byte) {
+		if len(v) != 0 {
+			present |= bit
+			w.Bytes(v)
+		}
+	}
+	str(fNode, rec.Node)
+	str(fName, rec.Name)
+	if len(rec.Peer) != 0 {
+		present |= fPeer
+		w.Addr(rec.Peer.addr())
+	}
+	u64(fChannel, rec.Channel)
+	u64(fAmount, rec.Amount)
+	u64(fFee, rec.Fee)
+	u64(fDeposit, rec.Deposit)
+	u64(fSensorParam, rec.SensorParam)
+	u64(fSensorID, rec.SensorID)
+	u64(fValue, rec.Value)
+	if len(rec.Lock) != 0 {
+		present |= fLock
+		w.Hash(rec.Lock.hash())
+	}
+	blob(fSecret, rec.Secret)
+	blob(fFinal, rec.Final)
+	str(fReceiver, rec.Receiver)
+	if len(rec.Steps) != 0 {
+		present |= fSteps
+		w.U32(uint32(len(rec.Steps)))
+		for _, st := range rec.Steps {
+			w.String(st.Node)
+			w.Uvarint(st.Channel)
+		}
+	}
+	if len(rec.Readings) != 0 {
+		present |= fReadings
+		w.U32(uint32(len(rec.Readings)))
+		for _, rd := range rec.Readings {
+			w.Uvarint(rd.ID)
+			w.Uvarint(rd.Value)
+		}
+	}
+	blob(fData, rec.Data)
+	if len(rec.Addr) != 0 {
+		present |= fAddr
+		w.Addr(rec.Addr.addr())
+	}
+	binary.BigEndian.PutUint32(w.Buf[mark:], present)
+	return w.Buf
+}
+
+// decodeOpRecord parses one journal record, exactly: an unknown
+// presence bit, a present field holding its zero value, a short field
+// or a trailing byte is errBadRecord. Byte-string fields are views into
+// data.
+func decodeOpRecord(data []byte) (*opRecord, error) {
+	r := codec.OpenRecord(data, errBadRecord)
+	rec := &opRecord{Seq: r.Uvarint(), Op: r.String(r.Remaining())}
+	present := r.U32()
+	if present>>opFieldBits != 0 {
+		r.Fail("unknown field bits %#x", present)
+	}
+	has := func(bit uint32) bool { return present&bit != 0 && r.Err() == nil }
+	empty := func(bit uint32, isZero bool) {
+		if isZero {
+			r.Fail("field %#x present but empty", bit)
+		}
+	}
+	str := func(bit uint32) (v string) {
+		if has(bit) {
+			v = r.String(r.Remaining())
+			empty(bit, v == "")
+		}
+		return v
+	}
+	u64 := func(bit uint32) (v uint64) {
+		if has(bit) {
+			v = r.Uvarint()
+			empty(bit, v == 0)
+		}
+		return v
+	}
+	blob := func(bit uint32) (v []byte) {
+		if has(bit) {
+			v = r.View(r.Remaining())
+			empty(bit, len(v) == 0)
+		}
+		return v
+	}
+	fixed := func(bit uint32, n int) (v []byte) {
+		if has(bit) {
+			v = r.Fixed(n)
+		}
+		return v
+	}
+	rec.Node = str(fNode)
+	rec.Name = str(fName)
+	rec.Peer = fixed(fPeer, len(Address{}))
+	rec.Channel = u64(fChannel)
+	rec.Amount = u64(fAmount)
+	rec.Fee = u64(fFee)
+	rec.Deposit = u64(fDeposit)
+	rec.SensorParam = u64(fSensorParam)
+	rec.SensorID = u64(fSensorID)
+	rec.Value = u64(fValue)
+	rec.Lock = fixed(fLock, len(Hash{}))
+	rec.Secret = blob(fSecret)
+	rec.Final = blob(fFinal)
+	rec.Receiver = str(fReceiver)
+	if has(fSteps) {
+		n := r.Count(r.Remaining() / 5) // a step is at least a u32 length and a uvarint
+		empty(fSteps, n == 0)
+		rec.Steps = make([]opStep, n)
+		for i := range rec.Steps {
+			rec.Steps[i] = opStep{Node: r.String(r.Remaining()), Channel: r.Uvarint()}
+		}
+	}
+	if has(fReadings) {
+		n := r.Count(r.Remaining() / 2)
+		empty(fReadings, n == 0)
+		rec.Readings = make([]opReading, n)
+		for i := range rec.Readings {
+			rec.Readings[i] = opReading{ID: r.Uvarint(), Value: r.Uvarint()}
+		}
+	}
+	rec.Data = blob(fData)
+	rec.Addr = fixed(fAddr, len(Address{}))
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return rec, nil
 }
 
 const opKeyPrefix = "op/"
 
-func opKey(seq uint64) []byte { return []byte(fmt.Sprintf("%s%016x", opKeyPrefix, seq)) }
-
-// serviceMeta pins the deployment parameters that change replay
-// semantics. It is written the first time a store is used and verified
-// on every recovery: replaying a log under a different provider name,
-// challenge period or radio loss process would reconstruct a different
-// history, so it is refused up front.
-type serviceMeta struct {
-	Provider        string  `json:"provider"`
-	ChallengePeriod uint64  `json:"challengePeriod"`
-	RadioSeed       int64   `json:"radioSeed"`
-	RadioLossRate   float64 `json:"radioLossRate"`
-	// StateCommitment is "" for the legacy full-state digest and "mst"
-	// for the incremental Merkle-sum-tree commitment — persisted state
-	// commitments differ between the modes, so a store written in one
-	// refuses to open in the other. Stores from before the knob existed
-	// decode to "" and keep working in digest mode.
-	StateCommitment string `json:"stateCommitment,omitempty"`
-	// ProviderFunds and NodeFunds are the initial chain balances every
-	// replay starts from. Stores from before they were recorded decode
-	// to 0 and were funded with legacyFunds, the default of their day.
-	ProviderFunds uint64 `json:"providerFunds,omitempty"`
-	NodeFunds     uint64 `json:"nodeFunds,omitempty"`
-}
-
-const (
-	serviceMetaKey = "meta/service"
-	legacyFunds    = 100_000_000
-)
-
-// storedMeta reads the deployment parameters a store was first used
-// with, if it has been used.
-func storedMeta(kv store.KVStore) (meta serviceMeta, ok bool, err error) {
-	data, ok, err := kv.Get([]byte(serviceMetaKey))
-	if err != nil || !ok {
-		return meta, false, err
-	}
-	if err := json.Unmarshal(data, &meta); err != nil {
-		return meta, false, fmt.Errorf("tinyevm: decoding store meta: %w", err)
-	}
-	if meta.ProviderFunds == 0 && meta.NodeFunds == 0 {
-		meta.ProviderFunds, meta.NodeFunds = legacyFunds, legacyFunds
-	}
-	return meta, true, nil
-}
-
-// checkMeta verifies (or, on first use, records) the store's deployment
-// parameters.
-func (s *Service) checkMeta(meta serviceMeta) error {
-	have, ok, err := storedMeta(s.ops)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		out, err := json.Marshal(meta)
-		if err != nil {
-			return err
-		}
-		return s.ops.Put([]byte(serviceMetaKey), out)
-	}
-	if have != meta {
-		return fmt.Errorf("tinyevm: store belongs to a different deployment (store %+v, requested %+v)", have, meta)
-	}
-	return nil
-}
+func opKey(seq uint64) []byte { return store.HexKey(opKeyPrefix, seq) }
 
 // logOp journals rec as the next sequence entry. With no store attached
 // it is a no-op. The append happens BEFORE the operation executes;
@@ -167,11 +288,10 @@ func (s *Service) logOp(rec *opRecord) error {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
 	rec.Seq = s.opSeq
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("tinyevm: encoding op record: %w", err)
-	}
-	if err := s.ops.Put(opKey(rec.Seq), data); err != nil {
+	// The store's batch copies the value, so one buffer serves every
+	// record.
+	s.opBuf = rec.encode(s.opBuf)
+	if err := s.ops.Put(opKey(rec.Seq), s.opBuf); err != nil {
 		return fmt.Errorf("tinyevm: journaling %s op: %w", rec.Op, err)
 	}
 	s.opSeq++
@@ -185,14 +305,14 @@ func (s *Service) logOp(rec *opRecord) error {
 // snapshot and are skipped — checkpointing prunes them atomically, so
 // normally none exist. A well-formed record's own error is ignored (the
 // live attempt failed identically); a record replay cannot interpret —
-// undecodable JSON or hex, an unknown op, a misshapen secret or final
-// state — and chain/store divergence abort the recovery.
+// bytes that do not decode exactly, an unknown op, a misshapen secret or
+// final state — and chain/store divergence abort the recovery.
 func (s *Service) replayOps() (int, error) {
 	count := 0
 	watermark := s.opSeq
 	err := s.ops.Iterate([]byte(opKeyPrefix), func(key, value []byte) error {
-		var rec opRecord
-		if err := json.Unmarshal(value, &rec); err != nil {
+		rec, err := decodeOpRecord(value)
+		if err != nil {
 			return fmt.Errorf("tinyevm: decoding op record %s: %w", key, err)
 		}
 		if rec.Seq < watermark {
@@ -205,7 +325,7 @@ func (s *Service) replayOps() (int, error) {
 		if !ok {
 			return fmt.Errorf("tinyevm: op record %s: unknown op %q", key, rec.Op)
 		}
-		if _, err := s.apply(def, &rec); errors.Is(err, errBadRecord) {
+		if _, err := s.apply(def, rec); errors.Is(err, errBadRecord) {
 			return fmt.Errorf("tinyevm: op record %s: %w", key, err)
 		}
 		count++

@@ -252,6 +252,63 @@ func TestServiceRecoveryWAL(t *testing.T) {
 	}
 }
 
+// TestRecoveryInfoStages: a cold start says where it went. The stage
+// timers nest inside Duration (whose meaning the benchmark depends on),
+// StoreOpen is reported only for a store the service opened itself, and
+// the checkpointed run books its time under CheckpointLoad.
+func TestRecoveryInfoStages(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		owned bool
+		extra []tinyevm.Option
+	}{
+		{"handed-in store, full replay", false, nil},
+		{"data dir, full replay", true, nil},
+		{"data dir, checkpoint and tail", true, []tinyevm.Option{tinyevm.WithCheckpointInterval(2)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := recoveryOpts(c.extra...)
+			if c.owned {
+				opts = append(opts, tinyevm.WithDataDir(t.TempDir()))
+			} else {
+				opts = append(opts, tinyevm.WithStore(store.NewMem()))
+			}
+			svc, lot, err := tinyevm.NewService("lot", opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first := svc.RecoveryInfo(); first.Recovered || first.CheckpointLoad+first.Replay > first.Duration {
+				t.Fatalf("first open of an empty store: %+v", first)
+			}
+			runRecoveryWorkload(t, svc, lot)
+			svc.Close()
+
+			svc2, _, err := tinyevm.NewService("lot", opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc2.Close()
+			ri := svc2.RecoveryInfo()
+			if !ri.Recovered || ri.Replay <= 0 || ri.CheckpointLoad < 0 {
+				t.Fatalf("recovery left a stage untimed: %+v", ri)
+			}
+			if ri.CheckpointLoad+ri.Replay > ri.Duration {
+				t.Fatalf("stages exceed the whole: load %s + replay %s > %s", ri.CheckpointLoad, ri.Replay, ri.Duration)
+			}
+			if (ri.StoreOpen > 0) != c.owned {
+				t.Fatalf("StoreOpen %s with owned=%v", ri.StoreOpen, c.owned)
+			}
+			if hasCkpt := ri.CheckpointHeight > 0; hasCkpt != (len(c.extra) > 0) {
+				t.Fatalf("checkpoint height %d", ri.CheckpointHeight)
+			}
+			st, ok, err := svc2.StoreStatus(context.Background())
+			if err != nil || !ok || st.Recovery != ri {
+				t.Fatalf("StoreStatus reports %+v, RecoveryInfo %+v (%v)", st.Recovery, ri, err)
+			}
+		})
+	}
+}
+
 // TestServiceRecoveryEngineWorkers recovers a serially-journaled
 // deployment through the parallel engine (and vice versa): block
 // production paths are byte-equivalent, so the store accepts either.

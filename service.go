@@ -35,6 +35,9 @@ var (
 	ErrDeliveryFailed = errors.New("tinyevm: delivered locally, rejected by counterparty")
 )
 
+// chainPrefix is the chain archive's namespace in the service's store.
+const chainPrefix = "chain/"
+
 // Option configures a Service (functional options).
 type Option func(*serviceConfig)
 
@@ -204,6 +207,7 @@ type Service struct {
 	// the service opened the store itself (WithDataDir).
 	ops     store.KVStore
 	opSeq   uint64
+	opBuf   []byte // logOp's encode buffer, guarded by logMu
 	ownedKV store.KVStore
 
 	// Checkpoint bookkeeping (checkpoint.go): the configured cadence,
@@ -245,12 +249,15 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 	}
 
 	kv, ownedKV := cfg.kv, store.KVStore(nil)
+	var storeOpen time.Duration
 	if kv == nil && cfg.dataDir != "" {
+		start := time.Now()
 		var err error
 		if kv, err = openDataDir(cfg.dataDir, cfg.backend); err != nil {
 			return nil, nil, err
 		}
 		ownedKV = kv
+		storeOpen = time.Since(start)
 	}
 	fail := func(err error) (*Service, *ServiceNode, error) {
 		if ownedKV != nil {
@@ -258,15 +265,21 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 		}
 		return nil, nil, err
 	}
-	if kv != nil && !cfg.fundsSet {
-		// Replay must start from the balances the deployment was created
-		// with, whatever the defaults are by now.
-		have, ok, err := storedMeta(kv)
-		if err != nil {
+	var (
+		stored serviceMeta
+		used   bool
+	)
+	if kv != nil {
+		// Reading the meta is also what migrates a store written before
+		// the binary records, so it comes before every other read.
+		var err error
+		if stored, used, err = storedMeta(kv); err != nil {
 			return fail(err)
 		}
-		if ok {
-			cfg.core.ProviderFunds, cfg.core.NodeFunds = have.ProviderFunds, have.NodeFunds
+		if used && !cfg.fundsSet {
+			// Replay must start from the balances the deployment was
+			// created with, whatever the defaults are by now.
+			cfg.core.ProviderFunds, cfg.core.NodeFunds = stored.ProviderFunds, stored.NodeFunds
 		}
 	}
 
@@ -308,7 +321,7 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 		if cfg.mstCommit {
 			commitMode = "mst"
 		}
-		if err := s.checkMeta(serviceMeta{
+		if err := checkMeta(kv, stored, used, serviceMeta{
 			Provider:        providerName,
 			ChallengePeriod: cfg.core.ChallengePeriod,
 			RadioSeed:       cfg.core.RadioSeed,
@@ -319,11 +332,12 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 		}); err != nil {
 			return fail(err)
 		}
-		if err := sys.Chain.AttachStore(store.Prefixed(kv, "chain/")); err != nil {
+		if err := sys.Chain.AttachStore(store.Prefixed(kv, chainPrefix)); err != nil {
 			return fail(err)
 		}
 		// Recovery: restore the latest checkpoint when one exists, then
 		// replay the journaled operation tail on top of it.
+		loadStart := time.Now()
 		ck, hasCkpt, err := s.loadCheckpoint()
 		if err != nil {
 			return fail(err)
@@ -335,13 +349,18 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 			s.recovery.CheckpointHeight = ck.Height
 			s.recovery.CheckpointSeq = ck.Seq
 		}
+		replayStart := time.Now()
 		replayed, err := s.replayOps()
 		if err != nil {
 			return fail(err)
 		}
+		end := time.Now()
 		s.recovery.ReplayedOps = replayed
 		s.recovery.Recovered = hasCkpt || replayed > 0
-		s.recovery.Duration = time.Since(start)
+		s.recovery.StoreOpen = storeOpen
+		s.recovery.CheckpointLoad = replayStart.Sub(loadStart)
+		s.recovery.Replay = end.Sub(replayStart)
+		s.recovery.Duration = end.Sub(start)
 		// Replay ran with synchronous persistence (every seal verified
 		// against the store in lockstep); live mode pipelines WAL commits
 		// so block N+1 can execute while block N persists.
@@ -519,8 +538,18 @@ type RecoveryInfo struct {
 	// ReplayedOps is the length of the journal tail replayed after the
 	// checkpoint.
 	ReplayedOps int
-	// Duration is the wall-clock recovery time inside NewService.
+	// Duration is the wall-clock recovery time inside NewService, from
+	// the store being open to the last replayed op: the meta check, the
+	// chain attach, CheckpointLoad and Replay.
 	Duration time.Duration
+	// StoreOpen is how long opening the WithDataDir store took, before
+	// Duration starts; zero when the caller handed the store in through
+	// WithStore. CheckpointLoad is reading, decoding and restoring the
+	// checkpoint (the chain's blocks up to its height included); Replay
+	// is the journal tail on top of it and the final head verification.
+	StoreOpen      time.Duration
+	CheckpointLoad time.Duration
+	Replay         time.Duration
 }
 
 // RecoveryInfo returns what this service recovered at construction.
@@ -547,6 +576,8 @@ type StoreStatus struct {
 	CheckpointInterval uint64
 	CheckpointHeight   uint64
 	CheckpointSeq      uint64
+	// Recovery is where this service's cold start went (RecoveryInfo).
+	Recovery RecoveryInfo
 }
 
 // StoreStatus reports the durable store's backend and checkpoint
@@ -564,6 +595,7 @@ func (s *Service) StoreStatus(ctx context.Context) (StoreStatus, bool, error) {
 		st.CheckpointInterval = s.ckptInterval
 		st.CheckpointHeight = s.lastCkptHeight
 		st.CheckpointSeq = s.lastCkptSeq
+		st.Recovery = s.recovery
 		if sp, has := s.ops.(store.StatsProvider); has {
 			stats := sp.Stats()
 			st.Kind = stats.Kind
