@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint bench-check fuzz-smoke bench bench-smoke bench-report bench-gate recover-e2e load-smoke cluster-smoke store-smoke shard-contention docs-check
+.PHONY: all build test lint bench-check fuzz-smoke bench bench-smoke recover-e2e load-smoke cluster-smoke store-smoke shard-contention docs-check
 
 all: build lint test
 
@@ -22,8 +22,9 @@ bench-check:
 
 # Run the on-disk-format fuzzers (the byte codec's reader, the record
 # log, the segment codec, the service's op-record decoder and replay,
-# its checkpoint decoder, the chain's record decoders) and the crypto
-# fast paths' differential fuzzers (fixed-limb field, scalar and ECDSA against the
+# its checkpoint decoder, the chain's record decoders), the radio
+# wire's decoders, and the crypto fast paths' differential fuzzers
+# (fixed-limb field, scalar and ECDSA against the
 # math/big oracle in internal/secp256k1/oracle_test.go; the unrolled
 # Keccak against the reference permutation) for wall-clock time, not
 # just their seed corpora — what the CI "Fuzz" step runs (-fuzz takes
@@ -40,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s .
 	$(GO) test -run '^$$' -fuzz '^FuzzChainRecordDecode$$' -fuzztime $(FUZZTIME) ./internal/chain/
+	$(GO) test -run '^$$' -fuzz '^FuzzProtocolDecode$$' -fuzztime $(FUZZTIME) ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzFieldVsBig$$' -fuzztime $(FUZZTIME) ./internal/secp256k1/
 	$(GO) test -run '^$$' -fuzz '^FuzzScalarVsBig$$' -fuzztime $(FUZZTIME) ./internal/secp256k1/
 	$(GO) test -run '^$$' -fuzz '^FuzzSignRecoverVsBig$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/secp256k1/
@@ -50,7 +52,8 @@ lint:
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 
-# Full benchmark run (paper tables use the published populations; slow).
+# The paper-table benchmarks, as a while-you-work tool (slow: published
+# populations). Claims come from the benchmark in bench/ (bench/README.md).
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
@@ -61,23 +64,11 @@ bench-smoke:
 	$(GO) run ./cmd/benchtables -table 2 -n 300 -q
 	$(GO) run ./cmd/benchtables -engine -q
 
-# Machine-readable benchmark report (BENCH_<n>.json schema). Add
-# -profile-ops to include per-opcode/per-superinstruction hit counts.
-bench-report:
-	$(GO) run ./cmd/benchreport -q -out BENCH_10.json
-
 # Crash-recovery end-to-end: SIGKILL a real tinyevm-serve -data-dir
 # daemon mid-workload, restart it, and assert the recovered head block,
 # balances and channel states — what the CI recover-e2e step runs.
 recover-e2e:
 	$(GO) test -race -v -run TestCrashRecoveryE2E .
-
-# Regression gate against the committed baseline — what the CI
-# bench-gate job runs. Refresh the baseline after intentional perf
-# changes with:
-#   $(GO) run ./cmd/benchreport -write-baseline testdata/bench-baseline.json
-bench-gate:
-	$(GO) run ./cmd/benchreport -q -compare testdata/bench-baseline.json
 
 # Load-harness smoke — what the CI load-smoke job runs: spawn a
 # daemon, run every contention profile with client kills, wire chaos
@@ -87,8 +78,7 @@ bench-gate:
 load-smoke:
 	$(GO) run ./cmd/tinyevm-load -spawn -mode all -duration 3s \
 		-daemon-kills 1 -client-kill 0.1 -drop 0.02 -delay 0.1 \
-		-delay-max 5ms -retries 4 -wl-txs 256 -bench-out load-bench.txt
-	$(GO) run ./cmd/benchreport -parse load-bench.txt -out bench-load.json
+		-delay-max 5ms -retries 4 -wl-txs 256
 
 # Shard-contention smoke — what the CI shard-contention step runs:
 # race-enabled hammers over disjoint and colliding channel pairs on
@@ -98,8 +88,7 @@ load-smoke:
 shard-contention:
 	$(GO) test -race -v -run 'TestShard.*Hammer' .
 	$(GO) run ./cmd/tinyevm-load -spawn -profiles hotspot -duration 5s \
-		-batch 8 -concurrency 16 -vehicles 24 -hot-meters 3 \
-		-bench-out shard-contention.txt
+		-batch 8 -concurrency 16 -vehicles 24 -hot-meters 3
 
 # Cluster smoke — what the CI cluster-smoke job runs: three real
 # tinyevm-serve daemons form one sidechain over TCP, payments flow

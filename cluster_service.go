@@ -14,9 +14,8 @@ package tinyevm
 //   - RunChallengePeriod is unavailable (ErrClusterOp): sealing a burst
 //     of blocks outside the leader schedule would be rejected by every
 //     peer. The heartbeat auto-miner advances simulated time instead.
-//   - WithStore/WithDataDir op-log persistence and WithEngineWorkers
-//     are incompatible: replicated blocks arrive over gossip, not the
-//     local journal, and must execute serially to stay byte-identical.
+//   - WithStore/WithDataDir op-log persistence is incompatible:
+//     replicated blocks arrive over gossip, not the local journal.
 
 import (
 	"context"
@@ -95,9 +94,6 @@ func (s *Service) setupCluster(cfg *serviceConfig) error {
 	}
 	if cfg.kv != nil || cfg.dataDir != "" {
 		return fmt.Errorf("%w: op-log persistence (WithStore/WithDataDir); use ClusterConfig.Store for the block archive", ErrClusterOp)
-	}
-	if cfg.engineWorkers > 1 {
-		return fmt.Errorf("%w: parallel engine (blocks must apply serially and byte-identically)", ErrClusterOp)
 	}
 
 	vals := make([]types.Address, len(cc.Validators))

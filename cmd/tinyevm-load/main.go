@@ -10,12 +10,7 @@
 //
 // or let it spawn (and crash, and recover) its own daemon:
 //
-//	tinyevm-load -spawn -daemon-kills 2 -duration 30s -bench-out load-bench.txt
-//
-// The -bench-out file is `go test -bench` formatted; feed it to
-// cmd/benchreport to produce a BENCH_<n>.json artifact:
-//
-//	go run ./cmd/benchreport -parse load-bench.txt -out BENCH_5.json
+//	tinyevm-load -spawn -daemon-kills 2 -duration 30s
 //
 // -mode contracts skips the RPC harness and instead runs the in-process
 // contract workload suite (ERC-20 token, counter, donate — see
@@ -79,8 +74,6 @@ func run() int {
 		wlTxs      = flag.Int("wl-txs", 512, "contract workloads: transactions per scenario")
 		wlBlock    = flag.Int("wl-block", 128, "contract workloads: transactions per block")
 		wlWorkers  = flag.Int("wl-workers", 0, "contract workloads: engine workers (0 = serial)")
-
-		benchOut = flag.String("bench-out", "", "write go-bench-format results to this file (\"-\" = stdout)")
 	)
 	flag.Parse()
 
@@ -106,7 +99,6 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var bench bytes.Buffer
 	gate := 0
 
 	if runRPC {
@@ -153,9 +145,6 @@ func run() int {
 			return fail(err)
 		}
 		fmt.Print(rep)
-		if err := rep.WriteBench(&bench); err != nil {
-			return fail(err)
-		}
 		if err := rep.Err(); err != nil {
 			fmt.Fprintf(os.Stderr, "tinyevm-load: GATE FAILED: %v\n", err)
 			gate = 1
@@ -170,7 +159,6 @@ func run() int {
 				return fail(fmt.Errorf("workload %s: %w", spec.Name, err))
 			}
 			fmt.Println(res)
-			writeContractBench(&bench, res)
 			if res.Failed > 0 {
 				fmt.Fprintf(os.Stderr, "tinyevm-load: GATE FAILED: %s: %d failed transactions\n",
 					res.Name, res.Failed)
@@ -179,13 +167,6 @@ func run() int {
 		}
 	}
 
-	if *benchOut != "" {
-		if *benchOut == "-" {
-			fmt.Print(bench.String())
-		} else if err := os.WriteFile(*benchOut, bench.Bytes(), 0o644); err != nil {
-			return fail(err)
-		}
-	}
 	return gate
 }
 
@@ -248,15 +229,6 @@ func splitArgs(s string) []string {
 		out = append(out, string(f))
 	}
 	return out
-}
-
-// writeContractBench emits one bench line per contract scenario:
-// per-tx cost, block-seal latency quantiles, throughput and gas.
-func writeContractBench(w *bytes.Buffer, res *eval.WorkloadResult) {
-	p50, p95, _ := res.BlockLatency.QuantilesMS()
-	perTx := float64(res.Elapsed.Nanoseconds()) / float64(res.Txs)
-	fmt.Fprintf(w, "BenchmarkLoadContract/%s %d %.0f ns/op %.3f p50-block-ms %.3f p95-block-ms %.1f tx/s %.0f gas/tx\n",
-		res.Name, res.Txs, perTx, p50, p95, res.TxPerSec, res.GasPerTx)
 }
 
 func fail(err error) int {

@@ -4,7 +4,7 @@
 // events (long-poll) and settle on the simulated main chain.
 //
 //	tinyevm-serve -addr :8545 -provider parking-lot
-//	tinyevm-serve -addr :8545 -engine-workers 8 -challenge 10
+//	tinyevm-serve -addr :8545 -challenge 10 -data-dir /var/lib/tinyevm
 //
 // With -listen/-peers/-node-key/-validators, N daemons join into one
 // replicated sidechain (see docs/CLUSTER.md):
@@ -48,7 +48,6 @@ func main() {
 		addr      = flag.String("addr", ":8545", "HTTP listen address")
 		provider  = flag.String("provider", "provider", "provider node name (payment receiver)")
 		challenge = flag.Uint64("challenge", 10, "challenge period in blocks")
-		workers   = flag.Int("engine-workers", 0, "parallel-engine workers for block production (0 = serial)")
 		lossRate  = flag.Float64("radio-loss", 0, "per-frame radio loss probability")
 		radioSeed = flag.Int64("radio-seed", 1, "radio loss process seed")
 		dataDir   = flag.String("data-dir", "", "persist the deployment to a write-ahead log in this directory; on restart the previous state (nodes, channels, balances, blocks) is recovered (cluster mode persists the block archive here instead)")
@@ -77,8 +76,8 @@ func main() {
 		tinyevm.WithRadioSeed(*radioSeed),
 	}
 	if clusterMode {
-		// The op-log journal and parallel engine are incompatible with
-		// replicated blocks; -data-dir becomes the cluster block archive.
+		// The op-log journal is incompatible with replicated blocks;
+		// -data-dir becomes the cluster block archive.
 		cc := tinyevm.ClusterConfig{
 			Listen:        *listen,
 			Peers:         splitList(*peers),
@@ -100,15 +99,12 @@ func main() {
 			cc.Store = kv
 		}
 		opts = append(opts, tinyevm.WithCluster(cc))
-	} else {
-		opts = append(opts, tinyevm.WithEngineWorkers(*workers))
-		if *dataDir != "" {
-			opts = append(opts,
-				tinyevm.WithDataDir(*dataDir),
-				tinyevm.WithStoreBackend(*backend),
-				tinyevm.WithCheckpointInterval(*ckptEvery),
-			)
-		}
+	} else if *dataDir != "" {
+		opts = append(opts,
+			tinyevm.WithDataDir(*dataDir),
+			tinyevm.WithStoreBackend(*backend),
+			tinyevm.WithCheckpointInterval(*ckptEvery),
+		)
 	}
 	switch *stateMode {
 	case "digest":
@@ -124,15 +120,12 @@ func main() {
 	defer svc.Close()
 	if *dataDir != "" && !clusterMode {
 		// Recovery observability: where restart work came from (the
-		// checkpoint) and how much was left to replay (the tail). The
-		// bench line is machine-readable (benchreport -parse).
+		// checkpoint) and how much was left to replay (the tail).
 		ri := svc.RecoveryInfo()
 		fmt.Fprintf(os.Stderr,
 			"tinyevm-serve: recovered state from %s (head block %d, checkpoint height %d, replayed %d tail ops; store open %s, checkpoint load %s, replay %s)\n",
 			*dataDir, mustHead(ctx, svc), ri.CheckpointHeight, ri.ReplayedOps,
 			ri.StoreOpen.Round(time.Microsecond), ri.CheckpointLoad.Round(time.Microsecond), ri.Replay.Round(time.Microsecond))
-		fmt.Fprintf(os.Stderr, "BenchmarkServeRecovery 1 %.3f recovery_ms\n",
-			float64(ri.Duration.Microseconds())/1000)
 	} else if *dataDir != "" {
 		fmt.Fprintf(os.Stderr, "tinyevm-serve: recovered state from %s (head block %d)\n",
 			*dataDir, mustHead(ctx, svc))
@@ -143,11 +136,8 @@ func main() {
 		fatal(err)
 	}
 
-	server := &http.Server{
-		Addr:        *addr,
-		Handler:     rpc.NewServer(svc),
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
+	server := newHTTPServer(*addr, rpc.NewServer(svc))
+	server.BaseContext = func(net.Listener) context.Context { return ctx }
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.ListenAndServe() }()
@@ -167,6 +157,16 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers. Bodies are capped by the gateway (1 MiB); without
+// this a connection that never finishes its headers holds a goroutine
+// and a descriptor for the life of the daemon.
+const readHeaderTimeout = 10 * time.Second
+
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 func mustHead(ctx context.Context, svc *tinyevm.Service) uint64 {

@@ -19,8 +19,8 @@ import (
 )
 
 // TestMSTCommitmentDifferential feeds the identical deterministic
-// workload to a legacy-digest service and an MST-committed one (serial
-// and parallel engine): every externally observable byte must agree.
+// workload to a legacy-digest service and an MST-committed one: every
+// externally observable byte must agree.
 // The commitment mode must never change what the chain computes.
 func TestMSTCommitmentDifferential(t *testing.T) {
 	run := func(opts ...tinyevm.Option) deploymentState {
@@ -35,8 +35,6 @@ func TestMSTCommitmentDifferential(t *testing.T) {
 	digest := run()
 	mst := run(tinyevm.WithMSTCommitment(true))
 	assertSameDeployment(t, digest, mst)
-	mstParallel := run(tinyevm.WithMSTCommitment(true), tinyevm.WithEngineWorkers(4))
-	assertSameDeployment(t, digest, mstParallel)
 }
 
 // TestMSTCommitmentIncrementalMatchesRebuilt pins the incremental

@@ -1,7 +1,9 @@
 package engine_test
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"tinyevm/internal/corpus"
 	"tinyevm/internal/engine"
 	"tinyevm/internal/secp256k1"
+	"tinyevm/internal/store"
 	"tinyevm/internal/types"
 )
 
@@ -113,14 +116,39 @@ func branchyBackendRuntime(target types.Address) []byte {
 	`, target[:]))
 }
 
+// storeDump is every key and value of a store, in key order.
+func storeDump(t *testing.T, kv store.KVStore) []string {
+	t.Helper()
+	var out []string
+	err := kv.Iterate(nil, func(k, v []byte) error {
+		out = append(out, fmt.Sprintf("%s = %x", k, v))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // runBoth executes the same batch on a fresh serial chain and a fresh
 // engine-backed chain (both built by setup) and requires byte-identical
-// receipts, state digests and block hashes.
+// receipts, state digests and block hashes. Both chains persist into a
+// store of their own (so dirty tracking is on and every seal commits a
+// block record and an account delta), and the two stores must end up
+// byte-identical as well.
 func runBoth(t *testing.T, setup func(c *chain.Chain), txs func() []*chain.Transaction, opts engine.Options) (*engine.Engine, []*chain.Receipt) {
 	t.Helper()
 
-	serialChain := chain.New()
-	setup(serialChain)
+	newChain := func() (*chain.Chain, *store.Mem) {
+		c, kv := chain.New(), store.NewMem()
+		if err := c.AttachStore(kv); err != nil {
+			t.Fatal(err)
+		}
+		setup(c)
+		return c, kv
+	}
+
+	serialChain, serialKV := newChain()
 	for _, tx := range txs() {
 		if err := serialChain.Submit(tx); err != nil {
 			t.Fatalf("serial submit: %v", err)
@@ -128,8 +156,7 @@ func runBoth(t *testing.T, setup func(c *chain.Chain), txs func() []*chain.Trans
 	}
 	serialReceipts := serialChain.MineBlock()
 
-	parChain := chain.New()
-	setup(parChain)
+	parChain, parKV := newChain()
 	eng := engine.New(parChain, opts)
 	for _, tx := range txs() {
 		if err := eng.Submit(tx); err != nil {
@@ -153,6 +180,16 @@ func runBoth(t *testing.T, setup func(c *chain.Chain), txs func() []*chain.Trans
 	}
 	if sh, ph := serialChain.Head().Hash, parChain.Head().Hash; sh != ph {
 		t.Fatalf("block hash differs: serial %s, parallel %s", sh, ph)
+	}
+	if err := errors.Join(serialChain.StoreErr(), parChain.StoreErr()); err != nil {
+		t.Fatal(err)
+	}
+	sd, pd := storeDump(t, serialKV), storeDump(t, parKV)
+	if len(sd) < 3 {
+		t.Fatalf("serial store holds %d records; want at least head, block and one account", len(sd))
+	}
+	if !reflect.DeepEqual(sd, pd) {
+		t.Fatalf("persisted records differ:\nserial:   %q\nparallel: %q", sd, pd)
 	}
 	return eng, parReceipts
 }

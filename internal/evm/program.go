@@ -1,7 +1,6 @@
 package evm
 
 import (
-	"os"
 	"sync/atomic"
 
 	"tinyevm/internal/uint256"
@@ -443,10 +442,9 @@ loop:
 
 // --- per-opcode / per-superinstruction profile ------------------------
 
-// opProfileEnabled gates the execution profile counters. It is read once
-// at init from TINYEVM_PROFILE_OPS (benchreport -profile-ops sets it on
-// its `go test` subprocess); tests flip it via SetOpProfile.
-var opProfileEnabled = os.Getenv("TINYEVM_PROFILE_OPS") != ""
+// opProfileEnabled gates the execution profile counters; tests flip it
+// via SetOpProfile.
+var opProfileEnabled bool
 
 var (
 	opHits     [256]atomic.Uint64
@@ -477,9 +475,6 @@ var fusionNames = [numInstrKinds]string{
 // SetOpProfile turns the execution profile counters on or off. Not safe
 // to flip while executions are in flight.
 func SetOpProfile(on bool) { opProfileEnabled = on }
-
-// OpProfileEnabled reports whether profile counters are active.
-func OpProfileEnabled() bool { return opProfileEnabled }
 
 // ResetOpProfile zeroes all profile counters.
 func ResetOpProfile() {

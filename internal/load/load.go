@@ -24,8 +24,8 @@
 // FaultPlan, so a chaotic run can be replayed exactly. Results come
 // back as a Report: per-profile/per-op latency histograms (p50/p95/p99
 // via stats.LatencyHist), throughput, a complete error taxonomy, and
-// daemon recovery times, with a `go test -bench`-format emitter that
-// plugs into cmd/benchreport.
+// daemon recovery times. Report.Err is the verdict: the harness is the
+// fault injector, not a benchmark (that is bench/).
 package load
 
 import (

@@ -392,61 +392,3 @@ func (r *Report) String() string {
 	}
 	return b.String()
 }
-
-// WriteBench emits the report in `go test -bench` output format, the
-// lingua franca of cmd/benchreport: one BenchmarkLoadOp line per
-// profile/op with latency quantiles and throughput, plus error-count,
-// session and recovery lines. benchreport -parse turns this into a
-// BENCH_<n>.json artifact; the regression gate ignores BenchmarkLoad*
-// names, so load numbers are reported without gating wall time.
-func (r *Report) WriteBench(w io.Writer) error {
-	for _, op := range r.Ops {
-		if _, err := fmt.Fprintf(w,
-			"BenchmarkLoadOp/%s/%s %d %.0f ns/op %.3f p50-ms %.3f p95-ms %.3f p99-ms %.1f ops/s\n",
-			op.Profile, op.Op, op.Count, op.MeanMS*1e6,
-			op.P50MS, op.P95MS, op.P99MS, op.PerSec); err != nil {
-			return err
-		}
-	}
-	for _, ns := range r.Nodes {
-		var errTotal uint64
-		for _, n := range ns.Errors {
-			errTotal += n
-		}
-		if _, err := fmt.Fprintf(w,
-			"BenchmarkLoadNode/%d %d %.0f ns/op %.3f p50-ms %.3f p95-ms %.3f p99-ms %d errors\n",
-			ns.Index, ns.Count, ns.MeanMS*1e6,
-			ns.P50MS, ns.P95MS, ns.P99MS, errTotal); err != nil {
-			return err
-		}
-	}
-	kinds := make([]string, 0, len(r.Errors))
-	for k := range r.Errors {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		if _, err := fmt.Fprintf(w, "BenchmarkLoadError/%s %d %d count\n",
-			k, r.Errors[k], r.Errors[k]); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w,
-		"BenchmarkLoadSessions %d %d completed %d aborted %d failed %d shed\n",
-		r.Sessions.Total, r.Sessions.Completed, r.Sessions.Aborted,
-		r.Sessions.Failed, r.Sessions.Shed); err != nil {
-		return err
-	}
-	if len(r.Recoveries) > 0 {
-		var h stats.LatencyHist
-		for _, d := range r.Recoveries {
-			h.ObserveDuration(d)
-		}
-		if _, err := fmt.Fprintf(w,
-			"BenchmarkLoadRecovery %d %.0f ns/op %.1f recovery-ms %.1f max-recovery-ms\n",
-			h.Count(), h.Mean(), h.Mean()/1e6, h.Max()/1e6); err != nil {
-			return err
-		}
-	}
-	return nil
-}

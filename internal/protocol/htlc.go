@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"tinyevm/internal/codec"
 	"tinyevm/internal/contracts"
 	"tinyevm/internal/keccak"
 	"tinyevm/internal/types"
@@ -329,29 +330,25 @@ type HTLCClaim struct {
 
 // EncodeHTLCClaim serializes a MsgHTLCClaim payload.
 func EncodeHTLCClaim(c *HTLCClaim) []byte {
-	e := &encoder{}
-	e.u8(byte(MsgHTLCClaim))
-	e.addr(c.Template)
-	e.u64(c.ChannelID)
-	e.u64(c.Seq)
-	e.buf = append(e.buf, c.Preimage[:]...)
-	return e.buf
+	var w codec.Writer
+	w.U8(byte(MsgHTLCClaim))
+	w.Addr(c.Template)
+	w.U64(c.ChannelID)
+	w.U64(c.Seq)
+	w.Raw(c.Preimage[:])
+	return w.Buf
 }
 
 // DecodeHTLCClaim parses a MsgHTLCClaim payload.
 func DecodeHTLCClaim(buf []byte) (*HTLCClaim, error) {
-	d := &decoder{buf: buf}
-	if MsgType(d.u8()) != MsgHTLCClaim {
+	r := codec.NewReader(buf, ErrBadMessage)
+	if MsgType(r.U8()) != MsgHTLCClaim {
 		return nil, ErrBadMsgType
 	}
-	out := &HTLCClaim{Template: d.addr(), ChannelID: d.u64(), Seq: d.u64()}
-	if !d.need(32) {
-		return nil, ErrBadMessage
-	}
-	copy(out.Preimage[:], d.buf[d.off:])
-	d.off += 32
-	if d.err != nil {
-		return nil, d.err
+	out := &HTLCClaim{Template: r.Addr(), ChannelID: r.U64(), Seq: r.U64()}
+	copy(out.Preimage[:], r.Fixed(len(out.Preimage)))
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -93,6 +94,31 @@ func TestWireRejectsGarbage(t *testing.T) {
 	}
 	if _, _, err := DecodeFinalState([]byte{byte(MsgPayment)}); !errors.Is(err, ErrBadMsgType) {
 		t.Fatal("wrong final-state type accepted")
+	}
+	// The type is checked before any field: a short frame of the wrong
+	// type is the wrong type, an empty one has none.
+	if _, err := DecodePayment(nil); !errors.Is(err, ErrBadMsgType) {
+		t.Fatalf("empty payload: %v, want ErrBadMsgType", err)
+	}
+	frames := seedFrames(t)
+	// Every proper prefix of a frame is short.
+	for _, frame := range frames {
+		for n := 1; n < len(frame); n++ {
+			if _, _, err := decodeFrame(frame[:n]); !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("type %d cut to %d of %d bytes: %v, want ErrBadMessage", frame[0], n, len(frame), err)
+			}
+		}
+	}
+	// A signature that does not parse is malformed, not a crypto error.
+	signed := frames[4]
+	bad := bytes.Clone(signed)
+	bad[len(bad)-1] = 9 // recovery id out of range
+	if _, err := DecodePayment(bad); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("bad signature: %v, want ErrBadMessage", err)
+	}
+	// Not garbage: bytes after the last field are ignored.
+	if _, err := DecodePayment(append(bytes.Clone(signed), 0, 0, 0)); err != nil {
+		t.Fatalf("trailing bytes refused: %v", err)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 
+	"tinyevm/internal/codec"
 	"tinyevm/internal/keccak"
 	"tinyevm/internal/secp256k1"
 	"tinyevm/internal/types"
@@ -191,138 +192,91 @@ func writeU64(h *keccak.Hasher, v uint64) {
 	h.Write(buf[:]) //nolint:errcheck
 }
 
-type encoder struct{ buf []byte }
-
-func (e *encoder) u8(v byte) { e.buf = append(e.buf, v) }
-func (e *encoder) u64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	e.buf = append(e.buf, b[:]...)
-}
-func (e *encoder) addr(a types.Address) { e.buf = append(e.buf, a[:]...) }
-func (e *encoder) sig(s *secp256k1.Signature) {
+// putSig appends a presence flag and, when s is set, its 65 bytes.
+func putSig(w *codec.Writer, s *secp256k1.Signature) {
 	if s == nil {
-		e.u8(0)
+		w.U8(0)
 		return
 	}
-	e.u8(1)
-	e.buf = append(e.buf, s.Serialize()...)
+	w.U8(1)
+	w.Raw(s.Serialize())
 }
 
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) need(n int) bool {
-	if d.err != nil || d.off+n > len(d.buf) {
-		d.err = ErrBadMessage
-		return false
-	}
-	return true
-}
-
-func (d *decoder) u8() byte {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) addr() types.Address {
-	var a types.Address
-	if !d.need(types.AddressLength) {
-		return a
-	}
-	copy(a[:], d.buf[d.off:])
-	d.off += types.AddressLength
-	return a
-}
-
-func (d *decoder) sig() *secp256k1.Signature {
-	if d.u8() == 0 {
+// readSig reads what putSig wrote; any non-zero flag means present.
+func readSig(r *codec.Reader) *secp256k1.Signature {
+	if r.U8() == 0 {
 		return nil
 	}
-	if !d.need(secp256k1.SignatureLength) {
-		return nil
-	}
-	s, err := secp256k1.ParseSignature(d.buf[d.off : d.off+secp256k1.SignatureLength])
+	// A short read has already latched its own error; Fail keeps the first.
+	s, err := secp256k1.ParseSignature(r.Fixed(secp256k1.SignatureLength))
 	if err != nil {
-		d.err = fmt.Errorf("%w: %v", ErrBadMessage, err)
+		r.Fail("%v", err)
 		return nil
 	}
-	d.off += secp256k1.SignatureLength
 	return s
 }
 
+// Every Encode* below writes the type byte and then the fields in
+// struct order through internal/codec. Every Decode* checks the type
+// before reading any field and ignores bytes after the last one, so it
+// ends on the reader's Err, not Done.
+
 // EncodeSensorData serializes a MsgSensorData payload.
 func EncodeSensorData(s *SensorData) []byte {
-	e := &encoder{}
-	e.u8(byte(MsgSensorData))
-	e.addr(s.From)
-	e.u8(byte(len(s.Readings)))
+	var w codec.Writer
+	w.U8(byte(MsgSensorData))
+	w.Addr(s.From)
+	w.U8(byte(len(s.Readings)))
 	for _, r := range s.Readings {
-		e.u64(r.ID)
-		e.u64(r.Value)
+		w.U64(r.ID)
+		w.U64(r.Value)
 	}
-	return e.buf
+	return w.Buf
 }
 
 // EncodeChannelOpen serializes a MsgChannelOpen payload.
 func EncodeChannelOpen(c *ChannelOpen) []byte {
-	e := &encoder{}
-	e.u8(byte(MsgChannelOpen))
-	e.addr(c.Template)
-	e.addr(c.Channel)
-	e.u64(c.ChannelID)
-	e.u64(c.Deposit)
-	e.u64(c.SensorValue)
-	return e.buf
+	var w codec.Writer
+	w.U8(byte(MsgChannelOpen))
+	w.Addr(c.Template)
+	w.Addr(c.Channel)
+	w.U64(c.ChannelID)
+	w.U64(c.Deposit)
+	w.U64(c.SensorValue)
+	return w.Buf
 }
 
 // EncodePayment serializes a MsgPayment payload.
 func EncodePayment(p *Payment) []byte {
-	e := &encoder{}
-	e.u8(byte(MsgPayment))
-	e.addr(p.Template)
-	e.addr(p.Channel)
-	e.u64(p.ChannelID)
-	e.u64(p.Seq)
-	e.u64(p.Cumulative)
-	e.u64(p.SensorValue)
-	e.buf = append(e.buf, p.HashLock[:]...)
-	e.sig(p.Sig)
-	return e.buf
+	var w codec.Writer
+	w.U8(byte(MsgPayment))
+	w.Addr(p.Template)
+	w.Addr(p.Channel)
+	w.U64(p.ChannelID)
+	w.U64(p.Seq)
+	w.U64(p.Cumulative)
+	w.U64(p.SensorValue)
+	w.Hash(p.HashLock)
+	putSig(&w, p.Sig)
+	return w.Buf
 }
 
 // EncodeFinalState serializes a final state with the given message type
 // (MsgCloseRequest or MsgCloseAck).
 func EncodeFinalState(t MsgType, f *FinalState) []byte {
-	e := &encoder{}
-	e.u8(byte(t))
-	e.addr(f.Template)
-	e.addr(f.Channel)
-	e.addr(f.Sender)
-	e.addr(f.Receiver)
-	e.u64(f.ChannelID)
-	e.u64(f.Seq)
-	e.u64(f.Cumulative)
-	e.u64(f.SensorValue)
-	e.sig(f.SigSender)
-	e.sig(f.SigReceiver)
-	return e.buf
+	var w codec.Writer
+	w.U8(byte(t))
+	w.Addr(f.Template)
+	w.Addr(f.Channel)
+	w.Addr(f.Sender)
+	w.Addr(f.Receiver)
+	w.U64(f.ChannelID)
+	w.U64(f.Seq)
+	w.U64(f.Cumulative)
+	w.U64(f.SensorValue)
+	putSig(&w, f.SigSender)
+	putSig(&w, f.SigReceiver)
+	return w.Buf
 }
 
 // PeekType returns the message type of an encoded payload.
@@ -335,87 +289,83 @@ func PeekType(buf []byte) (MsgType, error) {
 
 // DecodeSensorData parses a MsgSensorData payload.
 func DecodeSensorData(buf []byte) (*SensorData, error) {
-	d := &decoder{buf: buf}
-	if MsgType(d.u8()) != MsgSensorData {
+	r := codec.NewReader(buf, ErrBadMessage)
+	if MsgType(r.U8()) != MsgSensorData {
 		return nil, ErrBadMsgType
 	}
-	out := &SensorData{From: d.addr()}
-	n := int(d.u8())
+	out := &SensorData{From: r.Addr()}
+	n := int(r.U8())
 	for i := 0; i < n; i++ {
-		out.Readings = append(out.Readings, SensorReading{ID: d.u64(), Value: d.u64()})
+		out.Readings = append(out.Readings, SensorReading{ID: r.U64(), Value: r.U64()})
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // DecodeChannelOpen parses a MsgChannelOpen payload.
 func DecodeChannelOpen(buf []byte) (*ChannelOpen, error) {
-	d := &decoder{buf: buf}
-	if MsgType(d.u8()) != MsgChannelOpen {
+	r := codec.NewReader(buf, ErrBadMessage)
+	if MsgType(r.U8()) != MsgChannelOpen {
 		return nil, ErrBadMsgType
 	}
 	out := &ChannelOpen{
-		Template:    d.addr(),
-		Channel:     d.addr(),
-		ChannelID:   d.u64(),
-		Deposit:     d.u64(),
-		SensorValue: d.u64(),
+		Template:    r.Addr(),
+		Channel:     r.Addr(),
+		ChannelID:   r.U64(),
+		Deposit:     r.U64(),
+		SensorValue: r.U64(),
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // DecodePayment parses a MsgPayment payload.
 func DecodePayment(buf []byte) (*Payment, error) {
-	d := &decoder{buf: buf}
-	if MsgType(d.u8()) != MsgPayment {
+	r := codec.NewReader(buf, ErrBadMessage)
+	if MsgType(r.U8()) != MsgPayment {
 		return nil, ErrBadMsgType
 	}
 	out := &Payment{
-		Template:  d.addr(),
-		Channel:   d.addr(),
-		ChannelID: d.u64(),
-		Seq:       d.u64(),
+		Template:    r.Addr(),
+		Channel:     r.Addr(),
+		ChannelID:   r.U64(),
+		Seq:         r.U64(),
+		Cumulative:  r.U64(),
+		SensorValue: r.U64(),
+		HashLock:    r.Hash(),
+		Sig:         readSig(r),
 	}
-	out.Cumulative = d.u64()
-	out.SensorValue = d.u64()
-	if !d.need(types.HashLength) {
-		return nil, ErrBadMessage
-	}
-	copy(out.HashLock[:], d.buf[d.off:])
-	d.off += types.HashLength
-	out.Sig = d.sig()
-	if d.err != nil {
-		return nil, d.err
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // DecodeFinalState parses a MsgCloseRequest/MsgCloseAck payload.
 func DecodeFinalState(buf []byte) (MsgType, *FinalState, error) {
-	d := &decoder{buf: buf}
-	t := MsgType(d.u8())
+	r := codec.NewReader(buf, ErrBadMessage)
+	t := MsgType(r.U8())
 	if t != MsgCloseRequest && t != MsgCloseAck {
 		return 0, nil, ErrBadMsgType
 	}
 	out := &FinalState{
-		Template: d.addr(),
-		Channel:  d.addr(),
-		Sender:   d.addr(),
-		Receiver: d.addr(),
+		Template:    r.Addr(),
+		Channel:     r.Addr(),
+		Sender:      r.Addr(),
+		Receiver:    r.Addr(),
+		ChannelID:   r.U64(),
+		Seq:         r.U64(),
+		Cumulative:  r.U64(),
+		SensorValue: r.U64(),
+		SigSender:   readSig(r),
+		SigReceiver: readSig(r),
 	}
-	out.ChannelID = d.u64()
-	out.Seq = d.u64()
-	out.Cumulative = d.u64()
-	out.SensorValue = d.u64()
-	out.SigSender = d.sig()
-	out.SigReceiver = d.sig()
-	if d.err != nil {
-		return 0, nil, d.err
+	if err := r.Err(); err != nil {
+		return 0, nil, err
 	}
 	return t, out, nil
 }

@@ -188,8 +188,6 @@ var (
 				return opResult{}, err
 			}
 			s.cluster.ProduceBlockLocked()
-		} else if s.eng != nil {
-			s.eng.MineBlock()
 		} else {
 			s.sys.Chain.MineBlock()
 		}

@@ -309,28 +309,6 @@ func TestRecoveryInfoStages(t *testing.T) {
 	}
 }
 
-// TestServiceRecoveryEngineWorkers recovers a serially-journaled
-// deployment through the parallel engine (and vice versa): block
-// production paths are byte-equivalent, so the store accepts either.
-func TestServiceRecoveryEngineWorkers(t *testing.T) {
-	kv := store.NewMem()
-	svc, lot, err := tinyevm.NewService("lot", recoveryOpts(tinyevm.WithStore(kv))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runRecoveryWorkload(t, svc, lot)
-	want := captureState(t, svc)
-	svc.Close()
-
-	svc2, _, err := tinyevm.NewService("lot",
-		recoveryOpts(tinyevm.WithStore(kv), tinyevm.WithEngineWorkers(4))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc2.Close()
-	assertSameDeployment(t, want, captureState(t, svc2))
-}
-
 // TestServiceRecoveryRejectsForeignStore pins the meta guard: a store
 // journaled under one deployment cannot be replayed under different
 // parameters.
@@ -420,4 +398,79 @@ func TestServiceRecoveryKeepsItsFunds(t *testing.T) {
 	}
 	defer svc2.Close()
 	assertSameDeployment(t, want, captureState(t, svc2))
+}
+
+// TestRecoveryReplayBounded pins the checkpoint contract as a count:
+// with a checkpoint the replayed tail stays under one interval's worth
+// of operations however long the chain is, while full replay grows with
+// history. (The cold start's wall time is the benchmark's `recover`
+// workload.)
+func TestRecoveryReplayBounded(t *testing.T) {
+	reopen := func(blocks int, interval uint64) tinyevm.RecoveryInfo {
+		kv := store.NewMem()
+		opts := []tinyevm.Option{tinyevm.WithChallengePeriod(6), tinyevm.WithStore(kv)}
+		if interval > 0 {
+			opts = append(opts, tinyevm.WithCheckpointInterval(interval))
+		}
+		svc, hub, err := tinyevm.NewService("hub", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if err := hub.RegisterSensorValue(ctx, tinyevm.SensorTemperature, 2150); err != nil {
+			t.Fatal(err)
+		}
+		car, err := svc.AddNode(ctx, "car")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := car.RegisterSensorValue(ctx, tinyevm.SensorTemperature, 2150); err != nil {
+			t.Fatal(err)
+		}
+		ch, err := car.OpenChannel(ctx, hub.Address(), 1_000_000, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < blocks; i++ {
+			if _, err := car.Pay(ctx, ch.ID, 3); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := car.Deposit(ctx, 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		svc.Close()
+		svc2, _, err := tinyevm.NewService("hub", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc2.Close()
+		return svc2.RecoveryInfo()
+	}
+
+	const interval = 8
+	shortCkpt := reopen(24, interval)
+	longCkpt := reopen(72, interval)
+	longFull := reopen(72, 0)
+
+	// Ops per block in this workload: one payment + one deposit, so one
+	// interval's tail is at most ~3x the interval in ops (plus setup).
+	bound := int(interval)*3 + 8
+	for _, ri := range []tinyevm.RecoveryInfo{shortCkpt, longCkpt} {
+		if ri.CheckpointHeight == 0 {
+			t.Fatalf("no checkpoint used: %+v", ri)
+		}
+		if ri.ReplayedOps > bound {
+			t.Fatalf("checkpointed tail %d exceeds interval bound %d (%+v)", ri.ReplayedOps, bound, ri)
+		}
+	}
+	if longCkpt.ReplayedOps > shortCkpt.ReplayedOps+bound {
+		t.Fatalf("checkpointed tail grew with history: %d vs %d", longCkpt.ReplayedOps, shortCkpt.ReplayedOps)
+	}
+	if longFull.ReplayedOps <= 2*72 {
+		t.Fatalf("full replay replayed %d ops for 72 blocks; journal suspiciously short", longFull.ReplayedOps)
+	}
+	if longFull.CheckpointHeight != 0 {
+		t.Fatalf("full replay claims a checkpoint: %+v", longFull)
+	}
 }

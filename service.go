@@ -11,10 +11,8 @@ import (
 	"tinyevm/internal/chain"
 	"tinyevm/internal/cluster"
 	"tinyevm/internal/core"
-	"tinyevm/internal/engine"
 	"tinyevm/internal/protocol"
 	"tinyevm/internal/store"
-	"tinyevm/internal/types"
 )
 
 // Service errors.
@@ -42,16 +40,15 @@ const chainPrefix = "chain/"
 type Option func(*serviceConfig)
 
 type serviceConfig struct {
-	core          core.Config
-	fundsSet      bool
-	engineWorkers int
-	shards        int
-	kv            store.KVStore
-	dataDir       string
-	backend       string
-	ckptInterval  uint64
-	mstCommit     bool
-	cluster       *ClusterConfig
+	core         core.Config
+	fundsSet     bool
+	shards       int
+	kv           store.KVStore
+	dataDir      string
+	backend      string
+	ckptInterval uint64
+	mstCommit    bool
+	cluster      *ClusterConfig
 }
 
 // WithChallengePeriod sets the on-chain template's challenge window in
@@ -80,15 +77,6 @@ func WithFunds(provider, node uint64) Option {
 		c.core.NodeFunds = node
 		c.fundsSet = true
 	}
-}
-
-// WithEngineWorkers routes the service's on-chain block production
-// through the parallel execution engine with n workers. n <= 1 keeps the
-// serial producer. Template operations (native-contract calls) always
-// execute serially inside the engine; the workers parallelize ordinary
-// EVM traffic batched into the same blocks.
-func WithEngineWorkers(n int) Option {
-	return func(c *serviceConfig) { c.engineWorkers = n }
 }
 
 // WithShards sets the number of lock stripes for the pairwise hot path
@@ -180,7 +168,6 @@ type Service struct {
 	// it in write mode, which excludes every sharded operation.
 	mu  sync.RWMutex
 	sys *core.System
-	eng *engine.Engine
 
 	// shards stripe the pairwise hot path by device address; see
 	// shard.go. logMu is the sequencer lock: it guards opSeq and the
@@ -305,9 +292,6 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 		shards:       make([]serviceShard, shardCount(cfg)),
 		ckptInterval: cfg.ckptInterval,
 		ownedKV:      ownedKV,
-	}
-	if cfg.engineWorkers > 1 {
-		s.eng = engine.New(sys.Chain, engine.Options{Workers: cfg.engineWorkers})
 	}
 	sys.Chain.OnSeal(func(b *chain.Block, _ []*chain.Receipt) {
 		s.broadcast(Event{Type: EventBlockSealed, Block: b.Number})
@@ -485,8 +469,7 @@ func (s *Service) HeadBlock(ctx context.Context) (uint64, error) {
 	return n, err
 }
 
-// MineBlock produces one block from any pending transactions, through
-// the parallel engine when WithEngineWorkers configured one.
+// MineBlock produces one block from any pending transactions.
 func (s *Service) MineBlock(ctx context.Context) error {
 	_, err := s.run(ctx, opMineBlock, &opRecord{}, nil)
 	return err
@@ -665,32 +648,7 @@ func (s *Service) txSender() protocol.TxSender {
 	if s.cluster != nil {
 		return &clusterTxSender{s: s}
 	}
-	if s.eng != nil {
-		return &engineTxSender{c: s.sys.Chain, e: s.eng}
-	}
 	return s.sys.Chain
-}
-
-// engineTxSender adapts the parallel engine to protocol.TxSender:
-// submit, mine one block, return the submitted transaction's receipt.
-type engineTxSender struct {
-	c *chain.Chain
-	e *engine.Engine
-}
-
-func (es *engineTxSender) NonceOf(a types.Address) uint64 { return es.c.NonceOf(a) }
-
-func (es *engineTxSender) SendTransaction(tx *chain.Transaction) (*chain.Receipt, error) {
-	if err := es.e.Submit(tx); err != nil {
-		return nil, err
-	}
-	want := tx.Hash()
-	for _, r := range es.e.MineBlock() {
-		if r.TxHash == want {
-			return r, nil
-		}
-	}
-	return nil, fmt.Errorf("tinyevm: engine dropped transaction %s", want)
 }
 
 // RouteStep names one forwarding hop of a multi-hop payment: the node

@@ -358,56 +358,6 @@ func TestServiceTypedErrors(t *testing.T) {
 	}
 }
 
-// TestServiceEngineWorkers runs a session with the parallel-engine
-// block producer configured and verifies on-chain settlement still
-// works end to end.
-func TestServiceEngineWorkers(t *testing.T) {
-	ctx := context.Background()
-	svc, lot, err := tinyevm.NewService("lot",
-		tinyevm.WithEngineWorkers(4), tinyevm.WithChallengePeriod(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	registerTemp(lot)
-	car, err := svc.AddNode(ctx, "car")
-	if err != nil {
-		t.Fatal(err)
-	}
-	registerTemp(car)
-
-	if r, err := car.Deposit(ctx, 10_000); err != nil || !r.Status {
-		t.Fatalf("deposit: %v %+v", err, r)
-	}
-	cs, err := car.OpenChannel(ctx, lot.Address(), 10_000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := car.Pay(ctx, cs.ID, 2_500); err != nil {
-		t.Fatal(err)
-	}
-	final, err := car.Close(ctx, cs.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, err := lot.Commit(ctx, final); err != nil || !r.Status {
-		t.Fatalf("commit: %v %+v", err, r)
-	}
-	if r, err := car.Exit(ctx); err != nil || !r.Status {
-		t.Fatalf("exit: %v %+v", err, r)
-	}
-	if err := svc.RunChallengePeriod(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if r, err := lot.Settle(ctx); err != nil || !r.Status {
-		t.Fatalf("settle: %v %+v", err, r)
-	}
-	settled, err := svc.TemplateSettled(ctx)
-	if err != nil || !settled {
-		t.Fatalf("settled=%v err=%v", settled, err)
-	}
-}
-
 // TestServiceReceiverInitiatedClose covers the close handshake started
 // by the RECEIVER side while multiple peers' wire ids collide on the
 // provider: final-state resolution must key on the opener the message
