@@ -23,7 +23,8 @@ bench-check:
 # Run the on-disk-format fuzzers (the byte codec's reader, the record
 # log, the segment codec, the service's op-record decoder and replay,
 # its checkpoint decoder, the chain's record decoders), the radio
-# wire's decoders, and the crypto fast paths' differential fuzzers
+# wire's and the cluster peer wire's decoders, the interpreter on
+# arbitrary bytecode, and the crypto fast paths' differential fuzzers
 # (fixed-limb field, scalar and ECDSA against the
 # math/big oracle in internal/secp256k1/oracle_test.go; the unrolled
 # Keccak against the reference permutation) for wall-clock time, not
@@ -33,6 +34,8 @@ bench-check:
 # default minute per interesting input it would spend the whole budget
 # shrinking the first one. The checkpoint fuzzer's minimiser is capped
 # for the same reason: its richest seed is the 12 KB pinned checkpoint.
+# FuzzMemStateJournal stays seed-only (go test runs its seeds): at about
+# 130 executions a second, 30 s would explore next to nothing.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecReader$$' -fuzztime $(FUZZTIME) ./internal/codec/
@@ -42,6 +45,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s .
 	$(GO) test -run '^$$' -fuzz '^FuzzChainRecordDecode$$' -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -run '^$$' -fuzz '^FuzzProtocolDecode$$' -fuzztime $(FUZZTIME) ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/p2p/
+	$(GO) test -run '^$$' -fuzz '^FuzzInterpreter$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzFieldVsBig$$' -fuzztime $(FUZZTIME) ./internal/secp256k1/
 	$(GO) test -run '^$$' -fuzz '^FuzzScalarVsBig$$' -fuzztime $(FUZZTIME) ./internal/secp256k1/
 	$(GO) test -run '^$$' -fuzz '^FuzzSignRecoverVsBig$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/secp256k1/
@@ -62,7 +67,6 @@ bench:
 bench-smoke:
 	$(GO) test -bench . -benchtime=1x -run '^$$' .
 	$(GO) run ./cmd/benchtables -table 2 -n 300 -q
-	$(GO) run ./cmd/benchtables -engine -q
 
 # Crash-recovery end-to-end: SIGKILL a real tinyevm-serve -data-dir
 # daemon mid-workload, restart it, and assert the recovered head block,

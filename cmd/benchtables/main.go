@@ -5,7 +5,6 @@
 //	benchtables -table 2 -n 7000    # Table II only
 //	benchtables -fig 3a             # Figure 3a only
 //	benchtables -ablations          # the DESIGN.md §5 ablation studies
-//	benchtables -engine             # parallel-engine throughput table
 //
 // The output is plain text in the layout of the paper's artifacts so the
 // two can be compared side by side; EXPERIMENTS.md records one such run.
@@ -32,10 +31,6 @@ func main() {
 		n         = flag.Int("n", 7000, "corpus size for Table II / Figures 3-4")
 		reps      = flag.Int("reps", 200, "repetitions for Table IV / Figure 5")
 		quiet     = flag.Bool("q", false, "suppress progress output")
-
-		engineRun     = flag.Bool("engine", false, "run the parallel-engine throughput experiment")
-		engineDevices = flag.Int("engine-devices", 64, "engine experiment: number of devices")
-		engineTxs     = flag.Int("engine-txs", 8, "engine experiment: transactions per device")
 	)
 	flag.Parse()
 
@@ -44,7 +39,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if !*all && *table == "" && *fig == "" && !*ablations && !*engineRun {
+	if !*all && *table == "" && *fig == "" && !*ablations {
 		*all = true
 	}
 
@@ -154,27 +149,5 @@ func main() {
 			routes = append(routes, r)
 		}
 		fmt.Print(eval.RenderRouting(routes))
-	}
-	if *all || *engineRun {
-		section("Parallel execution engine throughput")
-		p := eval.DefaultEngineWorkload()
-		p.Devices = *engineDevices
-		p.TxPerDevice = *engineTxs
-		rep, err := eval.RunEngineThroughput(ctx, p, []int{1, 4, 16})
-		if err != nil {
-			code := 1
-			if errors.Is(err, context.Canceled) {
-				code = 130
-			}
-			fmt.Fprintf(os.Stderr, "benchtables: engine: %v\n", err)
-			os.Exit(code)
-		}
-		fmt.Print(rep.String())
-		for _, row := range rep.Rows {
-			if !row.Identical {
-				fmt.Fprintf(os.Stderr, "benchtables: engine: receipts diverged at %d workers\n", row.Workers)
-				os.Exit(1)
-			}
-		}
 	}
 }

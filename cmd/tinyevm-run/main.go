@@ -6,13 +6,6 @@
 //	tinyevm-run -file contract.hex -deploy
 //	tinyevm-run -file contract.hex -deploy -calldata a9059cbb...
 //	tinyevm-run -code ... -disasm
-//	tinyevm-run -engine -engine-devices 64 -engine-workers 1,4,16
-//
-// With -engine, instead of executing bytecode, the multi-device
-// parallel-execution throughput scenario runs: the same batch of
-// contract invocations is mined serially and through the parallel
-// engine at each worker count, receipts are verified byte-identical,
-// and the throughput table is printed.
 //
 // With -deploy, the bytecode runs as a constructor and the returned
 // runtime code is installed (and then optionally called with -calldata).
@@ -22,20 +15,14 @@
 package main
 
 import (
-	"context"
 	"encoding/hex"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"strconv"
 	"strings"
-	"syscall"
 
 	"tinyevm/internal/asm"
 	"tinyevm/internal/device"
-	"tinyevm/internal/eval"
 	"tinyevm/internal/evm"
 	"tinyevm/internal/types"
 )
@@ -48,47 +35,8 @@ func main() {
 		calldata = flag.String("calldata", "", "calldata as hex for the call")
 		disasm   = flag.Bool("disasm", false, "print a disassembly and exit")
 		trace    = flag.Bool("trace", false, "print every executed instruction")
-
-		engineRun      = flag.Bool("engine", false, "run the parallel-engine throughput scenario")
-		engineDevices  = flag.Int("engine-devices", 64, "engine scenario: number of devices")
-		engineTxs      = flag.Int("engine-txs", 8, "engine scenario: transactions per device")
-		engineConflict = flag.Float64("engine-conflict", 0.05, "engine scenario: fraction of txs hitting the shared hot contract")
-		engineLoops    = flag.Int("engine-loops", 100, "engine scenario: compute loop length per invocation")
-		engineWorkers  = flag.String("engine-workers", "1,4,16", "engine scenario: comma-separated worker counts")
 	)
 	flag.Parse()
-
-	if *engineRun {
-		// SIGINT aborts the scenario cleanly between worker-count runs
-		// instead of leaving the worker pool mid-flight.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-
-		workers, err := parseWorkers(*engineWorkers)
-		if err != nil {
-			fatal(err)
-		}
-		rep, err := eval.RunEngineThroughput(ctx, eval.EngineWorkloadParams{
-			Devices:          *engineDevices,
-			TxPerDevice:      *engineTxs,
-			ConflictFraction: *engineConflict,
-			WorkLoops:        *engineLoops,
-		}, workers)
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "tinyevm-run: interrupted")
-			os.Exit(130)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(rep.String())
-		for _, row := range rep.Rows {
-			if !row.Identical {
-				fatal(fmt.Errorf("worker count %d produced receipts diverging from serial execution", row.Workers))
-			}
-		}
-		return
-	}
 
 	code, err := loadCode(*codeHex, *file)
 	if err != nil {
@@ -172,25 +120,6 @@ func loadCode(codeHex, file string) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("no bytecode: use -code or -file")
 	}
-}
-
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad worker count %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no worker counts given")
-	}
-	return out, nil
 }
 
 func hexBytes(s string) ([]byte, error) {

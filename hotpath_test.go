@@ -1,17 +1,14 @@
 package tinyevm_test
 
 // Deterministic counts on the hot paths, in place of a benchmark gate:
-// how many heap allocations one operation makes (TestHotPathAllocs) and
-// how often the fused tier's superinstructions fire (TestFusionEngages).
-// Both are exact ceilings measured at the commit that added them, so a
-// failure is a change in the code, never noise. Wall-clock numbers are
+// how many heap allocations one operation makes (TestHotPathAllocs). The
+// ceilings are exact, measured at the commit that set them, so a failure
+// is a change in the code, never noise. Wall-clock numbers are
 // the benchmark's business (bench/README.md).
 
 import (
 	"context"
-	"reflect"
 	"runtime/debug"
-	"strings"
 	"testing"
 
 	"tinyevm"
@@ -24,8 +21,8 @@ import (
 	"tinyevm/internal/uint256"
 )
 
-// arithLoop counts 0x200 down to zero: the tight arithmetic loop whose
-// every iteration is PUSH+SWAP+SUB, DUP+ISZERO+PUSH+JUMPI and PUSH+JUMP.
+// arithLoop counts 0x200 down to zero: the tight arithmetic loop, nine
+// opcodes an iteration.
 const arithLoop = `
 	PUSH2 0x0200
 	:loop JUMPDEST
@@ -108,8 +105,7 @@ var (
 )
 
 // interpProgram is one contract run straight on the interpreter, with
-// what one steady-state call of it may allocate and, where pinned, the
-// superinstructions it dispatches.
+// what one steady-state call of it may allocate.
 type interpProgram struct {
 	name  string
 	code  []byte
@@ -118,7 +114,6 @@ type interpProgram struct {
 	// their low byte, so seeds use truncated slots).
 	seed   func(st *evm.MemState)
 	allocs float64
-	fused  map[string]uint64
 }
 
 func interpPrograms() []interpProgram {
@@ -126,23 +121,21 @@ func interpPrograms() []interpProgram {
 	var to, one, depth [32]byte
 	to[31], one[31], depth[31] = 0x42, 1, 12
 	return []interpProgram{
-		{name: "arith", code: asm.MustAssemble(arithLoop), allocs: 2,
-			fused: map[string]uint64{"fused:PUSH_SWAP_OP": 512, "fused:DUP_ISZERO_JUMPI": 512, "fused:PUSH_JUMP": 511}},
+		{name: "arith", code: asm.MustAssemble(arithLoop), allocs: 2},
 		{name: "erc20", code: runtimes["erc20"], allocs: 9,
 			input: eval.CallData(eval.Selector("transfer(address,uint256)"), to, one),
 			seed: func(st *evm.MemState) {
 				// Fund the caller's balance slot so transfers succeed.
 				st.SetState(progContract, uint256.NewInt(uint64(progCaller[19])), uint256.NewInt(1<<40))
-			},
-			fused: map[string]uint64{"fused:PUSH_OP": 2, "fused:PUSH_JUMPI": 2, "fused:PUSH_MSTORE": 1, "fused:DUP_SWAP": 1}},
+			}},
 		{name: "counter", code: runtimes["inccounter"], allocs: 6},
 		{name: "snapshot+revert", code: asm.MustAssemble(callTree), input: depth[:], allocs: 42},
 	}
 }
 
 // start installs the program and returns one call of it, already run
-// past the tier-1 promotion threshold so what is counted is the steady
-// state, not the tier transition.
+// a few times so what is counted is the steady state: the frame, stack
+// and memory pools are filled and the JUMPDEST analysis is cached.
 func (p interpProgram) start(t *testing.T) func() {
 	state := evm.NewMemState()
 	state.SetCode(progContract, p.code)
@@ -261,33 +254,6 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocs/op, ceiling %v", p.name, got, p.max)
 		} else {
 			t.Logf("%s: %v allocs/op", p.name, got)
-		}
-	}
-}
-
-// TestFusionEngages pins how many superinstructions one steady-state run
-// of the arith loop and of the ERC-20 transfer dispatches. A decoder
-// that stops fusing still passes every differential test — fusion is
-// semantically invisible by construction — and only shows as a
-// throughput cliff; these counts show it as a failing test.
-func TestFusionEngages(t *testing.T) {
-	evm.SetOpProfile(true)
-	defer evm.SetOpProfile(false)
-	for _, p := range interpPrograms() {
-		if p.fused == nil {
-			continue
-		}
-		call := p.start(t)
-		evm.ResetOpProfile()
-		call()
-		got := map[string]uint64{}
-		for name, hits := range evm.OpProfile() {
-			if strings.HasPrefix(name, "fused:") {
-				got[name] = hits
-			}
-		}
-		if !reflect.DeepEqual(got, p.fused) {
-			t.Errorf("%s: superinstruction hits %v, want %v", p.name, got, p.fused)
 		}
 	}
 }

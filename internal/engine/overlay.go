@@ -331,7 +331,6 @@ func (v *view) journalBalance(addr types.Address, a *ovAccount) {
 var (
 	_ evm.StateDB       = (*view)(nil)
 	_ evm.JumpDestCache = (*view)(nil)
-	_ evm.ProgramCache  = (*view)(nil)
 )
 
 func newView(base *evm.MemState) *view {
@@ -531,15 +530,6 @@ func (v *view) CodeHash(addr types.Address) types.Hash {
 // view re-scanning the bytecode it executes.
 func (v *view) JumpDestAnalysis(codeHash types.Hash, code []byte) evm.JumpDestBitmap {
 	return v.base.JumpDestAnalysis(codeHash, code)
-}
-
-// CodeProgram implements evm.ProgramCache with the same forwarding:
-// execution counts and decoded tier-1 programs are shared across all
-// workers through the base state's cache, keyed by code hash — safe
-// even when a view carries speculative SetCode writes, since a
-// different code blob hashes to a different key.
-func (v *view) CodeProgram(codeHash types.Hash, code []byte) *evm.Program {
-	return v.base.CodeProgram(codeHash, code)
 }
 
 // GetState implements StateDB.

@@ -6,19 +6,14 @@ package eval
 // hashing — the paper's payment-channel update in miniature) and send a
 // stream of invocations; a configurable fraction instead hits one
 // shared hot contract, producing real cross-device conflicts. The
-// harness mines the same batch serially and through the engine at
-// several worker counts, verifies the receipts are byte-identical, and
-// reports throughput and speedup.
+// benchmark mines it serially and through the engine, and the
+// differential test requires both to produce the same bytes.
 
 import (
-	"context"
 	"fmt"
-	"strings"
-	"time"
 
 	"tinyevm/internal/asm"
 	"tinyevm/internal/chain"
-	"tinyevm/internal/engine"
 	"tinyevm/internal/secp256k1"
 	"tinyevm/internal/types"
 )
@@ -183,114 +178,3 @@ func (w *EngineWorkload) NewChain() (*chain.Chain, error) {
 
 // Batch returns the measurement transactions in submission order.
 func (w *EngineWorkload) Batch() []*chain.Transaction { return w.batch }
-
-// EngineRow is one measured configuration.
-type EngineRow struct {
-	// Workers is the engine worker count (0 = the serial baseline).
-	Workers int
-	// Elapsed is the wall time to mine the batch.
-	Elapsed time.Duration
-	// TxPerSec is the resulting throughput.
-	TxPerSec float64
-	// Speedup is relative to the serial baseline.
-	Speedup float64
-	// Identical reports whether the receipts were byte-identical to
-	// the serial baseline (always checked, must always be true).
-	Identical bool
-	// Stats is the engine's counter snapshot (zero for the baseline).
-	Stats engine.Stats
-}
-
-// EngineReport aggregates the throughput experiment.
-type EngineReport struct {
-	Params EngineWorkloadParams
-	Rows   []EngineRow
-}
-
-// RunEngineThroughput mines the same multi-device batch serially and
-// with the parallel engine at each worker count, verifying receipts
-// against the serial baseline and measuring throughput. Cancelling ctx
-// aborts between runs with the context's error.
-func RunEngineThroughput(ctx context.Context, p EngineWorkloadParams, workerCounts []int) (*EngineReport, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w, err := BuildEngineWorkload(p)
-	if err != nil {
-		return nil, err
-	}
-
-	serialChain, err := w.NewChain()
-	if err != nil {
-		return nil, err
-	}
-	for _, tx := range w.Batch() {
-		if err := serialChain.Submit(tx); err != nil {
-			return nil, err
-		}
-	}
-	start := time.Now()
-	serialReceipts := serialChain.MineBlock()
-	serialElapsed := time.Since(start)
-
-	rep := &EngineReport{Params: p}
-	n := float64(len(serialReceipts))
-	rep.Rows = append(rep.Rows, EngineRow{
-		Workers:   0,
-		Elapsed:   serialElapsed,
-		TxPerSec:  n / serialElapsed.Seconds(),
-		Speedup:   1,
-		Identical: true,
-	})
-
-	for _, workers := range workerCounts {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		parChain, err := w.NewChain()
-		if err != nil {
-			return nil, err
-		}
-		eng := engine.New(parChain, engine.Options{Workers: workers})
-		for _, tx := range w.Batch() {
-			if err := eng.Submit(tx); err != nil {
-				return nil, err
-			}
-		}
-		start := time.Now()
-		receipts := eng.MineBlock()
-		elapsed := time.Since(start)
-
-		identical := engine.ReceiptsEqual(serialReceipts, receipts) &&
-			serialChain.State().Digest() == parChain.State().Digest()
-		rep.Rows = append(rep.Rows, EngineRow{
-			Workers:   workers,
-			Elapsed:   elapsed,
-			TxPerSec:  n / elapsed.Seconds(),
-			Speedup:   serialElapsed.Seconds() / elapsed.Seconds(),
-			Identical: identical,
-			Stats:     eng.Stats(),
-		})
-	}
-	return rep, nil
-}
-
-// String renders the throughput table.
-func (r *EngineReport) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Parallel engine throughput: %d devices x %d txs, %.0f%% hot-contract traffic\n",
-		r.Params.Devices, r.Params.TxPerDevice, 100*r.Params.ConflictFraction)
-	fmt.Fprintf(&b, "%-10s %12s %12s %9s %10s %s\n",
-		"workers", "time (ms)", "tx/s", "speedup", "identical", "fallbacks (partial/full)")
-	for _, row := range r.Rows {
-		name := "serial"
-		fb := ""
-		if row.Workers > 0 {
-			name = fmt.Sprintf("%d", row.Workers)
-			fb = fmt.Sprintf("%d/%d", row.Stats.PartialFallbacks, row.Stats.FullFallbacks)
-		}
-		fmt.Fprintf(&b, "%-10s %12.1f %12.0f %8.2fx %10v %s\n",
-			name, float64(row.Elapsed.Microseconds())/1000, row.TxPerSec, row.Speedup, row.Identical, fb)
-	}
-	return b.String()
-}

@@ -2,41 +2,39 @@ package evm
 
 import "tinyevm/internal/types"
 
-// lruCache is a size-capped LRU map keyed by code hash, shared by the
-// JUMPDEST-analysis cache and the decoded-program cache on MemState. A
-// daemon serving millions of distinct contracts touches an unbounded
-// stream of code blobs; the cap turns both caches into fixed-size
-// working sets instead of monotonically growing maps. Eviction is exact
-// LRU over an intrusive doubly-linked list, so the hot contract
-// population (which is tiny compared to the cap) never churns.
+// lruCache is the size-capped LRU map of JUMPDEST bitmaps, keyed by code
+// hash, on MemState. A daemon serving millions of distinct contracts
+// touches an unbounded stream of code blobs; the cap turns the cache
+// into a fixed-size working set instead of a monotonically growing map.
+// Eviction is exact LRU over an intrusive doubly-linked list, so the hot
+// contract population (which is tiny compared to the cap) never churns.
 //
 // lruCache is not safe for concurrent use; callers hold the owning
 // mutex (MemState.analysisMu).
-type lruCache[V any] struct {
+type lruCache struct {
 	cap        int
-	entries    map[types.Hash]*lruNode[V]
-	head, tail *lruNode[V] // head = most recently used
+	entries    map[types.Hash]*lruNode
+	head, tail *lruNode // head = most recently used
 }
 
-type lruNode[V any] struct {
+type lruNode struct {
 	key        types.Hash
-	value      V
-	prev, next *lruNode[V]
+	value      JumpDestBitmap
+	prev, next *lruNode
 }
 
-func newLRUCache[V any](capacity int) *lruCache[V] {
+func newLRUCache(capacity int) *lruCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &lruCache[V]{cap: capacity, entries: make(map[types.Hash]*lruNode[V])}
+	return &lruCache{cap: capacity, entries: make(map[types.Hash]*lruNode)}
 }
 
 // get returns the cached value and marks it most recently used.
-func (c *lruCache[V]) get(key types.Hash) (V, bool) {
+func (c *lruCache) get(key types.Hash) (JumpDestBitmap, bool) {
 	n, ok := c.entries[key]
 	if !ok {
-		var zero V
-		return zero, false
+		return nil, false
 	}
 	c.moveToFront(n)
 	return n.value, true
@@ -44,13 +42,13 @@ func (c *lruCache[V]) get(key types.Hash) (V, bool) {
 
 // put inserts or updates key, marks it most recently used, and evicts
 // the least recently used entry when the cache is over capacity.
-func (c *lruCache[V]) put(key types.Hash, value V) {
+func (c *lruCache) put(key types.Hash, value JumpDestBitmap) {
 	if n, ok := c.entries[key]; ok {
 		n.value = value
 		c.moveToFront(n)
 		return
 	}
-	n := &lruNode[V]{key: key, value: value}
+	n := &lruNode{key: key, value: value}
 	c.entries[key] = n
 	c.pushFront(n)
 	if len(c.entries) > c.cap {
@@ -61,9 +59,9 @@ func (c *lruCache[V]) put(key types.Hash, value V) {
 }
 
 // len returns the number of cached entries.
-func (c *lruCache[V]) len() int { return len(c.entries) }
+func (c *lruCache) len() int { return len(c.entries) }
 
-func (c *lruCache[V]) pushFront(n *lruNode[V]) {
+func (c *lruCache) pushFront(n *lruNode) {
 	n.prev = nil
 	n.next = c.head
 	if c.head != nil {
@@ -75,7 +73,7 @@ func (c *lruCache[V]) pushFront(n *lruNode[V]) {
 	}
 }
 
-func (c *lruCache[V]) unlink(n *lruNode[V]) {
+func (c *lruCache) unlink(n *lruNode) {
 	if n.prev != nil {
 		n.prev.next = n.next
 	} else {
@@ -89,7 +87,7 @@ func (c *lruCache[V]) unlink(n *lruNode[V]) {
 	n.prev, n.next = nil, nil
 }
 
-func (c *lruCache[V]) moveToFront(n *lruNode[V]) {
+func (c *lruCache) moveToFront(n *lruNode) {
 	if c.head == n {
 		return
 	}

@@ -105,11 +105,6 @@ type Config struct {
 	CallDepthLimit int
 	// EnableSensorOpcode turns the 0x0C IoT opcode on.
 	EnableSensorOpcode bool
-	// DisableFusion turns tier-1 execution off: all code runs through
-	// the per-opcode tier-0 dispatch loop, no programs are decoded or
-	// cached. The zero value (fusion on) is the default; tier 0 is the
-	// reference FuzzFusedVsUnfused holds tier 1 to.
-	DisableFusion bool
 }
 
 // TinyConfig returns the TinyEVM machine configuration from Table I and

@@ -95,10 +95,6 @@ type frame struct {
 	// jumpDests marks valid JUMPDEST positions for the code; shared
 	// across executions through the state's analysis cache.
 	jumpDests JumpDestBitmap
-	// prog is the tier-1 decoded program for the code, or nil to run
-	// tier-0; shared across executions through the state's program
-	// cache once the code is promoted.
-	prog *Program
 }
 
 // framePool recycles frame shells across executions; stacks and
@@ -152,36 +148,6 @@ func (vm *EVM) codeAnalysis(codeAddr types.Address, code []byte) JumpDestBitmap 
 		return c.JumpDestAnalysis(vm.State.CodeHash(codeAddr), code)
 	}
 	return analyzeJumpDests(code)
-}
-
-// ProgramCache is implemented by state backends that share tier-1
-// decoded programs across executions, keyed by code hash. MemState
-// implements it with an execution counter per code blob: cold code
-// returns nil (tier-0) until promoted. The engine's overlay views
-// forward to the base state, same as the JUMPDEST cache.
-type ProgramCache interface {
-	// CodeProgram returns the decoded tier-1 program for code (whose
-	// Keccak-256 hash is codeHash) once it is hot, or nil while the code
-	// should keep running tier-0. Implementations must be safe for
-	// concurrent use.
-	CodeProgram(codeHash types.Hash, code []byte) *Program
-}
-
-// codeProgram resolves the tier-1 program for code installed at
-// codeAddr, or nil to run tier-0: when fusion is disabled, when a tracer
-// is attached (tracers observe every opcode, which superinstructions
-// elide), or when the state backend keeps no program cache. Init code
-// always runs tier-0 — it executes once, so decoding it would cost more
-// than it saves.
-func (vm *EVM) codeProgram(codeAddr types.Address, code []byte) *Program {
-	if vm.Config.DisableFusion || vm.Tracer != nil {
-		return nil
-	}
-	c, ok := vm.State.(ProgramCache)
-	if !ok {
-		return nil
-	}
-	return c.CodeProgram(vm.State.CodeHash(codeAddr), code)
 }
 
 // Call runs the code at `to` with the given input and value transfer.
@@ -245,7 +211,7 @@ func (vm *EVM) call(caller, contextAddr, codeAddr types.Address, input []byte, v
 	}
 
 	f := vm.newFrame(contextAddr, codeAddr, caller, value, code, input, gasLimit, readOnly,
-		vm.codeAnalysis(codeAddr, code), vm.codeProgram(codeAddr, code))
+		vm.codeAnalysis(codeAddr, code))
 	res := vm.runFrame(f)
 	if res.Err != nil {
 		vm.State.RevertToSnapshot(snap)
@@ -297,7 +263,7 @@ func (vm *EVM) create(caller, addr types.Address, initCode []byte, value *uint25
 
 	// Init code is not installed at any account, so it is analyzed
 	// fresh rather than through the state's code-hash-keyed cache.
-	f := vm.newFrame(addr, addr, caller, value, initCode, nil, gasLimit, false, analyzeJumpDests(initCode), nil)
+	f := vm.newFrame(addr, addr, caller, value, initCode, nil, gasLimit, false, analyzeJumpDests(initCode))
 	res := vm.runFrame(f)
 	if res.Err != nil {
 		vm.State.RevertToSnapshot(snap)
@@ -336,7 +302,7 @@ func (r *ExecResult) depositGas(fee uint64) error {
 	return nil
 }
 
-func (vm *EVM) newFrame(contextAddr, codeAddr, caller types.Address, value *uint256.Int, code, input []byte, gasLimit uint64, readOnly bool, jumpDests JumpDestBitmap, prog *Program) *frame {
+func (vm *EVM) newFrame(contextAddr, codeAddr, caller types.Address, value *uint256.Int, code, input []byte, gasLimit uint64, readOnly bool, jumpDests JumpDestBitmap) *frame {
 	f := framePool.Get().(*frame)
 	*f = frame{
 		vm:          vm,
@@ -351,7 +317,6 @@ func (vm *EVM) newFrame(contextAddr, codeAddr, caller types.Address, value *uint
 		memory:      newPooledMemory(vm.Config.MemoryLimit),
 		readOnly:    readOnly,
 		jumpDests:   jumpDests,
-		prog:        prog,
 	}
 	return f
 }

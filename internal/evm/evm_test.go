@@ -959,6 +959,212 @@ func TestPushTruncatedAtCodeEnd(t *testing.T) {
 	}
 }
 
+// execPin summarises one call's observable outcome: error text, return
+// data, gas used and the step, stack and memory counters.
+func execPin(res *evm.ExecResult) string {
+	errText := ""
+	if res.Err != nil {
+		errText = res.Err.Error()
+	}
+	return fmt.Sprintf("err=%q ret=%x gas=%d steps=%d stack=%d mem=%d", errText,
+		res.ReturnData, res.GasUsed, res.Stats.Steps, res.Stats.MaxStackDepth, res.Stats.PeakMemory)
+}
+
+// runPinned calls code once on a fresh state without a tracer and once
+// with a counting tracer, requires both outcomes identical and the
+// tracer to have seen exactly Stats.Steps opcodes — the device cycle
+// model charges every traced opcode — and returns the outcome.
+func runPinned(t *testing.T, cfg evm.Config, code []byte, gasLimit uint64) string {
+	t.Helper()
+	call := func(tr evm.Tracer) *evm.ExecResult {
+		state := evm.NewMemState()
+		state.SetCode(contractAddr, code)
+		vm := evm.New(cfg, state)
+		vm.Tracer = tr
+		return vm.Call(callerAddr, contractAddr, nil, uint256.NewInt(0), gasLimit)
+	}
+	plain := execPin(call(nil))
+	var seen uint64
+	traced := call(tracerFunc(func(uint64, evm.Opcode, *evm.Stack, uint64) { seen++ }))
+	if got := execPin(traced); got != plain {
+		t.Fatalf("tracer changed the outcome:\n  traced %s\n  plain  %s", got, plain)
+	}
+	if seen != traced.Stats.Steps {
+		t.Fatalf("tracer saw %d opcodes, stats say %d steps", seen, traced.Stats.Steps)
+	}
+	return plain
+}
+
+// TestExecutionPins holds the interpreter's outcome in both modes to
+// values recorded from it: a loop, a control-flow fragment through
+// memory, and every failure path with the exact error text, step count
+// and gas at which it fails.
+func TestExecutionPins(t *testing.T) {
+	type pin struct {
+		code       []byte
+		gas        uint64 // full-mode limit; tiny mode does not meter gas
+		tiny, full string
+	}
+	// A long straight block for the out-of-gas cases: the limit runs out
+	// part-way through, at a different instruction for each limit.
+	var straight []byte
+	for i := 0; i < 64; i++ {
+		straight = append(straight, byte(evm.OpPush1), byte(i), byte(evm.OpPush1), 1, byte(evm.OpAdd), byte(evm.OpPop))
+	}
+	straight = append(straight, byte(evm.OpStop))
+	var outOfGas []pin
+	for limit := uint64(1); limit < 40; limit += 3 {
+		outOfGas = append(outOfGas, pin{code: straight, gas: limit})
+	}
+	oogWant := []string{
+		"err=\"\" ret= gas=0 steps=257 stack=2 mem=0",
+		"err=\"evm: out of gas\" ret= gas=0 steps=1 stack=0 mem=0",
+		"err=\"evm: out of gas\" ret= gas=3 steps=2 stack=1 mem=0",
+		"err=\"evm: out of gas\" ret= gas=6 steps=3 stack=2 mem=0",
+		"err=\"evm: out of gas\" ret= gas=9 steps=4 stack=2 mem=0",
+		"err=\"evm: out of gas\" ret= gas=11 steps=5 stack=2 mem=0",
+		"err=\"evm: out of gas\" ret= gas=14 steps=6 stack=2 mem=0",
+		"err=\"evm: out of gas\" ret= gas=17 steps=7 stack=2 mem=0",
+		"err=\"evm: out of gas\" ret= gas=22 steps=9 stack=2 mem=0",
+		"err=\"evm: out of gas\" ret= gas=25 steps=10 stack=2 mem=0",
+		"err=\"evm: out of gas\" ret= gas=28 steps=11 stack=2 mem=0",
+		"err=\"evm: out of gas\" ret= gas=31 steps=12 stack=2 mem=0",
+		"err=\"evm: out of gas\" ret= gas=33 steps=13 stack=2 mem=0",
+		"err=\"evm: out of gas\" ret= gas=36 steps=14 stack=2 mem=0",
+	}
+	for i := range outOfGas {
+		outOfGas[i].tiny, outOfGas[i].full = oogWant[0], oogWant[i+1]
+	}
+
+	// Count 10 down to zero, store the result and return the word.
+	countdown := []byte{
+		byte(evm.OpPush1), 10,
+		byte(evm.OpJumpDest), // pc 2
+		byte(evm.OpPush1), 1, byte(evm.OpSwap1), byte(evm.OpSub),
+		byte(evm.OpDup1), byte(evm.OpPush1), 2, byte(evm.OpJumpI),
+		byte(evm.OpPush1), 0, byte(evm.OpMStore),
+		byte(evm.OpPush1), 32, byte(evm.OpPush1), 0, byte(evm.OpReturn),
+	}
+
+	// Loop until the counter hits zero (DUP1 ISZERO PUSH JUMPI), jump
+	// back with a constant JUMP, then move the result through memory;
+	// the SWAP1 that follows finds the stack empty, so the fragment ends
+	// in a stack underflow at pc 25 after 57 steps.
+	var control []byte
+	control = append(control, byte(evm.OpPush1), 5)                                     // 0..1
+	control = append(control, byte(evm.OpJumpDest))                                     // 2
+	control = append(control, byte(evm.OpPush1), 1, byte(evm.OpSwap1), byte(evm.OpSub)) // 3..6
+	control = append(control, byte(evm.OpDup1), byte(evm.OpIsZero))                     // 7..8
+	control = append(control, byte(evm.OpPush1), 15, byte(evm.OpJumpI))                 // 9..11
+	control = append(control, byte(evm.OpPush1), 2, byte(evm.OpJump))                   // 12..14
+	control = append(control, byte(evm.OpJumpDest))                                     // 15
+	control = append(control,
+		byte(evm.OpPush1), 0, byte(evm.OpMStore),
+		byte(evm.OpPush1), 0, byte(evm.OpMLoad),
+		byte(evm.OpPush1), 32, byte(evm.OpMStore),
+		byte(evm.OpSwap1), byte(evm.OpDup1+1), byte(evm.OpPop), byte(evm.OpPop),
+		byte(evm.OpPush1), 32, byte(evm.OpPush1), 32, byte(evm.OpReturn),
+	)
+
+	groups := []struct {
+		name string
+		pins []pin
+	}{
+		{"loop", []pin{{code: countdown, gas: 1_000_000,
+			tiny: "err=\"\" ret=0000000000000000000000000000000000000000000000000000000000000000 gas=0 steps=76 stack=3 mem=32",
+			full: "err=\"\" ret=0000000000000000000000000000000000000000000000000000000000000000 gas=278 steps=76 stack=3 mem=32"}}},
+		{"control-flow", []pin{{code: control, gas: 1_000_000,
+			tiny: "err=\"SWAP1 at pc 25: evm: stack underflow\" ret= gas=0 steps=57 stack=3 mem=64",
+			full: "err=\"SWAP1 at pc 25: evm: stack underflow\" ret= gas=217 steps=57 stack=3 mem=64"}}},
+		{"out-of-gas", outOfGas},
+		{"stack-underflow", []pin{{code: []byte{byte(evm.OpPush1), 1, byte(evm.OpAdd), byte(evm.OpStop)}, gas: 1_000_000,
+			tiny: "err=\"ADD at pc 2: evm: stack underflow\" ret= gas=0 steps=2 stack=1 mem=0",
+			full: "err=\"ADD at pc 2: evm: stack underflow\" ret= gas=3 steps=2 stack=1 mem=0"}}},
+		// Grow the stack past the limit inside a tight loop.
+		{"stack-overflow", []pin{{code: []byte{
+			byte(evm.OpJumpDest), byte(evm.OpPush1), 0xEE, byte(evm.OpPush1), 0, byte(evm.OpJump),
+		}, gas: 100_000_000,
+			tiny: "err=\"evm: stack overflow\" ret= gas=0 steps=383 stack=96 mem=0",
+			full: "err=\"evm: stack overflow\" ret= gas=15349 steps=4095 stack=1024 mem=0"}}},
+		// A constant destination that is no JUMPDEST, then a computed one.
+		{"invalid-jump", []pin{
+			{code: []byte{byte(evm.OpPush1), 3, byte(evm.OpJump), byte(evm.OpStop)}, gas: 1_000_000,
+				tiny: "err=\"evm: invalid jump destination: pc 3\" ret= gas=0 steps=2 stack=1 mem=0",
+				full: "err=\"evm: invalid jump destination: pc 3\" ret= gas=11 steps=2 stack=1 mem=0"},
+			{code: []byte{byte(evm.OpPush1), 1, byte(evm.OpPush1), 2, byte(evm.OpMul), byte(evm.OpJump), byte(evm.OpStop)}, gas: 1_000_000,
+				tiny: "err=\"evm: invalid jump destination: pc 2\" ret= gas=0 steps=4 stack=2 mem=0",
+				full: "err=\"evm: invalid jump destination: pc 2\" ret= gas=19 steps=4 stack=2 mem=0"},
+		}},
+	}
+	for _, g := range groups {
+		t.Run(g.name, func(t *testing.T) {
+			for i, p := range g.pins {
+				if got := runPinned(t, evm.TinyConfig(), p.code, p.gas); got != p.tiny {
+					t.Errorf("case %d tiny:\n got  %q\n want %q", i, got, p.tiny)
+				}
+				if got := runPinned(t, evm.FullConfig(), p.code, p.gas); got != p.full {
+					t.Errorf("case %d full:\n got  %q\n want %q", i, got, p.full)
+				}
+			}
+		})
+	}
+}
+
+// TestBinopShapes pins every two-operand arithmetic, comparison and
+// bitwise opcode on three operand orders: PUSH 7 PUSH 3 OP computes
+// OP(3, 7); PUSH 200 PUSH 3 SWAP1 OP computes OP(200, 3); PUSH 200 DUP1
+// PUSH 3 OP computes OP(3, 200) above a spare word.
+func TestBinopShapes(t *testing.T) {
+	ret := []byte{
+		byte(evm.OpPush1), 0, byte(evm.OpMStore),
+		byte(evm.OpPush1), 32, byte(evm.OpPush1), 0, byte(evm.OpReturn),
+	}
+	for _, tc := range []struct {
+		op   evm.Opcode
+		want [3]string
+	}{
+		{evm.OpAdd, [3]string{"0xa", "0xcb", "0xcb"}},
+		{evm.OpMul, [3]string{"0x15", "0x258", "0x258"}},
+		{evm.OpSub, [3]string{"0xfffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffc", "0xc5", "0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff3b"}},
+		{evm.OpDiv, [3]string{"0x0", "0x42", "0x0"}},
+		{evm.OpSDiv, [3]string{"0x0", "0x42", "0x0"}},
+		{evm.OpMod, [3]string{"0x3", "0x2", "0x3"}},
+		{evm.OpSMod, [3]string{"0x3", "0x2", "0x3"}},
+		{evm.OpSignExtend, [3]string{"0x7", "0x3", "0xc8"}},
+		{evm.OpLt, [3]string{"0x1", "0x0", "0x1"}},
+		{evm.OpGt, [3]string{"0x0", "0x1", "0x0"}},
+		{evm.OpSlt, [3]string{"0x1", "0x0", "0x1"}},
+		{evm.OpSgt, [3]string{"0x0", "0x1", "0x0"}},
+		{evm.OpEq, [3]string{"0x0", "0x0", "0x0"}},
+		{evm.OpAnd, [3]string{"0x3", "0x0", "0x0"}},
+		{evm.OpOr, [3]string{"0x7", "0xcb", "0xcb"}},
+		{evm.OpXor, [3]string{"0x4", "0xcb", "0xcb"}},
+		{evm.OpByte, [3]string{"0x0", "0x0", "0x0"}},
+		{evm.OpShl, [3]string{"0x38", "0x300000000000000000000000000000000000000000000000000", "0x640"}},
+		{evm.OpShr, [3]string{"0x0", "0x0", "0x19"}},
+		{evm.OpSar, [3]string{"0x0", "0x0", "0x19"}},
+	} {
+		t.Run(tc.op.String(), func(t *testing.T) {
+			shapes := [3][]byte{
+				{byte(evm.OpPush1), 7, byte(evm.OpPush1), 3, byte(tc.op)},
+				{byte(evm.OpPush1), 200, byte(evm.OpPush1), 3, byte(evm.OpSwap1), byte(tc.op)},
+				{byte(evm.OpPush1), 200, byte(evm.OpDup1), byte(evm.OpPush1), 3, byte(tc.op)},
+			}
+			for i, shape := range shapes {
+				code := append(shape, ret...)
+				for _, cfg := range []evm.Config{evm.TinyConfig(), evm.FullConfig()} {
+					state := evm.NewMemState()
+					state.SetCode(contractAddr, code)
+					res := evm.New(cfg, state).Call(callerAddr, contractAddr, nil, uint256.NewInt(0), 1_000_000)
+					if got := retWord(t, res).Hex(); got != tc.want[i] {
+						t.Errorf("shape %d (%s mode): got %s, want %s", i, cfg.Mode, got, tc.want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkInterpreterArithLoop(b *testing.B) {
 	state := evm.NewMemState()
 	state.SetCode(contractAddr, asm.MustAssemble(`

@@ -11,25 +11,52 @@ import (
 // run is the interpreter loop of one frame. It returns the RETURN/REVERT
 // payload and the terminal error (nil for STOP/RETURN).
 //
-// Cold code (tier-0) dispatches one opcode at a time through the jump
-// table: opTable[op] carries the handler, the folded constant gas cost
-// and the stack requirements, so each step validates the stack up front,
-// charges constant gas, and calls the handler — no per-opcode switch.
-// Hot code carries a decoded Program (see program.go) and runs tier-1:
-// whole basic blocks of fused superinstructions with the validation
-// hoisted to block entry.
+// Each step dispatches one opcode through the jump table: opTable[op]
+// carries the handler, the folded constant gas cost and the stack
+// requirements, so each step validates the stack up front, charges
+// constant gas, and calls the handler — no per-opcode switch.
 func (f *frame) run() ([]byte, error) {
-	if f.prog != nil {
-		return f.runTiered()
-	}
-	isTiny := f.vm.Config.Mode == ModeTiny
+	vm := f.vm
+	isTiny := vm.Config.Mode == ModeTiny
 	stackLimit := f.stack.limit
 	for {
 		if f.pc >= uint64(len(f.code)) {
 			// Implicit STOP off the end of code.
 			return nil, nil
 		}
-		done, ret, err := f.stepOne(isTiny, stackLimit)
+		op := Opcode(f.code[f.pc])
+		oper := &opTable[op]
+
+		if vm.stepsLeft == 0 {
+			return nil, ErrStepLimit
+		}
+		vm.stepsLeft--
+		f.stats.Steps++
+
+		if vm.Tracer != nil {
+			vm.Tracer.CaptureOp(f.pc, op, f.stack, f.memory.Len())
+		}
+
+		if !oper.defined || op == OpInvalid {
+			return nil, fmt.Errorf("%w: %s at pc %d", ErrInvalidOpcode, op, f.pc)
+		}
+		if isTiny && oper.tinyRemoved {
+			return nil, fmt.Errorf("%w: %s at pc %d", ErrOpcodeRemoved, oper.name, f.pc)
+		}
+		if op == OpSensor && !vm.Config.EnableSensorOpcode {
+			return nil, fmt.Errorf("%w: SENSOR at pc %d", ErrInvalidOpcode, f.pc)
+		}
+		if f.stack.Len() < oper.minStack {
+			return nil, fmt.Errorf("%s at pc %d: %w", oper.name, f.pc, ErrStackUnderflow)
+		}
+		if oper.growth > 0 && f.stack.Len()+oper.growth > stackLimit {
+			return nil, ErrStackOverflow
+		}
+		if err := f.gas.consume(oper.constGas); err != nil {
+			return nil, err
+		}
+
+		done, ret, err := oper.exec(f)
 		if err != nil {
 			return ret, err
 		}
@@ -37,237 +64,6 @@ func (f *frame) run() ([]byte, error) {
 			return ret, nil
 		}
 	}
-}
-
-// stepOne executes exactly one opcode at f.pc with the full tier-0
-// validation sequence. The caller has checked that f.pc is in bounds.
-func (f *frame) stepOne(isTiny bool, stackLimit int) (bool, []byte, error) {
-	vm := f.vm
-	op := Opcode(f.code[f.pc])
-	oper := &opTable[op]
-
-	if vm.stepsLeft == 0 {
-		return false, nil, ErrStepLimit
-	}
-	vm.stepsLeft--
-	f.stats.Steps++
-
-	if vm.Tracer != nil {
-		vm.Tracer.CaptureOp(f.pc, op, f.stack, f.memory.Len())
-	}
-	if opProfileEnabled {
-		opHits[op].Add(1)
-	}
-
-	if !oper.defined || op == OpInvalid {
-		return false, nil, fmt.Errorf("%w: %s at pc %d", ErrInvalidOpcode, op, f.pc)
-	}
-	if isTiny && oper.tinyRemoved {
-		return false, nil, fmt.Errorf("%w: %s at pc %d", ErrOpcodeRemoved, oper.name, f.pc)
-	}
-	if op == OpSensor && !vm.Config.EnableSensorOpcode {
-		return false, nil, fmt.Errorf("%w: SENSOR at pc %d", ErrInvalidOpcode, f.pc)
-	}
-	if f.stack.Len() < oper.minStack {
-		return false, nil, fmt.Errorf("%s at pc %d: %w", oper.name, f.pc, ErrStackUnderflow)
-	}
-	if oper.growth > 0 && f.stack.Len()+oper.growth > stackLimit {
-		return false, nil, ErrStackOverflow
-	}
-	if err := f.gas.consume(oper.constGas); err != nil {
-		return false, nil, err
-	}
-
-	return oper.exec(f)
-}
-
-// runTiered is the tier-1 interpreter loop: when the current pc begins a
-// decoded basic block whose entry preconditions hold (enough steps,
-// operands and stack headroom for the whole block), the block runs as
-// fused superinstructions; otherwise — mid-block pcs, splitter opcodes,
-// or a precondition shortfall where tier-0 error positioning matters —
-// execution falls back to per-op stepping, which reproduces tier-0
-// behavior exactly, until the next block boundary.
-func (f *frame) runTiered() ([]byte, error) {
-	vm := f.vm
-	isTiny := vm.Config.Mode == ModeTiny
-	stackLimit := f.stack.limit
-	prog := f.prog
-	ncode := uint64(len(f.code))
-	for {
-		if f.pc >= ncode {
-			return nil, nil
-		}
-		if bi := prog.blockIdx[f.pc]; bi != 0 {
-			b := &prog.blocks[bi-1]
-			if vm.stepsLeft >= b.steps &&
-				len(f.stack.data) >= b.minStack &&
-				len(f.stack.data)+b.growthPeak <= stackLimit {
-				done, ret, err, bailed := f.runBlock(b)
-				if err != nil || done {
-					return ret, err
-				}
-				if !bailed {
-					continue
-				}
-				// Bailed on low gas: f.pc anchors the offending
-				// superinstruction; replay it per-op so out-of-gas
-				// accounting lands exactly where tier-0 puts it.
-			}
-		}
-		done, ret, err := f.stepOne(isTiny, stackLimit)
-		if err != nil {
-			return ret, err
-		}
-		if done {
-			return ret, nil
-		}
-	}
-}
-
-// runBlock executes one validated basic block. Gas is still checked per
-// superinstruction: tier-0 charges opcode by opcode and zeroes the pool
-// without counting the failing charge into `used`, so a lump block
-// charge would diverge on out-of-gas. When an instr's aggregate gas
-// doesn't fit, the block bails *before* any of its effects (bailed=true,
-// f.pc set to the instr's first opcode) and the caller replays it
-// per-op.
-func (f *frame) runBlock(b *basicBlock) (done bool, ret []byte, err error, bailed bool) {
-	vm := f.vm
-	s := f.stack
-	gas := &f.gas
-	for ii := range b.instrs {
-		in := &b.instrs[ii]
-		if gas.metered {
-			if gas.remaining < in.gas {
-				f.pc = in.pc
-				return false, nil, nil, true
-			}
-			gas.remaining -= in.gas
-			gas.used += in.gas
-		}
-		vm.stepsLeft -= uint64(in.steps)
-		f.stats.Steps += uint64(in.steps)
-		if opProfileEnabled {
-			if in.kind == kGeneric {
-				opHits[in.op].Add(1)
-			} else {
-				fusionHits[in.kind].Add(1)
-			}
-		}
-		// Reproduce tier-0's Push-driven stack high-water mark without
-		// the intermediate pushes.
-		if in.peak != peakNone {
-			if p := len(s.data) + int(in.peak); p > s.maxDepth {
-				s.maxDepth = p
-			}
-		}
-
-		switch in.kind {
-		case kNop:
-			// JUMPDEST: position marker only.
-
-		case kPush, kPushFold:
-			s.data = append(s.data, in.imm)
-
-		case kPop:
-			s.data = s.data[:len(s.data)-1]
-
-		case kDup:
-			s.data = append(s.data, s.data[len(s.data)-int(in.n)])
-
-		case kSwap:
-			top := len(s.data) - 1
-			nn := int(in.n)
-			s.data[top], s.data[top-nn] = s.data[top-nn], s.data[top]
-
-		case kDupSwap:
-			// DUPn SWAPm: push the dup, then exchange it with top-m.
-			top := len(s.data)
-			v := s.data[top-int(in.n)]
-			s.data = append(s.data, s.data[top-int(in.m)])
-			s.data[top-int(in.m)] = v
-
-		case kConstBinop:
-			x := in.imm
-			applyBinop(in.op, &x, &s.data[len(s.data)-1])
-
-		case kConstSwapBinop:
-			top := &s.data[len(s.data)-1]
-			y := in.imm
-			applyBinop(in.op, top, &y)
-			*top = y
-
-		case kConstMLoad:
-			if err := gas.chargeMemory(in.dest, 32); err != nil {
-				return false, nil, err, false
-			}
-			var w uint256.Int
-			if err := f.memory.GetWord(in.dest, &w); err != nil {
-				return false, nil, err, false
-			}
-			s.data = append(s.data, w)
-
-		case kConstMStore:
-			top := len(s.data) - 1
-			val := s.data[top]
-			s.data = s.data[:top]
-			if err := gas.chargeMemory(in.dest, 32); err != nil {
-				return false, nil, err, false
-			}
-			if err := f.memory.SetWord(in.dest, &val); err != nil {
-				return false, nil, err, false
-			}
-
-		case kJump:
-			f.pc = in.dest
-			return false, nil, nil, false
-
-		case kJumpI:
-			top := len(s.data) - 1
-			cond := s.data[top]
-			s.data = s.data[:top]
-			if cond.IsZero() {
-				f.pc = b.next
-			} else {
-				f.pc = in.dest
-			}
-			return false, nil, nil, false
-
-		case kIsZeroJumpI:
-			top := len(s.data) - 1
-			v := s.data[top]
-			s.data = s.data[:top]
-			if v.IsZero() {
-				f.pc = in.dest
-			} else {
-				f.pc = b.next
-			}
-			return false, nil, nil, false
-
-		case kDupIsZeroJumpI:
-			if s.data[len(s.data)-1].IsZero() {
-				f.pc = in.dest
-			} else {
-				f.pc = b.next
-			}
-			return false, nil, nil, false
-
-		default: // kGeneric
-			f.pc = in.pc
-			done, ret, err := opTable[in.op].exec(f)
-			if done || err != nil {
-				return done, ret, err, false
-			}
-			if in.op == OpJump || in.op == OpJumpI {
-				// The handler set pc to the jump target; the block is
-				// over even though the instr loop would be too.
-				return false, nil, nil, false
-			}
-		}
-	}
-	f.pc = b.next
-	return false, nil, nil, false
 }
 
 // advance bumps pc when err is nil; a helper for single-byte opcodes.
@@ -1297,7 +1093,7 @@ func (vm *EVM) callDelegate(origCaller, contextAddr, codeAddr types.Address, inp
 		return &ExecResult{}
 	}
 	f := vm.newFrame(contextAddr, codeAddr, origCaller, value, code, input, gasLimit, readOnly,
-		vm.codeAnalysis(codeAddr, code), vm.codeProgram(codeAddr, code))
+		vm.codeAnalysis(codeAddr, code))
 	res := vm.runFrame(f)
 	if res.Err != nil {
 		vm.State.RevertToSnapshot(snap)

@@ -117,47 +117,25 @@ type MemState struct {
 	// default) disables tracking entirely.
 	dirty map[types.Address]struct{}
 
-	// analysisMu guards the two code-hash-keyed caches below. They are
-	// the deliberately concurrency-safe pieces of MemState: the parallel
+	// analysisMu guards the code-hash-keyed JUMPDEST cache below, the
+	// deliberately concurrency-safe piece of MemState: the parallel
 	// engine's workers execute on detached overlay views but share the
-	// caches through them, so repeated executions of the same contract —
-	// from any worker — stop re-scanning or re-decoding its bytecode.
+	// cache through them, so repeated executions of the same contract —
+	// from any worker — stop re-scanning its bytecode.
 	analysisMu sync.Mutex
 	// analysis is the JUMPDEST bitmap cache, size-capped LRU.
-	analysis *lruCache[JumpDestBitmap]
-	// programs holds a per-code execution counter and, once the code is
-	// promoted past tierPromoteAfter executions, its decoded tier-1
-	// program. Size-capped LRU; an evicted entry simply re-earns its
-	// promotion on later use.
-	programs *lruCache[*programEntry]
+	analysis *lruCache
 }
 
-// programEntry is one slot of the tier-1 program cache.
-type programEntry struct {
-	hits int
-	prog *Program
-}
-
-const (
-	// maxAnalysisEntries bounds the JUMPDEST cache; one entry per
-	// distinct code blob, far above any realistic hot contract
-	// population, but a hard ceiling so a daemon serving millions of
-	// distinct contracts cannot grow the cache without bound.
-	maxAnalysisEntries = 4096
-	// maxProgramEntries bounds the decoded-program cache. Programs are
-	// an order of magnitude heavier than JUMPDEST bitmaps, so the cap is
-	// tighter.
-	maxProgramEntries = 1024
-	// tierPromoteAfter is the number of executions of one code blob
-	// before it is decoded to a tier-1 program; one-shot code never pays
-	// the decode.
-	tierPromoteAfter = 4
-)
+// maxAnalysisEntries bounds the JUMPDEST cache; one entry per distinct
+// code blob, far above any realistic hot contract population, but a
+// hard ceiling so a daemon serving millions of distinct contracts
+// cannot grow the cache without bound.
+const maxAnalysisEntries = 4096
 
 var (
 	_ StateDB       = (*MemState)(nil)
 	_ JumpDestCache = (*MemState)(nil)
-	_ ProgramCache  = (*MemState)(nil)
 )
 
 // NewMemState returns an empty state.
@@ -367,52 +345,12 @@ func (s *MemState) JumpDestAnalysis(codeHash types.Hash, code []byte) JumpDestBi
 	s.analysisMu.Lock()
 	defer s.analysisMu.Unlock()
 	if s.analysis == nil {
-		s.analysis = newLRUCache[JumpDestBitmap](maxAnalysisEntries)
+		s.analysis = newLRUCache(maxAnalysisEntries)
 	} else if cached, ok := s.analysis.get(codeHash); ok {
 		return cached
 	}
 	s.analysis.put(codeHash, b)
 	return b
-}
-
-// CodeProgram implements ProgramCache: it counts executions per code
-// hash and, past the promotion threshold, returns the decoded tier-1
-// program (decoding it at most once per distinct code hash). Safe for
-// concurrent use, same discipline as JumpDestAnalysis.
-func (s *MemState) CodeProgram(codeHash types.Hash, code []byte) *Program {
-	s.analysisMu.Lock()
-	if s.programs == nil {
-		s.programs = newLRUCache[*programEntry](maxProgramEntries)
-	}
-	e, ok := s.programs.get(codeHash)
-	if !ok {
-		e = &programEntry{}
-		s.programs.put(codeHash, e)
-	}
-	e.hits++
-	if e.prog != nil || e.hits < tierPromoteAfter {
-		p := e.prog
-		s.analysisMu.Unlock()
-		return p
-	}
-	s.analysisMu.Unlock()
-
-	// Decode outside the lock (JumpDestAnalysis takes it internally); a
-	// concurrent duplicate decode of the same code is harmless and
-	// cheaper than holding the mutex across a full bytecode decode.
-	prog := decodeProgram(code, s.JumpDestAnalysis(codeHash, code))
-
-	s.analysisMu.Lock()
-	defer s.analysisMu.Unlock()
-	if cur, ok := s.programs.get(codeHash); ok {
-		if cur.prog == nil {
-			cur.prog = prog
-		}
-		return cur.prog
-	}
-	// The entry was evicted while decoding; reinstall it promoted.
-	s.programs.put(codeHash, &programEntry{hits: tierPromoteAfter, prog: prog})
-	return prog
 }
 
 // GetState implements StateDB.

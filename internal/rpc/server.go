@@ -85,8 +85,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			s.reply(w, nil, nil, &Error{Code: codeInvalidRequest,
+				Message: fmt.Sprintf("invalid request: body exceeds %d bytes", tooBig.Limit)})
+			return
+		}
 		s.reply(w, nil, nil, &Error{Code: codeParse, Message: err.Error()})
 		return
 	}
