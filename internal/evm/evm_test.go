@@ -995,16 +995,90 @@ func runPinned(t *testing.T, cfg evm.Config, code []byte, gasLimit uint64) strin
 	return plain
 }
 
-// TestExecutionPins holds the interpreter's outcome in both modes to
-// values recorded from it: a loop, a control-flow fragment through
-// memory, and every failure path with the exact error text, step count
-// and gas at which it fails.
-func TestExecutionPins(t *testing.T) {
-	type pin struct {
-		code       []byte
-		gas        uint64 // full-mode limit; tiny mode does not meter gas
-		tiny, full string
+// execPinCase is one pinned call: code, the full-mode gas limit (tiny
+// mode does not meter gas) and the outcome recorded in each mode.
+type execPinCase struct {
+	code       []byte
+	gas        uint64
+	tiny, full string
+}
+
+// runPinGroups runs each group as a subtest and checks every case in
+// both modes against its recorded outcome.
+func runPinGroups(t *testing.T, groups []struct {
+	name string
+	pins []execPinCase
+}) {
+	t.Helper()
+	for _, g := range groups {
+		t.Run(g.name, func(t *testing.T) {
+			for i, p := range g.pins {
+				if got := runPinned(t, evm.TinyConfig(), p.code, p.gas); got != p.tiny {
+					t.Errorf("case %d tiny:\n got  %q\n want %q", i, got, p.tiny)
+				}
+				if got := runPinned(t, evm.FullConfig(), p.code, p.gas); got != p.full {
+					t.Errorf("case %d full:\n got  %q\n want %q", i, got, p.full)
+				}
+			}
+		})
 	}
+}
+
+// countdownCode counts 10 down to zero, stores the result and returns
+// the word.
+func countdownCode() []byte {
+	return []byte{
+		byte(evm.OpPush1), 10,
+		byte(evm.OpJumpDest), // pc 2
+		byte(evm.OpPush1), 1, byte(evm.OpSwap1), byte(evm.OpSub),
+		byte(evm.OpDup1), byte(evm.OpPush1), 2, byte(evm.OpJumpI),
+		byte(evm.OpPush1), 0, byte(evm.OpMStore),
+		byte(evm.OpPush1), 32, byte(evm.OpPush1), 0, byte(evm.OpReturn),
+	}
+}
+
+// TestExecutionPins holds the interpreter's outcome in both modes to
+// values recorded from it: a loop and a control-flow fragment through
+// memory.
+func TestExecutionPins(t *testing.T) {
+	// Loop until the counter hits zero (DUP1 ISZERO PUSH JUMPI), jump
+	// back with a constant JUMP, then move the result through memory;
+	// the SWAP1 that follows finds the stack empty, so the fragment ends
+	// in a stack underflow at pc 25 after 57 steps.
+	var control []byte
+	control = append(control, byte(evm.OpPush1), 5)                                     // 0..1
+	control = append(control, byte(evm.OpJumpDest))                                     // 2
+	control = append(control, byte(evm.OpPush1), 1, byte(evm.OpSwap1), byte(evm.OpSub)) // 3..6
+	control = append(control, byte(evm.OpDup1), byte(evm.OpIsZero))                     // 7..8
+	control = append(control, byte(evm.OpPush1), 15, byte(evm.OpJumpI))                 // 9..11
+	control = append(control, byte(evm.OpPush1), 2, byte(evm.OpJump))                   // 12..14
+	control = append(control, byte(evm.OpJumpDest))                                     // 15
+	control = append(control,
+		byte(evm.OpPush1), 0, byte(evm.OpMStore),
+		byte(evm.OpPush1), 0, byte(evm.OpMLoad),
+		byte(evm.OpPush1), 32, byte(evm.OpMStore),
+		byte(evm.OpSwap1), byte(evm.OpDup1+1), byte(evm.OpPop), byte(evm.OpPop),
+		byte(evm.OpPush1), 32, byte(evm.OpPush1), 32, byte(evm.OpReturn),
+	)
+
+	runPinGroups(t, []struct {
+		name string
+		pins []execPinCase
+	}{
+		{"loop", []execPinCase{{code: countdownCode(), gas: 1_000_000,
+			tiny: "err=\"\" ret=0000000000000000000000000000000000000000000000000000000000000000 gas=0 steps=76 stack=3 mem=32",
+			full: "err=\"\" ret=0000000000000000000000000000000000000000000000000000000000000000 gas=278 steps=76 stack=3 mem=32"}}},
+		{"control-flow", []execPinCase{{code: control, gas: 1_000_000,
+			tiny: "err=\"SWAP1 at pc 25: evm: stack underflow\" ret= gas=0 steps=57 stack=3 mem=64",
+			full: "err=\"SWAP1 at pc 25: evm: stack underflow\" ret= gas=217 steps=57 stack=3 mem=64"}}},
+	})
+}
+
+// TestTieredErrorEquivalence pins the failure paths in both modes:
+// mid-block out-of-gas, stack underflow, stack overflow and invalid
+// jumps, each with the exact error text, step count and gas at which it
+// fails, and each seen opcode by opcode by a tracer.
+func TestTieredErrorEquivalence(t *testing.T) {
 	// A long straight block for the out-of-gas cases: the limit runs out
 	// part-way through, at a different instruction for each limit.
 	var straight []byte
@@ -1012,9 +1086,9 @@ func TestExecutionPins(t *testing.T) {
 		straight = append(straight, byte(evm.OpPush1), byte(i), byte(evm.OpPush1), 1, byte(evm.OpAdd), byte(evm.OpPop))
 	}
 	straight = append(straight, byte(evm.OpStop))
-	var outOfGas []pin
+	var outOfGas []execPinCase
 	for limit := uint64(1); limit < 40; limit += 3 {
-		outOfGas = append(outOfGas, pin{code: straight, gas: limit})
+		outOfGas = append(outOfGas, execPinCase{code: straight, gas: limit})
 	}
 	oogWant := []string{
 		"err=\"\" ret= gas=0 steps=257 stack=2 mem=0",
@@ -1036,58 +1110,22 @@ func TestExecutionPins(t *testing.T) {
 		outOfGas[i].tiny, outOfGas[i].full = oogWant[0], oogWant[i+1]
 	}
 
-	// Count 10 down to zero, store the result and return the word.
-	countdown := []byte{
-		byte(evm.OpPush1), 10,
-		byte(evm.OpJumpDest), // pc 2
-		byte(evm.OpPush1), 1, byte(evm.OpSwap1), byte(evm.OpSub),
-		byte(evm.OpDup1), byte(evm.OpPush1), 2, byte(evm.OpJumpI),
-		byte(evm.OpPush1), 0, byte(evm.OpMStore),
-		byte(evm.OpPush1), 32, byte(evm.OpPush1), 0, byte(evm.OpReturn),
-	}
-
-	// Loop until the counter hits zero (DUP1 ISZERO PUSH JUMPI), jump
-	// back with a constant JUMP, then move the result through memory;
-	// the SWAP1 that follows finds the stack empty, so the fragment ends
-	// in a stack underflow at pc 25 after 57 steps.
-	var control []byte
-	control = append(control, byte(evm.OpPush1), 5)                                     // 0..1
-	control = append(control, byte(evm.OpJumpDest))                                     // 2
-	control = append(control, byte(evm.OpPush1), 1, byte(evm.OpSwap1), byte(evm.OpSub)) // 3..6
-	control = append(control, byte(evm.OpDup1), byte(evm.OpIsZero))                     // 7..8
-	control = append(control, byte(evm.OpPush1), 15, byte(evm.OpJumpI))                 // 9..11
-	control = append(control, byte(evm.OpPush1), 2, byte(evm.OpJump))                   // 12..14
-	control = append(control, byte(evm.OpJumpDest))                                     // 15
-	control = append(control,
-		byte(evm.OpPush1), 0, byte(evm.OpMStore),
-		byte(evm.OpPush1), 0, byte(evm.OpMLoad),
-		byte(evm.OpPush1), 32, byte(evm.OpMStore),
-		byte(evm.OpSwap1), byte(evm.OpDup1+1), byte(evm.OpPop), byte(evm.OpPop),
-		byte(evm.OpPush1), 32, byte(evm.OpPush1), 32, byte(evm.OpReturn),
-	)
-
-	groups := []struct {
+	runPinGroups(t, []struct {
 		name string
-		pins []pin
+		pins []execPinCase
 	}{
-		{"loop", []pin{{code: countdown, gas: 1_000_000,
-			tiny: "err=\"\" ret=0000000000000000000000000000000000000000000000000000000000000000 gas=0 steps=76 stack=3 mem=32",
-			full: "err=\"\" ret=0000000000000000000000000000000000000000000000000000000000000000 gas=278 steps=76 stack=3 mem=32"}}},
-		{"control-flow", []pin{{code: control, gas: 1_000_000,
-			tiny: "err=\"SWAP1 at pc 25: evm: stack underflow\" ret= gas=0 steps=57 stack=3 mem=64",
-			full: "err=\"SWAP1 at pc 25: evm: stack underflow\" ret= gas=217 steps=57 stack=3 mem=64"}}},
 		{"out-of-gas", outOfGas},
-		{"stack-underflow", []pin{{code: []byte{byte(evm.OpPush1), 1, byte(evm.OpAdd), byte(evm.OpStop)}, gas: 1_000_000,
+		{"stack-underflow", []execPinCase{{code: []byte{byte(evm.OpPush1), 1, byte(evm.OpAdd), byte(evm.OpStop)}, gas: 1_000_000,
 			tiny: "err=\"ADD at pc 2: evm: stack underflow\" ret= gas=0 steps=2 stack=1 mem=0",
 			full: "err=\"ADD at pc 2: evm: stack underflow\" ret= gas=3 steps=2 stack=1 mem=0"}}},
 		// Grow the stack past the limit inside a tight loop.
-		{"stack-overflow", []pin{{code: []byte{
+		{"stack-overflow", []execPinCase{{code: []byte{
 			byte(evm.OpJumpDest), byte(evm.OpPush1), 0xEE, byte(evm.OpPush1), 0, byte(evm.OpJump),
 		}, gas: 100_000_000,
 			tiny: "err=\"evm: stack overflow\" ret= gas=0 steps=383 stack=96 mem=0",
 			full: "err=\"evm: stack overflow\" ret= gas=15349 steps=4095 stack=1024 mem=0"}}},
 		// A constant destination that is no JUMPDEST, then a computed one.
-		{"invalid-jump", []pin{
+		{"invalid-jump", []execPinCase{
 			{code: []byte{byte(evm.OpPush1), 3, byte(evm.OpJump), byte(evm.OpStop)}, gas: 1_000_000,
 				tiny: "err=\"evm: invalid jump destination: pc 3\" ret= gas=0 steps=2 stack=1 mem=0",
 				full: "err=\"evm: invalid jump destination: pc 3\" ret= gas=11 steps=2 stack=1 mem=0"},
@@ -1095,18 +1133,28 @@ func TestExecutionPins(t *testing.T) {
 				tiny: "err=\"evm: invalid jump destination: pc 2\" ret= gas=0 steps=4 stack=2 mem=0",
 				full: "err=\"evm: invalid jump destination: pc 2\" ret= gas=19 steps=4 stack=2 mem=0"},
 		}},
-	}
-	for _, g := range groups {
-		t.Run(g.name, func(t *testing.T) {
-			for i, p := range g.pins {
-				if got := runPinned(t, evm.TinyConfig(), p.code, p.gas); got != p.tiny {
-					t.Errorf("case %d tiny:\n got  %q\n want %q", i, got, p.tiny)
-				}
-				if got := runPinned(t, evm.FullConfig(), p.code, p.gas); got != p.full {
-					t.Errorf("case %d full:\n got  %q\n want %q", i, got, p.full)
-				}
-			}
-		})
+	})
+}
+
+// TestTracerForcesTierZero: a tracer attached to a VM sees every opcode
+// on every call, also when the same code runs again and again on one VM
+// with its JUMPDEST analysis cached — the device cycle model charges
+// each traced opcode, so none may be skipped.
+func TestTracerForcesTierZero(t *testing.T) {
+	state := evm.NewMemState()
+	state.SetCode(contractAddr, countdownCode())
+	vm := evm.New(evm.TinyConfig(), state)
+	var seen uint64
+	vm.Tracer = tracerFunc(func(uint64, evm.Opcode, *evm.Stack, uint64) { seen++ })
+	for i := 0; i < 10; i++ {
+		seen = 0
+		res := vm.Call(callerAddr, contractAddr, nil, uint256.NewInt(0), 0)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if res.Stats.Steps != 76 || seen != res.Stats.Steps {
+			t.Fatalf("call %d: tracer saw %d opcodes, stats say %d steps, want 76", i, seen, res.Stats.Steps)
+		}
 	}
 }
 
