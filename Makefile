@@ -22,8 +22,9 @@ bench-check:
 
 # Run the on-disk-format fuzzers (the byte codec's reader, the record
 # log, the segment codec, the service's op-record decoder and replay,
-# its checkpoint decoder, the chain's record decoders), the radio
-# wire's and the cluster peer wire's decoders, the interpreter on
+# its checkpoint decoder, the chain's record decoders), the light
+# client's state-proof verifier, the radio wire's and the cluster peer
+# wire's decoders, the interpreter on
 # arbitrary bytecode, and the crypto fast paths' differential fuzzers
 # (fixed-limb field, scalar and ECDSA against the
 # math/big oracle in internal/secp256k1/oracle_test.go; the unrolled
@@ -44,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s .
 	$(GO) test -run '^$$' -fuzz '^FuzzChainRecordDecode$$' -fuzztime $(FUZZTIME) ./internal/chain/
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyStateProof$$' -fuzztime $(FUZZTIME) ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzProtocolDecode$$' -fuzztime $(FUZZTIME) ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -run '^$$' -fuzz '^FuzzInterpreter$$' -fuzztime $(FUZZTIME) .

@@ -6,7 +6,10 @@ package tinyevm_test
 // testdata/format/v2 holds what this tree writes — binary records, kept
 // as hex — for a fixed workload that issues every operation kind; the
 // tree must keep writing those bytes and must replay them to the
-// deployment recorded beside them.
+// deployment recorded beside them. Its store.golden is the whole store
+// (every key, values in hex) the format-2 commit left after replaying
+// that journal, chain account and head records included; it is never
+// regenerated: TestMigrateFormat2Store opens it.
 //
 // testdata/format itself holds the LEGACY fixtures: the JSON journal
 // and checkpoint the commit before the op table wrote for the same
@@ -523,9 +526,10 @@ func TestMigrateLegacyStore(t *testing.T) {
 			t.Errorf("%s starts with %#02x, not the format byte", k, got[k][0])
 		}
 	}
-	if !bytes.Contains(got["meta/service"], []byte(`"format":2`)) {
+	if !bytes.Contains(got["meta/service"], []byte(`"format":3`)) {
 		t.Errorf("meta record carries no stamp: %s", got["meta/service"])
 	}
+	assertNoChainState(t, legacy)
 
 	// Stamped: the second open reads binary and writes nothing.
 	counted.commits = 0
@@ -540,14 +544,66 @@ func TestMigrateLegacyStore(t *testing.T) {
 	}
 }
 
+// assertNoChainState requires kv to hold none of the chain records
+// format 3 dropped: per-account records and the head pointer.
+func assertNoChainState(t *testing.T, kv store.KVStore) {
+	t.Helper()
+	for _, prefix := range []string{"chain/acct/", "chain/meta/head"} {
+		if err := kv.Iterate([]byte(prefix), func(k, _ []byte) error {
+			return fmt.Errorf("the store holds %s", k)
+		}); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestMigrateFormat2Store opens the whole store the format-2 commit
+// wrote for the format workload — binary records, plus a record per
+// account and a head pointer beside the chain's blocks — and requires:
+// one atomic batch drops those and restamps the meta; the store
+// recovers to the deployment expect.json recorded; and a second open
+// writes nothing.
+func TestMigrateFormat2Store(t *testing.T) {
+	kv := store.NewMem()
+	for _, line := range goldenLines(t, formatDir, "store.golden") {
+		key, value := cutRecord(t, line)
+		if err := kv.Put([]byte(key), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counted := &countingKV{KVStore: kv}
+	for open := 1; open <= 2; open++ {
+		counted.commits = 0
+		svc, _, err := tinyevm.NewService("lot", formatOpts(counted)...)
+		if err != nil {
+			t.Fatalf("open %d of the format-2 store: %v", open, err)
+		}
+		assertExpect(t, formatDir, svc)
+		svc.Close()
+		if want := 2 - open; counted.commits != want {
+			t.Fatalf("open %d committed %d batches, want %d", open, counted.commits, want)
+		}
+		assertNoChainState(t, kv)
+		meta, _, _ := kv.Get([]byte("meta/service"))
+		if !bytes.Contains(meta, []byte(`"format":3`)) {
+			t.Fatalf("meta record after open %d: %s", open, meta)
+		}
+	}
+}
+
 // TestMigrationRefusesWhatItCannotRead: a legacy record that does not
-// decode fails the open and leaves the store exactly as it was.
+// decode fails the open and leaves the store exactly as it was. A
+// legacy account record is the exception: it is dropped unread, so a
+// malformed one goes with the rest and the store opens.
 func TestMigrationRefusesWhatItCannotRead(t *testing.T) {
-	for _, bad := range []struct{ key, value string }{
-		{"op/0000000000000003", `{"seq":3,"op":"openChannel","node":"car","peer":"0xzz"}`},
-		{"ckpt/state", `{"seq":27,"height":6,"chainState":{"zz":{}}}`},
-		{"chain/block/0000000000000002", `{"number":2,"hash":"0x12"}`},
-		{"chain/acct/0c4a8b51fe89b07f81f7396327dc56f9c5408ee7", `{"balance":"0g"}`},
+	for _, bad := range []struct {
+		key, value string
+		dropped    bool
+	}{
+		{"op/0000000000000003", `{"seq":3,"op":"openChannel","node":"car","peer":"0xzz"}`, false},
+		{"ckpt/state", `{"seq":27,"height":6,"chainState":{"zz":{}}}`, false},
+		{"chain/block/0000000000000002", `{"number":2,"hash":"0x12"}`, false},
+		{"chain/acct/0c4a8b51fe89b07f81f7396327dc56f9c5408ee7", `{"balance":"0g"}`, true},
 	} {
 		t.Run(bad.key, func(t *testing.T) {
 			legacy, _ := legacyStore(t)
@@ -556,6 +612,15 @@ func TestMigrationRefusesWhatItCannotRead(t *testing.T) {
 			}
 			before := cloneStore(t, legacy)
 			svc, _, err := tinyevm.NewService("lot", formatOpts(legacy)...)
+			if bad.dropped {
+				if err != nil {
+					t.Fatalf("the store did not open: %v", err)
+				}
+				assertExpect(t, legacyFormatDir, svc)
+				svc.Close()
+				assertNoChainState(t, legacy)
+				return
+			}
 			if err == nil {
 				svc.Close()
 				t.Fatal("the store opened")

@@ -324,6 +324,9 @@ func (c *Chain) NextBlockTemplate() *Block {
 // SealBlock finalizes a template produced by NextBlockTemplate: it
 // accumulates gas and transaction hashes from the receipts (in order),
 // records the receipts, hashes the block and appends it to the chain.
+// Under the MST commitment it then folds the accounts mutated since the
+// previous seal into the map, so every seal hook sees the block's
+// commitment.
 func (c *Chain) SealBlock(block *Block, receipts []*Receipt) {
 	for _, r := range receipts {
 		block.GasUsed += r.GasUsed
@@ -332,6 +335,9 @@ func (c *Chain) SealBlock(block *Block, receipts []*Receipt) {
 	}
 	block.Hash = blockHash(block)
 	c.blocks = append(c.blocks, block)
+	if c.commitMST {
+		c.applyCommitmentDelta(c.state.TakeDirty())
+	}
 	for _, hook := range c.sealHooks {
 		hook(block, receipts)
 	}

@@ -51,17 +51,8 @@ var commitTag = []byte("tinyevm-mst-commit")
 func (c *Chain) EnableMSTCommitment() {
 	c.commitMST = true
 	c.rebuildCommitment()
-	// Keep the map in lockstep with seals even when no store attaches:
-	// track mutated accounts and fold each seal's delta in. With a store
-	// attached, persistSeal drains the dirty set first and does the fold
-	// itself, so this hook sees an attached kv and stands down.
+	// SealBlock folds the accounts each block mutated into the map.
 	c.state.EnableDirtyTracking()
-	c.OnSeal(func(*Block, []*Receipt) {
-		if c.kv != nil {
-			return
-		}
-		c.applyCommitmentDelta(c.state.TakeDirty())
-	})
 }
 
 // MSTCommitment reports whether the MST commitment is enabled.
@@ -90,7 +81,7 @@ func (c *Chain) updateCommitmentAccount(addr types.Address) {
 }
 
 // applyCommitmentDelta folds a sealed block's dirty account set into
-// the map — the O(log n)-per-account path persistSeal runs instead of
+// the map — the O(log n)-per-account path SealBlock runs instead of
 // the O(n) Digest rehash.
 func (c *Chain) applyCommitmentDelta(dirty []types.Address) {
 	for _, addr := range dirty {
@@ -139,8 +130,8 @@ type AccountProof struct {
 	AccountDigest types.Hash
 	// Sum is the leaf's sum contribution (balance, low 64 bits).
 	Sum uint64
-	// Account is the account's persisted record (balance, nonce, code,
-	// storage) — the preimage a verifier re-digests.
+	// Account is the account's record (balance, nonce, code, storage) —
+	// the preimage a verifier re-digests.
 	Account []byte
 	// Proof is the Merkle path from the leaf to Root.
 	Proof mst.MapProof
@@ -195,9 +186,9 @@ func VerifyAccountProof(commitment types.Hash, p *AccountProof) error {
 	return nil
 }
 
-// EncodeAccountRecord encodes one account in the chain's persisted
-// account-record form — the same bytes a restore would decode, and the
-// preimage companion to MemState.AccountDigest for proof clients.
+// EncodeAccountRecord encodes one account in the chain's account-record
+// form — the preimage companion to MemState.AccountDigest for proof
+// clients.
 func EncodeAccountRecord(st *evm.MemState, addr types.Address) []byte {
 	return encodeAcct(nil, st, addr)
 }

@@ -1,16 +1,15 @@
 // The one-shot migration of a chain store written before the binary
-// records (record.go): meta/head, block/* and acct/* used to be JSON
-// objects with every address, hash, word and byte string spelled in
-// hex. This file is the only place that still understands them, and it
-// only reads them: MigrateLegacy decodes each legacy record and re-
-// encodes it in binary, and no other code path sniffs a format.
+// records (record.go): block/* used to be JSON objects with every
+// address, hash, word and byte string spelled in hex. This file is the
+// only place that still understands them, and it only reads them:
+// MigrateLegacy decodes each legacy block and re-encodes it in binary,
+// and no other code path sniffs a format. The service migrates its
+// chain archive in the same atomic batch as the journal and the
+// checkpoint, and drops the account and head records such a store
+// also holds unread.
 //
-// What marks a chain store as legacy is its head record: every sealed
-// block rewrites meta/head, so a store holds JSON records iff its head
-// begins with '{' — a byte codec.DiskFormat can never be. A chain under
-// tinyevm.Service is migrated by the service, in the same atomic batch
-// as the journal and the checkpoint; a chain store opened on its own is
-// migrated by AttachStore.
+// The legacy account form survives in one place: the state snapshots
+// inside a legacy checkpoint (MigrateStateSnapshot).
 
 package chain
 
@@ -25,11 +24,6 @@ import (
 	"tinyevm/internal/types"
 	"tinyevm/internal/uint256"
 )
-
-type legacyHead struct {
-	Number uint64 `json:"number"`
-	Hash   string `json:"hash"`
-}
 
 type legacyBlock struct {
 	Number      uint64          `json:"number"`
@@ -66,31 +60,12 @@ type legacyAcct struct {
 	Storage map[string]string `json:"storage,omitempty"`
 }
 
-// isLegacy reports whether kv holds the JSON records.
-func isLegacy(kv store.KVStore) (bool, error) {
-	data, ok, err := kv.Get([]byte(headKey))
-	return ok && len(data) > 0 && data[0] == '{', err
-}
-
-// migrateStandalone rewrites a legacy chain store in place, in one
-// atomic batch.
-func migrateStandalone(kv store.KVStore) error {
-	legacy, err := isLegacy(kv)
-	if err != nil || !legacy {
-		return err
-	}
-	batch := kv.Batch()
-	if err := MigrateLegacy(kv, batch.Put); err != nil {
-		return err
-	}
-	return batch.Commit()
-}
-
-// MigrateLegacy hands put the binary form of every JSON record in kv,
-// under the record's unchanged key; the caller commits them atomically.
-// A record that does not decode fails the migration: nothing is skipped.
+// MigrateLegacy hands put the binary form of every JSON block record in
+// kv, under the record's unchanged key; the caller commits them
+// atomically. A record that does not decode fails the migration:
+// nothing is skipped.
 func MigrateLegacy(kv store.KVStore, put func(key, value []byte)) error {
-	if err := kv.Iterate([]byte(blockPfx), func(key, value []byte) error {
+	return kv.Iterate([]byte(blockPfx), func(key, value []byte) error {
 		var rec legacyBlock
 		if err := json.Unmarshal(value, &rec); err != nil {
 			return fmt.Errorf("chain: migrating %s: %w", key, err)
@@ -101,37 +76,7 @@ func MigrateLegacy(kv store.KVStore, put func(key, value []byte)) error {
 		}
 		put(key, encodeBlock(b, receipts, digest))
 		return nil
-	}); err != nil {
-		return err
-	}
-	if err := kv.Iterate([]byte(acctPfx), func(key, value []byte) error {
-		addr, err := acctKeyAddr(key)
-		if err != nil {
-			return err
-		}
-		scratch := evm.NewMemState()
-		if err := restoreLegacyAcct(scratch, addr, value); err != nil {
-			return fmt.Errorf("chain: migrating %s: %w", key, err)
-		}
-		put(key, encodeAcct(nil, scratch, addr))
-		return nil
-	}); err != nil {
-		return err
-	}
-	data, ok, err := kv.Get([]byte(headKey))
-	if err != nil || !ok {
-		return err
-	}
-	var head legacyHead
-	if err := json.Unmarshal(data, &head); err != nil {
-		return fmt.Errorf("chain: migrating %s: %w", headKey, err)
-	}
-	hash, err := types.HexToHash(head.Hash)
-	if err != nil {
-		return fmt.Errorf("chain: migrating %s: %w", headKey, err)
-	}
-	put([]byte(headKey), encodeHead(headRecord{Number: head.Number, Hash: hash}))
-	return nil
+	})
 }
 
 // MigrateStateSnapshot converts a legacy SnapshotState blob (a JSON

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tinyevm/internal/asm"
+	"tinyevm/internal/evm"
 	"tinyevm/internal/store"
 	"tinyevm/internal/types"
 )
@@ -63,22 +64,44 @@ func buildPersistedChain(t testing.TB, kv store.KVStore) *Chain {
 	return c
 }
 
-// TestChainPersistRestore proves a chain restored with NewFromStore is
-// byte-identical to the original: head block hash, state digest,
-// balances, contract storage and receipts all match.
+// restoreChain rebuilds a chain from kv's blocks and a snapshot of
+// the state at the head, the way a service restores a checkpoint.
+func restoreChain(kv store.KVStore, head uint64, snapshot []byte) (*Chain, error) {
+	r := New()
+	if err := r.AttachStore(kv); err != nil {
+		return nil, err
+	}
+	err := r.RestoreCheckpoint(head, func(st *evm.MemState) error {
+		return RestoreState(st, snapshot)
+	})
+	return r, err
+}
+
+// TestChainPersistRestore proves a chain restored from its persisted
+// blocks and a state snapshot is identical to the original: head block
+// hash, state digest and receipts all match, and the store holds one
+// record per block and nothing else.
 func TestChainPersistRestore(t *testing.T) {
 	kv := store.NewMem()
 	c := buildPersistedChain(t, kv)
 
-	r, err := NewFromStore(kv)
+	var keys []string
+	if err := kv.Iterate(nil, func(k, _ []byte) error {
+		keys = append(keys, string(k))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != int(c.Head().Number) || keys[len(keys)-1] != string(blockKey(c.Head().Number)) {
+		t.Fatalf("store holds %q, want block records 1..%d", keys, c.Head().Number)
+	}
+
+	r, err := restoreChain(kv, c.Head().Number, SnapshotState(c.State()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := r.Head().Hash, c.Head().Hash; got != want {
 		t.Fatalf("head hash %s != %s", got, want)
-	}
-	if got, want := r.Head().Number, c.Head().Number; got != want {
-		t.Fatalf("head number %d != %d", got, want)
 	}
 	if got, want := r.State().Digest(), c.State().Digest(); got != want {
 		t.Fatalf("state digest %s != %s", got, want)
@@ -111,7 +134,7 @@ func TestChainPersistRestore(t *testing.T) {
 	if err := r.StoreErr(); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewFromStore(kv)
+	r2, err := restoreChain(kv, r.Head().Number, SnapshotState(r.State()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +152,7 @@ func TestChainPersistWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := buildPersistedChain(t, w)
-	wantHead, wantDigest := c.Head().Hash, c.State().Digest()
+	wantHead, snapshot := c.Head(), SnapshotState(c.State())
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +162,11 @@ func TestChainPersistWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	r, err := NewFromStore(w2)
+	r, err := restoreChain(w2, wantHead.Number, snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Head().Hash != wantHead || r.State().Digest() != wantDigest {
+	if r.Head().Hash != wantHead.Hash || r.State().Digest() != c.State().Digest() {
 		t.Fatal("WAL round-trip diverged")
 	}
 }
@@ -181,48 +204,67 @@ func TestChainReplayVerification(t *testing.T) {
 	}
 }
 
-// TestChainRestoreDetectsTampering corrupts persisted records and
-// expects NewFromStore to refuse them.
+// TestChainRestoreDetectsTampering corrupts a persisted block below
+// the restore height, or the state snapshot restored on top of them,
+// and expects RestoreCheckpoint to refuse it.
 func TestChainRestoreDetectsTampering(t *testing.T) {
-	tamper := func(t *testing.T, mutate func(kv store.KVStore)) {
+	tamper := func(t *testing.T, mutate func(kv store.KVStore, snapshot []byte)) {
 		t.Helper()
 		kv := store.NewMem()
-		buildPersistedChain(t, kv)
-		mutate(kv)
-		if _, err := NewFromStore(kv); err == nil {
+		c := buildPersistedChain(t, kv)
+		snapshot := SnapshotState(c.State())
+		mutate(kv, snapshot)
+		if _, err := restoreChain(kv, c.Head().Number, snapshot); err == nil {
 			t.Fatal("tampered store restored cleanly")
 		}
 	}
 
 	t.Run("account balance", func(t *testing.T) {
-		tamper(t, func(kv store.KVStore) {
-			key := secpAddrKey(t, kv) // any acct/ key
-			rec, _, _ := kv.Get(key)
-			rec[32] ^= 0x01 // the balance's low byte
-			kv.Put(key, rec)
+		tamper(t, func(_ store.KVStore, snapshot []byte) {
+			snapshot[1+4+20+31] ^= 0x01 // format, count, address: the first balance's low byte
 		})
 	})
 	t.Run("missing block", func(t *testing.T) {
-		tamper(t, func(kv store.KVStore) {
+		tamper(t, func(kv store.KVStore, _ []byte) {
 			kv.Delete(blockKey(2))
 		})
 	})
-	t.Run("head hash", func(t *testing.T) {
-		tamper(t, func(kv store.KVStore) {
-			kv.Put([]byte(headKey), encodeHead(headRecord{Number: 4}))
+	t.Run("flipped byte", func(t *testing.T) {
+		tamper(t, func(kv store.KVStore, _ []byte) {
+			rec, _, _ := kv.Get(blockKey(2))
+			rec[1+1+32] ^= 0x01 // format, number, parent hash: the block hash
+			kv.Put(blockKey(2), rec)
 		})
 	})
 }
 
-func secpAddrKey(t *testing.T, kv store.KVStore) []byte {
-	t.Helper()
-	var key []byte
-	err := kv.Iterate([]byte("acct/"), func(k, v []byte) error {
-		key = append([]byte("acct/"), k[len("acct/"):]...)
-		return errors.New("stop")
-	})
-	if key == nil {
-		t.Fatalf("no account records (%v)", err)
+// failingKV is a store whose batches never commit.
+type failingKV struct{ store.KVStore }
+
+func (f failingKV) Batch() store.Batch { return failingBatch{f.KVStore.Batch()} }
+
+type failingBatch struct{ store.Batch }
+
+func (failingBatch) Commit() error { return errors.New("disk full") }
+
+// TestMSTRootFollowsStateAfterStoreError: a latched store error stops
+// persistence, not the commitment — later seals still fold their
+// account delta, so the root stays the root of the current state.
+func TestMSTRootFollowsStateAfterStoreError(t *testing.T) {
+	c := New()
+	c.EnableMSTCommitment()
+	if err := c.AttachStore(failingKV{store.NewMem()}); err != nil {
+		t.Fatal(err)
 	}
-	return key
+	c.MineBlock()
+	if c.StoreErr() == nil {
+		t.Fatal("the failed commit latched no error")
+	}
+	c.Fund(types.Address{0x77}, 5)
+	c.MineBlock()
+	got, _ := c.StateRoot()
+	c.rebuildCommitment()
+	if want, _ := c.StateRoot(); got != want {
+		t.Fatalf("root after a latched store error %s, state's %s", got.Hash, want.Hash)
+	}
 }

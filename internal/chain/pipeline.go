@@ -2,16 +2,16 @@
 //
 // Without it, SealBlock blocks on batch.Commit — fsync-shaped latency
 // sits squarely on the block-production path. With it, persistSeal
-// still builds the durable batch synchronously (marshalling the block
-// record and draining the dirty state delta must observe the state the
-// seal produced), but hands the built batch to a single committer
-// goroutine and returns. Block N+1's transactions — and the engine's
-// conflict groups — execute while block N's batch is in flight.
+// still builds the durable batch synchronously (the block record must
+// capture the state commitment the seal produced), but hands the built
+// batch to a single committer goroutine and returns. Block N+1's
+// transactions — and the engine's conflict groups — execute while
+// block N's batch is in flight.
 //
 // Ordering and safety:
 //
 //   - One committer goroutine drains a FIFO channel, so batches reach
-//     the store in seal order; the head pointer can never go backwards.
+//     the store in seal order; the persisted blocks stay a prefix.
 //   - store.KVStore implementations are safe for concurrent use, so
 //     in-flight commits coexist with the service's intent-log appends.
 //   - Commit failures are latched into StoreErr exactly as on the

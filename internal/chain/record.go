@@ -1,8 +1,10 @@
-// The chain's disk records, on internal/codec. Every record starts with
+// The chain's records, on internal/codec. Every record starts with
 // codec.DiskFormat; integers are uvarints unless a width is given, and
-// "bytes" is a u32 length followed by that many bytes.
+// "bytes" is a u32 length followed by that many bytes. The block record
+// is the chain store's only record; the account record is the preimage
+// a state proof carries, and its body is the unit of the state snapshot
+// a checkpoint holds.
 //
-//	head     format | number | hash[32]
 //	block    format | number | parent[32] | hash[32] | timestamp |
 //	         coinbase[20] | gasUsed | u32 n, n × txHash[32] |
 //	         stateCommitment[32] | u32 n, n × receipt
@@ -45,28 +47,6 @@ const (
 	slotBytes       = 64
 	minAcctBytes    = 20 + 32 + 1 + 4 + 4
 )
-
-// headRecord is the persisted head pointer.
-type headRecord struct {
-	Number uint64
-	Hash   types.Hash
-}
-
-func encodeHead(h headRecord) []byte {
-	w := codec.NewRecord(nil)
-	w.Uvarint(h.Number)
-	w.Hash(h.Hash)
-	return w.Buf
-}
-
-func decodeHead(data []byte) (headRecord, error) {
-	r := codec.OpenRecord(data, ErrBadRecord)
-	h := headRecord{Number: r.Uvarint(), Hash: r.Hash()}
-	if err := r.Done(); err != nil {
-		return headRecord{}, fmt.Errorf("chain: decoding head record: %w", err)
-	}
-	return h, nil
-}
 
 // encodeBlock builds one persisted sealed block: the header, its
 // receipts and the state commitment observed immediately after sealing.
@@ -236,8 +216,8 @@ func decodeAcct(st *evm.MemState, addr types.Address, data []byte) error {
 }
 
 // SnapshotState encodes the full live account set of st as one
-// deterministic record (the per-account form of the acct/ keyspace, in
-// address order). Only observationally existing accounts are included —
+// deterministic record (each account's record body, in address
+// order). Only observationally existing accounts are included —
 // exactly the set Digest covers — so restoring the snapshot reproduces
 // the state commitment bit-for-bit.
 func SnapshotState(st *evm.MemState) []byte {

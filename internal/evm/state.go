@@ -112,8 +112,8 @@ type MemState struct {
 	ledger  SnapshotLedger
 
 	// dirty, when non-nil, accumulates every address whose account
-	// record was mutated since the last TakeDirty — the per-block state
-	// delta the persistence layer commits at seal time. Nil (the
+	// record was mutated since the last TakeDirty — the per-block delta
+	// the chain's MST commitment folds in at seal time. Nil (the
 	// default) disables tracking entirely.
 	dirty map[types.Address]struct{}
 
@@ -180,8 +180,8 @@ func (s *MemState) markDirty(addr types.Address) {
 }
 
 // EnableDirtyTracking starts accumulating the addresses of mutated
-// accounts; the persistence layer drains them with TakeDirty at block
-// seals. Tracking cannot be disabled once enabled.
+// accounts; the chain's MST commitment drains them with TakeDirty at
+// block seals. Tracking cannot be disabled once enabled.
 func (s *MemState) EnableDirtyTracking() {
 	if s.dirty == nil {
 		s.dirty = make(map[types.Address]struct{})
@@ -206,8 +206,8 @@ func (s *MemState) TakeDirty() []types.Address {
 }
 
 // ClearDirty drops the pending delta without materializing it — the
-// cheap path for consumers that only need the set reset (replay
-// verification, which discards the delta anyway).
+// cheap path for consumers that only need the set reset (a checkpoint
+// restore, whose snapshot overwrite is no block's delta).
 func (s *MemState) ClearDirty() { clear(s.dirty) }
 
 // Exists implements StateDB.

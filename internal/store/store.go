@@ -4,9 +4,8 @@
 // commits through (log.go), and the flat write-ahead-log backend built
 // on it (wal.go); the segment engine on the same log is store/disk.
 //
-// The chain layer commits sealed blocks and per-block state deltas
-// through a KVStore; the service layer journals its operation log into
-// one. Both address disjoint key prefixes of the same store through
+// The chain layer commits sealed blocks through a KVStore; the service
+// layer journals its operation log and checkpoints into one. Both address disjoint key prefixes of the same store through
 // Prefixed.
 package store
 

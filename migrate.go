@@ -1,23 +1,29 @@
 package tinyevm
 
-// The store's format stamp and the one-shot migration of a store
-// written before the binary records.
+// The store's format stamp and the one-shot migrations of a store
+// written by an older format.
 //
-// The journal (op/*), the checkpoint (ckpt/state) and the chain archive
-// (chain/*) used to be JSON objects with every address, hash and byte
-// string spelled in hex. This file and internal/chain/migrate.go are the
-// only code that still understands them, and they only read them.
+//   - Format 0 (no stamp): the journal (op/*), the checkpoint
+//     (ckpt/state) and the chain archive (chain/*) are JSON objects with
+//     every address, hash and byte string spelled in hex. This file and
+//     internal/chain/migrate.go are the only code that still
+//     understands them, and they only read them.
+//   - Format 2: binary records, but the chain archive also holds a head
+//     pointer (chain/meta/head) and one record per account
+//     (chain/acct/*) beside its blocks. Nothing reads them any more.
+//   - Format 3: binary records; the chain archive is chain/block/* alone.
 //
 // The stamp is the "format" field of meta/service, the deployment's
 // parameter record — a handful of scalars read once per open, and the
 // one record that stays JSON, which is why it lives in this file.
-// storedMeta is the single place a format is inspected. A store whose
-// meta carries no stamp — or that has no meta at all — is rewritten in
-// ONE atomic batch that also writes the stamped meta, so a crash leaves
-// either the legacy store or the migrated one, a second open migrates
-// nothing, and every decoder on the recovery path sees binary only. A
+// storedMeta is the single place a format is inspected. A store of an
+// older format — or with no meta at all — is rewritten in ONE atomic
+// batch that also writes the stamped meta, so a crash leaves either the
+// old store or the migrated one, a second open migrates nothing, and
+// every decoder on the recovery path sees the current format only. A
 // legacy record that does not decode fails the migration (and so the
-// open): nothing is skipped. No option selects a format.
+// open): nothing is skipped, except the account and head records, which
+// are dropped unread. No option selects a format.
 
 import (
 	"encoding/hex"
@@ -51,19 +57,19 @@ type serviceMeta struct {
 	ProviderFunds uint64 `json:"providerFunds,omitempty"`
 	NodeFunds     uint64 `json:"nodeFunds,omitempty"`
 	// Format stamps the store: absent (0) on one whose records are JSON,
-	// binaryRecords once they are codec.DiskFormat records.
+	// then 2 and storeFormat (see the file comment).
 	Format int `json:"format,omitempty"`
 }
 
 const (
 	serviceMetaKey = "meta/service"
 	legacyFunds    = 100_000_000
-	binaryRecords  = 2
+	storeFormat    = 3
 )
 
 // storedMeta reads the deployment parameters a store was first used
 // with, if it has been used, migrating the store first when its meta
-// carries no stamp.
+// carries an older stamp or none.
 func storedMeta(kv store.KVStore) (meta serviceMeta, ok bool, err error) {
 	data, ok, err := kv.Get([]byte(serviceMetaKey))
 	if err != nil || !ok {
@@ -75,14 +81,16 @@ func storedMeta(kv store.KVStore) (meta serviceMeta, ok bool, err error) {
 	if meta.ProviderFunds == 0 && meta.NodeFunds == 0 {
 		meta.ProviderFunds, meta.NodeFunds = legacyFunds, legacyFunds
 	}
-	if meta.Format != binaryRecords {
-		if meta.Format != 0 {
-			return meta, false, fmt.Errorf("tinyevm: store has record format %d, this build reads %d", meta.Format, binaryRecords)
-		}
-		meta.Format = binaryRecords
-		if err := migrateStore(kv, meta); err != nil {
+	switch meta.Format {
+	case storeFormat:
+	case 0, 2:
+		fromJSON := meta.Format == 0
+		meta.Format = storeFormat
+		if err := migrateStore(kv, meta, fromJSON); err != nil {
 			return meta, false, err
 		}
+	default:
+		return meta, false, fmt.Errorf("tinyevm: store has record format %d, this build reads %d", meta.Format, storeFormat)
 	}
 	return meta, true, nil
 }
@@ -90,12 +98,12 @@ func storedMeta(kv store.KVStore) (meta serviceMeta, ok bool, err error) {
 // checkMeta verifies the store's deployment parameters against the
 // requested ones, or records them on first use.
 func checkMeta(kv store.KVStore, have serviceMeta, used bool, meta serviceMeta) error {
-	meta.Format = binaryRecords
+	meta.Format = storeFormat
 	if !used {
 		// No meta, no stamp: whatever the store already holds (nothing,
 		// on a real first use) predates the stamp and is rewritten in
 		// the batch that writes it.
-		return migrateStore(kv, meta)
+		return migrateStore(kv, meta, true)
 	}
 	if have != meta {
 		return fmt.Errorf("tinyevm: store belongs to a different deployment (store %+v, requested %+v)", have, meta)
@@ -301,12 +309,32 @@ func (l *legacyCheckpoint) record() (*checkpointRecord, error) {
 	return ck, nil
 }
 
-// migrateStore rewrites whatever journal, checkpoint and chain records
-// kv holds from JSON to binary and writes the stamped meta, in one
-// atomic batch. On a store's first use there is nothing to rewrite and
-// the batch is the meta record alone.
-func migrateStore(kv store.KVStore, meta serviceMeta) error {
+// migrateStore brings kv to storeFormat in one atomic batch: it
+// rewrites whatever journal, checkpoint and chain records kv holds from
+// JSON to binary (fromJSON), drops the chain's account and head records
+// and writes the stamped meta. On a store's first use there is nothing
+// to rewrite and the batch is the meta record alone.
+func migrateStore(kv store.KVStore, meta serviceMeta, fromJSON bool) error {
 	batch := kv.Batch()
+	if fromJSON {
+		if err := migrateJSON(kv, batch); err != nil {
+			return err
+		}
+	}
+	if err := dropChainState(kv, batch); err != nil {
+		return err
+	}
+	out, err := json.Marshal(meta)
+	if err != nil {
+		return err
+	}
+	batch.Put([]byte(serviceMetaKey), out)
+	return batch.Commit()
+}
+
+// migrateJSON puts the binary form of every JSON journal, checkpoint
+// and chain block record of kv into batch.
+func migrateJSON(kv store.KVStore, batch store.Batch) error {
 	var buf []byte
 	if err := kv.Iterate([]byte(opKeyPrefix), func(key, value []byte) error {
 		var l legacyOp
@@ -332,15 +360,26 @@ func migrateStore(kv store.KVStore, meta serviceMeta) error {
 		}
 		batch.Put([]byte(checkpointKey), ck.encode())
 	}
-	if err := chain.MigrateLegacy(store.Prefixed(kv, chainPrefix), func(key, value []byte) {
+	return chain.MigrateLegacy(store.Prefixed(kv, chainPrefix), func(key, value []byte) {
 		batch.Put(append([]byte(chainPrefix), key...), value)
+	})
+}
+
+// dropChainState deletes the chain records formats before storeFormat
+// kept beside the blocks: one per account and the head pointer. The
+// accounts come back from the checkpoint and the journal, the head is
+// the highest block.
+func dropChainState(kv store.KVStore, batch store.Batch) error {
+	if err := kv.Iterate([]byte(chainPrefix+"acct/"), func(key, _ []byte) error {
+		batch.Delete(key)
+		return nil
 	}); err != nil {
 		return err
 	}
-	out, err := json.Marshal(meta)
-	if err != nil {
+	const head = chainPrefix + "meta/head"
+	if _, ok, err := kv.Get([]byte(head)); err != nil || !ok {
 		return err
 	}
-	batch.Put([]byte(serviceMetaKey), out)
-	return batch.Commit()
+	batch.Delete([]byte(head))
+	return nil
 }

@@ -87,8 +87,8 @@ func WithShards(n int) Option {
 }
 
 // WithStore makes the deployment durable over the given key-value
-// store: sealed blocks and per-block state deltas are committed at
-// every seal, every state-changing operation is journaled, and
+// store: every sealed block's record is committed at its seal, every
+// state-changing operation is journaled, and
 // NewService recovers the previous deployment by replaying the journal
 // (see the package documentation in oplog.go for the replay contract).
 // The caller owns kv and closes it after the service.
