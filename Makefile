@@ -23,8 +23,9 @@ bench-check:
 # Run the on-disk-format fuzzers (the byte codec's reader, the record
 # log, the segment codec, the service's op-record decoder and replay,
 # its checkpoint decoder, the chain's record decoders), the light
-# client's state-proof verifier, the radio wire's and the cluster peer
-# wire's decoders, the interpreter on
+# client's state-proof verifier, the JSON-RPC gateway's request and
+# batch handling, the radio wire's and the cluster peer wire's
+# decoders, the interpreter on
 # arbitrary bytecode, and the crypto fast paths' differential fuzzers
 # (fixed-limb field, scalar and ECDSA against the
 # math/big oracle in internal/secp256k1/oracle_test.go; the unrolled
@@ -46,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s .
 	$(GO) test -run '^$$' -fuzz '^FuzzChainRecordDecode$$' -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyStateProof$$' -fuzztime $(FUZZTIME) ./internal/rpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzServeHTTP$$' -fuzztime $(FUZZTIME) ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzProtocolDecode$$' -fuzztime $(FUZZTIME) ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -run '^$$' -fuzz '^FuzzInterpreter$$' -fuzztime $(FUZZTIME) .
@@ -76,25 +78,26 @@ bench-smoke:
 recover-e2e:
 	$(GO) test -race -v -run TestCrashRecoveryE2E .
 
-# Load-harness smoke — what the CI load-smoke job runs: spawn a
-# daemon, run every contention profile with client kills, wire chaos
-# and one SIGKILL+WAL-recovery cycle, plus the contract workload
-# suite. Exits non-zero on any error outside the taxonomy or a failed
-# recovery.
+# Load-harness smoke — what the CI load-smoke job runs: the load-smoke
+# case of TestRunnerDaemonKillRecovery spawns a daemon and runs every
+# contention profile with client kills, wire chaos and one
+# SIGKILL+WAL-recovery cycle; the load-smoke input of
+# TestContractWorkloadsSerial runs the contract workload suite. Fails
+# on any error outside the taxonomy, a failed recovery, a failed
+# contract transaction or a broken invariant.
 load-smoke:
-	$(GO) run ./cmd/tinyevm-load -spawn -mode all -duration 3s \
-		-daemon-kills 1 -client-kill 0.1 -drop 0.02 -delay 0.1 \
-		-delay-max 5ms -retries 4 -wl-txs 256
+	$(GO) test -race -count=1 -v -run 'TestRunnerDaemonKillRecovery/load-smoke' ./internal/load/
+	$(GO) test -race -count=1 -v -run 'TestContractWorkloadsSerial/load-smoke' ./internal/eval/
 
 # Shard-contention smoke — what the CI shard-contention step runs:
 # race-enabled hammers over disjoint and colliding channel pairs on
-# the striped hot path, then the load harness's hotspot profile
+# the striped hot path, then the shard-contention case of
+# TestRunnerSmokeClosedLoop: the load harness's hotspot profile
 # (receiver-side contention on a few hot meters) with batched RPC
-# against a spawned daemon.
+# against an in-process gateway, so the race detector covers both ends.
 shard-contention:
 	$(GO) test -race -v -run 'TestShard.*Hammer' .
-	$(GO) run ./cmd/tinyevm-load -spawn -profiles hotspot -duration 5s \
-		-batch 8 -concurrency 16 -vehicles 24 -hot-meters 3
+	$(GO) test -race -count=1 -v -run 'TestRunnerSmokeClosedLoop/shard-contention' ./internal/load/
 
 # Cluster smoke — what the CI cluster-smoke job runs: three real
 # tinyevm-serve daemons form one sidechain over TCP, payments flow

@@ -55,9 +55,6 @@ func (c *Chain) EnableMSTCommitment() {
 	c.state.EnableDirtyTracking()
 }
 
-// MSTCommitment reports whether the MST commitment is enabled.
-func (c *Chain) MSTCommitment() bool { return c.commitMST }
-
 // rebuildCommitment reconstructs the incremental map from the full
 // current state — used at enable time and after a checkpoint restore.
 // The rebuilt root is bit-identical to one maintained incrementally

@@ -171,9 +171,6 @@ func New(cfg Config) (*Node, error) {
 // Self returns this node's validator address.
 func (n *Node) Self() types.Address { return n.self }
 
-// ListenAddr exposes the p2p listener address (useful with ":0" binds).
-func (n *Node) ListenAddr() string { return n.p2p.ListenAddr() }
-
 // Start restores the local archive, brings up the p2p endpoint, and —
 // when peers are configured — enters the syncing state until one full
 // catch-up round has completed. The heartbeat auto-miner (if enabled)

@@ -182,9 +182,3 @@ func (c *CycleModel) Reset() {
 	c.KeccakTime = 0
 	c.CryptoTime = 0
 }
-
-// CPUTime returns the total CPU time implied by the model: cycle time at
-// 32 MHz plus the software-Keccak time.
-func (c *CycleModel) CPUTime() time.Duration {
-	return CyclesToDuration(c.Cycles) + c.KeccakTime
-}

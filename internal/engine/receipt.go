@@ -49,17 +49,3 @@ func EncodeReceipt(r *chain.Receipt) []byte {
 	}
 	return b.Bytes()
 }
-
-// ReceiptsEqual reports whether two receipt sequences are
-// observationally byte-identical.
-func ReceiptsEqual(a, b []*chain.Receipt) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !bytes.Equal(EncodeReceipt(a[i]), EncodeReceipt(b[i])) {
-			return false
-		}
-	}
-	return true
-}

@@ -3,26 +3,26 @@ package eval
 // Contract workload suite: small real contracts — an ERC-20-style
 // token, an incrementing counter and a donate-with-feedback ledger —
 // assembled from EVM mnemonics via internal/asm and driven as signed
-// transaction batches through the chain and the parallel engine. Each
-// workload declares its contention profile, so the engine sees
-// realistic hot-contract traffic (every tx touching one token) as well
-// as sharded, parallelizable traffic. The suite is ported from the wasp
-// contract scenarios (erc20 / inccounter / donatewithfeedback) into
-// EVM bytecode; docs/SCENARIOS.md describes each one.
+// transaction batches through the chain and the parallel engine, then
+// checked against each scenario's state invariants. The scenarios span
+// hot-contract traffic (every tx touching one token) as well as sharded,
+// parallelizable traffic. The suite is ported from the wasp contract
+// scenarios (erc20 / inccounter / donatewithfeedback) into EVM bytecode;
+// docs/SCENARIOS.md describes each one. It is a correctness suite, not
+// a benchmark: its verdict is zero failed transactions and the
+// invariants.
 
 import (
 	"context"
 	"encoding/binary"
 	"fmt"
 	"strings"
-	"time"
 
 	"tinyevm/internal/asm"
 	"tinyevm/internal/chain"
 	"tinyevm/internal/engine"
 	"tinyevm/internal/keccak"
 	"tinyevm/internal/secp256k1"
-	"tinyevm/internal/stats"
 	"tinyevm/internal/types"
 	"tinyevm/internal/uint256"
 )
@@ -263,7 +263,7 @@ func WorkloadRuntimes() map[string][]byte {
 type WorkloadParams struct {
 	// Accounts is the number of distinct sender accounts.
 	Accounts int
-	// Txs is the number of measurement transactions.
+	// Txs is the number of transactions in the batch.
 	Txs int
 	// BlockSize is the number of transactions mined per block.
 	BlockSize int
@@ -271,11 +271,6 @@ type WorkloadParams struct {
 	Workers int
 	// Shards is the number of contract instances for sharded profiles.
 	Shards int
-}
-
-// DefaultWorkloadParams returns the canonical smoke configuration.
-func DefaultWorkloadParams() WorkloadParams {
-	return WorkloadParams{Accounts: 32, Txs: 512, BlockSize: 128, Workers: 0, Shards: 8}
 }
 
 func (p WorkloadParams) withDefaults() WorkloadParams {
@@ -315,43 +310,26 @@ type BuiltWorkload struct {
 type WorkloadSpec struct {
 	// Name identifies the scenario ("erc20-hot", ...).
 	Name string
-	// Contention describes the conflict profile ("hot-contract",
-	// "sharded", "fan-in").
-	Contention string
-	// Description is a one-line human summary.
-	Description string
 	// Build constructs a fresh chain, deploys contracts, funds and
-	// signs the measurement batch.
+	// signs the batch.
 	Build func(p WorkloadParams) (*BuiltWorkload, error)
 }
 
 // ContractWorkloads returns the registered contract scenario suite.
 func ContractWorkloads() []WorkloadSpec {
 	return []WorkloadSpec{
-		{
-			Name:        "erc20-hot",
-			Contention:  "hot-contract",
-			Description: "every account transfers on one shared ERC-20 token; all txs conflict on the token contract",
-			Build:       buildERC20(false),
-		},
-		{
-			Name:        "erc20-sharded",
-			Contention:  "sharded",
-			Description: "accounts partitioned across independent token instances; cross-shard conflicts never occur",
-			Build:       buildERC20(true),
-		},
-		{
-			Name:        "inccounter-hot",
-			Contention:  "hot-contract",
-			Description: "every account increments one shared counter slot — the maximum-contention floor",
-			Build:       buildCounter,
-		},
-		{
-			Name:        "donate-fanin",
-			Contention:  "fan-in",
-			Description: "every account donates value with feedback into one ledger (sensor-oracle fan-in analogue)",
-			Build:       buildDonate,
-		},
+		// Every account transfers on one shared ERC-20 token; all txs
+		// conflict on the token contract.
+		{Name: "erc20-hot", Build: buildERC20(false)},
+		// Accounts partitioned across independent token instances;
+		// cross-shard conflicts never occur.
+		{Name: "erc20-sharded", Build: buildERC20(true)},
+		// Every account increments one shared counter slot: the
+		// maximum-contention floor.
+		{Name: "inccounter-hot", Build: buildCounter},
+		// Every account donates value with feedback into one ledger
+		// (the sensor-oracle fan-in analogue).
+		{Name: "donate-fanin", Build: buildDonate},
 	}
 }
 
@@ -445,7 +423,7 @@ func buildERC20(sharded bool) func(p WorkloadParams) (*BuiltWorkload, error) {
 			return nil, err
 		}
 
-		// Measurement batch: account i transfers to its in-shard
+		// The batch: account i transfers to its in-shard
 		// successor, round-robin across accounts.
 		sent := make([]int, p.Accounts)
 		recv := make([]int, p.Accounts)
@@ -613,25 +591,16 @@ func buildDonate(p WorkloadParams) (*BuiltWorkload, error) {
 	return &BuiltWorkload{Chain: c, Batch: batch, Verify: verify}, nil
 }
 
-// WorkloadResult aggregates one mined contract workload.
+// WorkloadResult counts one mined contract workload.
 type WorkloadResult struct {
-	Name       string
-	Contention string
-	Workers    int
-	Txs        int
-	Blocks     int
-	Elapsed    time.Duration
-	TxPerSec   float64
-	GasPerTx   float64
-	Failed     int
-	// BlockLatency is the per-block mining latency histogram (ns).
-	BlockLatency stats.LatencyHist
+	Txs    int
+	Blocks int
+	Failed int
 }
 
 // RunContractWorkload builds and mines one scenario in BlockSize
-// chunks, recording per-block latency, throughput and gas, then checks
-// the scenario's state invariants. Cancelling ctx aborts between
-// blocks.
+// chunks, counting blocks and failed transactions, then checks the
+// scenario's state invariants. Cancelling ctx aborts between blocks.
 func RunContractWorkload(ctx context.Context, spec WorkloadSpec, p WorkloadParams) (*WorkloadResult, error) {
 	p = p.withDefaults()
 	built, err := spec.Build(p)
@@ -643,9 +612,7 @@ func RunContractWorkload(ctx context.Context, spec WorkloadSpec, p WorkloadParam
 		eng = engine.New(built.Chain, engine.Options{Workers: p.Workers})
 	}
 
-	res := &WorkloadResult{Name: spec.Name, Contention: spec.Contention, Workers: p.Workers, Txs: len(built.Batch)}
-	var gasTotal uint64
-	start := time.Now()
+	res := &WorkloadResult{Txs: len(built.Batch)}
 	for at := 0; at < len(built.Batch); at += p.BlockSize {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -664,28 +631,18 @@ func RunContractWorkload(ctx context.Context, spec WorkloadSpec, p WorkloadParam
 				return nil, err
 			}
 		}
-		blockStart := time.Now()
 		var receipts []*chain.Receipt
 		if eng != nil {
 			receipts = eng.MineBlock()
 		} else {
 			receipts = built.Chain.MineBlock()
 		}
-		res.BlockLatency.ObserveDuration(time.Since(blockStart))
 		res.Blocks++
 		for _, r := range receipts {
-			gasTotal += r.GasUsed
 			if !r.Status {
 				res.Failed++
 			}
 		}
-	}
-	res.Elapsed = time.Since(start)
-	if res.Elapsed > 0 {
-		res.TxPerSec = float64(res.Txs) / res.Elapsed.Seconds()
-	}
-	if res.Txs > 0 {
-		res.GasPerTx = float64(gasTotal) / float64(res.Txs)
 	}
 	if res.Failed > 0 {
 		return res, fmt.Errorf("eval: %s: %d/%d transactions failed", spec.Name, res.Failed, res.Txs)
@@ -694,11 +651,4 @@ func RunContractWorkload(ctx context.Context, spec WorkloadSpec, p WorkloadParam
 		return res, fmt.Errorf("eval: %s invariants: %w", spec.Name, err)
 	}
 	return res, nil
-}
-
-// String renders a one-line result summary.
-func (r *WorkloadResult) String() string {
-	p50, p95, p99 := r.BlockLatency.QuantilesMS()
-	return fmt.Sprintf("%-16s %-13s workers=%d txs=%d blocks=%d %8.0f tx/s gas/tx=%.0f block p50=%.2fms p95=%.2fms p99=%.2fms",
-		r.Name, r.Contention, r.Workers, r.Txs, r.Blocks, r.TxPerSec, r.GasPerTx, p50, p95, p99)
 }

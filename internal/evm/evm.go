@@ -159,14 +159,6 @@ func (vm *EVM) Call(caller, to types.Address, input []byte, value *uint256.Int, 
 	return vm.call(caller, to, to, input, value, gasLimit, false, false)
 }
 
-// StaticCall runs the code at `to` with state mutation forbidden.
-func (vm *EVM) StaticCall(caller, to types.Address, input []byte, gasLimit uint64) *ExecResult {
-	if vm.depth == 0 {
-		vm.resetStepBudget()
-	}
-	return vm.call(caller, to, to, input, uint256.NewInt(0), gasLimit, true, false)
-}
-
 // call implements CALL/CALLCODE/DELEGATECALL/STATICCALL. When
 // delegate is true, storage context `contextAddr` differs from the code
 // account `codeAddr` and no value transfer occurs.
@@ -231,14 +223,6 @@ func (vm *EVM) Create(caller types.Address, initCode []byte, value *uint256.Int,
 	}
 	nonce := vm.State.Nonce(caller)
 	addr := types.ContractAddress(caller, nonce)
-	return vm.create(caller, addr, initCode, value, gasLimit)
-}
-
-// CreateAt deploys to an explicit address (CREATE2-style or test use).
-func (vm *EVM) CreateAt(caller types.Address, addr types.Address, initCode []byte, value *uint256.Int, gasLimit uint64) *ExecResult {
-	if vm.depth == 0 {
-		vm.resetStepBudget()
-	}
 	return vm.create(caller, addr, initCode, value, gasLimit)
 }
 

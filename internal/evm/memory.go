@@ -58,9 +58,6 @@ func (m *Memory) Len() uint64 { return uint64(len(m.data)) }
 // Peak returns the high-water mark in bytes.
 func (m *Memory) Peak() uint64 { return m.peak }
 
-// Cap returns the configured hard cap (0 = unlimited).
-func (m *Memory) Cap() uint64 { return m.cap }
-
 // Expand grows memory to cover [offset, offset+size), rounded up to a
 // 32-byte word boundary. A zero size never expands. It returns
 // ErrMemoryLimit when the cap would be exceeded.

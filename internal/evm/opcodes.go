@@ -357,20 +357,6 @@ func (op Opcode) String() string {
 	return "UNDEFINED(0x" + string([]byte{hexDigits[op>>4], hexDigits[op&0xf]}) + ")"
 }
 
-// CategoryOf returns the Table I category of op.
-func (op Opcode) CategoryOf() Category {
-	if e := opTable[op]; e.defined {
-		return e.category
-	}
-	return CategoryInvalid
-}
-
-// RemovedInTiny reports whether TinyEVM mode removes op.
-func (op Opcode) RemovedInTiny() bool {
-	e := opTable[op]
-	return e.defined && e.tinyRemoved
-}
-
 // familyRepresentatives maps each opcode-family member to its canonical
 // representative so category counting treats PUSH/DUP/SWAP/LOG as single
 // discrete opcodes, matching the paper's counting.

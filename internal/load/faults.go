@@ -29,7 +29,7 @@ type FaultConfig struct {
 	// DelayMax bounds an injected delay.
 	DelayMax time.Duration
 	// DaemonKills is how many SIGKILL+restart cycles the harness drives
-	// against the managed daemon during the measurement window. The
+	// against the managed daemon during the run. The
 	// daemon must have been started with -data-dir for recovery to
 	// succeed. 0 disables; ignored when no daemon is managed.
 	DaemonKills int
@@ -51,7 +51,7 @@ type FaultPlan struct {
 	payments int
 }
 
-// NewFaultPlan builds the schedule for a measurement window of total
+// NewFaultPlan builds the schedule for a run window of total
 // duration. Daemon kills are spread evenly across the window with
 // ±25%-of-slot deterministic jitter so they land between block seals
 // rather than on a fixed phase of the workload.
@@ -68,7 +68,7 @@ func NewFaultPlan(seed int64, total time.Duration, payments int, f FaultConfig) 
 	return p
 }
 
-// KillTimes returns the offsets (from measurement start) at which the
+// KillTimes returns the offsets (from the start of the run) at which the
 // daemon is SIGKILLed.
 func (p *FaultPlan) KillTimes() []time.Duration {
 	return append([]time.Duration(nil), p.killAt...)

@@ -1,7 +1,7 @@
-// Package load is a closed-loop/open-loop load harness that drives a
-// TinyEVM gateway the way a smart city would: a fleet of vehicles
-// opening payment channels against parking meters and sensor oracles,
-// paying in bursts, and settling — while the harness injects the faults
+// Package load is the fault injector: a closed-loop harness that
+// drives a TinyEVM gateway the way a smart city would — a fleet of
+// vehicles opening payment channels against parking meters and sensor
+// oracles, paying in bursts, and settling — while it injects the faults
 // such a deployment actually sees (clients dying mid-payment, RPC
 // replies lost or delayed on the radio link, the daemon itself crashing
 // and recovering from its write-ahead log).
@@ -15,23 +15,17 @@
 //   - fanin: every device reports to a single oracle — worst-case
 //     fan-in on one node.
 //
-// Arrivals are either closed-loop (a fixed worker pool, back-pressure
-// propagates to the generator) or open-loop Poisson (sessions arrive at
-// a configured rate whether or not the system keeps up; overflow is
-// counted as shed load, the classic open-vs-closed distinction).
-//
 // Every fault decision derives deterministically from the seed via
 // FaultPlan, so a chaotic run can be replayed exactly. Results come
-// back as a Report: per-profile/per-op latency histograms (p50/p95/p99
-// via stats.LatencyHist), throughput, a complete error taxonomy, and
-// daemon recovery times. Report.Err is the verdict: the harness is the
-// fault injector, not a benchmark (that is bench/).
+// back as a Report of counters: successful ops per profile and per
+// target daemon, sessions by outcome, a complete error taxonomy, and
+// daemon recovery times. Report.Err is the verdict. The harness
+// measures nothing; the measuring system is bench/.
 package load
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -56,26 +50,6 @@ const (
 // Profiles lists every profile in canonical order.
 func Profiles() []Profile { return []Profile{ProfileDisjoint, ProfileHotspot, ProfileFanIn} }
 
-// ParseProfiles parses a comma-separated profile list ("all" or ""
-// selects every profile).
-func ParseProfiles(s string) ([]Profile, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || s == "all" {
-		return Profiles(), nil
-	}
-	var out []Profile
-	for _, part := range strings.Split(s, ",") {
-		p := Profile(strings.TrimSpace(part))
-		switch p {
-		case ProfileDisjoint, ProfileHotspot, ProfileFanIn:
-			out = append(out, p)
-		default:
-			return nil, fmt.Errorf("load: unknown profile %q (want disjoint, hotspot, fanin)", part)
-		}
-	}
-	return out, nil
-}
-
 // Config parameterises a harness run.
 type Config struct {
 	// URL is the gateway; ignored when the Runner manages a Daemon.
@@ -83,7 +57,7 @@ type Config struct {
 	// Targets lists multiple gateway URLs (a cluster of daemons).
 	// Vehicles stick to one target by index (vehicle v drives target
 	// v mod len(Targets)) so each daemon owns a stable device
-	// population; the report breaks latency and errors down per node.
+	// population; the report breaks op counts and errors down per node.
 	// Empty: URL (or the managed Daemon) is the single target.
 	Targets []string
 	// Profiles are run back to back, each for Duration.
@@ -92,14 +66,9 @@ type Config struct {
 	Vehicles int
 	// HotMeters is the meter count for the hotspot profile.
 	HotMeters int
-	// Arrival is "closed" (fixed worker pool) or "poisson" (open loop).
-	Arrival string
-	// Rate is the Poisson session arrival rate per second.
-	Rate float64
-	// Concurrency is the worker count (closed) or the in-flight session
-	// cap (poisson; arrivals beyond it are shed).
+	// Concurrency is the worker count.
 	Concurrency int
-	// Duration is the measurement window per profile.
+	// Duration is the run window per profile.
 	Duration time.Duration
 	// Payments per session.
 	Payments int
@@ -116,7 +85,7 @@ type Config struct {
 	// seals a block — so daemon kills land between seals, like the
 	// recovery e2e test. 0 disables.
 	DepositEvery int
-	// Seed drives every random choice (faults, arrivals).
+	// Seed drives every random choice.
 	Seed int64
 	// RequestTimeout bounds each RPC attempt; Retries/Backoff configure
 	// transport-level retry (see rpc.WithRetry).
@@ -137,12 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HotMeters <= 0 {
 		c.HotMeters = 4
-	}
-	if c.Arrival == "" {
-		c.Arrival = "closed"
-	}
-	if c.Rate <= 0 {
-		c.Rate = 50
 	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = 8
@@ -247,24 +210,17 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 		}
 	}
 
-	windows := make(map[Profile]time.Duration, len(r.cfg.Profiles))
 	for _, profile := range r.cfg.Profiles {
-		pStart := time.Now()
-		if r.cfg.Arrival == "poisson" {
-			r.runOpenLoop(ctx, profile)
-		} else {
-			r.runClosedLoop(ctx, profile)
-		}
-		windows[profile] = time.Since(pStart)
+		r.runClosedLoop(ctx, profile)
 		if ctx.Err() != nil {
 			break
 		}
 	}
 	faultWG.Wait()
-	return r.col.report(r.cfg, time.Since(start), windows), ctx.Err()
+	return r.col.report(r.cfg), ctx.Err()
 }
 
-// setup creates the device population before measurement begins:
+// setup creates the device population before the run begins:
 // vehicles shared by every profile, plus each profile's meters.
 // Re-registering an existing node (a rerun against a persistent
 // data-dir) is tolerated.
@@ -333,8 +289,7 @@ func (r *Runner) meterFor(p Profile, id uint64) string {
 }
 
 // runClosedLoop runs a fixed pool of workers, each cycling sessions
-// until the window closes. Latency under a closed loop reflects
-// service time; throughput is bounded by Concurrency.
+// until the window closes.
 func (r *Runner) runClosedLoop(ctx context.Context, profile Profile) {
 	deadline := time.Now().Add(r.cfg.Duration)
 	var wg sync.WaitGroup
@@ -352,52 +307,6 @@ func (r *Runner) runClosedLoop(ctx context.Context, profile Profile) {
 	wg.Wait()
 }
 
-// runOpenLoop generates Poisson arrivals at cfg.Rate. Sessions run
-// concurrently up to Concurrency in flight; arrivals that find no free
-// slot are shed and counted, not queued — open-loop latency must not
-// hide behind an unbounded queue.
-func (r *Runner) runOpenLoop(ctx context.Context, profile Profile) {
-	deadline := time.Now().Add(r.cfg.Duration)
-	rng := rand.New(rand.NewSource(r.cfg.Seed ^ int64(hashString(string(profile)))))
-	sem := make(chan struct{}, r.cfg.Concurrency)
-	var wg sync.WaitGroup
-	next := time.Now()
-	for ctx.Err() == nil {
-		next = next.Add(time.Duration(rng.ExpFloat64() / r.cfg.Rate * float64(time.Second)))
-		if next.After(deadline) {
-			break
-		}
-		select {
-		case <-ctx.Done():
-		case <-time.After(time.Until(next)):
-		}
-		select {
-		case sem <- struct{}{}:
-			id := r.nextID.Add(1)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				shard := r.col.Shard()
-				defer shard.Close()
-				r.session(ctx, profile, id, shard)
-			}()
-		default:
-			r.col.Shed()
-		}
-	}
-	wg.Wait()
-}
-
-// hashString folds a string into 64 bits for seed derivation (FNV-1a).
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
-}
-
 // session drives one vehicle through a full channel lifecycle:
 // open → pay×N → (maybe on-chain deposit) → cooperative close. A
 // fault-plan abort kills the client mid-payment, leaving the channel
@@ -409,9 +318,8 @@ func (r *Runner) session(ctx context.Context, profile Profile, id uint64, shard 
 	node := r.targetOf(v)
 	client := r.clients[node]
 
-	start := time.Now()
 	ch, err := client.OpenChannel(ctx, vehicle, meter, r.cfg.ChannelDeposit, 0)
-	shard.Observe(profile, "open", node, time.Since(start), err)
+	shard.Observe(profile, "open", node, err)
 	if err != nil {
 		shard.Session(false, false)
 		return
@@ -436,32 +344,27 @@ func (r *Runner) session(ctx context.Context, profile Profile, id uint64, shard 
 	}
 
 	if r.cfg.DepositEvery > 0 && id%uint64(r.cfg.DepositEvery) == 0 {
-		start = time.Now()
 		_, err := client.Deposit(ctx, vehicle, r.cfg.Amount)
-		shard.Observe(profile, "deposit", node, time.Since(start), err)
+		shard.Observe(profile, "deposit", node, err)
 		if err != nil {
 			shard.Session(false, false)
 			return
 		}
 	}
 
-	start = time.Now()
 	_, err = client.CloseChannel(ctx, vehicle, ch.ID)
-	shard.Observe(profile, "close", node, time.Since(start), err)
+	shard.Observe(profile, "close", node, err)
 	shard.Session(err == nil, false)
 }
 
 // pay sends n payments on one channel, reporting each to the shard,
 // and returns false on the first failure. With cfg.Batch > 1 payments
-// go out in JSON-RPC batch requests of that size; every entry of a
-// batch is observed with the batch's round-trip latency, since that is
-// what the client waited for.
+// go out in JSON-RPC batch requests of that size.
 func (r *Runner) pay(ctx context.Context, client *rpc.Client, profile Profile, node int, vehicle string, ch uint64, n int, shard *Shard) bool {
 	if r.cfg.Batch <= 1 {
 		for i := 0; i < n; i++ {
-			start := time.Now()
 			_, err := client.Pay(ctx, vehicle, ch, r.cfg.Amount)
-			shard.Observe(profile, "pay", node, time.Since(start), err)
+			shard.Observe(profile, "pay", node, err)
 			if err != nil {
 				return false
 			}
@@ -477,19 +380,17 @@ func (r *Runner) pay(ctx context.Context, client *rpc.Client, profile Profile, n
 		for j := 0; j < k; j++ {
 			b.Pay(vehicle, ch, r.cfg.Amount, nil)
 		}
-		start := time.Now()
 		errs, err := b.Call(ctx)
-		elapsed := time.Since(start)
 		if err != nil {
 			// Whole-batch (transport) failure: every entry shares it.
 			for j := 0; j < k; j++ {
-				shard.Observe(profile, "pay", node, elapsed, err)
+				shard.Observe(profile, "pay", node, err)
 			}
 			return false
 		}
 		failed := false
 		for _, e := range errs {
-			shard.Observe(profile, "pay", node, elapsed, e)
+			shard.Observe(profile, "pay", node, e)
 			failed = failed || e != nil
 		}
 		if failed {

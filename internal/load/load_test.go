@@ -99,20 +99,6 @@ func TestChaosTransportDeterministic(t *testing.T) {
 	}
 }
 
-func TestParseProfiles(t *testing.T) {
-	all, err := ParseProfiles("all")
-	if err != nil || len(all) != 3 {
-		t.Fatalf("all: %v %v", all, err)
-	}
-	two, err := ParseProfiles("hotspot, fanin")
-	if err != nil || len(two) != 2 || two[0] != ProfileHotspot || two[1] != ProfileFanIn {
-		t.Fatalf("pair: %v %v", two, err)
-	}
-	if _, err := ParseProfiles("bogus"); err == nil {
-		t.Fatal("bogus profile accepted")
-	}
-}
-
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -150,84 +136,73 @@ func newInProcessGateway(t *testing.T) string {
 	return srv.URL
 }
 
-// TestRunnerSmokeClosedLoop runs the full harness (all profiles, client
-// kills, drops and delays) against an in-process gateway and checks the
-// report: sessions ran, faults fired and every error stayed inside the
-// taxonomy.
+// TestRunnerSmokeClosedLoop runs the harness against an in-process
+// gateway, so the race detector sees the whole client and server path,
+// and checks the report: sessions ran, faults fired, every profile
+// recorded pays and every error stayed inside the taxonomy. The
+// shard-contention case is CI's hotspot smoke: receiver-side
+// contention on a few hot meters with batched payments.
 func TestRunnerSmokeClosedLoop(t *testing.T) {
-	url := newInProcessGateway(t)
-	r := New(Config{
-		URL:          url,
-		Vehicles:     4,
-		Concurrency:  4,
-		Duration:     300 * time.Millisecond,
-		Payments:     5,
-		DepositEvery: 5,
-		Seed:         7,
-		Retries:      2,
-		Faults: FaultConfig{
-			ClientKillRate: 0.3,
-			DropRate:       0.05,
-			DelayRate:      0.2,
-			DelayMax:       2 * time.Millisecond,
-		},
-	}, nil)
-	rep, err := r.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"faults", Config{
+			Vehicles:     4,
+			Concurrency:  4,
+			Duration:     300 * time.Millisecond,
+			Payments:     5,
+			DepositEvery: 5,
+			Seed:         7,
+			Retries:      2,
+			Faults: FaultConfig{
+				ClientKillRate: 0.3,
+				DropRate:       0.05,
+				DelayRate:      0.2,
+				DelayMax:       2 * time.Millisecond,
+			},
+		}},
+		{"shard-contention", Config{
+			Profiles:     []Profile{ProfileHotspot},
+			Duration:     5 * time.Second,
+			Batch:        8,
+			Concurrency:  16,
+			Vehicles:     24,
+			HotMeters:    3,
+			Payments:     10,
+			DepositEvery: 7,
+			Seed:         1,
+			Retries:      3,
+		}},
 	}
-	if err := rep.Err(); err != nil {
-		t.Fatalf("gate verdict: %v\nreport:\n%s", err, rep)
-	}
-	if rep.Sessions.Total == 0 || rep.Sessions.Completed == 0 {
-		t.Fatalf("no sessions ran:\n%s", rep)
-	}
-	if rep.Sessions.Aborted == 0 {
-		t.Fatalf("client-kill rate 0.3 but no aborted session over %d:\n%s", rep.Sessions.Total, rep)
-	}
-	for _, profile := range Profiles() {
-		found := false
-		for _, op := range rep.Ops {
-			if op.Profile == string(profile) && op.Op == "pay" && op.Count > 0 {
-				found = true
-				if op.P50MS <= 0 || op.P99MS < op.P50MS || op.PerSec <= 0 {
-					t.Fatalf("implausible stats for %s/pay: %+v", profile, op)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.URL = newInProcessGateway(t)
+			r := New(cfg, nil)
+			rep, err := r.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.Err(); err != nil {
+				t.Fatalf("gate verdict: %v\nreport:\n%s", err, rep)
+			}
+			if rep.Sessions.Total == 0 || rep.Sessions.Completed == 0 {
+				t.Fatalf("no sessions ran:\n%s", rep)
+			}
+			if rate := cfg.Faults.ClientKillRate; rate > 0 && rep.Sessions.Aborted == 0 {
+				t.Fatalf("client-kill rate %v but no aborted session over %d:\n%s", rate, rep.Sessions.Total, rep)
+			}
+			for _, profile := range r.cfg.Profiles {
+				found := false
+				for _, op := range rep.Ops {
+					found = found || op.Profile == string(profile) && op.Op == "pay" && op.Count > 0
+				}
+				if !found {
+					t.Fatalf("no pay recorded for profile %s:\n%s", profile, rep)
 				}
 			}
-		}
-		if !found {
-			t.Fatalf("no pay latency recorded for profile %s:\n%s", profile, rep)
-		}
-	}
-}
-
-// TestRunnerOpenLoop exercises the Poisson generator: arrivals beyond
-// the in-flight cap must shed, not queue.
-func TestRunnerOpenLoop(t *testing.T) {
-	url := newInProcessGateway(t)
-	r := New(Config{
-		URL:         url,
-		Profiles:    []Profile{ProfileHotspot},
-		Vehicles:    4,
-		Arrival:     "poisson",
-		Rate:        400, // far above what 2 slots sustain
-		Concurrency: 2,
-		Duration:    300 * time.Millisecond,
-		Payments:    3,
-		Seed:        11,
-	}, nil)
-	rep, err := r.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Err(); err != nil {
-		t.Fatalf("gate verdict: %v\n%s", err, rep)
-	}
-	if rep.Sessions.Total == 0 {
-		t.Fatalf("no sessions:\n%s", rep)
-	}
-	if rep.Sessions.Shed == 0 {
-		t.Fatalf("overloaded open loop shed nothing:\n%s", rep)
+		})
 	}
 }
 
@@ -236,63 +211,92 @@ func TestRunnerOpenLoop(t *testing.T) {
 // must recover from its WAL while the workload hammers on. The gate
 // verdict must stay clean — daemon downtime surfaces as taxonomy
 // (transport) errors, recovery is timed, and sessions complete after
-// the restart.
+// the restart. The load-smoke case is CI's load smoke: every profile
+// under client kills and wire chaos as well.
 func TestRunnerDaemonKillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and crashes a child process; skipped in -short")
 	}
-	dir := t.TempDir()
-	binPath, err := BuildServeBinary(repoRoot(t), dir)
+	binPath, err := BuildServeBinary(repoRoot(t), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := FreeAddr()
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"disjoint", Config{
+			Profiles:     []Profile{ProfileDisjoint},
+			Vehicles:     4,
+			Concurrency:  4,
+			Duration:     4 * time.Second,
+			Payments:     5,
+			DepositEvery: 3, // seal blocks so the kill lands mid-log
+			Seed:         5,
+			Retries:      4,
+			Backoff:      100 * time.Millisecond,
+			Faults:       FaultConfig{DaemonKills: 1},
+		}},
+		{"load-smoke", Config{
+			Profiles:       Profiles(),
+			Vehicles:       16,
+			Concurrency:    8,
+			HotMeters:      4,
+			Duration:       3 * time.Second,
+			Payments:       10,
+			DepositEvery:   7,
+			Seed:           1,
+			RequestTimeout: 10 * time.Second,
+			Retries:        4,
+			Faults: FaultConfig{
+				ClientKillRate: 0.1,
+				DropRate:       0.02,
+				DelayRate:      0.1,
+				DelayMax:       5 * time.Millisecond,
+				DaemonKills:    1,
+			},
+		}},
 	}
-	daemon := &Daemon{Bin: binPath, Addr: addr, DataDir: t.TempDir(), Provider: "city", Log: os.Stderr}
-	if err := daemon.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(daemon.Stop)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := daemon.WaitReady(ctx); err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			addr, err := FreeAddr()
+			if err != nil {
+				t.Fatal(err)
+			}
+			daemon := &Daemon{Bin: binPath, Addr: addr, DataDir: t.TempDir(), Provider: "city", Log: os.Stderr}
+			if err := daemon.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(daemon.Stop)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			if err := daemon.WaitReady(ctx); err != nil {
+				t.Fatal(err)
+			}
 
-	r := New(Config{
-		Profiles:     []Profile{ProfileDisjoint},
-		Vehicles:     4,
-		Concurrency:  4,
-		Duration:     4 * time.Second,
-		Payments:     5,
-		DepositEvery: 3, // seal blocks so the kill lands mid-log
-		Seed:         5,
-		Retries:      4,
-		Backoff:      100 * time.Millisecond,
-		Faults:       FaultConfig{DaemonKills: 1},
-	}, daemon)
-	if got := len(r.Plan().KillTimes()); got != 1 {
-		t.Fatalf("planned kills = %d, want 1", got)
+			r := New(c.cfg, daemon)
+			if got := len(r.Plan().KillTimes()); got != 1 {
+				t.Fatalf("planned kills = %d, want 1", got)
+			}
+			rep, err := r.Run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.Err(); err != nil {
+				t.Fatalf("gate verdict: %v\n%s", err, rep)
+			}
+			if len(rep.Recoveries) != 1 {
+				t.Fatalf("recoveries = %v (failures %v), want exactly 1", rep.Recoveries, rep.RecoveryFailures)
+			}
+			if rep.Recoveries[0] <= 0 || rep.Recoveries[0] > 30*time.Second {
+				t.Fatalf("implausible recovery time %v", rep.Recoveries[0])
+			}
+			if rep.Sessions.Completed == 0 {
+				t.Fatalf("no completed sessions around the crash:\n%s", rep)
+			}
+			t.Logf("report:\n%s", rep)
+		})
 	}
-	rep, err := r.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Err(); err != nil {
-		t.Fatalf("gate verdict: %v\n%s", err, rep)
-	}
-	if len(rep.Recoveries) != 1 {
-		t.Fatalf("recoveries = %v (failures %v), want exactly 1", rep.Recoveries, rep.RecoveryFailures)
-	}
-	if rep.Recoveries[0] <= 0 || rep.Recoveries[0] > 30*time.Second {
-		t.Fatalf("implausible recovery time %v", rep.Recoveries[0])
-	}
-	if rep.Sessions.Completed == 0 {
-		t.Fatalf("no completed sessions around the crash:\n%s", rep)
-	}
-	t.Logf("report:\n%s", rep)
 }
 
 // repoRoot walks up from the package dir to the module root.
@@ -316,7 +320,7 @@ func repoRoot(t *testing.T) string {
 
 // TestRunnerMultiTarget spreads vehicles across two in-process gateways
 // and checks the per-node report buckets: both nodes served traffic and
-// node latency counts sum to the op counts.
+// node op counts sum to the per-op counts.
 func TestRunnerMultiTarget(t *testing.T) {
 	targets := []string{newInProcessGateway(t), newInProcessGateway(t)}
 	r := New(Config{

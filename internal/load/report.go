@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"tinyevm/internal/rpc"
-	"tinyevm/internal/stats"
 )
 
 // maxUnknownSamples bounds how many unknown error messages a report
@@ -48,21 +47,19 @@ func Classify(err error) string {
 	return "unknown"
 }
 
-// Collector aggregates measurements from concurrent workers. Workers
-// record into private Shards and merge on exit, so the hot path takes
-// no locks; Merge on stats.LatencyHist is exact, so sharding loses
-// nothing.
+// Collector aggregates counters from concurrent workers. Workers count
+// into private Shards and merge on exit, so the hot path takes no
+// locks.
 type Collector struct {
 	mu         sync.Mutex
-	ops        map[string]*stats.LatencyHist // "profile/op" → latencies
-	errs       map[string]uint64             // taxonomy kind → count
-	nodes      map[int]*nodeBucket           // target index → per-node buckets
+	ops        map[string]uint64   // "profile/op" → successful ops
+	errs       map[string]uint64   // taxonomy kind → count
+	nodes      map[int]*nodeBucket // target index → per-node counts
 	unknown    []string
 	sessions   uint64
 	completed  uint64
 	aborted    uint64
 	failed     uint64
-	shed       uint64
 	recoveries []time.Duration
 	recoverErr []string
 }
@@ -70,17 +67,17 @@ type Collector struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
-		ops:   make(map[string]*stats.LatencyHist),
+		ops:   make(map[string]uint64),
 		errs:  make(map[string]uint64),
 		nodes: make(map[int]*nodeBucket),
 	}
 }
 
-// nodeBucket aggregates one target daemon's view: all-op latency plus
-// an error taxonomy, so a multi-target run shows which node is slow or
-// rejecting (e.g. a follower returning not-leader).
+// nodeBucket is one target daemon's view: successful ops plus an error
+// taxonomy, so a multi-target run shows which node is rejecting (e.g.
+// a follower returning not-leader).
 type nodeBucket struct {
-	lat  stats.LatencyHist
+	ops  uint64
 	errs map[string]uint64
 }
 
@@ -90,7 +87,7 @@ func newNodeBucket() *nodeBucket { return &nodeBucket{errs: make(map[string]uint
 // merges it back; a Shard must not be used after Close.
 type Shard struct {
 	col       *Collector
-	ops       map[string]*stats.LatencyHist
+	ops       map[string]uint64
 	errs      map[string]uint64
 	nodes     map[int]*nodeBucket
 	unknown   []string
@@ -104,29 +101,23 @@ type Shard struct {
 func (c *Collector) Shard() *Shard {
 	return &Shard{
 		col:   c,
-		ops:   make(map[string]*stats.LatencyHist),
+		ops:   make(map[string]uint64),
 		errs:  make(map[string]uint64),
 		nodes: make(map[int]*nodeBucket),
 	}
 }
 
-// Observe records one timed operation against target daemon node and
+// Observe records one operation against target daemon node and
 // classifies its error.
-func (s *Shard) Observe(profile Profile, op string, node int, d time.Duration, err error) {
+func (s *Shard) Observe(profile Profile, op string, node int, err error) {
 	nb := s.nodes[node]
 	if nb == nil {
 		nb = newNodeBucket()
 		s.nodes[node] = nb
 	}
 	if err == nil {
-		key := string(profile) + "/" + op
-		h := s.ops[key]
-		if h == nil {
-			h = &stats.LatencyHist{}
-			s.ops[key] = h
-		}
-		h.ObserveDuration(d)
-		nb.lat.ObserveDuration(d)
+		s.ops[string(profile)+"/"+op]++
+		nb.ops++
 		return
 	}
 	kind := Classify(err)
@@ -155,13 +146,8 @@ func (s *Shard) Close() {
 	c := s.col
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, h := range s.ops {
-		dst := c.ops[key]
-		if dst == nil {
-			dst = &stats.LatencyHist{}
-			c.ops[key] = dst
-		}
-		dst.Merge(h)
+	for key, n := range s.ops {
+		c.ops[key] += n
 	}
 	for kind, n := range s.errs {
 		c.errs[kind] += n
@@ -172,7 +158,7 @@ func (s *Shard) Close() {
 			dst = newNodeBucket()
 			c.nodes[node] = dst
 		}
-		dst.lat.Merge(&nb.lat)
+		dst.ops += nb.ops
 		for kind, n := range nb.errs {
 			dst.errs[kind] += n
 		}
@@ -190,14 +176,6 @@ func (s *Shard) Close() {
 	c.failed += s.failed
 }
 
-// Shed counts a session the open-loop generator had to drop because
-// every in-flight slot was taken (overload, not an error).
-func (c *Collector) Shed() {
-	c.mu.Lock()
-	c.shed++
-	c.mu.Unlock()
-}
-
 // Recovery records one daemon kill/restart outcome.
 func (c *Collector) Recovery(d time.Duration, err error) {
 	c.mu.Lock()
@@ -209,54 +187,40 @@ func (c *Collector) Recovery(d time.Duration, err error) {
 	c.recoveries = append(c.recoveries, d)
 }
 
-// OpStats is the per-operation slice of a report.
+// OpStats counts one profile's successful operations of one kind.
 type OpStats struct {
 	Profile string
 	Op      string
 	Count   uint64
-	MeanMS  float64
-	P50MS   float64
-	P95MS   float64
-	P99MS   float64
-	PerSec  float64
 }
 
-// NodeStats is one target daemon's slice of a report: all-op latency
-// plus that node's error taxonomy.
+// NodeStats is one target daemon's slice of a report: its successful
+// ops plus its error taxonomy.
 type NodeStats struct {
 	Index  int
 	Target string
 	Count  uint64
-	MeanMS float64
-	P50MS  float64
-	P95MS  float64
-	P99MS  float64
 	Errors map[string]uint64
 }
 
 // Report is the outcome of one harness run.
 type Report struct {
-	Config   Config
-	Elapsed  time.Duration
 	Ops      []OpStats
 	Nodes    []NodeStats
 	Errors   map[string]uint64
 	Unknown  []string
 	Sessions struct {
-		Total, Completed, Aborted, Failed, Shed uint64
+		Total, Completed, Aborted, Failed uint64
 	}
 	Recoveries       []time.Duration
 	RecoveryFailures []string
 }
 
-// report assembles the final Report. windows maps each profile to its
-// measured wall-clock window, for per-op throughput.
-func (c *Collector) report(cfg Config, elapsed time.Duration, windows map[Profile]time.Duration) *Report {
+// report assembles the final Report.
+func (c *Collector) report(cfg Config) *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r := &Report{
-		Config:           cfg,
-		Elapsed:          elapsed,
 		Errors:           make(map[string]uint64, len(c.errs)),
 		Unknown:          append([]string(nil), c.unknown...),
 		Recoveries:       append([]time.Duration(nil), c.recoveries...),
@@ -269,7 +233,6 @@ func (c *Collector) report(cfg Config, elapsed time.Duration, windows map[Profil
 	r.Sessions.Completed = c.completed
 	r.Sessions.Aborted = c.aborted
 	r.Sessions.Failed = c.failed
-	r.Sessions.Shed = c.shed
 
 	keys := make([]string, 0, len(c.ops))
 	for k := range c.ops {
@@ -277,23 +240,8 @@ func (c *Collector) report(cfg Config, elapsed time.Duration, windows map[Profil
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		h := c.ops[key]
 		profile, op, _ := strings.Cut(key, "/")
-		window := windows[Profile(profile)]
-		if window <= 0 {
-			window = elapsed
-		}
-		p50, p95, p99 := h.QuantilesMS()
-		r.Ops = append(r.Ops, OpStats{
-			Profile: profile,
-			Op:      op,
-			Count:   h.Count(),
-			MeanMS:  h.Mean() / 1e6,
-			P50MS:   p50,
-			P95MS:   p95,
-			P99MS:   p99,
-			PerSec:  float64(h.Count()) / window.Seconds(),
-		})
+		r.Ops = append(r.Ops, OpStats{Profile: profile, Op: op, Count: c.ops[key]})
 	}
 
 	nodeIdx := make([]int, 0, len(c.nodes))
@@ -307,17 +255,7 @@ func (c *Collector) report(cfg Config, elapsed time.Duration, windows map[Profil
 		if i < len(cfg.Targets) {
 			target = cfg.Targets[i]
 		}
-		p50, p95, p99 := nb.lat.QuantilesMS()
-		ns := NodeStats{
-			Index:  i,
-			Target: target,
-			Count:  nb.lat.Count(),
-			MeanMS: nb.lat.Mean() / 1e6,
-			P50MS:  p50,
-			P95MS:  p95,
-			P99MS:  p99,
-			Errors: make(map[string]uint64, len(nb.errs)),
-		}
+		ns := NodeStats{Index: i, Target: target, Count: nb.ops, Errors: make(map[string]uint64, len(nb.errs))}
 		for kind, n := range nb.errs {
 			ns.Errors[kind] = n
 		}
@@ -341,47 +279,26 @@ func (r *Report) Err() error {
 	return nil
 }
 
-// String renders a human-readable summary table.
+// String renders a human-readable summary.
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "load run: %v elapsed, %d sessions (%d completed, %d aborted by fault, %d failed, %d shed)\n",
-		r.Elapsed.Round(time.Millisecond), r.Sessions.Total,
-		r.Sessions.Completed, r.Sessions.Aborted, r.Sessions.Failed, r.Sessions.Shed)
-	if len(r.Ops) > 0 {
-		fmt.Fprintf(&b, "%-28s %8s %9s %9s %9s %9s %9s\n",
-			"profile/op", "count", "mean-ms", "p50-ms", "p95-ms", "p99-ms", "ops/s")
-		for _, op := range r.Ops {
-			fmt.Fprintf(&b, "%-28s %8d %9.3f %9.3f %9.3f %9.3f %9.1f\n",
-				op.Profile+"/"+op.Op, op.Count, op.MeanMS, op.P50MS, op.P95MS, op.P99MS, op.PerSec)
-		}
+	fmt.Fprintf(&b, "load run: %d sessions (%d completed, %d aborted by fault, %d failed)\n",
+		r.Sessions.Total, r.Sessions.Completed, r.Sessions.Aborted, r.Sessions.Failed)
+	for _, op := range r.Ops {
+		fmt.Fprintf(&b, "%-28s %8d\n", op.Profile+"/"+op.Op, op.Count)
 	}
 	// Per-node rows only say something when the run spread across
 	// multiple daemons.
 	if len(r.Nodes) > 1 {
 		for _, ns := range r.Nodes {
-			fmt.Fprintf(&b, "node %d (%s): %d ops, mean %.3f ms, p99 %.3f ms",
-				ns.Index, ns.Target, ns.Count, ns.MeanMS, ns.P99MS)
-			kinds := make([]string, 0, len(ns.Errors))
-			for k := range ns.Errors {
-				kinds = append(kinds, k)
-			}
-			sort.Strings(kinds)
-			for _, k := range kinds {
-				fmt.Fprintf(&b, " %s=%d", k, ns.Errors[k])
-			}
+			fmt.Fprintf(&b, "node %d (%s): %d ops", ns.Index, ns.Target, ns.Count)
+			writeKinds(&b, ns.Errors)
 			b.WriteByte('\n')
 		}
 	}
 	if len(r.Errors) > 0 {
-		kinds := make([]string, 0, len(r.Errors))
-		for k := range r.Errors {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
 		b.WriteString("errors:")
-		for _, k := range kinds {
-			fmt.Fprintf(&b, " %s=%d", k, r.Errors[k])
-		}
+		writeKinds(&b, r.Errors)
 		b.WriteByte('\n')
 	}
 	for _, d := range r.Recoveries {
@@ -391,4 +308,16 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "daemon recovery FAILED: %s\n", f)
 	}
 	return b.String()
+}
+
+// writeKinds appends " kind=n" per error kind, in name order.
+func writeKinds(b *strings.Builder, errs map[string]uint64) {
+	kinds := make([]string, 0, len(errs))
+	for k := range errs {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		fmt.Fprintf(b, " %s=%d", k, errs[k])
+	}
 }

@@ -129,17 +129,6 @@ func (n *Node) Start() error {
 	return nil
 }
 
-// ListenAddr returns the bound listener address ("" when not
-// listening). Useful with ":0"-style binds.
-func (n *Node) ListenAddr() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.listener == nil {
-		return ""
-	}
-	return n.listener.Addr()
-}
-
 // Close tears down the listener and every peer connection.
 func (n *Node) Close() error {
 	n.mu.Lock()

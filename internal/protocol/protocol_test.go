@@ -390,7 +390,7 @@ func TestCommitAndSettleHappyPath(t *testing.T) {
 	if carAfter+gasAllowance < carBefore+9_700 {
 		t.Fatalf("car refund missing: %d -> %d", carBefore, carAfter)
 	}
-	cm, ok := s.Template.Committed(fs.ChannelID)
+	cm, ok := s.Template.CommittedBy(fs.Sender, fs.ChannelID)
 	if !ok || cm.State.Cumulative != 300 {
 		t.Fatal("committed state wrong")
 	}

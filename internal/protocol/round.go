@@ -7,7 +7,6 @@ import (
 	"tinyevm/internal/chain"
 	"tinyevm/internal/device"
 	"tinyevm/internal/radio"
-	"tinyevm/internal/types"
 )
 
 // Scenario wires up the full smart-parking experiment: a chain with a
@@ -223,6 +222,3 @@ func FundDeposit(s *Scenario, amount uint64) error {
 	}
 	return nil
 }
-
-// ProviderAddress returns the service provider (lot) address.
-func (s *Scenario) ProviderAddress() types.Address { return s.Lot.Address() }

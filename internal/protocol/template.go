@@ -279,9 +279,6 @@ func (t *Template) isFraudulent(addr types.Address, key commitKey) bool {
 
 // --- read-only views ---------------------------------------------------
 
-// DepositOf returns the locked deposit of addr.
-func (t *Template) DepositOf(addr types.Address) uint64 { return t.deposits[addr] }
-
 // commitKeys returns the committed channel keys in deterministic order
 // (sender address, then id).
 func (t *Template) commitKeys() []commitKey {
@@ -296,18 +293,6 @@ func (t *Template) commitKeys() []commitKey {
 		return keys[i].ID < keys[j].ID
 	})
 	return keys
-}
-
-// Committed returns the latest accepted state for a channel id,
-// whichever sender committed it (ids are only unique per sender; use
-// CommittedBy when serving many peers).
-func (t *Template) Committed(channelID uint64) (*Commit, bool) {
-	for _, key := range t.commitKeys() {
-		if key.ID == channelID {
-			return t.committed[key], true
-		}
-	}
-	return nil, false
 }
 
 // CommittedBy returns the latest accepted state for a sender's channel.

@@ -287,6 +287,42 @@ func TestRPCUnsubscribe(t *testing.T) {
 	}
 }
 
+// TestRPCSubscriptionBound fills the server's subscription bound in one
+// batch, sees the next subscribe refused, and gets a slot back by
+// unsubscribing one.
+func TestRPCSubscriptionBound(t *testing.T) {
+	_, client := newTestGateway(t)
+	ctx := context.Background()
+
+	ids := make([]struct {
+		Subscription string `json:"subscription"`
+	}, maxSubscriptions)
+	b := client.NewBatch()
+	for i := range ids {
+		b.Add("tinyevm_subscribe", map[string]string{"node": "provider"}, &ids[i])
+	}
+	errs, err := b.Call(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("subscribe %d of %d: %v", i+1, maxSubscriptions, e)
+		}
+	}
+
+	var rpcErr *Error
+	if _, err := client.Subscribe(ctx, "provider"); !errors.As(err, &rpcErr) || rpcErr.Code != codeServer {
+		t.Fatalf("subscribe past the bound: got %v, want a server error", err)
+	}
+	if err := client.Unsubscribe(ctx, ids[0].Subscription); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Subscribe(ctx, "provider"); err != nil {
+		t.Fatalf("subscribe after freeing a slot: %v", err)
+	}
+}
+
 // TestRPCNodeStatusAndBlockHash covers the cluster introspection
 // endpoints on a standalone gateway: role "standalone", zero peers,
 // and a stable block hash once a block is sealed.

@@ -24,6 +24,11 @@ const maxBody = 1 << 20
 // maxBatch bounds the number of calls in one JSON-RPC batch request.
 const maxBatch = 4096
 
+// maxSubscriptions bounds the live subscriptions per server. Each one
+// holds two goroutines and an event queue until it is unsubscribed or
+// reaped idle, so without a bound one batch could pin maxBatch of them.
+const maxSubscriptions = 256
+
 // maxPollTimeout caps a long-poll wait.
 const maxPollTimeout = 30 * time.Second
 
@@ -556,15 +561,18 @@ func (s *Server) subscribe(_ context.Context, in nodeParam) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.subs) >= maxSubscriptions {
+		return nil, &Error{Code: codeServer, Message: fmt.Sprintf("subscription limit reached (%d live)", maxSubscriptions)}
+	}
 	// The subscription outlives this HTTP request; it is bounded by
 	// the service lifetime and explicit unsubscribe.
 	subCtx, cancel := context.WithCancel(context.Background())
 	events := sn.Subscribe(subCtx)
-	s.mu.Lock()
 	s.nextSub++
 	id := fmt.Sprintf("sub-%d", s.nextSub)
 	s.subs[id] = &serverSub{events: events, cancel: cancel, lastPoll: time.Now()}
-	s.mu.Unlock()
 	return map[string]string{"subscription": id}, nil
 }
 

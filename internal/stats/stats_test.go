@@ -46,6 +46,19 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+func TestPercentileExact(t *testing.T) {
+	xs := []float64{10, 20, 30, 40, 50}
+	cases := []struct{ p, want float64 }{
+		{0, 10}, {25, 20}, {50, 30}, {75, 40}, {100, 50},
+		{10, 14}, {90, 46}, // interpolated ranks
+	}
+	for _, c := range cases {
+		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
+		}
+	}
+}
+
 func TestPercentileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	Percentile(xs, 50)
