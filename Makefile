@@ -27,8 +27,9 @@ bench-check:
 # batch handling, the radio wire's and the cluster peer wire's
 # decoders, the interpreter on
 # arbitrary bytecode, and the crypto fast paths' differential fuzzers
-# (fixed-limb field, scalar and ECDSA against the
-# math/big oracle in internal/secp256k1/oracle_test.go; the unrolled
+# (fixed-limb field, scalar and ECDSA, and the signature and public-key
+# decoders, against the math/big oracle in
+# internal/secp256k1/oracle_test.go; the unrolled
 # Keccak against the reference permutation) for wall-clock time, not
 # just their seed corpora — what the CI "Fuzz" step runs (-fuzz takes
 # one target and one package per invocation). The ECDSA fuzzer's oracle
@@ -54,6 +55,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFieldVsBig$$' -fuzztime $(FUZZTIME) ./internal/secp256k1/
 	$(GO) test -run '^$$' -fuzz '^FuzzScalarVsBig$$' -fuzztime $(FUZZTIME) ./internal/secp256k1/
 	$(GO) test -run '^$$' -fuzz '^FuzzSignRecoverVsBig$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/secp256k1/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSignature$$' -fuzztime $(FUZZTIME) ./internal/secp256k1/
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePublicKey$$' -fuzztime $(FUZZTIME) ./internal/secp256k1/
 	$(GO) test -run '^$$' -fuzz '^FuzzKeccakVsReference$$' -fuzztime $(FUZZTIME) ./internal/keccak/
 
 lint:

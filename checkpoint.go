@@ -497,7 +497,7 @@ func (s *Service) buildCheckpointLocked() *checkpointRecord {
 // at the end of every exclusive-path operation (the only path that
 // seals blocks); the sharded hot path never comes through here.
 func (s *Service) maybeCheckpointLocked() error {
-	if s.ops == nil || s.ckptInterval == 0 || s.cluster != nil {
+	if s.ops == nil || s.ckptInterval == 0 {
 		return nil
 	}
 	head := s.sys.Chain.Head().Number

@@ -84,18 +84,26 @@ func WithCluster(cc ClusterConfig) Option {
 	return func(c *serviceConfig) { c.cluster = &cc }
 }
 
-// setupCluster validates the cluster configuration and starts the
-// cluster node. Called at the end of NewService, before any operation
-// can run.
-func (s *Service) setupCluster(cfg *serviceConfig) error {
-	cc := cfg.cluster
-	if cc.NodeKey == "" || len(cc.Validators) == 0 {
+// checkCluster refuses a cluster configuration that cannot run (nil
+// without WithCluster). NewService calls it before it opens or reads
+// any store.
+func (c *serviceConfig) checkCluster() error {
+	if c.cluster == nil {
+		return nil
+	}
+	if c.cluster.NodeKey == "" || len(c.cluster.Validators) == 0 {
 		return errors.New("tinyevm: cluster requires NodeKey and Validators")
 	}
-	if cfg.kv != nil || cfg.dataDir != "" {
+	if c.kv != nil || c.dataDir != "" {
 		return fmt.Errorf("%w: op-log persistence (WithStore/WithDataDir); use ClusterConfig.Store for the block archive", ErrClusterOp)
 	}
+	return nil
+}
 
+// setupCluster starts the cluster node of a configuration checkCluster
+// accepted. Called at the end of NewService, before any operation can
+// run.
+func (s *Service) setupCluster(cc *ClusterConfig) error {
 	vals := make([]types.Address, len(cc.Validators))
 	for i, seed := range cc.Validators {
 		vals[i] = secp256k1.DeterministicKey(seed).Address()
@@ -153,9 +161,9 @@ func (cs *clusterTxSender) SendTransaction(tx *chain.Transaction) (*chain.Receip
 var _ protocol.TxSender = (*clusterTxSender)(nil)
 
 // NodeStatus reports the node's cluster view: chain height and head
-// hash, live peer count, and this node's role, plus the sharded hot
-// path's vital signs. A standalone service (no WithCluster) reports
-// role "standalone" with zero peers.
+// hash, live peer count, and this node's role. A standalone service (no
+// WithCluster) reports role "standalone" with zero peers. The hot path
+// and the store report through ServiceStats and StoreStatus.
 type NodeStatus struct {
 	Height    uint64
 	Head      types.Hash
@@ -164,25 +172,9 @@ type NodeStatus struct {
 	Validator types.Address
 	Leader    types.Address
 	Pool      int
-
-	// Shards is the hot path's lock-stripe count; PendingOps counts the
-	// pairwise ops currently queued on or holding each stripe; and
-	// PipelineDepth is the number of sealed blocks whose WAL commit is
-	// still in flight (see shard.go / internal/chain pipeline.go).
-	Shards        int
-	PendingOps    []int
-	PipelineDepth int
-
-	// StoreKind names the durable store backend ("" without a store);
-	// Segments and Compactions are its disk-backend vitals; and
-	// CheckpointHeight is the height of the latest state checkpoint
-	// (checkpoint.go). StateRoot is the MST state root hash under
-	// WithMSTCommitment (zero in legacy digest mode).
-	StoreKind        string
-	Segments         int
-	Compactions      uint64
-	CheckpointHeight uint64
-	StateRoot        types.Hash
+	// StateRoot is the MST state root hash under WithMSTCommitment
+	// (zero in legacy digest mode).
+	StateRoot types.Hash
 }
 
 // NodeStatus returns the current cluster status of this service.
@@ -203,20 +195,6 @@ func (s *Service) NodeStatus(ctx context.Context) (NodeStatus, error) {
 				Leader:    cst.Leader,
 				Pool:      cst.Pool,
 			}
-		}
-		st.Shards = len(s.shards)
-		st.PendingOps = s.shardPending()
-		st.PipelineDepth = s.sys.Chain.PipelineDepth()
-		if s.ops != nil {
-			if sp, ok := s.ops.(store.StatsProvider); ok {
-				stats := sp.Stats()
-				st.StoreKind = stats.Kind
-				st.Segments = stats.Segments
-				st.Compactions = stats.Compactions
-			} else {
-				st.StoreKind = "custom"
-			}
-			st.CheckpointHeight = s.lastCkptHeight
 		}
 		if root, err := s.sys.Chain.StateRoot(); err == nil {
 			st.StateRoot = root.Hash

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
 	"tinyevm"
 	"tinyevm/internal/p2p"
+	"tinyevm/internal/store"
 )
 
 // startServiceCluster builds n services joined into one sidechain over
@@ -110,6 +112,56 @@ func assertServiceHeads(t *testing.T, services []*tinyevm.Service, h uint64) {
 			t.Fatalf("service %d block %d hash %s, service 0 has %s", i, h, got, ref)
 		}
 	}
+}
+
+// TestClusterStoreRefusalLeavesNoTrace: cluster mode refuses op-log
+// persistence before the service opens, stamps or reads the store, so
+// the refused store and data directory stay empty and another
+// deployment can take them.
+func TestClusterStoreRefusalLeavesNoTrace(t *testing.T) {
+	cluster := tinyevm.WithCluster(tinyevm.ClusterConfig{
+		NodeKey: "refused-0", Validators: []string{"refused-0"},
+	})
+	t.Run("store", func(t *testing.T) {
+		kv := store.NewMem()
+		defer kv.Close()
+		if _, _, err := tinyevm.NewService("p", tinyevm.WithStore(kv), cluster); !errors.Is(err, tinyevm.ErrClusterOp) {
+			t.Fatalf("cluster with WithStore: %v, want ErrClusterOp", err)
+		}
+		var keys []string
+		if err := kv.Iterate(nil, func(k, _ []byte) error {
+			keys = append(keys, string(k))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) > 0 {
+			t.Fatalf("the refused service wrote %q", keys)
+		}
+		svc, _, err := tinyevm.NewService("q", tinyevm.WithStore(kv))
+		if err != nil {
+			t.Fatalf("reopening the store as q: %v", err)
+		}
+		svc.Close()
+	})
+	t.Run("data-dir", func(t *testing.T) {
+		dir := t.TempDir()
+		if _, _, err := tinyevm.NewService("p", tinyevm.WithDataDir(dir), cluster); !errors.Is(err, tinyevm.ErrClusterOp) {
+			t.Fatalf("cluster with WithDataDir: %v, want ErrClusterOp", err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			t.Errorf("the refused service left %s behind", e.Name())
+		}
+		svc, _, err := tinyevm.NewService("q", tinyevm.WithDataDir(dir))
+		if err != nil {
+			t.Fatalf("reopening the directory as q: %v", err)
+		}
+		svc.Close()
+	})
 }
 
 // TestServiceClusterLeaderGate drives explicit block production through

@@ -1,4 +1,4 @@
-package core
+package tinyevm
 
 import (
 	"testing"
@@ -67,7 +67,7 @@ func TestProtocolSurvivesLossyLink(t *testing.T) {
 		t.Fatal("no frames lost at 30% loss")
 	}
 	// Retransmissions cost real radio energy.
-	if car.Device().Energest.Elapsed(device.StateTX) == 0 {
+	if car.Dev.Energest.Elapsed(device.StateTX) == 0 {
 		t.Fatal("no TX energy charged")
 	}
 	// Logs remain consistent on both sides.
@@ -128,8 +128,8 @@ func TestLossyLinkCostsMoreEnergy(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return int64(car.Device().Energest.Elapsed(device.StateTX)),
-			int64(car.Device().Energest.Elapsed(device.StateRX))
+		return int64(car.Dev.Energest.Elapsed(device.StateTX)),
+			int64(car.Dev.Energest.Elapsed(device.StateRX))
 	}
 	cleanTX, _ := run(0)
 	lossyTX, _ := run(0.3)

@@ -22,11 +22,10 @@ var importGraph = map[string][]string{
 	"tinyevm": {
 		"tinyevm/internal/asm", "tinyevm/internal/chain", "tinyevm/internal/cluster",
 		"tinyevm/internal/codec", "tinyevm/internal/consensus",
-		"tinyevm/internal/contracts", "tinyevm/internal/core",
-		"tinyevm/internal/device", "tinyevm/internal/evm", "tinyevm/internal/p2p",
-		"tinyevm/internal/protocol", "tinyevm/internal/secp256k1",
-		"tinyevm/internal/store", "tinyevm/internal/store/disk",
-		"tinyevm/internal/types",
+		"tinyevm/internal/contracts", "tinyevm/internal/device", "tinyevm/internal/evm",
+		"tinyevm/internal/p2p", "tinyevm/internal/protocol", "tinyevm/internal/radio",
+		"tinyevm/internal/secp256k1", "tinyevm/internal/store",
+		"tinyevm/internal/store/disk", "tinyevm/internal/types",
 	},
 	"tinyevm/cmd/benchtables": {
 		"tinyevm/internal/eval",
@@ -81,11 +80,6 @@ var importGraph = map[string][]string{
 		"tinyevm/internal/asm", "tinyevm/internal/keccak",
 		"tinyevm/internal/secp256k1", "tinyevm/internal/types",
 		"tinyevm/internal/uint256",
-	},
-	"tinyevm/internal/core": {
-		"tinyevm/internal/chain", "tinyevm/internal/contracts",
-		"tinyevm/internal/device", "tinyevm/internal/protocol",
-		"tinyevm/internal/radio", "tinyevm/internal/types",
 	},
 	"tinyevm/internal/corpus": {
 		"tinyevm/internal/asm", "tinyevm/internal/device",

@@ -218,7 +218,7 @@ func (n *Node) Close() error {
 // --- status --------------------------------------------------------------
 
 // Status is a point-in-time view of the node, served over RPC as
-// node_status.
+// tinyevm_nodeStatus.
 type Status struct {
 	Height    uint64
 	Head      types.Hash

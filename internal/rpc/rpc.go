@@ -220,9 +220,8 @@ type Receipt struct {
 }
 
 // NodeStatus is the wire form of a daemon's cluster view. A standalone
-// gateway reports role "standalone" with zero peers. The shard and
-// pipeline fields are additive — the pre-shard response shape is a
-// strict subset, so existing clients keep decoding.
+// gateway reports role "standalone" with zero peers. The hot path and
+// the store report through tinyevm_serviceStats and tinyevm_storeStatus.
 type NodeStatus struct {
 	Height    uint64 `json:"height"`
 	Head      string `json:"head"`
@@ -231,39 +230,18 @@ type NodeStatus struct {
 	Validator string `json:"validator,omitempty"`
 	Leader    string `json:"leader,omitempty"`
 	Pool      int    `json:"pool,omitempty"`
-
-	// Shards is the service's lock-stripe count; PendingOps counts the
-	// pairwise ops queued on or holding each stripe; PipelineDepth is
-	// the number of sealed blocks whose WAL commit is still in flight.
-	Shards        int   `json:"shards,omitempty"`
-	PendingOps    []int `json:"pendingOps,omitempty"`
-	PipelineDepth int   `json:"pipelineDepth,omitempty"`
-
-	// Store/checkpoint vitals (additive; absent without a durable
-	// store): backend kind, disk-segment and compaction counts, latest
-	// checkpoint height. StateRoot is the MST state root hash when the
-	// daemon runs the MST commitment.
-	StoreKind        string `json:"storeKind,omitempty"`
-	Segments         int    `json:"segments,omitempty"`
-	Compactions      uint64 `json:"compactions,omitempty"`
-	CheckpointHeight uint64 `json:"checkpointHeight,omitempty"`
-	StateRoot        string `json:"stateRoot,omitempty"`
+	// StateRoot is the MST state root hash when the daemon runs the MST
+	// commitment.
+	StateRoot string `json:"stateRoot,omitempty"`
 }
 
 func toNodeStatus(st tinyevm.NodeStatus) NodeStatus {
 	out := NodeStatus{
-		Height:           st.Height,
-		Head:             st.Head.Hex(),
-		Peers:            st.Peers,
-		Role:             st.Role,
-		Pool:             st.Pool,
-		Shards:           st.Shards,
-		PendingOps:       st.PendingOps,
-		PipelineDepth:    st.PipelineDepth,
-		StoreKind:        st.StoreKind,
-		Segments:         st.Segments,
-		Compactions:      st.Compactions,
-		CheckpointHeight: st.CheckpointHeight,
+		Height: st.Height,
+		Head:   st.Head.Hex(),
+		Peers:  st.Peers,
+		Role:   st.Role,
+		Pool:   st.Pool,
 	}
 	if !st.Validator.IsZero() {
 		out.Validator = st.Validator.Hex()

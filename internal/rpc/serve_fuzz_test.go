@@ -34,7 +34,6 @@ var serveSeedParams = map[string]string{
 	"tinyevm_balance":            `{"address":"provider"}`,
 	"tinyevm_head":               `{}`,
 	"tinyevm_nodeStatus":         `{}`,
-	"tinyevm_node_status":        `{}`,
 	"tinyevm_serviceStats":       `{}`,
 	"tinyevm_storeStatus":        `{}`,
 	"tinyevm_stateProof":         `{"address":"0x0000000000000000000000000000000000000001"}`,

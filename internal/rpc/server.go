@@ -481,8 +481,10 @@ var methods = map[string]method{
 		return head(s.svc.HeadBlock(ctx))
 	}),
 
-	"tinyevm_nodeStatus":  bare((*Server).nodeStatus),
-	"tinyevm_node_status": bare((*Server).nodeStatus),
+	"tinyevm_nodeStatus": bare(func(s *Server, ctx context.Context) (any, error) {
+		st, err := s.svc.NodeStatus(ctx)
+		return toNodeStatus(st), err
+	}),
 
 	"tinyevm_serviceStats": bare(func(s *Server, ctx context.Context) (any, error) {
 		st, err := s.svc.ServiceStats(ctx)
@@ -549,11 +551,6 @@ func (s *Server) dispatch(ctx context.Context, name string, params json.RawMessa
 		rpcErr = toError(err)
 	}
 	return nil, rpcErr
-}
-
-func (s *Server) nodeStatus(ctx context.Context) (any, error) {
-	st, err := s.svc.NodeStatus(ctx)
-	return toNodeStatus(st), err
 }
 
 func (s *Server) subscribe(_ context.Context, in nodeParam) (any, error) {

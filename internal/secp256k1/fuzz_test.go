@@ -1,6 +1,7 @@
 package secp256k1
 
 import (
+	"bytes"
 	"errors"
 	"math/big"
 	"testing"
@@ -105,6 +106,113 @@ func FuzzSignRecoverVsBig(f *testing.F) {
 			if wantOK := inRange && bc.S.Cmp(bigHalfN) <= 0 && c.V <= 1; (parseErr == nil) != wantOK {
 				t.Fatalf("ParseSignature(%x) = %v, want ok = %v", c.Serialize(), parseErr, wantOK)
 			}
+		}
+	})
+}
+
+// FuzzParseSignature holds ParseSignature to the ranges the math/big
+// oracle states: it accepts exactly the 65-byte r||s||v with 0 < r < N,
+// 0 < s <= N/2 and v in {0, 1}, never panics, and an accepted input
+// serializes back to the same bytes.
+func FuzzParseSignature(f *testing.F) {
+	sig, err := DeterministicKey("parse-signature").Sign(types.Hash{1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := sig.Serialize()
+	n, halfN := be32(bigN)[:], be32(bigHalfN)[:]
+	above := be32(new(big.Int).Add(bigHalfN, big.NewInt(1)))[:]
+	one, zero := be32(big.NewInt(1))[:], make([]byte, 32)
+	for _, in := range [][]byte{
+		valid,
+		append(append(append([]byte{}, one...), halfN...), 1),
+		append(append(append([]byte{}, one...), above...), 0),
+		append(append(append([]byte{}, zero...), one...), 0),
+		append(append(append([]byte{}, n...), one...), 0),
+		append(append(append([]byte{}, one...), zero...), 0),
+		append(append([]byte{}, valid[:64]...), 2),
+		valid[:64],
+		append(append([]byte{}, valid...), 0),
+		nil,
+	} {
+		f.Add(in)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sig, err := ParseSignature(data)
+		want := len(data) == SignatureLength
+		if want {
+			r, s := new(big.Int).SetBytes(data[0:32]), new(big.Int).SetBytes(data[32:64])
+			want = r.Sign() > 0 && r.Cmp(bigN) < 0 && s.Sign() > 0 && s.Cmp(bigHalfN) <= 0 && data[64] <= 1
+		}
+		if (err == nil) != want {
+			t.Fatalf("ParseSignature(%x) = %v, oracle accepts: %v", data, err, want)
+		}
+		if err == nil && !bytes.Equal(sig.Serialize(), data) {
+			t.Fatalf("ParseSignature(%x) re-serializes as %x", data, sig.Serialize())
+		}
+	})
+}
+
+// FuzzParsePublicKey holds ParsePublicKey to the math/big oracle's
+// curve checks: a 65-byte 0x04||X||Y key is accepted exactly when
+// bigIsOnCurve holds, a 33-byte 0x02/0x03||X key exactly when X < P
+// and bigLiftX finds a square root (and the lifted Y is the oracle's),
+// anything else is refused; it never panics, and an accepted input
+// serializes back to the same bytes in its own form.
+func FuzzParsePublicKey(f *testing.F) {
+	gx, gy := be32(bigGx)[:], be32(bigGy)[:]
+	p := be32(bigP)[:]
+	negGy := be32(new(big.Int).Sub(bigP, bigGy))[:]
+	zero := make([]byte, 32)
+	for _, in := range [][]byte{
+		append(append([]byte{0x04}, gx...), gy...),
+		append(append([]byte{0x04}, gx...), negGy...),
+		append(append([]byte{0x04}, gx...), gx...),
+		append(append([]byte{0x04}, zero...), zero...),
+		append(append([]byte{0x04}, p...), gy...),
+		append([]byte{0x02}, gx...),
+		append([]byte{0x03}, gx...),
+		append([]byte{0x02}, p...),
+		append([]byte{0x03}, zero...),
+		append([]byte{0x05}, gx...),
+		append(append([]byte{0x06}, gx...), gy...),
+		gx,
+		nil,
+	} {
+		f.Add(in)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pub, err := ParsePublicKey(data)
+		var want bool
+		var wantY *big.Int
+		switch {
+		case len(data) == 65 && data[0] == 0x04:
+			wantY = new(big.Int).SetBytes(data[33:65])
+			want = bigIsOnCurve(new(big.Int).SetBytes(data[1:33]), wantY)
+		case len(data) == 33 && (data[0] == 0x02 || data[0] == 0x03):
+			x := new(big.Int).SetBytes(data[1:33])
+			if x.Cmp(bigP) < 0 {
+				y, liftErr := bigLiftX(x, data[0] == 0x03)
+				want, wantY = liftErr == nil, y
+			}
+		}
+		if (err == nil) != want {
+			t.Fatalf("ParsePublicKey(%x) = %v, oracle accepts: %v", data, err, want)
+		}
+		if err != nil {
+			return
+		}
+		if pub.Y != *be32(wantY) {
+			t.Fatalf("ParsePublicKey(%x).Y = %x, oracle %x", data, pub.Y, wantY)
+		}
+		got := pub.SerializeCompressed()
+		if len(data) == 65 {
+			got = pub.SerializeUncompressed()
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("ParsePublicKey(%x) re-serializes as %x", data, got)
 		}
 	})
 }

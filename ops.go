@@ -226,14 +226,14 @@ func (s *Service) applyRoute(_ *ServiceNode, rec *opRecord) (res opResult, err e
 		return res, fmt.Errorf("%w: %q", ErrUnknownNode, rec.Receiver)
 	}
 	parties := make([]*ServiceNode, 0, len(rec.Steps)+1)
-	hops := make([]RouteHop, 0, len(rec.Steps))
+	hops := make([]protocol.RouteHop, 0, len(rec.Steps))
 	for _, st := range rec.Steps {
 		sn, ok := s.nodes[st.Node]
 		if !ok {
 			return res, fmt.Errorf("%w: %q", ErrUnknownNode, st.Node)
 		}
 		parties = append(parties, sn)
-		hops = append(hops, RouteHop{From: sn.n.Party, ChannelID: st.Channel})
+		hops = append(hops, protocol.RouteHop{From: sn.n.Party, ChannelID: st.Channel})
 	}
 	parties = append(parties, recv)
 

@@ -10,7 +10,6 @@ import (
 
 	"tinyevm/internal/chain"
 	"tinyevm/internal/cluster"
-	"tinyevm/internal/core"
 	"tinyevm/internal/protocol"
 	"tinyevm/internal/store"
 )
@@ -40,7 +39,7 @@ const chainPrefix = "chain/"
 type Option func(*serviceConfig)
 
 type serviceConfig struct {
-	core         core.Config
+	system       Config
 	fundsSet     bool
 	shards       int
 	kv           store.KVStore
@@ -54,17 +53,17 @@ type serviceConfig struct {
 // WithChallengePeriod sets the on-chain template's challenge window in
 // blocks.
 func WithChallengePeriod(blocks uint64) Option {
-	return func(c *serviceConfig) { c.core.ChallengePeriod = blocks }
+	return func(c *serviceConfig) { c.system.ChallengePeriod = blocks }
 }
 
 // WithRadioSeed fixes the TSCH loss process for reproducible runs.
 func WithRadioSeed(seed int64) Option {
-	return func(c *serviceConfig) { c.core.RadioSeed = seed }
+	return func(c *serviceConfig) { c.system.RadioSeed = seed }
 }
 
 // WithRadioLossRate injects independent per-frame radio loss.
 func WithRadioLossRate(rate float64) Option {
-	return func(c *serviceConfig) { c.core.RadioLossRate = rate }
+	return func(c *serviceConfig) { c.system.RadioLossRate = rate }
 }
 
 // WithFunds sets the initial chain balances of the provider and of each
@@ -73,17 +72,10 @@ func WithRadioLossRate(rate float64) Option {
 // different ones is refused.
 func WithFunds(provider, node uint64) Option {
 	return func(c *serviceConfig) {
-		c.core.ProviderFunds = provider
-		c.core.NodeFunds = node
+		c.system.ProviderFunds = provider
+		c.system.NodeFunds = node
 		c.fundsSet = true
 	}
-}
-
-// WithShards sets the number of lock stripes for the pairwise hot path
-// (DefaultShards when unset). n <= 1 collapses the service to a single
-// stripe — every operation serializes, the pre-sharding behavior.
-func WithShards(n int) Option {
-	return func(c *serviceConfig) { c.shards = n }
 }
 
 // WithStore makes the deployment durable over the given key-value
@@ -126,7 +118,7 @@ func WithStoreBackend(kind string) Option {
 // atomically with each checkpoint. 0 (the default) disables
 // checkpointing — recovery replays the whole log.
 //
-// Checkpoints are automatically disabled under cluster mode.
+// Cluster mode takes no store (WithCluster), so it never checkpoints.
 func WithCheckpointInterval(n uint64) Option {
 	return func(c *serviceConfig) { c.ckptInterval = n }
 }
@@ -167,7 +159,7 @@ type Service struct {
 	// AddNode, on-chain ops, MineBlock, routes, Close, snapshots — hold
 	// it in write mode, which excludes every sharded operation.
 	mu  sync.RWMutex
-	sys *core.System
+	sys *System
 
 	// shards stripe the pairwise hot path by device address; see
 	// shard.go. logMu is the sequencer lock: it guards opSeq and the
@@ -230,9 +222,14 @@ type Service struct {
 // byte-for-byte against the persisted chain records, and a mismatch
 // fails construction instead of forking history.
 func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, error) {
-	cfg := serviceConfig{core: core.DefaultConfig()}
+	cfg := serviceConfig{system: DefaultConfig()}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	// Before any store is opened or read: a refused configuration must
+	// leave no trace in the caller's store or directory.
+	if err := cfg.checkCluster(); err != nil {
+		return nil, nil, err
 	}
 
 	kv, ownedKV := cfg.kv, store.KVStore(nil)
@@ -266,11 +263,11 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 		if used && !cfg.fundsSet {
 			// Replay must start from the balances the deployment was
 			// created with, whatever the defaults are by now.
-			cfg.core.ProviderFunds, cfg.core.NodeFunds = stored.ProviderFunds, stored.NodeFunds
+			cfg.system.ProviderFunds, cfg.system.NodeFunds = stored.ProviderFunds, stored.NodeFunds
 		}
 	}
 
-	sys, provider, err := core.NewSystem(cfg.core, providerName)
+	sys, provider, err := NewSystem(cfg.system, providerName)
 	if err != nil {
 		return fail(err)
 	}
@@ -278,10 +275,6 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 		// Before any store attaches: the first persisted seal must
 		// already carry the MST commitment.
 		sys.Chain.EnableMSTCommitment()
-	}
-	if cfg.cluster != nil {
-		// Cluster peers replicate blocks, not snapshots.
-		cfg.ckptInterval = 0
 	}
 	s := &Service{
 		sys:          sys,
@@ -307,12 +300,12 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 		}
 		if err := checkMeta(kv, stored, used, serviceMeta{
 			Provider:        providerName,
-			ChallengePeriod: cfg.core.ChallengePeriod,
-			RadioSeed:       cfg.core.RadioSeed,
-			RadioLossRate:   cfg.core.RadioLossRate,
+			ChallengePeriod: cfg.system.ChallengePeriod,
+			RadioSeed:       cfg.system.RadioSeed,
+			RadioLossRate:   cfg.system.RadioLossRate,
 			StateCommitment: commitMode,
-			ProviderFunds:   cfg.core.ProviderFunds,
-			NodeFunds:       cfg.core.NodeFunds,
+			ProviderFunds:   cfg.system.ProviderFunds,
+			NodeFunds:       cfg.system.NodeFunds,
 		}); err != nil {
 			return fail(err)
 		}
@@ -351,8 +344,8 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 		sys.Chain.EnablePipeline(chain.DefaultPipelineDepth)
 	}
 	if cfg.cluster != nil {
-		if err := s.setupCluster(&cfg); err != nil {
-			return nil, nil, err
+		if err := s.setupCluster(cfg.cluster); err != nil {
+			return fail(err)
 		}
 	}
 	return s, pn, nil
@@ -364,7 +357,7 @@ func (s *Service) closeOwnedStore() {
 	}
 }
 
-func (s *Service) adopt(n *core.Node) *ServiceNode {
+func (s *Service) adopt(n *Node) *ServiceNode {
 	sn := &ServiceNode{svc: s, n: n}
 	s.nodes[n.Name()] = sn
 	s.byAddr[n.Address()] = sn
@@ -969,7 +962,7 @@ func (s *Service) checkDisputes() {
 // are safe for concurrent use.
 type ServiceNode struct {
 	svc *Service
-	n   *core.Node
+	n   *Node
 }
 
 // Name returns the node's name.
@@ -977,11 +970,6 @@ func (sn *ServiceNode) Name() string { return sn.n.Name() }
 
 // Address returns the node's device address.
 func (sn *ServiceNode) Address() Address { return sn.n.Address() }
-
-// Unwrap returns the underlying lockstep-façade node. It is NOT safe to
-// drive concurrently with service operations; quiesce the service first
-// (measurement and reporting escape hatch).
-func (sn *ServiceNode) Unwrap() *Node { return sn.n }
 
 // Subscribe returns this node's event stream: channel-opened,
 // payment-received, channel-closed, claim-settled, sensor-data and

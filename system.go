@@ -1,19 +1,9 @@
-// Package core assembles the TinyEVM system — the paper's primary
-// contribution — from its substrates: a complete node runtime (device
-// model + customized EVM + sensor bus + crypto engine + radio endpoint +
-// off-chain protocol state) and the System wiring of nodes, TSCH network
-// and simulated main chain.
-//
-// The public module-root package tinyevm re-exports this API; examples
-// and benchmarks build on it.
-package core
+package tinyevm
 
 import (
 	"fmt"
-	"time"
 
 	"tinyevm/internal/chain"
-	"tinyevm/internal/contracts"
 	"tinyevm/internal/device"
 	"tinyevm/internal/protocol"
 	"tinyevm/internal/radio"
@@ -33,34 +23,28 @@ type Node struct {
 // Name returns the node's human-readable name.
 func (n *Node) Name() string { return n.name }
 
-// Device returns the underlying device model for measurement access.
-func (n *Node) Device() *device.Device { return n.Dev }
-
 // DeployContract deploys arbitrary EVM init code on the node's TinyEVM —
 // the operation behind the paper's 7,000-contract experiment.
-func (n *Node) DeployContract(initCode []byte) device.DeployResult {
+func (n *Node) DeployContract(initCode []byte) DeployResult {
 	return n.Dev.Deploy(initCode, 0)
 }
 
 // CallContract executes a deployed contract on the node's TinyEVM.
-func (n *Node) CallContract(addr types.Address, input []byte, value uint64) device.CallResult {
+func (n *Node) CallContract(addr Address, input []byte, value uint64) CallResult {
 	return n.Dev.Call(addr, input, value)
 }
 
 // RegisterSensor installs a sensor/actuator handler on the node's bus,
 // reachable from contract code through the IoT opcode 0x0C.
-func (n *Node) RegisterSensor(id uint64, fn device.SensorFunc) {
+func (n *Node) RegisterSensor(id uint64, fn SensorFunc) {
 	n.Dev.Sensors.Register(id, fn)
 }
 
 // EnergyReport returns the node's Table IV style energy report since the
 // last measurement reset.
-func (n *Node) EnergyReport() device.EnergyReport {
+func (n *Node) EnergyReport() EnergyReport {
 	return n.Dev.EnergyReport()
 }
-
-// ResetMeasurement starts a fresh measurement window.
-func (n *Node) ResetMeasurement() { n.Dev.ResetMeasurement() }
 
 // System is a full TinyEVM deployment: a simulated main chain hosting the
 // on-chain template, a TSCH network, and the participating nodes.
@@ -76,8 +60,6 @@ type System struct {
 	provider types.Address
 	cfg      Config
 	nodes    map[string]*Node
-	// order keeps nodes in join order for deterministic iteration.
-	order []*Node
 }
 
 // Config parametrizes a System.
@@ -107,9 +89,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// NewSystem creates a chain + network + template system. providerName
-// names the node that operates the service (the payment receiver); it is
-// created immediately and owns the on-chain template.
+// NewSystem creates a chain + network + template deployment whose
+// provider node (the payment receiver) has the given name; the provider
+// is created immediately and owns the on-chain template. The returned
+// deployment is the original lockstep API: single-threaded, with manual
+// message pumping (AcceptChannel / ReceivePayment / AcceptClose).
+//
+// Deprecated: use NewService, which is concurrency-safe, takes
+// contexts, and dispatches wire messages automatically. NewSystem
+// remains for existing callers and measurement harnesses that need
+// lockstep control over both parties.
 func NewSystem(cfg Config, providerName string) (*System, *Node, error) {
 	radioCfg := radio.DefaultConfig()
 	radioCfg.LossRate = cfg.RadioLossRate
@@ -126,7 +115,7 @@ func NewSystem(cfg Config, providerName string) (*System, *Node, error) {
 	s.Template = protocol.InstallTemplate(s.Chain, s.provider, cfg.ChallengePeriod)
 	s.Chain.Fund(s.provider, cfg.ProviderFunds)
 
-	provider, err := s.join(providerDev, cfg.ProviderFunds)
+	provider, err := s.join(providerDev)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,11 +125,11 @@ func NewSystem(cfg Config, providerName string) (*System, *Node, error) {
 // AddNode creates and joins a new node funded per the system's config.
 func (s *System) AddNode(name string) (*Node, error) {
 	if _, exists := s.nodes[name]; exists {
-		return nil, fmt.Errorf("core: node %q already exists", name)
+		return nil, fmt.Errorf("tinyevm: node %q already exists", name)
 	}
 	dev := device.New(name)
 	s.Chain.Fund(dev.Address(), s.cfg.NodeFunds)
-	return s.join(dev, 0)
+	return s.join(dev)
 }
 
 // RestoreNode rejoins a checkpointed node: the device is recreated
@@ -154,39 +143,30 @@ func (s *System) AddNode(name string) (*Node, error) {
 // signature is time-free, so replay is unaffected).
 func (s *System) RestoreNode(name string, localTemplate types.Address, apply func(dev *device.Device) error) (*Node, error) {
 	if _, exists := s.nodes[name]; exists {
-		return nil, fmt.Errorf("core: node %q already exists", name)
+		return nil, fmt.Errorf("tinyevm: node %q already exists", name)
 	}
 	dev := device.New(name)
 	if apply != nil {
 		if err := apply(dev); err != nil {
-			return nil, fmt.Errorf("core: restoring %s: %w", name, err)
+			return nil, fmt.Errorf("tinyevm: restoring %s: %w", name, err)
 		}
 	}
 	ep := s.Network.Join(dev)
 	party := protocol.NewRestoredParty(dev, ep, s.Template.Addr, localTemplate)
 	n := &Node{Party: party, name: name}
 	s.nodes[name] = n
-	s.order = append(s.order, n)
 	return n, nil
 }
 
-func (s *System) join(dev *device.Device, _ uint64) (*Node, error) {
+func (s *System) join(dev *device.Device) (*Node, error) {
 	ep := s.Network.Join(dev)
 	party, err := protocol.NewParty(dev, ep, s.Template.Addr, s.provider)
 	if err != nil {
-		return nil, fmt.Errorf("core: joining %s: %w", dev.Name, err)
+		return nil, fmt.Errorf("tinyevm: joining %s: %w", dev.Name, err)
 	}
 	n := &Node{Party: party, name: dev.Name}
 	s.nodes[dev.Name] = n
-	s.order = append(s.order, n)
 	return n, nil
-}
-
-// Nodes returns every joined node in join order.
-func (s *System) Nodes() []*Node {
-	out := make([]*Node, len(s.order))
-	copy(out, s.order)
-	return out
 }
 
 // Node returns a joined node by name.
@@ -196,10 +176,10 @@ func (s *System) Node(name string) (*Node, bool) {
 }
 
 // Provider returns the service-provider address.
-func (s *System) Provider() types.Address { return s.provider }
+func (s *System) Provider() Address { return s.provider }
 
-// MineUntil advances the chain past the given block number.
-func (s *System) MineUntil(block uint64) {
+// mineUntil advances the chain past the given block number.
+func (s *System) mineUntil(block uint64) {
 	for s.Chain.Head().Number <= block {
 		s.Chain.MineBlock()
 	}
@@ -211,25 +191,6 @@ func (s *System) RunChallengePeriod() error {
 	if !ok {
 		return protocol.ErrNoExit
 	}
-	s.MineUntil(exit.Deadline)
+	s.mineUntil(exit.Deadline)
 	return nil
-}
-
-// PaymentChannelInitCode re-exports the paper's Listing 2 contract for
-// direct deployment experiments.
-func PaymentChannelInitCode(sender, receiver types.Address, sensorID, sensorParam uint64) []byte {
-	return contracts.PaymentChannelInitCode(sender, receiver, sensorID, sensorParam)
-}
-
-// TemplateInitCode re-exports the paper's Listing 1 factory contract.
-func TemplateInitCode(receiver types.Address) []byte {
-	return contracts.TemplateInitCode(receiver)
-}
-
-// Latency measures the wall-clock cost of fn on the node's virtual
-// clock.
-func Latency(n *Node, fn func() error) (time.Duration, error) {
-	start := n.Dev.Now()
-	err := fn()
-	return n.Dev.Now() - start, err
 }

@@ -1,4 +1,4 @@
-package core
+package tinyevm
 
 import (
 	"errors"
@@ -28,7 +28,7 @@ func TestSystemSetup(t *testing.T) {
 		t.Fatal("template not installed on chain")
 	}
 	// The provider node has a local template copy deployed on-device.
-	if len(provider.Device().State.Code(provider.LocalTemplate)) == 0 {
+	if len(provider.Dev.State.Code(provider.LocalTemplate)) == 0 {
 		t.Fatal("local template copy missing")
 	}
 }
@@ -58,7 +58,7 @@ func TestMineUntil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.MineUntil(5)
+	sys.mineUntil(5)
 	if sys.Chain.Head().Number < 6 {
 		t.Fatalf("head %d", sys.Chain.Head().Number)
 	}
@@ -94,23 +94,5 @@ func TestNodeDeployAndCall(t *testing.T) {
 	}
 	if out.ReturnData[31] != 0x09 || out.ReturnData[30] != 0x03 { // 777 = 0x0309
 		t.Fatalf("sensorData = %x", out.ReturnData[30:])
-	}
-}
-
-func TestLatencyHelper(t *testing.T) {
-	sys, lot, err := NewSystem(DefaultConfig(), "lot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = sys
-	d, err := Latency(lot, func() error {
-		lot.Device().SpendCPU(5_000_000, "work") // 5 ms
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Fatalf("latency %v", d)
 	}
 }

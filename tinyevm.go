@@ -4,7 +4,8 @@
 // resource-constrained IoT nodes plus an off-chain payment-channel
 // protocol that settles on a main chain.
 //
-// The package is a façade over the internal implementation:
+// The package is the one façade over the internal implementation
+// (system.go assembles a deployment from it):
 //
 //   - System wires a simulated main chain, a TSCH low-power radio
 //     network and an on-chain template contract together.
@@ -45,21 +46,13 @@ import (
 	"tinyevm/internal/asm"
 	"tinyevm/internal/chain"
 	"tinyevm/internal/contracts"
-	"tinyevm/internal/core"
 	"tinyevm/internal/device"
 	"tinyevm/internal/protocol"
 	"tinyevm/internal/types"
 )
 
-// Core nouns, re-exported from the assembled system.
+// Nouns of the internal packages that the public API hands out.
 type (
-	// System is a full TinyEVM deployment: chain, radio network,
-	// template and nodes.
-	System = core.System
-	// Config parametrizes NewSystem.
-	Config = core.Config
-	// Node is one TinyEVM IoT node.
-	Node = core.Node
 	// Address is a 20-byte Ethereum-style address.
 	Address = types.Address
 	// Hash is a 32-byte Keccak-256 digest.
@@ -78,8 +71,6 @@ type (
 	EnergyReport = device.EnergyReport
 	// SensorFunc produces a sensor reading for the IoT opcode.
 	SensorFunc = device.SensorFunc
-	// RouteHop is one forwarding step of a multi-hop routed payment.
-	RouteHop = protocol.RouteHop
 	// Secret is a hash-lock preimage for conditional payments.
 	Secret = protocol.Secret
 	// SensorData is a batch of pushed sensor readings.
@@ -105,32 +96,11 @@ const (
 	ActuatorLED       = device.ActuatorLED
 )
 
-// NewSystem creates a chain + network + template deployment whose
-// provider node (the payment receiver) has the given name. The returned
-// façade is the original lockstep API: single-threaded, with manual
-// message pumping (AcceptChannel / ReceivePayment / AcceptClose).
-//
-// Deprecated: use NewService, which is concurrency-safe, takes
-// contexts, and dispatches wire messages automatically. NewSystem
-// remains as a thin shim for existing callers and measurement
-// harnesses that need lockstep control over both parties.
-func NewSystem(cfg Config, providerName string) (*System, *Node, error) {
-	return core.NewSystem(cfg, providerName)
-}
-
-// DefaultConfig returns the standard experiment configuration.
-func DefaultConfig() Config { return core.DefaultConfig() }
-
 // PaymentChannelInitCode builds the paper's Listing 2 contract: a
 // payment channel whose constructor stores both parties and a sensor
 // reading taken through the IoT opcode.
 func PaymentChannelInitCode(sender, receiver Address, sensorID, sensorParam uint64) []byte {
-	return core.PaymentChannelInitCode(sender, receiver, sensorID, sensorParam)
-}
-
-// TemplateInitCode builds the paper's Listing 1 factory contract.
-func TemplateInitCode(receiver Address) []byte {
-	return core.TemplateInitCode(receiver)
+	return contracts.PaymentChannelInitCode(sender, receiver, sensorID, sensorParam)
 }
 
 // HexToAddress parses a 0x-prefixed 40-digit hex address.
@@ -140,28 +110,10 @@ func HexToAddress(s string) (Address, error) { return types.HexToAddress(s) }
 // the SENSOR IoT opcode) into bytecode.
 func Assemble(src string) ([]byte, error) { return asm.Assemble(src) }
 
-// Disassemble renders bytecode one instruction per line.
-func Disassemble(code []byte) string { return asm.Disassemble(code) }
-
-// Selector returns the Solidity-compatible 4-byte selector of a function
-// signature such as "close(uint256,bytes32,bytes32,uint8)".
-func Selector(sig string) [4]byte { return contracts.Selector(sig) }
-
 // Calldata builds selector-prefixed calldata from 32-byte word
 // arguments (shorter words are right-aligned).
 func Calldata(sig string, words ...[]byte) []byte { return contracts.Calldata(sig, words...) }
 
-// WordToAddress extracts an address from a 32-byte ABI return word.
-func WordToAddress(word []byte) Address { return contracts.WordToAddress(word) }
-
 // NewSecret draws a random hash-lock preimage and returns it with its
 // lock (keccak-256 of the preimage).
 func NewSecret() (Secret, Hash, error) { return protocol.NewSecret() }
-
-// RoutePayment executes an atomic multi-hop payment along route, ending
-// at receiver: conditional hash-locked payments propagate forward, the
-// receiver's preimage propagates backward claiming each hop.
-// Intermediaries earn hopFee each.
-func RoutePayment(route []RouteHop, receiver *Node, amount, hopFee uint64) (Hash, error) {
-	return protocol.RoutePayment(route, receiver.Party, amount, hopFee)
-}
