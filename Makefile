@@ -25,7 +25,8 @@ bench-check:
 # its checkpoint decoder, the chain's record decoders), the light
 # client's state-proof verifier, the JSON-RPC gateway's request and
 # batch handling, the radio wire's and the cluster peer wire's
-# decoders, the interpreter on
+# decoders, the cluster follower's block verify-and-apply, the
+# interpreter on
 # arbitrary bytecode, and the crypto fast paths' differential fuzzers
 # (fixed-limb field, scalar and ECDSA, and the signature and public-key
 # decoders, against the math/big oracle in
@@ -51,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServeHTTP$$' -fuzztime $(FUZZTIME) ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzProtocolDecode$$' -fuzztime $(FUZZTIME) ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/p2p/
+	$(GO) test -run '^$$' -fuzz '^FuzzClusterApply$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzInterpreter$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzFieldVsBig$$' -fuzztime $(FUZZTIME) ./internal/secp256k1/
 	$(GO) test -run '^$$' -fuzz '^FuzzScalarVsBig$$' -fuzztime $(FUZZTIME) ./internal/secp256k1/

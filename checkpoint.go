@@ -31,14 +31,14 @@ import (
 
 	"tinyevm/internal/chain"
 	"tinyevm/internal/codec"
-	"tinyevm/internal/device"
 	"tinyevm/internal/evm"
 	"tinyevm/internal/protocol"
 )
 
 const checkpointKey = "ckpt/state"
 
-// checkpointRecord is the persisted deployment snapshot.
+// checkpointRecord is the persisted deployment snapshot. It holds the
+// protocol's own types; encode and decodeCheckpoint are their disk form.
 type checkpointRecord struct {
 	// Seq is the op-log watermark: operations with Seq < this value are
 	// folded into the snapshot (and pruned); replay starts here.
@@ -48,7 +48,7 @@ type checkpointRecord struct {
 	// ChainState is chain.SnapshotState of the main-chain accounts.
 	ChainState blobField
 	// Template is the on-chain template's mutable state.
-	Template ckptTemplate
+	Template protocol.TemplateSnapshot
 	// Nodes holds every node in join order (the provider first).
 	Nodes []ckptNode
 	// Sensors are the journaled fixed-value sensor registrations, in
@@ -56,74 +56,16 @@ type checkpointRecord struct {
 	Sensors []ckptSensor
 }
 
-type ckptTemplate struct {
-	Deposits []ckptDeposit
-	Commits  []ckptCommit
-	Fraud    []ckptFraud
-	ExitBy   addrField
-	ExitAt   uint64
-	HasExit  bool
-	Settled  bool
-}
-
-type ckptDeposit struct {
-	Addr   addrField
-	Amount uint64
-}
-
-type ckptCommit struct {
-	Sender      addrField
-	ID          uint64
-	State       blobField // wire FinalState
-	SubmittedBy addrField
-	Block       uint64
-}
-
-type ckptFraud struct {
-	Addr   addrField
-	Sender addrField
-	ID     uint64
-}
-
 type ckptNode struct {
 	Name          string
-	LocalTemplate addrField
+	LocalTemplate Address
 	// DeviceState is chain.SnapshotState of the device's accounts.
 	DeviceState blobField
-	Channels    []ckptChannel
-	Log         []ckptLogEntry
+	Channels    []*ChannelState
+	Log         []protocol.LogEntry
 	// LossDraws is the node's position in its radio loss stream (zero on
 	// a loss-free network).
 	LossDraws uint64
-}
-
-type ckptChannel struct {
-	ID             uint64
-	WireID         uint64
-	Template       addrField
-	Addr           addrField
-	Peer           addrField
-	Opener         addrField
-	Role           uint8
-	Deposit        uint64
-	Seq            uint64
-	Cumulative     uint64
-	LastPayment    blobField // wire Payment
-	PendingHTLC    blobField // wire Payment
-	PendingInbound bool
-	LastPreimage   blobField // Secret
-	Final          blobField // wire FinalState
-	SensorValue    uint64
-}
-
-type ckptLogEntry struct {
-	Index     uint64
-	Kind      uint8
-	ChannelID uint64
-	Seq       uint64
-	Amount    uint64
-	Prev      hashField
-	Hash      hashField
 }
 
 type ckptSensor struct {
@@ -164,7 +106,10 @@ const (
 //	         hash[32]
 //	sensor   node | id | value
 //
-// chainState and deviceState are chain.SnapshotState records.
+// chainState and deviceState are chain.SnapshotState records. Payments
+// and final states are their protocol wire encodings (a final state
+// under MsgCloseRequest), a preimage its 32 bytes; a nil payment or
+// final state and the zero preimage are empty.
 func (ck *checkpointRecord) encode() []byte {
 	w := codec.NewRecord(nil)
 	w.Uvarint(ck.Seq)
@@ -174,61 +119,65 @@ func (ck *checkpointRecord) encode() []byte {
 	t := &ck.Template
 	w.U32(uint32(len(t.Deposits)))
 	for _, d := range t.Deposits {
-		w.Addr(d.Addr.addr())
+		w.Addr(d.Addr)
 		w.Uvarint(d.Amount)
 	}
 	w.U32(uint32(len(t.Commits)))
-	for _, cm := range t.Commits {
-		w.Addr(cm.Sender.addr())
+	for i := range t.Commits {
+		cm := &t.Commits[i]
+		w.Addr(cm.Sender)
 		w.Uvarint(cm.ID)
-		w.Bytes(cm.State)
-		w.Addr(cm.SubmittedBy.addr())
+		w.Bytes(finalStateOf(&cm.State))
+		w.Addr(cm.SubmittedBy)
 		w.Uvarint(cm.Block)
 	}
 	w.U32(uint32(len(t.Fraud)))
 	for _, f := range t.Fraud {
-		w.Addr(f.Addr.addr())
-		w.Addr(f.Sender.addr())
+		w.Addr(f.Addr)
+		w.Addr(f.Sender)
 		w.Uvarint(f.ID)
 	}
 	var flags byte
-	if t.HasExit {
+	if t.Exit != nil {
 		flags |= ckptFlagExit
 	}
 	if t.Settled {
 		flags |= ckptFlagSettled
 	}
 	w.U8(flags)
-	if t.HasExit {
-		w.Addr(t.ExitBy.addr())
-		w.Uvarint(t.ExitAt)
+	if t.Exit != nil {
+		w.Addr(t.Exit.By)
+		w.Uvarint(t.Exit.Deadline)
 	}
 
 	w.U32(uint32(len(ck.Nodes)))
 	for i := range ck.Nodes {
 		n := &ck.Nodes[i]
 		w.String(n.Name)
-		w.Addr(n.LocalTemplate.addr())
+		w.Addr(n.LocalTemplate)
 		w.Uvarint(n.LossDraws)
 		w.Bytes(n.DeviceState)
 		w.U32(uint32(len(n.Channels)))
-		for j := range n.Channels {
-			c := &n.Channels[j]
+		for _, c := range n.Channels {
 			w.Uvarint(c.ID)
 			w.Uvarint(c.WireID)
-			w.Addr(c.Template.addr())
-			w.Addr(c.Addr.addr())
-			w.Addr(c.Peer.addr())
-			w.Addr(c.Opener.addr())
-			w.U8(c.Role)
+			w.Addr(c.Template)
+			w.Addr(c.Addr)
+			w.Addr(c.Peer)
+			w.Addr(c.Opener)
+			w.U8(uint8(c.Role))
 			w.Uvarint(c.Deposit)
 			w.Uvarint(c.Seq)
 			w.Uvarint(c.Cumulative)
-			w.Bytes(c.LastPayment)
-			w.Bytes(c.PendingHTLC)
+			w.Bytes(paymentOf(c.LastPayment))
+			w.Bytes(paymentOf(c.PendingHTLC))
 			w.Bool(c.PendingInbound)
-			w.Bytes(c.LastPreimage)
-			w.Bytes(c.Final)
+			w.Bytes(preimageOf(c.LastPreimage))
+			if c.Final != nil {
+				w.Bytes(finalStateOf(c.Final))
+			} else {
+				w.Bytes(nil)
+			}
 			w.Uvarint(c.SensorValue)
 		}
 		w.U32(uint32(len(n.Log)))
@@ -239,8 +188,8 @@ func (ck *checkpointRecord) encode() []byte {
 			w.Uvarint(e.ChannelID)
 			w.Uvarint(e.Seq)
 			w.Uvarint(e.Amount)
-			w.Hash(e.Prev.hash())
-			w.Hash(e.Hash.hash())
+			w.Hash(e.Prev)
+			w.Hash(e.Hash)
 		}
 	}
 	w.U32(uint32(len(ck.Sensors)))
@@ -257,42 +206,57 @@ const (
 	ckptFlagSettled = 2
 )
 
-// decodeCheckpoint parses a checkpoint record, exactly (a short field,
-// an unknown flag or a trailing byte is errBadRecord). Addresses,
-// hashes and byte strings in the result are views into data.
+// decodeCheckpoint parses a checkpoint record, exactly: a short field,
+// an unknown flag, a trailing byte, or a nested payment, final state or
+// preimage other than what encode writes for it is errBadRecord. The
+// two state snapshots in the result are views into data.
 func decodeCheckpoint(data []byte) (*checkpointRecord, error) {
 	r := codec.OpenRecord(data, errBadRecord)
+	// The first nested object that does not decode. Reading goes on past
+	// it: the record's framing does not depend on what a blob holds.
+	var nestedErr error
+	nested := func(err error) {
+		if nestedErr == nil {
+			nestedErr = err
+		}
+	}
 	count := func(minBytes int) int { return r.Count(r.Remaining() / minBytes) }
-	addr := func() addrField { return r.Fixed(len(Address{})) }
 	blob := func() blobField { return r.View(r.Remaining()) }
 	ck := &checkpointRecord{Seq: r.Uvarint(), Height: r.Uvarint(), ChainState: blob()}
 
 	t := &ck.Template
 	if n := count(minDepositBytes); n > 0 {
-		t.Deposits = make([]ckptDeposit, n)
+		t.Deposits = make([]protocol.TemplateDeposit, n)
 		for i := range t.Deposits {
-			t.Deposits[i] = ckptDeposit{Addr: addr(), Amount: r.Uvarint()}
+			t.Deposits[i] = protocol.TemplateDeposit{Addr: r.Addr(), Amount: r.Uvarint()}
 		}
 	}
 	if n := count(minCommitBytes); n > 0 {
-		t.Commits = make([]ckptCommit, n)
+		t.Commits = make([]protocol.TemplateCommit, n)
 		for i := range t.Commits {
-			t.Commits[i] = ckptCommit{Sender: addr(), ID: r.Uvarint(), State: blob(), SubmittedBy: addr(), Block: r.Uvarint()}
+			cm := &t.Commits[i]
+			cm.Sender, cm.ID = r.Addr(), r.Uvarint()
+			if fs, err := blob().finalState(); err == nil {
+				cm.State = *fs
+			} else {
+				nested(err)
+			}
+			cm.SubmittedBy, cm.Block = r.Addr(), r.Uvarint()
 		}
 	}
 	if n := count(minFraudBytes); n > 0 {
-		t.Fraud = make([]ckptFraud, n)
+		t.Fraud = make([]protocol.TemplateFraud, n)
 		for i := range t.Fraud {
-			t.Fraud[i] = ckptFraud{Addr: addr(), Sender: addr(), ID: r.Uvarint()}
+			t.Fraud[i] = protocol.TemplateFraud{Addr: r.Addr(), Sender: r.Addr(), ID: r.Uvarint()}
 		}
 	}
 	flags := r.U8()
 	if flags&^(ckptFlagExit|ckptFlagSettled) != 0 {
 		r.Fail("template flags %#02x", flags)
 	}
-	t.HasExit, t.Settled = flags&ckptFlagExit != 0, flags&ckptFlagSettled != 0
-	if t.HasExit {
-		t.ExitBy, t.ExitAt = addr(), r.Uvarint()
+	t.Settled = flags&ckptFlagSettled != 0
+	if flags&ckptFlagExit != 0 {
+		t.Exit = &protocol.ExitRequest{By: r.Addr(), Deadline: r.Uvarint()}
 	}
 
 	if n := count(minNodeBytes); n > 0 {
@@ -301,29 +265,33 @@ func decodeCheckpoint(data []byte) (*checkpointRecord, error) {
 	for i := range ck.Nodes {
 		node := &ck.Nodes[i]
 		node.Name = r.String(r.Remaining())
-		node.LocalTemplate = addr()
+		node.LocalTemplate = r.Addr()
 		node.LossDraws = r.Uvarint()
 		node.DeviceState = blob()
 		if n := count(minChannelBytes); n > 0 {
-			node.Channels = make([]ckptChannel, n)
+			node.Channels = make([]*ChannelState, n)
 		}
 		for j := range node.Channels {
-			node.Channels[j] = ckptChannel{
+			cs := &ChannelState{
 				ID: r.Uvarint(), WireID: r.Uvarint(),
-				Template: addr(), Addr: addr(), Peer: addr(), Opener: addr(),
-				Role: r.U8(), Deposit: r.Uvarint(), Seq: r.Uvarint(), Cumulative: r.Uvarint(),
-				LastPayment: blob(), PendingHTLC: blob(), PendingInbound: r.Bool(),
-				LastPreimage: blob(), Final: blob(), SensorValue: r.Uvarint(),
+				Template: r.Addr(), Addr: r.Addr(), Peer: r.Addr(), Opener: r.Addr(),
+				Role: protocol.Role(r.U8()), Deposit: r.Uvarint(), Seq: r.Uvarint(), Cumulative: r.Uvarint(),
 			}
+			lastPayment, pendingHTLC := blob(), blob()
+			cs.PendingInbound = r.Bool()
+			preimage, final := blob(), blob()
+			cs.SensorValue = r.Uvarint()
+			nested(channelObjects(cs, lastPayment, pendingHTLC, preimage, final))
+			node.Channels[j] = cs
 		}
 		if n := count(minLogBytes); n > 0 {
-			node.Log = make([]ckptLogEntry, n)
+			node.Log = make([]protocol.LogEntry, n)
 		}
 		for j := range node.Log {
-			node.Log[j] = ckptLogEntry{
+			node.Log[j] = protocol.LogEntry{
 				Index: r.Uvarint(), Kind: r.U8(), ChannelID: r.Uvarint(),
 				Seq: r.Uvarint(), Amount: r.Uvarint(),
-				Prev: r.Fixed(len(Hash{})), Hash: r.Fixed(len(Hash{})),
+				Prev: r.Hash(), Hash: r.Hash(),
 			}
 		}
 	}
@@ -333,10 +301,32 @@ func decodeCheckpoint(data []byte) (*checkpointRecord, error) {
 			ck.Sensors[i] = ckptSensor{Node: r.String(r.Remaining()), ID: r.Uvarint(), Value: r.Uvarint()}
 		}
 	}
-	if err := r.Done(); err != nil {
+	err := r.Done()
+	if err == nil {
+		err = nestedErr
+	}
+	if err != nil {
 		return nil, fmt.Errorf("tinyevm: decoding checkpoint: %w", err)
 	}
 	return ck, nil
+}
+
+// channelObjects sets a checkpointed channel's nested protocol objects
+// from their disk forms (see encode).
+func channelObjects(cs *ChannelState, lastPayment, pendingHTLC, preimage, final blobField) (err error) {
+	if cs.LastPayment, err = lastPayment.payment(); err != nil {
+		return err
+	}
+	if cs.PendingHTLC, err = pendingHTLC.payment(); err != nil {
+		return err
+	}
+	if cs.LastPreimage, err = preimage.preimage(); err != nil {
+		return err
+	}
+	if len(final) > 0 {
+		cs.Final, err = final.finalState()
+	}
+	return err
 }
 
 // install puts the fixed-value handler on the node's sensor bus.
@@ -345,146 +335,26 @@ func (r ckptSensor) install(sn *ServiceNode) {
 	sn.n.RegisterSensor(r.ID, func(uint64) (uint64, error) { return value, nil })
 }
 
-// --- building ----------------------------------------------------------
-
-func encodeChannel(cs *ChannelState) ckptChannel {
-	out := ckptChannel{
-		ID: cs.ID, WireID: cs.WireID,
-		Template: addrOf(cs.Template), Addr: addrOf(cs.Addr),
-		Peer: addrOf(cs.Peer), Opener: addrOf(cs.Opener),
-		Role: uint8(cs.Role), Deposit: cs.Deposit,
-		Seq: cs.Seq, Cumulative: cs.Cumulative,
-		LastPayment: paymentOf(cs.LastPayment),
-		PendingHTLC: paymentOf(cs.PendingHTLC), PendingInbound: cs.PendingInbound,
-		SensorValue: cs.SensorValue,
-	}
-	if cs.LastPreimage != (Secret{}) {
-		out.LastPreimage = secretOf(cs.LastPreimage)
-	}
-	if cs.Final != nil {
-		out.Final = finalStateOf(cs.Final)
-	}
-	return out
-}
-
-func decodeChannel(rec *ckptChannel) (cs *ChannelState, err error) {
-	cs = &ChannelState{
-		ID: rec.ID, WireID: rec.WireID,
-		Template: rec.Template.addr(), Addr: rec.Addr.addr(),
-		Peer: rec.Peer.addr(), Opener: rec.Opener.addr(),
-		Role: protocol.Role(rec.Role), Deposit: rec.Deposit,
-		Seq: rec.Seq, Cumulative: rec.Cumulative,
-		PendingInbound: rec.PendingInbound, SensorValue: rec.SensorValue,
-	}
-	if cs.LastPayment, err = rec.LastPayment.payment(); err != nil {
-		return nil, err
-	}
-	if cs.PendingHTLC, err = rec.PendingHTLC.payment(); err != nil {
-		return nil, err
-	}
-	if len(rec.LastPreimage) > 0 {
-		if cs.LastPreimage, err = rec.LastPreimage.secret(); err != nil {
-			return nil, err
-		}
-	}
-	if len(rec.Final) > 0 {
-		if cs.Final, err = rec.Final.finalState(); err != nil {
-			return nil, err
-		}
-	}
-	return cs, nil
-}
-
-func encodeLogEntry(e protocol.LogEntry) ckptLogEntry {
-	return ckptLogEntry{
-		Index: e.Index, Kind: e.Kind, ChannelID: e.ChannelID,
-		Seq: e.Seq, Amount: e.Amount,
-		Prev: hashOf(e.Prev), Hash: hashOf(e.Hash),
-	}
-}
-
-func decodeLogEntry(rec *ckptLogEntry) protocol.LogEntry {
-	return protocol.LogEntry{
-		Index: rec.Index, Kind: rec.Kind, ChannelID: rec.ChannelID,
-		Seq: rec.Seq, Amount: rec.Amount,
-		Prev: rec.Prev.hash(), Hash: rec.Hash.hash(),
-	}
-}
-
-func encodeTemplateSnapshot(snap protocol.TemplateSnapshot) ckptTemplate {
-	var out ckptTemplate
-	for _, d := range snap.Deposits {
-		out.Deposits = append(out.Deposits, ckptDeposit{Addr: addrOf(d.Addr), Amount: d.Amount})
-	}
-	for _, cm := range snap.Commits {
-		out.Commits = append(out.Commits, ckptCommit{
-			Sender: addrOf(cm.Sender), ID: cm.ID,
-			State:       finalStateOf(&cm.State),
-			SubmittedBy: addrOf(cm.SubmittedBy), Block: cm.Block,
-		})
-	}
-	for _, f := range snap.Fraud {
-		out.Fraud = append(out.Fraud, ckptFraud{Addr: addrOf(f.Addr), Sender: addrOf(f.Sender), ID: f.ID})
-	}
-	if snap.Exit != nil {
-		out.HasExit = true
-		out.ExitBy = addrOf(snap.Exit.By)
-		out.ExitAt = snap.Exit.Deadline
-	}
-	out.Settled = snap.Settled
-	return out
-}
-
-func decodeTemplateSnapshot(rec *ckptTemplate) (protocol.TemplateSnapshot, error) {
-	var snap protocol.TemplateSnapshot
-	for _, d := range rec.Deposits {
-		snap.Deposits = append(snap.Deposits, protocol.TemplateDeposit{Addr: d.Addr.addr(), Amount: d.Amount})
-	}
-	for _, cm := range rec.Commits {
-		fs, err := cm.State.finalState()
-		if err != nil {
-			return snap, err
-		}
-		snap.Commits = append(snap.Commits, protocol.TemplateCommit{
-			Sender: cm.Sender.addr(), ID: cm.ID, State: *fs,
-			SubmittedBy: cm.SubmittedBy.addr(), Block: cm.Block,
-		})
-	}
-	for _, f := range rec.Fraud {
-		snap.Fraud = append(snap.Fraud, protocol.TemplateFraud{Addr: f.Addr.addr(), Sender: f.Sender.addr(), ID: f.ID})
-	}
-	if rec.HasExit {
-		snap.Exit = &protocol.ExitRequest{By: rec.ExitBy.addr(), Deadline: rec.ExitAt}
-	}
-	snap.Settled = rec.Settled
-	return snap, nil
-}
-
 // buildCheckpointLocked snapshots the whole deployment. It must run
 // under the exclusive service lock, between operations (all radio
 // inboxes drained — the snapshot does not capture in-flight frames
 // because there never are any between operations).
 func (s *Service) buildCheckpointLocked() *checkpointRecord {
 	ck := &checkpointRecord{
-		Seq:    s.opSeq,
-		Height: s.sys.Chain.Head().Number,
+		Seq:        s.opSeq,
+		Height:     s.sys.Chain.Head().Number,
+		ChainState: chain.SnapshotState(s.sys.Chain.State()),
+		Template:   s.sys.Template.Snapshot(),
 	}
-	ck.ChainState = chain.SnapshotState(s.sys.Chain.State())
-	ck.Template = encodeTemplateSnapshot(s.sys.Template.Snapshot())
 	for _, sn := range s.order {
-		node := ckptNode{
+		ck.Nodes = append(ck.Nodes, ckptNode{
 			Name:          sn.n.Name(),
-			LocalTemplate: addrOf(sn.n.LocalTemplate),
+			LocalTemplate: sn.n.LocalTemplate,
 			LossDraws:     sn.n.Radio.LossDraws(),
 			DeviceState:   chain.SnapshotState(sn.n.Dev.State),
-		}
-		for _, cs := range sn.n.ChannelList() {
-			node.Channels = append(node.Channels, encodeChannel(cs))
-		}
-		for _, e := range sn.n.Log.Entries() {
-			node.Log = append(node.Log, encodeLogEntry(e))
-		}
-		ck.Nodes = append(ck.Nodes, node)
+			Channels:      sn.n.ChannelList(),
+			Log:           sn.n.Log.Entries(),
+		})
 	}
 	s.sensorMu.Lock()
 	ck.Sensors = append(ck.Sensors, s.sensorRegs...)
@@ -546,64 +416,41 @@ func (s *Service) restoreFromCheckpoint(ck *checkpointRecord) error {
 	}); err != nil {
 		return fmt.Errorf("tinyevm: checkpoint chain restore: %w", err)
 	}
-	tsnap, err := decodeTemplateSnapshot(&ck.Template)
-	if err != nil {
-		return err
-	}
-	s.sys.Template.Restore(tsnap)
+	s.sys.Template.Restore(ck.Template)
 
 	if len(ck.Nodes) == 0 || len(s.order) != 1 {
 		return fmt.Errorf("tinyevm: malformed checkpoint: %d nodes, %d already joined", len(ck.Nodes), len(s.order))
 	}
 	for i := range ck.Nodes {
 		nrec := &ck.Nodes[i]
-		channels := make([]*ChannelState, 0, len(nrec.Channels))
-		for j := range nrec.Channels {
-			cs, err := decodeChannel(&nrec.Channels[j])
-			if err != nil {
-				return err
-			}
-			channels = append(channels, cs)
-		}
-		log := make([]protocol.LogEntry, 0, len(nrec.Log))
-		for j := range nrec.Log {
-			log = append(log, decodeLogEntry(&nrec.Log[j]))
-		}
-		localTemplate := nrec.LocalTemplate.addr()
+		var n *Node
 		if i == 0 {
 			// The provider joined when the system was built (its local
 			// template deploy is deterministic, so the address must come
-			// out where the checkpoint recorded it); wipe the device state
-			// and pour the snapshot over it.
-			pn := s.order[0]
-			if pn.n.Name() != nrec.Name {
-				return fmt.Errorf("tinyevm: checkpoint provider %q, deployment provider %q", nrec.Name, pn.n.Name())
+			// out where the checkpoint recorded it).
+			n = s.order[0].n
+			if n.Name() != nrec.Name {
+				return fmt.Errorf("tinyevm: checkpoint provider %q, deployment provider %q", nrec.Name, n.Name())
 			}
-			if pn.n.LocalTemplate != localTemplate {
-				return fmt.Errorf("tinyevm: checkpoint provider template %s, deployed %s", localTemplate, pn.n.LocalTemplate)
+			if n.LocalTemplate != nrec.LocalTemplate {
+				return fmt.Errorf("tinyevm: checkpoint provider template %s, deployed %s", nrec.LocalTemplate, n.LocalTemplate)
 			}
-			pn.n.Dev.State.Reset()
-			if err := chain.RestoreState(pn.n.Dev.State, nrec.DeviceState); err != nil {
+		} else {
+			var err error
+			if n, err = s.sys.RestoreNode(nrec.Name, nrec.LocalTemplate); err != nil {
 				return err
 			}
-			if err := pn.n.RestoreProtocolState(channels, log); err != nil {
-				return err
-			}
-			pn.n.Radio.SetLossDraws(nrec.LossDraws)
-			continue
+			s.adopt(n)
 		}
-		n, err := s.sys.RestoreNode(nrec.Name, localTemplate, func(dev *device.Device) error {
-			dev.State.Reset()
-			return chain.RestoreState(dev.State, nrec.DeviceState)
-		})
-		if err != nil {
-			return err
+		// Wipe the device state and pour the snapshot over it.
+		n.Dev.State.Reset()
+		if err := chain.RestoreState(n.Dev.State, nrec.DeviceState); err != nil {
+			return fmt.Errorf("tinyevm: restoring %s: %w", nrec.Name, err)
 		}
-		if err := n.RestoreProtocolState(channels, log); err != nil {
+		if err := n.RestoreProtocolState(nrec.Channels, nrec.Log); err != nil {
 			return err
 		}
 		n.Radio.SetLossDraws(nrec.LossDraws)
-		s.adopt(n)
 	}
 
 	for _, sr := range ck.Sensors {

@@ -1,12 +1,20 @@
 package tinyevm
 
-// Field types of the journal and checkpoint records: plain bytes in
-// memory, raw fixed-width or length-prefixed bytes on disk (oplog.go,
-// checkpoint.go). They are slices, not arrays, so an unset field is an
-// empty one — which is what the journal record's presence bitmap keys
-// on — and a decoded field can be a view into the record it came from.
+// Field types of the journal record: plain bytes in memory, raw
+// fixed-width or length-prefixed bytes on disk (oplog.go). They are
+// slices, not arrays, so an unset field is an empty one — which is what
+// the record's presence bitmap keys on — and a decoded field can be a
+// view into the record it came from.
+//
+// blobField also carries the nested protocol objects of the journal and
+// the checkpoint (checkpoint.go): payments and final states as their
+// protocol wire encodings, preimages as raw bytes. Their decoders
+// refuse any bytes but the ones the encoder writes for the decoded
+// value, so a nested object, like the record around it, has exactly one
+// disk form.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -49,12 +57,33 @@ func (f blobField) secret() (sec Secret, err error) {
 	return sec, nil
 }
 
+// preimageOf and preimage map the zero secret to an absent field.
+func preimageOf(sec Secret) blobField {
+	if sec == (Secret{}) {
+		return nil
+	}
+	return secretOf(sec)
+}
+
+func (f blobField) preimage() (sec Secret, err error) {
+	if len(f) == 0 {
+		return sec, nil
+	}
+	if sec, err = f.secret(); err == nil && sec == (Secret{}) {
+		err = fmt.Errorf("%w: zero preimage spelled out", errBadRecord)
+	}
+	return sec, err
+}
+
 func finalStateOf(fs *FinalState) blobField {
 	return protocol.EncodeFinalState(protocol.MsgCloseRequest, fs)
 }
 
 func (f blobField) finalState() (*FinalState, error) {
 	_, fs, err := protocol.DecodeFinalState(f)
+	if err == nil {
+		err = f.exact(finalStateOf(fs))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: final state: %w", errBadRecord, err)
 	}
@@ -74,8 +103,21 @@ func (f blobField) payment() (*Payment, error) {
 		return nil, nil
 	}
 	p, err := protocol.DecodePayment(f)
+	if err == nil {
+		err = f.exact(protocol.EncodePayment(p))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: payment: %w", errBadRecord, err)
 	}
 	return p, nil
+}
+
+// exact refuses f unless it is the encoding the decoded value re-encodes
+// to (the wire decoders ignore trailing bytes and read any non-zero
+// signature flag as present).
+func (f blobField) exact(encoded []byte) error {
+	if !bytes.Equal(f, encoded) {
+		return fmt.Errorf("%d bytes re-encode to %d different ones", len(f), len(encoded))
+	}
+	return nil
 }

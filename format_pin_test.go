@@ -592,16 +592,25 @@ func TestMigrateFormat2Store(t *testing.T) {
 }
 
 // TestMigrationRefusesWhatItCannotRead: a legacy record that does not
-// decode fails the open and leaves the store exactly as it was. A
-// legacy account record is the exception: it is dropped unread, so a
-// malformed one goes with the rest and the store opens.
+// decode — nested payments and secrets included — fails the open and
+// leaves the store exactly as it was. A legacy account record is the
+// exception: it is dropped unread, so a malformed one goes with the rest
+// and the store opens.
 func TestMigrationRefusesWhatItCannotRead(t *testing.T) {
+	// The legacy checkpoint with its first channel's last payment cut to
+	// one byte.
+	ckpt := string(readGolden(t, legacyFormatDir, "checkpoint.golden"))
+	at := strings.Index(ckpt, `"lastPayment":"`) + len(`"lastPayment":"`)
+	badPayment := ckpt[:at] + `00` + ckpt[at+strings.Index(ckpt[at:], `"`):]
 	for _, bad := range []struct {
 		key, value string
 		dropped    bool
 	}{
 		{"op/0000000000000003", `{"seq":3,"op":"openChannel","node":"car","peer":"0xzz"}`, false},
+		{"op/000000000000001d", `{"seq":29,"op":"routePayment","amount":250,"fee":10,"secret":"00","receiver":"lot",` +
+			`"steps":[{"node":"bike","channel":3},{"node":"car","channel":4}]}`, false},
 		{"ckpt/state", `{"seq":27,"height":6,"chainState":{"zz":{}}}`, false},
+		{"ckpt/state", badPayment, false},
 		{"chain/block/0000000000000002", `{"number":2,"hash":"0x12"}`, false},
 		{"chain/acct/0c4a8b51fe89b07f81f7396327dc56f9c5408ee7", `{"balance":"0g"}`, true},
 	} {

@@ -125,8 +125,9 @@ func NewParty(dev *device.Device, ep *radio.Endpoint, onChainTemplate types.Addr
 
 // NewRestoredParty wires a device into the protocol WITHOUT deploying
 // anything: the recovery path pours the device's EVM state (local
-// template copy and channel contracts included) back from a checkpoint
-// before calling this, so a deploy would corrupt the restored state.
+// template copy and channel contracts included) back from a checkpoint,
+// so a deploy would corrupt the restored state. It does not read that
+// state, so the state may be poured in before or after.
 // localTemplate is the checkpointed on-device template address; the
 // channel table and side-chain log start empty — install them with
 // RestoreProtocolState.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"tinyevm/internal/mst"
 	"tinyevm/internal/types"
 )
 
@@ -134,28 +133,4 @@ func (s *SideChain) Verify() error {
 		prev = e.Hash
 	}
 	return nil
-}
-
-// PaymentLeaves extracts one Merkle-sum leaf per payment entry: the
-// material a node uploads when disputing ("The other node can challenge
-// the state using the local log(s) of the off-chain payments").
-func (s *SideChain) PaymentLeaves(channelID uint64) []mst.Leaf {
-	var leaves []mst.Leaf
-	for _, e := range s.entries {
-		if e.Kind == LogPayment && e.ChannelID == channelID {
-			leaves = append(leaves, mst.Leaf{Hash: e.Hash, Sum: e.Amount})
-		}
-	}
-	return leaves
-}
-
-// LatestSeq returns the highest sequence number recorded for a channel.
-func (s *SideChain) LatestSeq(channelID uint64) uint64 {
-	var max uint64
-	for _, e := range s.entries {
-		if e.ChannelID == channelID && e.Seq > max {
-			max = e.Seq
-		}
-	}
-	return max
 }

@@ -76,11 +76,37 @@ func (c *Client) Call(ctx context.Context, method string, params, out any) error
 	if err != nil {
 		return fmt.Errorf("rpc: encoding params: %w", err)
 	}
-	var lastErr error
+	body, err := json.Marshal(request{
+		Version: "2.0",
+		ID:      json.RawMessage(fmt.Sprintf("%d", c.nextID.Add(1))),
+		Method:  method,
+		Params:  rawParams,
+	})
+	if err != nil {
+		return fmt.Errorf("rpc: encoding request: %w", err)
+	}
+	return c.send(ctx, body, func(status int, respBody []byte) error {
+		var resp response
+		if err := json.Unmarshal(respBody, &resp); err != nil {
+			return fmt.Errorf("rpc: bad response (HTTP %d): %w", status, err)
+		}
+		if resp.Error != nil {
+			return remoteError(resp.Error)
+		}
+		if out == nil {
+			return nil
+		}
+		return json.Unmarshal(resp.Result, out)
+	})
+}
+
+// send POSTs body and hands the reply to read, retrying per WithRetry
+// while the attempt's error is retryable.
+func (c *Client) send(ctx context.Context, body []byte, read func(status int, respBody []byte) error) error {
 	for attempt := 0; ; attempt++ {
-		lastErr = c.call(ctx, method, rawParams, out)
-		if lastErr == nil || !retryable(lastErr) || attempt >= c.retries {
-			return lastErr
+		err := c.post(ctx, body, read)
+		if err == nil || !retryable(err) || attempt >= c.retries {
+			return err
 		}
 		if c.backoff > 0 {
 			select {
@@ -109,24 +135,14 @@ func retryable(err error) bool {
 	return !errors.Is(err, context.Canceled)
 }
 
-// call is one attempt.
-func (c *Client) call(ctx context.Context, method string, rawParams json.RawMessage, out any) error {
+// post is one attempt: the POST under the per-attempt timeout, the
+// reply body read up to maxBody and handed to read.
+func (c *Client) post(ctx context.Context, body []byte, read func(status int, respBody []byte) error) error {
 	if c.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
-	id := c.nextID.Add(1)
-	body, err := json.Marshal(request{
-		Version: "2.0",
-		ID:      json.RawMessage(fmt.Sprintf("%d", id)),
-		Method:  method,
-		Params:  rawParams,
-	})
-	if err != nil {
-		return fmt.Errorf("rpc: encoding request: %w", err)
-	}
-
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url, bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -141,18 +157,7 @@ func (c *Client) call(ctx context.Context, method string, rawParams json.RawMess
 	if err != nil {
 		return err
 	}
-
-	var resp response
-	if err := json.Unmarshal(respBody, &resp); err != nil {
-		return fmt.Errorf("rpc: bad response (HTTP %d): %w", httpResp.StatusCode, err)
-	}
-	if resp.Error != nil {
-		return remoteError(resp.Error)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(resp.Result, out)
+	return read(httpResp.StatusCode, respBody)
 }
 
 // remoteError rebuilds a wire error. When the error data carries a

@@ -7,14 +7,10 @@ package rpc
 // the server can extract from it.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
-	"time"
 )
 
 // Batch accumulates JSON-RPC calls and sends them as one JSON-RPC 2.0
@@ -93,57 +89,22 @@ func (b *Batch) Call(ctx context.Context) ([]error, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpc: encoding batch: %w", err)
 	}
-
-	var (
-		perEntry []error
-		lastErr  error
-	)
-	for attempt := 0; ; attempt++ {
-		perEntry, lastErr = b.send(ctx, body)
-		if lastErr == nil || !retryable(lastErr) || attempt >= b.c.retries {
-			return perEntry, lastErr
-		}
-		if b.c.backoff > 0 {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(time.Duration(attempt+1) * b.c.backoff):
-			}
-		} else if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
+	var perEntry []error // set by the attempt that succeeds, nil by one that fails
+	err = b.c.send(ctx, body, func(status int, respBody []byte) (err error) {
+		perEntry, err = b.read(status, respBody)
+		return err
+	})
+	return perEntry, err
 }
 
-// send is one batch attempt.
-func (b *Batch) send(ctx context.Context, body []byte) ([]error, error) {
-	c := b.c
-	if c.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.timeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	httpResp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer httpResp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(httpResp.Body, maxBody))
-	if err != nil {
-		return nil, err
-	}
-
+// read matches one attempt's reply to the batch's entries.
+func (b *Batch) read(status int, respBody []byte) ([]error, error) {
 	// A single error object (e.g. oversized batch) answers the whole
 	// request; a JSON array answers entry by entry.
 	if !isBatch(respBody) {
 		var resp response
 		if err := json.Unmarshal(respBody, &resp); err != nil {
-			return nil, fmt.Errorf("rpc: bad batch response (HTTP %d): %w", httpResp.StatusCode, err)
+			return nil, fmt.Errorf("rpc: bad batch response (HTTP %d): %w", status, err)
 		}
 		if resp.Error != nil {
 			return nil, remoteError(resp.Error)
@@ -152,7 +113,7 @@ func (b *Batch) send(ctx context.Context, body []byte) ([]error, error) {
 	}
 	var resps []response
 	if err := json.Unmarshal(respBody, &resps); err != nil {
-		return nil, fmt.Errorf("rpc: bad batch response (HTTP %d): %w", httpResp.StatusCode, err)
+		return nil, fmt.Errorf("rpc: bad batch response (HTTP %d): %w", status, err)
 	}
 
 	// The gateway preserves request order, but match by id anyway —

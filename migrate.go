@@ -31,6 +31,7 @@ import (
 	"fmt"
 
 	"tinyevm/internal/chain"
+	"tinyevm/internal/protocol"
 	"tinyevm/internal/store"
 	"tinyevm/internal/types"
 )
@@ -121,6 +122,8 @@ func (f *hexAddr) UnmarshalText(text []byte) error {
 	return err
 }
 
+func (f hexAddr) addr() Address { return addrField(f).addr() }
+
 type hexHash hashField
 
 func (f *hexHash) UnmarshalText(text []byte) error {
@@ -128,6 +131,8 @@ func (f *hexHash) UnmarshalText(text []byte) error {
 	*f = h[:]
 	return err
 }
+
+func (f hexHash) hash() Hash { return hashField(f).hash() }
 
 type hexBlob blobField
 
@@ -169,7 +174,10 @@ type legacyOp struct {
 	Addr        hexAddr         `json:"addr,omitempty"`
 }
 
-func (l *legacyOp) record() *opRecord {
+// record converts the decoded legacy operation. Its secret and final
+// state are decoded as replay will decode them, so a record replay
+// would refuse fails the migration instead.
+func (l *legacyOp) record() (*opRecord, error) {
 	rec := &opRecord{
 		Seq: l.Seq, Op: l.Op, Node: l.Node, Name: l.Name, Peer: addrField(l.Peer),
 		Channel: l.Channel, Amount: l.Amount, Fee: l.Fee, Deposit: l.Deposit,
@@ -183,7 +191,17 @@ func (l *legacyOp) record() *opRecord {
 	for _, rd := range l.Readings {
 		rec.Readings = append(rec.Readings, opReading(rd))
 	}
-	return rec
+	if len(rec.Secret) > 0 {
+		if _, err := rec.Secret.secret(); err != nil {
+			return nil, err
+		}
+	}
+	if len(rec.Final) > 0 {
+		if _, err := rec.Final.finalState(); err != nil {
+			return nil, err
+		}
+	}
+	return rec, nil
 }
 
 type legacyCheckpoint struct {
@@ -254,57 +272,68 @@ type legacyNode struct {
 	LossDraws uint64 `json:"lossDraws,omitempty"`
 }
 
-// record converts the decoded legacy checkpoint; the two nested state
-// snapshots are converted by the chain package, which owns their form.
+// record converts the decoded legacy checkpoint into the protocol's
+// types, decoding the nested payments, final states and preimages as
+// decodeCheckpoint does; the two nested state snapshots are converted by
+// the chain package, which owns their form.
 func (l *legacyCheckpoint) record() (*checkpointRecord, error) {
 	ck := &checkpointRecord{Seq: l.Seq, Height: l.Height}
 	var err error
 	if ck.ChainState, err = chain.MigrateStateSnapshot(l.ChainState); err != nil {
 		return nil, err
 	}
-	lt := &l.Template
-	ck.Template = ckptTemplate{
-		ExitBy: addrField(lt.ExitBy), ExitAt: lt.ExitAt, HasExit: lt.HasExit, Settled: lt.Settled,
-	}
+	lt, t := &l.Template, &ck.Template
 	for _, d := range lt.Deposits {
-		ck.Template.Deposits = append(ck.Template.Deposits, ckptDeposit{Addr: addrField(d.Addr), Amount: d.Amount})
+		t.Deposits = append(t.Deposits, protocol.TemplateDeposit{Addr: d.Addr.addr(), Amount: d.Amount})
 	}
 	for _, cm := range lt.Commits {
-		ck.Template.Commits = append(ck.Template.Commits, ckptCommit{
-			Sender: addrField(cm.Sender), ID: cm.ID, State: blobField(cm.State),
-			SubmittedBy: addrField(cm.SubmittedBy), Block: cm.Block,
+		fs, err := blobField(cm.State).finalState()
+		if err != nil {
+			return nil, err
+		}
+		t.Commits = append(t.Commits, protocol.TemplateCommit{
+			Sender: cm.Sender.addr(), ID: cm.ID, State: *fs,
+			SubmittedBy: cm.SubmittedBy.addr(), Block: cm.Block,
 		})
 	}
 	for _, f := range lt.Fraud {
-		ck.Template.Fraud = append(ck.Template.Fraud, ckptFraud{Addr: addrField(f.Addr), Sender: addrField(f.Sender), ID: f.ID})
+		t.Fraud = append(t.Fraud, protocol.TemplateFraud{Addr: f.Addr.addr(), Sender: f.Sender.addr(), ID: f.ID})
 	}
+	if lt.HasExit {
+		t.Exit = &protocol.ExitRequest{By: lt.ExitBy.addr(), Deadline: lt.ExitAt}
+	}
+	t.Settled = lt.Settled
 	for i := range l.Nodes {
 		ln := &l.Nodes[i]
-		node := ckptNode{Name: ln.Name, LocalTemplate: addrField(ln.LocalTemplate), LossDraws: ln.LossDraws}
+		node := ckptNode{Name: ln.Name, LocalTemplate: ln.LocalTemplate.addr(), LossDraws: ln.LossDraws}
 		if node.DeviceState, err = chain.MigrateStateSnapshot(ln.DeviceState); err != nil {
 			return nil, err
 		}
 		for _, c := range ln.Channels {
-			node.Channels = append(node.Channels, ckptChannel{
+			cs := &ChannelState{
 				ID: c.ID, WireID: c.WireID,
-				Template: addrField(c.Template), Addr: addrField(c.Addr),
-				Peer: addrField(c.Peer), Opener: addrField(c.Opener),
-				Role: c.Role, Deposit: c.Deposit, Seq: c.Seq, Cumulative: c.Cumulative,
-				LastPayment: blobField(c.LastPayment), PendingHTLC: blobField(c.PendingHTLC),
-				PendingInbound: c.PendingInbound, LastPreimage: blobField(c.LastPreimage),
-				Final: blobField(c.Final), SensorValue: c.SensorValue,
-			})
+				Template: c.Template.addr(), Addr: c.Addr.addr(),
+				Peer: c.Peer.addr(), Opener: c.Opener.addr(),
+				Role: protocol.Role(c.Role), Deposit: c.Deposit, Seq: c.Seq, Cumulative: c.Cumulative,
+				PendingInbound: c.PendingInbound, SensorValue: c.SensorValue,
+			}
+			err := channelObjects(cs, blobField(c.LastPayment), blobField(c.PendingHTLC),
+				blobField(c.LastPreimage), blobField(c.Final))
+			if err != nil {
+				return nil, err
+			}
+			node.Channels = append(node.Channels, cs)
 		}
 		for _, e := range ln.Log {
-			node.Log = append(node.Log, ckptLogEntry{
+			node.Log = append(node.Log, protocol.LogEntry{
 				Index: e.Index, Kind: e.Kind, ChannelID: e.ChannelID, Seq: e.Seq, Amount: e.Amount,
-				Prev: hashField(e.Prev), Hash: hashField(e.Hash),
+				Prev: e.Prev.hash(), Hash: e.Hash.hash(),
 			})
 		}
 		ck.Nodes = append(ck.Nodes, node)
 	}
 	for _, sr := range l.Sensors {
-		ck.Sensors = append(ck.Sensors, ckptSensor{Node: sr.Node, ID: sr.ID, Value: sr.Value})
+		ck.Sensors = append(ck.Sensors, ckptSensor(sr))
 	}
 	return ck, nil
 }
@@ -338,10 +367,15 @@ func migrateJSON(kv store.KVStore, batch store.Batch) error {
 	var buf []byte
 	if err := kv.Iterate([]byte(opKeyPrefix), func(key, value []byte) error {
 		var l legacyOp
-		if err := json.Unmarshal(value, &l); err != nil {
+		err := json.Unmarshal(value, &l)
+		var rec *opRecord
+		if err == nil {
+			rec, err = l.record()
+		}
+		if err != nil {
 			return fmt.Errorf("tinyevm: migrating op record %s: %w", key, err)
 		}
-		buf = l.record().encode(buf)
+		buf = rec.encode(buf)
 		batch.Put(key, buf)
 		return nil
 	}); err != nil {

@@ -674,8 +674,14 @@ func (s *Service) RoutePayment(ctx context.Context, steps []RouteStep, receiver 
 
 // --- event plumbing ----------------------------------------------------
 
-// subscription is one Subscribe stream: an unbounded queue decoupling
-// the (locked) event producers from an arbitrarily slow consumer.
+// maxSubQueue bounds a subscription's queue, as txpool.DefaultCap
+// bounds the pools: a stream that falls this far behind is closed and
+// its queue freed, so a subscriber that never reads cannot hold the
+// service's events.
+const maxSubQueue = 4096
+
+// subscription is one Subscribe stream: a queue of up to maxSubQueue
+// events decoupling the (locked) event producers from a slow consumer.
 type subscription struct {
 	node string
 
@@ -700,20 +706,27 @@ func newSubscription(node string) *subscription {
 	return sub
 }
 
+// push queues e, or closes the stream when its queue is full.
 func (sub *subscription) push(e Event) {
 	sub.mu.Lock()
-	if !sub.closed {
+	full := len(sub.queue) >= maxSubQueue
+	if !sub.closed && !full {
 		sub.queue = append(sub.queue, e)
 		sub.cond.Signal()
 	}
 	sub.mu.Unlock()
+	if full {
+		sub.cancel()
+	}
 }
 
+// cancel ends the stream and drops the events it has not delivered.
 func (sub *subscription) cancel() {
 	sub.once.Do(func() {
 		close(sub.done)
 		sub.mu.Lock()
 		sub.closed = true
+		sub.queue = nil
 		sub.cond.Signal()
 		sub.mu.Unlock()
 	})
@@ -974,9 +987,10 @@ func (sn *ServiceNode) Address() Address { return sn.n.Address() }
 // Subscribe returns this node's event stream: channel-opened,
 // payment-received, channel-closed, claim-settled, sensor-data and
 // error events observed on this node, plus broadcast dispute and
-// block-sealed events. The stream closes when ctx is cancelled or the
-// service closes. Delivery is unbounded — a slow consumer never blocks
-// the protocol.
+// block-sealed events. The stream closes when ctx is cancelled, the
+// service closes, or the consumer falls maxSubQueue (4096) events
+// behind — a slow consumer never blocks the protocol, and one that
+// stops reading loses its stream instead of holding every event.
 func (sn *ServiceNode) Subscribe(ctx context.Context) <-chan Event {
 	return sn.svc.subscribe(ctx, sn.n.Name())
 }

@@ -133,24 +133,20 @@ func (s *System) AddNode(name string) (*Node, error) {
 }
 
 // RestoreNode rejoins a checkpointed node: the device is recreated
-// with its deterministic identity, apply pours its checkpointed EVM
-// state back (local template copy and channel contracts included), and
-// the protocol party is rebuilt without re-deploying contracts or
-// re-funding the chain account — chain balances return with the chain
-// snapshot. Nodes must be restored in their original join order; the
-// TSCH join order determines radio scheduling. The device's virtual
-// clock and Energest counters restart at zero (every protocol hash and
-// signature is time-free, so replay is unaffected).
-func (s *System) RestoreNode(name string, localTemplate types.Address, apply func(dev *device.Device) error) (*Node, error) {
+// with its deterministic identity and the protocol party is rebuilt
+// without re-deploying contracts or re-funding the chain account —
+// chain balances return with the chain snapshot. The node starts with
+// an empty device state, channel table and log; the caller pours the
+// checkpointed ones in (neither joining the network nor building the
+// party reads them). Nodes must be restored in their original join
+// order; the TSCH join order determines radio scheduling. The device's
+// virtual clock and Energest counters restart at zero (every protocol
+// hash and signature is time-free, so replay is unaffected).
+func (s *System) RestoreNode(name string, localTemplate types.Address) (*Node, error) {
 	if _, exists := s.nodes[name]; exists {
 		return nil, fmt.Errorf("tinyevm: node %q already exists", name)
 	}
 	dev := device.New(name)
-	if apply != nil {
-		if err := apply(dev); err != nil {
-			return nil, fmt.Errorf("tinyevm: restoring %s: %w", name, err)
-		}
-	}
 	ep := s.Network.Join(dev)
 	party := protocol.NewRestoredParty(dev, ep, s.Template.Addr, localTemplate)
 	n := &Node{Party: party, name: name}
