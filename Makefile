@@ -25,8 +25,8 @@ bench-check:
 # its checkpoint decoder, the chain's record decoders), the light
 # client's state-proof verifier, the JSON-RPC gateway's request and
 # batch handling, the radio wire's and the cluster peer wire's
-# decoders, the cluster follower's block verify-and-apply, the
-# interpreter on
+# decoders, a party's receive path on hostile frames, the cluster
+# follower's block verify-and-apply, the interpreter on
 # arbitrary bytecode, and the crypto fast paths' differential fuzzers
 # (fixed-limb field, scalar and ECDSA, and the signature and public-key
 # decoders, against the math/big oracle in
@@ -38,6 +38,8 @@ bench-check:
 # default minute per interesting input it would spend the whole budget
 # shrinking the first one. The checkpoint fuzzer's minimiser is capped
 # for the same reason: its richest seed is the 12 KB pinned checkpoint.
+# So is the receive-path fuzzer's: every execution builds two devices
+# and a channel, and left uncapped it stalls minimising.
 # FuzzMemStateJournal stays seed-only (go test runs its seeds): at about
 # 130 executions a second, 30 s would explore next to nothing.
 FUZZTIME ?= 30s
@@ -51,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyStateProof$$' -fuzztime $(FUZZTIME) ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeHTTP$$' -fuzztime $(FUZZTIME) ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzProtocolDecode$$' -fuzztime $(FUZZTIME) ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzPartyDeliver$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/p2p/
 	$(GO) test -run '^$$' -fuzz '^FuzzClusterApply$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzInterpreter$$' -fuzztime $(FUZZTIME) .

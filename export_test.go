@@ -5,11 +5,7 @@ package tinyevm
 // take apart binary records with them. And the stripe count, which the
 // sharded-versus-serial differential sets to one.
 
-type (
-	OpRecord  = opRecord
-	OpStep    = opStep
-	OpReading = opReading
-)
+type OpRecord = opRecord
 
 func (rec *opRecord) Encode() []byte { return rec.encode(nil) }
 

@@ -227,7 +227,7 @@ func TestHotPathAllocs(t *testing.T) {
 				t.Fatal(err, res.Err)
 			}
 		}},
-		hotPath{"ServiceNode.Pay", 37, func() {
+		hotPath{"ServiceNode.Pay", 35, func() {
 			if _, err := car.Pay(ctx, ch.ID, 1); err != nil {
 				t.Fatal(err)
 			}

@@ -35,39 +35,43 @@ var (
 	ErrInsufficientChannelBalance = errors.New("protocol: payment exceeds channel deposit")
 )
 
-// Sentinels returns the complete taxonomy of exported protocol error
-// sentinels, keyed by their Go identifier. It is the source of truth
-// for exhaustiveness checks: the RPC layer's wire-kind table must map
-// every entry (both directions), and a test built on go/parser fails
-// when a new exported Err* is declared without being registered here.
-func Sentinels() map[string]error {
-	return map[string]error{
-		"ErrUnknownChannel":             ErrUnknownChannel,
-		"ErrStaleSequence":              ErrStaleSequence,
-		"ErrSignature":                  ErrSignature,
-		"ErrDecreasingCumulative":       ErrDecreasingCumulative,
-		"ErrChannelClosed":              ErrChannelClosed,
-		"ErrInsufficientChannelBalance": ErrInsufficientChannelBalance,
-		"ErrBadMessage":                 ErrBadMessage,
-		"ErrBadMsgType":                 ErrBadMsgType,
-		"ErrNoPendingHTLC":              ErrNoPendingHTLC,
-		"ErrWrongPreimage":              ErrWrongPreimage,
-		"ErrHTLCOutstanding":            ErrHTLCOutstanding,
-		"ErrSettled":                    ErrSettled,
-		"ErrExitActive":                 ErrExitActive,
-		"ErrNoExit":                     ErrNoExit,
-		"ErrChallengeOpen":              ErrChallengeOpen,
-		"ErrChallengeClosed":            ErrChallengeClosed,
-		"ErrStaleState":                 ErrStaleState,
-		"ErrOverspend":                  ErrOverspend,
-		"ErrWrongTemplate":              ErrWrongTemplate,
-		"ErrWrongReceiver":              ErrWrongReceiver,
-		"ErrUnknownOp":                  ErrUnknownOp,
-		"ErrNotParticipant":             ErrNotParticipant,
-		"ErrRouteTooShort":              ErrRouteTooShort,
-		"ErrRouteChannels":              ErrRouteChannels,
-		"ErrLogCorrupt":                 ErrLogCorrupt,
-	}
+// Sentinel pairs an error sentinel with its stable kebab-case wire kind.
+type Sentinel struct {
+	Err  error
+	Kind string
+}
+
+// Sentinels is the complete taxonomy of exported protocol error
+// sentinels with their wire kinds, in the order the RPC layer matches
+// them. It is the source of truth for exhaustiveness checks: a test
+// built on go/parser fails when a new exported Err* is declared without
+// a row here.
+var Sentinels = []Sentinel{
+	{ErrStaleSequence, "stale-sequence"},
+	{ErrInsufficientChannelBalance, "insufficient-channel-balance"},
+	{ErrChannelClosed, "channel-closed"},
+	{ErrSignature, "bad-signature"},
+	{ErrDecreasingCumulative, "decreasing-cumulative"},
+	{ErrUnknownChannel, "unknown-channel"},
+	{ErrNoPendingHTLC, "no-pending-htlc"},
+	{ErrWrongPreimage, "wrong-preimage"},
+	{ErrHTLCOutstanding, "htlc-outstanding"},
+	{ErrStaleState, "stale-state"},
+	{ErrOverspend, "overspend"},
+	{ErrChallengeOpen, "challenge-open"},
+	{ErrChallengeClosed, "challenge-closed"},
+	{ErrExitActive, "exit-active"},
+	{ErrNoExit, "no-exit"},
+	{ErrSettled, "settled"},
+	{ErrBadMessage, "bad-message"},
+	{ErrBadMsgType, "bad-message-type"},
+	{ErrWrongTemplate, "wrong-template"},
+	{ErrWrongReceiver, "wrong-receiver"},
+	{ErrUnknownOp, "unknown-op"},
+	{ErrNotParticipant, "not-participant"},
+	{ErrRouteTooShort, "route-too-short"},
+	{ErrRouteChannels, "route-channels"},
+	{ErrLogCorrupt, "log-corrupt"},
 }
 
 // ChannelError carries the structured context of a channel-protocol

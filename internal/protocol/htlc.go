@@ -94,42 +94,11 @@ func (p *Party) PayConditional(channelID, amount uint64, lock types.Hash) (*Paym
 	return pay, nil
 }
 
-// ReceiveConditional pops and verifies a pending hash-locked payment.
-// The channel state does not advance until ClaimConditional.
+// ReceiveConditional delivers a pending hash-locked MsgPayment. The
+// channel state does not advance until ClaimConditional.
 func (p *Party) ReceiveConditional() (*Payment, error) {
-	msg, ok := p.Radio.Receive()
-	if !ok {
-		return nil, fmt.Errorf("%w: inbox empty", ErrBadMessage)
-	}
-	pay, err := DecodePayment(msg.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if pay.HashLock.IsZero() {
-		return nil, fmt.Errorf("%w: expected a hash-locked payment", ErrBadMessage)
-	}
-	cs, ok := p.channelByWire(pay.Template, pay.ChannelID, msg.From)
-	if !ok {
-		return nil, chanErr("receive conditional", pay.ChannelID, ErrUnknownChannel)
-	}
-	if cs.PendingHTLC != nil {
-		return nil, chanErr("receive conditional", cs.ID, ErrHTLCOutstanding)
-	}
-	if pay.Seq != cs.Seq+1 {
-		return nil, chanErrf("receive conditional", cs.ID, "%w: got %d, want %d",
-			ErrStaleSequence, pay.Seq, cs.Seq+1)
-	}
-	if pay.Cumulative < cs.Cumulative || pay.Cumulative > cs.Deposit {
-		return nil, chanErrf("receive conditional", cs.ID, "%w: cumulative %d",
-			ErrInsufficientChannelBalance, pay.Cumulative)
-	}
-	p.chargeKeccak(1, "payment digest")
-	if pay.Sig == nil || !p.Dev.Crypto.Verify(pay.Digest(), pay.Sig, cs.Peer) {
-		return nil, chanErr("receive conditional", cs.ID, ErrSignature)
-	}
-	cs.PendingHTLC = pay
-	cs.PendingInbound = true
-	return pay, nil
+	d, err := p.deliver(MsgPayment, true)
+	return d.Payment, err
 }
 
 // ClaimConditional resolves a pending inbound hash-locked payment by
@@ -143,24 +112,14 @@ func (p *Party) ClaimConditional(channelID uint64, secret Secret) (*Payment, err
 	return p.claimOn(cs, secret)
 }
 
-// ClaimReceived resolves a pending inbound hash-locked payment
-// identified by the payment message itself; routing uses it because
-// local handles differ between the two ends of a channel. The channel
-// is found by matching the outstanding conditional payment's digest,
-// which is collision-free across peers.
-func (p *Party) ClaimReceived(pay *Payment, secret Secret) (*Payment, error) {
-	want := pay.Digest()
-	for _, cs := range p.channels {
-		if cs.PendingHTLC != nil && cs.PendingInbound && cs.PendingHTLC.Digest() == want {
-			return p.claimOn(cs, secret)
-		}
-	}
-	return nil, chanErr("claim received", pay.ChannelID, ErrNoPendingHTLC)
-}
-
+// claimOn reveals secret for the inbound HTLC pending on cs and
+// finalizes it.
 func (p *Party) claimOn(cs *ChannelState, secret Secret) (*Payment, error) {
+	if cs.Closed() {
+		return nil, chanErr("claim conditional", cs.ID, ErrChannelClosed)
+	}
 	pay := cs.PendingHTLC
-	if pay == nil {
+	if pay == nil || !cs.PendingInbound {
 		return nil, ErrNoPendingHTLC
 	}
 	p.chargeKeccak(1, "hash lock check")
@@ -177,48 +136,41 @@ func (p *Party) claimOn(cs *ChannelState, secret Secret) (*Payment, error) {
 	return pay, nil
 }
 
-// AcceptClaim pops the preimage revelation on the sender side and
-// finalizes the conditional payment.
+// AcceptClaim delivers a pending MsgHTLCClaim.
 func (p *Party) AcceptClaim() (*Payment, error) {
-	msg, ok := p.Radio.Receive()
-	if !ok {
-		return nil, fmt.Errorf("%w: inbox empty", ErrBadMessage)
-	}
-	claim, err := DecodeHTLCClaim(msg.Payload)
-	if err != nil {
-		return nil, err
-	}
-	// Resolve by the outstanding conditional payment itself. Claims
-	// travel receiver -> payer, so only an OUTBOUND pending HTLC (one
-	// this party sent) can be claimed here — a routing intermediary also
-	// holds the inbound HTLC with the same hash lock, possibly under a
-	// colliding wire id, and must not finalize that one.
-	var (
-		cs  *ChannelState
-		pay *Payment
-	)
+	d, err := p.deliver(MsgHTLCClaim, false)
+	return d.Payment, err
+}
+
+// acceptClaim handles a preimage revelation on the sender side and
+// finalizes the conditional payment. Claims travel receiver -> payer,
+// so of the two channels the wire identity can name (opened by the
+// claimant or by this party) only one holding an OUTBOUND pending HTLC
+// at the claimed sequence number matches — a routing intermediary also
+// holds the inbound HTLC with the same hash lock, possibly under a
+// colliding wire id, and must not finalize that one.
+func (p *Party) acceptClaim(from types.Address, claim *HTLCClaim) (*ChannelState, *Payment, error) {
 	p.chargeKeccak(1, "hash lock check")
-	lock := claim.Preimage.Lock()
-	wrongLock := false
-	for _, cand := range p.channels {
-		h := cand.PendingHTLC
-		if h == nil || cand.PendingInbound || cand.Template != claim.Template || cand.WireID != claim.ChannelID || h.Seq != claim.Seq {
-			continue
-		}
-		if h.HashLock == lock {
-			cs, pay = cand, h
+	var cs *ChannelState
+	for _, opener := range [2]types.Address{from, p.Address()} {
+		c, ok := p.ChannelByOpener(claim.Template, claim.ChannelID, opener)
+		if ok && c.PendingHTLC != nil && !c.PendingInbound && c.PendingHTLC.Seq == claim.Seq {
+			cs = c
 			break
 		}
-		wrongLock = true
 	}
-	if pay == nil {
-		if wrongLock {
-			return nil, ErrWrongPreimage
-		}
-		return nil, chanErr("accept claim", claim.ChannelID, ErrNoPendingHTLC)
+	if cs == nil {
+		return nil, nil, chanErr("accept claim", claim.ChannelID, ErrNoPendingHTLC)
+	}
+	if cs.Closed() {
+		return nil, nil, chanErr("accept claim", cs.ID, ErrChannelClosed)
+	}
+	pay := cs.PendingHTLC
+	if claim.Preimage.Lock() != pay.HashLock {
+		return nil, nil, ErrWrongPreimage
 	}
 	p.finalizeHTLC(cs, pay, claim.Preimage)
-	return pay, nil
+	return cs, pay, nil
 }
 
 // CancelConditional drops a pending HTLC by mutual bookkeeping (e.g.
@@ -294,22 +246,23 @@ func RoutePaymentWithSecret(route []RouteHop, receiver *Party, amount, hopFee ui
 	}
 	parties = append(parties, receiver)
 
-	received := make([]*Payment, len(route))
+	received := make([]*ChannelState, len(route))
 	for i, hop := range route {
 		hopAmount := amount + uint64(len(route)-1-i)*hopFee
 		if _, err := hop.From.PayConditional(hop.ChannelID, hopAmount, lock); err != nil {
 			return lock, fmt.Errorf("hop %d lock: %w", i, err)
 		}
-		pay, err := parties[i+1].ReceiveConditional()
+		d, err := parties[i+1].deliver(MsgPayment, true)
 		if err != nil {
 			return lock, fmt.Errorf("hop %d receive: %w", i, err)
 		}
-		received[i] = pay
+		received[i] = d.Channel
 	}
 
-	// Backward pass: reveal the preimage, claiming hop by hop.
+	// Backward pass: reveal the preimage, claiming hop by hop on the
+	// channel each payee received on.
 	for i := len(route) - 1; i >= 0; i-- {
-		if _, err := parties[i+1].ClaimReceived(received[i], secret); err != nil {
+		if _, err := parties[i+1].claimOn(received[i], secret); err != nil {
 			return lock, fmt.Errorf("hop %d claim: %w", i, err)
 		}
 		if _, err := route[i].From.AcceptClaim(); err != nil {

@@ -209,6 +209,84 @@ func TestCancelConditional(t *testing.T) {
 	}
 }
 
+// TestClosedChannelNeverAdvances: once a channel holds a doubly-signed
+// final state, no conditional payment, claim or claim acceptance moves
+// either side past it. Each row drives the car -> hub channel into a
+// closed state and returns the steps that must be refused with
+// ErrChannelClosed.
+func TestClosedChannelNeverAdvances(t *testing.T) {
+	closeChannel := func(t *testing.T, f *routeFixture) {
+		t.Helper()
+		if _, err := f.car.CloseChannel(f.carHubID); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.hub.AcceptClose(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.car.FinishClose(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := []struct {
+		name string
+		run  func(t *testing.T, f *routeFixture, secret Secret) []error
+	}{
+		{"conditional payment after a one-sided reopen", func(t *testing.T, f *routeFixture, secret Secret) []error {
+			closeChannel(t, f)
+			if err := f.car.Reopen(f.carHubID); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.car.PayConditional(f.carHubID, 5_000, secret.Lock()); err != nil {
+				t.Fatal(err)
+			}
+			_, err := f.hub.ReceiveConditional()
+			return []error{err}
+		}},
+		{"claim of an HTLC outstanding at close", func(t *testing.T, f *routeFixture, secret Secret) []error {
+			if _, err := f.car.PayConditional(f.carHubID, 5_000, secret.Lock()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.hub.ReceiveConditional(); err != nil {
+				t.Fatal(err)
+			}
+			closeChannel(t, f)
+			_, claimErr := f.hub.ClaimConditional(f.carHubID, secret)
+			// The hub reveals the preimage anyway; the car must not settle.
+			cs, _ := f.hub.Channel(f.carHubID)
+			claim := &HTLCClaim{Template: cs.Template, ChannelID: cs.WireID, Seq: 1, Preimage: secret}
+			if _, err := f.hub.Radio.Send(f.car.Address(), EncodeHTLCClaim(claim)); err != nil {
+				t.Fatal(err)
+			}
+			_, acceptErr := f.car.AcceptClaim()
+			return []error{claimErr, acceptErr}
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			f := buildRoute(t)
+			secret, _, err := NewSecret()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, err := range row.run(t, f, secret) {
+				if !errors.Is(err, ErrChannelClosed) {
+					t.Errorf("step %d: got %v, want ErrChannelClosed", i, err)
+				}
+			}
+			if hub, _ := f.hub.Channel(f.carHubID); !hub.Closed() {
+				t.Error("hub's channel reopened")
+			}
+			for _, p := range []*Party{f.car, f.hub} {
+				cs, _ := p.Channel(f.carHubID)
+				if cs.Closed() && (cs.Seq != cs.Final.Seq || cs.Cumulative != cs.Final.Cumulative) {
+					t.Errorf("%s holds state (seq %d, cum %d) beside final (seq %d, cum %d)",
+						p.Dev.Name, cs.Seq, cs.Cumulative, cs.Final.Seq, cs.Final.Cumulative)
+				}
+			}
+		})
+	}
+}
+
 func TestRoutePaymentTwoHops(t *testing.T) {
 	f := buildRoute(t)
 	const amount, fee = 10_000, 250

@@ -186,9 +186,8 @@ func (p *Party) registerChannel(cs *ChannelState) uint64 {
 // peer or by this party, so both opener candidates are tried.
 func (p *Party) channelByWire(template types.Address, wireID uint64, from types.Address) (*ChannelState, bool) {
 	for _, opener := range [2]types.Address{from, p.Address()} {
-		if handle, ok := p.wireIndex[ChannelKey{Template: template, Opener: opener, ID: wireID}]; ok {
-			cs, ok := p.channels[handle]
-			return cs, ok
+		if cs, ok := p.ChannelByOpener(template, wireID, opener); ok {
+			return cs, true
 		}
 	}
 	return nil, false
@@ -210,14 +209,6 @@ func (p *Party) Channel(id uint64) (*ChannelState, bool) {
 	return cs, ok
 }
 
-// ChannelByWire resolves a channel by the wire identity carried in a
-// message from the given peer: the on-chain template, the logical-clock
-// id, and the sending peer (the opener is either that peer or this
-// party).
-func (p *Party) ChannelByWire(template types.Address, wireID uint64, from types.Address) (*ChannelState, bool) {
-	return p.channelByWire(template, wireID, from)
-}
-
 // ChannelByOpener resolves a channel by its exact wire identity; close
 // messages carry the opener explicitly (FinalState.Sender), so no
 // guessing is involved.
@@ -228,18 +219,6 @@ func (p *Party) ChannelByOpener(template types.Address, wireID uint64, opener ty
 	}
 	cs, ok := p.channels[handle]
 	return cs, ok
-}
-
-// ChannelOf finds the channel a just-processed payment belongs to, by
-// pointer identity against the channel's recorded payment state —
-// collision-free where wire ids alone are ambiguous.
-func (p *Party) ChannelOf(pay *Payment) (*ChannelState, bool) {
-	for _, cs := range p.channels {
-		if cs.LastPayment == pay || cs.PendingHTLC == pay {
-			return cs, true
-		}
-	}
-	return nil, false
 }
 
 // ChannelList returns every channel, sorted by local handle for
@@ -282,13 +261,116 @@ func (p *Party) SendSensorReadings(peer types.Address, readings []SensorReading)
 	return data, nil
 }
 
-// ReceiveSensorData pops and decodes a pending sensor-data message.
-func (p *Party) ReceiveSensorData() (*SensorData, error) {
+// --- receive path ---------------------------------------------------------
+
+// Delivery is what Deliver did with one radio frame.
+type Delivery struct {
+	// Type is the frame's message type.
+	Type MsgType
+	// Channel is the channel the frame opened, paid, closed or claimed
+	// on; nil for sensor data.
+	Channel *ChannelState
+	// Payment is the payment received (MsgPayment) or the conditional
+	// payment a claim settled (MsgHTLCClaim).
+	Payment *Payment
+	// Final is the final state a close frame recorded.
+	Final *FinalState
+	// Sensor is a sensor-data frame's payload.
+	Sensor *SensorData
+	// Added is what a plain payment added to the channel's cumulative
+	// amount; zero for every other frame.
+	Added uint64
+}
+
+// Deliver pops the oldest pending frame, reads its type, decodes it
+// once and runs its handler. The frame is consumed either way. A
+// handler refuses a frame before it changes any channel or side-chain
+// log entry; only a close ack the radio fails to send is reported after
+// the close was recorded.
+func (p *Party) Deliver() (Delivery, error) { return p.deliver(0, false) }
+
+// deliver is Deliver for the lockstep wrappers: a non-zero want refuses
+// a frame of any other type — or a payment whose hash lock is not what
+// locked asks for — with ErrBadMsgType before any handler runs.
+func (p *Party) deliver(want MsgType, locked bool) (d Delivery, err error) {
 	msg, ok := p.Radio.Receive()
 	if !ok {
-		return nil, fmt.Errorf("%w: inbox empty", ErrBadMessage)
+		return d, fmt.Errorf("%w: inbox empty", ErrBadMessage)
 	}
-	return DecodeSensorData(msg.Payload)
+	if d.Type, err = PeekType(msg.Payload); err != nil {
+		return Delivery{}, err
+	}
+	if want != 0 && d.Type != want {
+		return Delivery{}, ErrBadMsgType
+	}
+	switch d.Type {
+	case MsgChannelOpen:
+		var open *ChannelOpen
+		if open, err = DecodeChannelOpen(msg.Payload); err == nil {
+			d.Channel, err = p.acceptChannel(msg.From, open)
+		}
+	case MsgPayment:
+		if d.Payment, err = DecodePayment(msg.Payload); err == nil {
+			if want != 0 && d.Payment.HashLock.IsZero() == locked {
+				return Delivery{}, ErrBadMsgType
+			}
+			d.Channel, d.Added, err = p.receivePayment(msg.From, d.Payment)
+		}
+	case MsgCloseRequest, MsgCloseAck:
+		if _, d.Final, err = DecodeFinalState(msg.Payload); err == nil {
+			handle := p.acceptClose // countersign an incoming close
+			if d.Type == MsgCloseAck {
+				handle = p.finishClose // record the ack on the initiator
+			}
+			d.Channel, err = handle(d.Final)
+		}
+	case MsgHTLCClaim:
+		var claim *HTLCClaim
+		if claim, err = DecodeHTLCClaim(msg.Payload); err == nil {
+			d.Channel, d.Payment, err = p.acceptClaim(msg.From, claim)
+		}
+	case MsgSensorData:
+		d.Sensor, err = DecodeSensorData(msg.Payload)
+	default:
+		err = fmt.Errorf("%w: %d", ErrBadMsgType, d.Type)
+	}
+	if err != nil {
+		return Delivery{}, err
+	}
+	return d, nil
+}
+
+// The lockstep wrappers below each take one frame of their type off the
+// inbox through deliver; measurement harnesses pump a round with them.
+
+// ReceiveSensorData delivers a pending sensor-data message.
+func (p *Party) ReceiveSensorData() (*SensorData, error) {
+	d, err := p.deliver(MsgSensorData, false)
+	return d.Sensor, err
+}
+
+// AcceptChannel delivers a pending MsgChannelOpen.
+func (p *Party) AcceptChannel() (*ChannelState, error) {
+	d, err := p.deliver(MsgChannelOpen, false)
+	return d.Channel, err
+}
+
+// ReceivePayment delivers a pending plain MsgPayment.
+func (p *Party) ReceivePayment() (*Payment, error) {
+	d, err := p.deliver(MsgPayment, false)
+	return d.Payment, err
+}
+
+// AcceptClose delivers a pending MsgCloseRequest.
+func (p *Party) AcceptClose() (*FinalState, error) {
+	d, err := p.deliver(MsgCloseRequest, false)
+	return d.Final, err
+}
+
+// FinishClose delivers a pending MsgCloseAck.
+func (p *Party) FinishClose() (*FinalState, error) {
+	d, err := p.deliver(MsgCloseAck, false)
+	return d.Final, err
 }
 
 // OpenChannel executes the local template to create an off-chain payment
@@ -346,19 +428,11 @@ func (p *Party) OpenChannel(peer types.Address, deposit uint64, sensorParam uint
 	return cs, nil
 }
 
-// AcceptChannel processes a pending MsgChannelOpen: the receiver
+// acceptChannel handles a MsgChannelOpen from the opener: the receiver
 // replicates the channel by executing its own local template copy
 // ("Both entities execute the bytecode of the template to generate an
 // off-chain payment channel").
-func (p *Party) AcceptChannel() (*ChannelState, error) {
-	msg, ok := p.Radio.Receive()
-	if !ok {
-		return nil, fmt.Errorf("%w: inbox empty", ErrBadMessage)
-	}
-	open, err := DecodeChannelOpen(msg.Payload)
-	if err != nil {
-		return nil, err
-	}
+func (p *Party) acceptChannel(from types.Address, open *ChannelOpen) (*ChannelState, error) {
 	p.Dev.SetPhase("create channel")
 	res := p.Dev.Call(p.LocalTemplate, contracts.CreateChannelCalldata(open.SensorValue), 0)
 	p.Dev.SetPhase("")
@@ -370,8 +444,8 @@ func (p *Party) AcceptChannel() (*ChannelState, error) {
 		WireID:      open.ChannelID,
 		Template:    open.Template,
 		Addr:        contracts.WordToAddress(res.ReturnData),
-		Peer:        msg.From,
-		Opener:      msg.From,
+		Peer:        from,
+		Opener:      from,
 		Role:        RoleReceiver,
 		Deposit:     open.Deposit,
 		SensorValue: open.SensorValue,
@@ -437,41 +511,48 @@ func (p *Party) Pay(channelID uint64, amount uint64) (*Payment, error) {
 	return pay, nil
 }
 
-// ReceivePayment pops, verifies and records a pending MsgPayment. The
-// signature is checked on the crypto engine; the sequence number must be
-// exactly the successor of the last seen one ("the sequence number ...
-// ensures that no device skips reporting any transactions").
-func (p *Party) ReceivePayment() (*Payment, error) {
-	msg, ok := p.Radio.Receive()
-	if !ok {
-		return nil, fmt.Errorf("%w: inbox empty", ErrBadMessage)
+// receivePayment handles a MsgPayment from the peer. Plain and
+// conditional payments pass one validation — channel, closed, sequence
+// ("the sequence number ... ensures that no device skips reporting any
+// transactions"), cumulative bounds and the signature, checked on the
+// crypto engine — and a conditional one must find no HTLC outstanding.
+// A plain payment is then registered on the channel contract and the
+// side-chain log; a conditional one is held until its claim. It returns
+// the channel and what a plain payment added to its cumulative amount.
+func (p *Party) receivePayment(from types.Address, pay *Payment) (*ChannelState, uint64, error) {
+	op, locked := "receive payment", !pay.HashLock.IsZero()
+	if locked {
+		op = "receive conditional"
 	}
-	pay, err := DecodePayment(msg.Payload)
-	if err != nil {
-		return nil, err
-	}
-	cs, ok := p.channelByWire(pay.Template, pay.ChannelID, msg.From)
+	cs, ok := p.channelByWire(pay.Template, pay.ChannelID, from)
 	if !ok {
-		return nil, chanErr("receive payment", pay.ChannelID, ErrUnknownChannel)
+		return nil, 0, chanErr(op, pay.ChannelID, ErrUnknownChannel)
 	}
 	if cs.Closed() {
-		return nil, chanErr("receive payment", cs.ID, ErrChannelClosed)
+		return nil, 0, chanErr(op, cs.ID, ErrChannelClosed)
+	}
+	if locked && cs.PendingHTLC != nil {
+		return nil, 0, chanErr(op, cs.ID, ErrHTLCOutstanding)
 	}
 	if pay.Seq != cs.Seq+1 {
-		return nil, chanErrf("receive payment", cs.ID, "%w: got %d, want %d",
+		return nil, 0, chanErrf(op, cs.ID, "%w: got %d, want %d",
 			ErrStaleSequence, pay.Seq, cs.Seq+1)
 	}
 	if pay.Cumulative < cs.Cumulative {
-		return nil, chanErrf("receive payment", cs.ID, "%w: %d < %d",
+		return nil, 0, chanErrf(op, cs.ID, "%w: %d < %d",
 			ErrDecreasingCumulative, pay.Cumulative, cs.Cumulative)
 	}
 	if pay.Cumulative > cs.Deposit {
-		return nil, chanErrf("receive payment", cs.ID, "%w: %d > %d",
+		return nil, 0, chanErrf(op, cs.ID, "%w: %d > %d",
 			ErrInsufficientChannelBalance, pay.Cumulative, cs.Deposit)
 	}
 	p.chargeKeccak(1, "payment digest")
 	if pay.Sig == nil || !p.Dev.Crypto.Verify(pay.Digest(), pay.Sig, cs.Peer) {
-		return nil, chanErr("receive payment", cs.ID, ErrSignature)
+		return nil, 0, chanErr(op, cs.ID, ErrSignature)
+	}
+	if locked {
+		cs.PendingHTLC, cs.PendingInbound = pay, true
+		return cs, 0, nil
 	}
 
 	// Mirror the state into the local channel contract and log.
@@ -479,16 +560,17 @@ func (p *Party) ReceivePayment() (*Payment, error) {
 	reg := p.Dev.Call(cs.Addr, contracts.RegisterCalldata(pay.Seq, pay.Cumulative), 0)
 	if reg.Err != nil {
 		p.Dev.SetPhase("")
-		return nil, fmt.Errorf("protocol: registering payment: %w", reg.Err)
+		return nil, 0, fmt.Errorf("protocol: registering payment: %w", reg.Err)
 	}
 	p.chargeKeccak(1, "side-chain log link")
 	p.Log.Append(LogPayment, pay.ChannelID, pay.Seq, pay.Cumulative)
 	p.Dev.SetPhase("")
 
+	added := pay.Cumulative - cs.Cumulative
 	cs.Seq = pay.Seq
 	cs.Cumulative = pay.Cumulative
 	cs.LastPayment = pay
-	return pay, nil
+	return cs, added, nil
 }
 
 // CloseChannel builds the final state and sends it to the peer for
@@ -543,21 +625,10 @@ func (p *Party) CloseChannel(channelID uint64) (*FinalState, error) {
 	return fs, nil
 }
 
-// AcceptClose pops a MsgCloseRequest, verifies the peer's signature and
-// the state against local history, countersigns and replies with
-// MsgCloseAck. The channel is then closed on this side.
-func (p *Party) AcceptClose() (*FinalState, error) {
-	msg, ok := p.Radio.Receive()
-	if !ok {
-		return nil, fmt.Errorf("%w: inbox empty", ErrBadMessage)
-	}
-	t, fs, err := DecodeFinalState(msg.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if t != MsgCloseRequest {
-		return nil, ErrBadMsgType
-	}
+// acceptClose handles a MsgCloseRequest: it verifies the peer's
+// signature and the state against local history, countersigns and
+// replies with MsgCloseAck. The channel is then closed on this side.
+func (p *Party) acceptClose(fs *FinalState) (*ChannelState, error) {
 	// The final state names the channel opener (its sender side), so the
 	// lookup is exact even when two peers' logical clocks collide.
 	cs, ok := p.ChannelByOpener(fs.Template, fs.ChannelID, fs.Sender)
@@ -615,23 +686,12 @@ func (p *Party) AcceptClose() (*FinalState, error) {
 	if _, err := p.Radio.Send(cs.Peer, EncodeFinalState(MsgCloseAck, fs)); err != nil {
 		return nil, err
 	}
-	return fs, nil
+	return cs, nil
 }
 
-// FinishClose pops the MsgCloseAck on the initiating side and records
-// the fully signed final state.
-func (p *Party) FinishClose() (*FinalState, error) {
-	msg, ok := p.Radio.Receive()
-	if !ok {
-		return nil, fmt.Errorf("%w: inbox empty", ErrBadMessage)
-	}
-	t, fs, err := DecodeFinalState(msg.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if t != MsgCloseAck {
-		return nil, ErrBadMsgType
-	}
+// finishClose handles the MsgCloseAck on the initiating side and
+// records the fully signed final state.
+func (p *Party) finishClose(fs *FinalState) (*ChannelState, error) {
 	cs, ok := p.ChannelByOpener(fs.Template, fs.ChannelID, fs.Sender)
 	if !ok {
 		return nil, chanErr("finish close", fs.ChannelID, ErrUnknownChannel)
@@ -643,7 +703,7 @@ func (p *Party) FinishClose() (*FinalState, error) {
 	cs.Seq = fs.Seq
 	p.chargeKeccak(1, "side-chain log link")
 	p.Log.Append(LogClose, fs.ChannelID, fs.Seq, fs.Cumulative)
-	return fs, nil
+	return cs, nil
 }
 
 // Reopen clears a channel's closed state so payments can continue,

@@ -9,16 +9,17 @@ import (
 	"testing"
 )
 
-// declaredSentinels parses every non-test source file of the package
-// and returns the names of all exported package-level Err* variables.
-func declaredSentinels(t *testing.T) map[string]bool {
+// parseSentinels parses every non-test source file of the package and
+// returns the names of all exported package-level Err* variables, and
+// the sentinel identifier of each Sentinels row in order.
+func parseSentinels(t *testing.T) (declared map[string]bool, rows []string) {
 	t.Helper()
 	entries, err := os.ReadDir(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	names := make(map[string]bool)
+	declared = make(map[string]bool)
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
@@ -37,40 +38,77 @@ func declaredSentinels(t *testing.T) map[string]bool {
 				if !ok {
 					continue
 				}
-				for _, ident := range vs.Names {
+				for i, ident := range vs.Names {
 					if strings.HasPrefix(ident.Name, "Err") && ident.IsExported() {
-						names[ident.Name] = true
+						declared[ident.Name] = true
+					}
+					if ident.Name == "Sentinels" {
+						rows = append(rows, tableRows(t, vs.Values[i])...)
 					}
 				}
 			}
 		}
 	}
-	return names
+	return declared, rows
 }
 
-// TestSentinelRegistryComplete pins Sentinels() to the source: every
-// exported Err* declared in the package must be registered, and every
-// registry entry must correspond to a declared sentinel. Adding a new
-// error without registering it fails here; the RPC layer's own
-// exhaustiveness test walks the registry, so the wire-kind mapping
-// fails next if that is missing too.
+// tableRows returns the sentinel identifier of each row of the
+// Sentinels composite literal.
+func tableRows(t *testing.T, lit ast.Expr) []string {
+	t.Helper()
+	cl, ok := lit.(*ast.CompositeLit)
+	if !ok {
+		t.Fatalf("Sentinels is not a composite literal")
+	}
+	var rows []string
+	for _, elt := range cl.Elts {
+		row, ok := elt.(*ast.CompositeLit)
+		if !ok || len(row.Elts) != 2 {
+			t.Fatalf("Sentinels row %d is not a {sentinel, kind} pair", len(rows))
+		}
+		ident, ok := row.Elts[0].(*ast.Ident)
+		if !ok {
+			t.Fatalf("Sentinels row %d does not name a sentinel", len(rows))
+		}
+		rows = append(rows, ident.Name)
+	}
+	return rows
+}
+
+// TestSentinelRegistryComplete pins Sentinels to the source: every
+// exported Err* declared in the package has exactly one row, every row
+// names a declared sentinel, and no row's error or kind is empty or
+// repeated. Adding a new error without a row fails here; the RPC
+// layer's own exhaustiveness test walks the table, so its wire-kind
+// round trip fails next if that breaks too.
 func TestSentinelRegistryComplete(t *testing.T) {
-	declared := declaredSentinels(t)
+	declared, rows := parseSentinels(t)
 	if len(declared) == 0 {
 		t.Fatal("no exported sentinels found in package source")
 	}
-	reg := Sentinels()
+	listed := make(map[string]bool)
+	for _, name := range rows {
+		if !declared[name] {
+			t.Errorf("Sentinels lists %s, which is not declared in the package", name)
+		}
+		if listed[name] {
+			t.Errorf("Sentinels lists %s twice", name)
+		}
+		listed[name] = true
+	}
 	for name := range declared {
-		if _, ok := reg[name]; !ok {
-			t.Errorf("exported sentinel %s is not registered in Sentinels()", name)
+		if !listed[name] {
+			t.Errorf("exported sentinel %s has no Sentinels row", name)
 		}
 	}
-	for name, err := range reg {
-		if !declared[name] {
-			t.Errorf("Sentinels() lists %s, which is not declared in the package", name)
+	if len(Sentinels) != len(rows) {
+		t.Fatalf("Sentinels has %d rows, its literal %d", len(Sentinels), len(rows))
+	}
+	kinds := make(map[string]bool)
+	for i, ek := range Sentinels {
+		if ek.Err == nil || ek.Kind == "" || kinds[ek.Kind] {
+			t.Errorf("Sentinels row %d (%s): nil error, empty or repeated kind %q", i, rows[i], ek.Kind)
 		}
-		if err == nil {
-			t.Errorf("Sentinels()[%q] is nil", name)
-		}
+		kinds[ek.Kind] = true
 	}
 }

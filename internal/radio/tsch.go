@@ -290,16 +290,6 @@ func (ep *Endpoint) LossDraws() uint64 { return ep.lossDraws }
 // SetLossDraws restores the position LossDraws reported.
 func (ep *Endpoint) SetLossDraws(n uint64) { ep.lossDraws = n }
 
-// Peek returns the oldest pending message without removing it, so a
-// dispatcher can route on the payload type before handing the inbox to
-// the protocol handler that pops it.
-func (ep *Endpoint) Peek() (Message, bool) {
-	if len(ep.inbox) == 0 {
-		return Message{}, false
-	}
-	return ep.inbox[0], true
-}
-
 // Receive pops the oldest pending message, if any.
 func (ep *Endpoint) Receive() (Message, bool) {
 	if len(ep.inbox) == 0 {

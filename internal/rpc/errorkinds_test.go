@@ -8,25 +8,23 @@ import (
 )
 
 // TestErrorKindsExhaustive asserts that the wire-kind table covers the
-// complete protocol sentinel taxonomy in both directions: every entry
-// of protocol.Sentinels() maps to a non-empty stable kind, and that
-// kind rebuilds the identical sentinel. A protocol error added without
-// an errorKinds entry fails here (and protocol's own registry test
-// fails first if it isn't registered at all).
+// complete protocol sentinel taxonomy in both directions: every row of
+// protocol.Sentinels maps to its own kind, and that kind rebuilds the
+// identical sentinel. (protocol's own registry test fails first if a
+// sentinel has no row at all.)
 func TestErrorKindsExhaustive(t *testing.T) {
-	for name, sentinel := range protocol.Sentinels() {
-		kind := KindOf(sentinel)
-		if kind == "" {
-			t.Errorf("protocol.%s has no wire kind mapping", name)
+	for _, ek := range protocol.Sentinels {
+		if kind := KindOf(ek.Err); kind != ek.Kind {
+			t.Errorf("%v has wire kind %q, want %q", ek.Err, kind, ek.Kind)
 			continue
 		}
-		back := sentinelOf(kind)
+		back := sentinelOf(ek.Kind)
 		if back == nil {
-			t.Errorf("kind %q (protocol.%s) does not map back to a sentinel", kind, name)
+			t.Errorf("kind %q does not map back to a sentinel", ek.Kind)
 			continue
 		}
-		if !errors.Is(back, sentinel) || !errors.Is(sentinel, back) {
-			t.Errorf("kind %q round-trips protocol.%s to a different sentinel: %v", kind, name, back)
+		if !errors.Is(back, ek.Err) || !errors.Is(ek.Err, back) {
+			t.Errorf("kind %q round-trips %v to a different sentinel: %v", ek.Kind, ek.Err, back)
 		}
 	}
 }
@@ -37,17 +35,16 @@ func TestErrorKindsExhaustive(t *testing.T) {
 func TestErrorKindsStable(t *testing.T) {
 	seen := make(map[string]error)
 	for _, ek := range errorKinds {
-		if ek.kind == "" {
-			t.Errorf("empty kind for %v", ek.err)
+		if ek.Kind == "" {
+			t.Errorf("empty kind for %v", ek.Err)
 		}
-		if prev, dup := seen[ek.kind]; dup {
-			t.Errorf("kind %q mapped to both %v and %v", ek.kind, prev, ek.err)
+		if prev, dup := seen[ek.Kind]; dup {
+			t.Errorf("kind %q mapped to both %v and %v", ek.Kind, prev, ek.Err)
 		}
-		seen[ek.kind] = ek.err
+		seen[ek.Kind] = ek.Err
 	}
 
-	wrapped := protocol.Sentinels()["ErrStaleSequence"]
-	if got := KindOf(wrapExample(wrapped)); got != "stale-sequence" {
+	if got := KindOf(wrapExample(protocol.ErrStaleSequence)); got != "stale-sequence" {
 		t.Errorf("wrapped sentinel kind = %q, want stale-sequence", got)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"slices"
 	"time"
 
 	"tinyevm"
@@ -72,48 +73,21 @@ type ErrorData struct {
 // Error implements error.
 func (e *Error) Error() string { return e.Message }
 
-// errorKinds maps protocol sentinels to wire kinds, in match order.
-var errorKinds = []struct {
-	err  error
-	kind string
-}{
-	{protocol.ErrStaleSequence, "stale-sequence"},
-	{protocol.ErrInsufficientChannelBalance, "insufficient-channel-balance"},
-	{protocol.ErrChannelClosed, "channel-closed"},
-	{protocol.ErrSignature, "bad-signature"},
-	{protocol.ErrDecreasingCumulative, "decreasing-cumulative"},
-	{protocol.ErrUnknownChannel, "unknown-channel"},
-	{protocol.ErrNoPendingHTLC, "no-pending-htlc"},
-	{protocol.ErrWrongPreimage, "wrong-preimage"},
-	{protocol.ErrHTLCOutstanding, "htlc-outstanding"},
-	{protocol.ErrStaleState, "stale-state"},
-	{protocol.ErrOverspend, "overspend"},
-	{protocol.ErrChallengeOpen, "challenge-open"},
-	{protocol.ErrChallengeClosed, "challenge-closed"},
-	{protocol.ErrExitActive, "exit-active"},
-	{protocol.ErrNoExit, "no-exit"},
-	{protocol.ErrSettled, "settled"},
-	{protocol.ErrBadMessage, "bad-message"},
-	{protocol.ErrBadMsgType, "bad-message-type"},
-	{protocol.ErrWrongTemplate, "wrong-template"},
-	{protocol.ErrWrongReceiver, "wrong-receiver"},
-	{protocol.ErrUnknownOp, "unknown-op"},
-	{protocol.ErrNotParticipant, "not-participant"},
-	{protocol.ErrRouteTooShort, "route-too-short"},
-	{protocol.ErrRouteChannels, "route-channels"},
-	{protocol.ErrLogCorrupt, "log-corrupt"},
-	{radio.ErrLinkFailure, "link-failure"},
-	{tinyevm.ErrUnknownNode, "unknown-node"},
-	{tinyevm.ErrServiceClosed, "service-closed"},
-	{tinyevm.ErrIncompleteClose, "incomplete-close"},
+// errorKinds maps sentinels to wire kinds, in match order: the
+// protocol's table, then the radio, service and context rows.
+var errorKinds = slices.Concat(protocol.Sentinels, []protocol.Sentinel{
+	{Err: radio.ErrLinkFailure, Kind: "link-failure"},
+	{Err: tinyevm.ErrUnknownNode, Kind: "unknown-node"},
+	{Err: tinyevm.ErrServiceClosed, Kind: "service-closed"},
+	{Err: tinyevm.ErrIncompleteClose, Kind: "incomplete-close"},
 	// Listed after the protocol sentinels so the wire kind names the
 	// concrete cause; local callers still branch on ErrDeliveryFailed.
-	{tinyevm.ErrDeliveryFailed, "delivery-failed"},
-	{tinyevm.ErrNotLeader, "not-leader"},
-	{tinyevm.ErrClusterOp, "cluster-op"},
-	{context.Canceled, "canceled"},
-	{context.DeadlineExceeded, "deadline-exceeded"},
-}
+	{Err: tinyevm.ErrDeliveryFailed, Kind: "delivery-failed"},
+	{Err: tinyevm.ErrNotLeader, Kind: "not-leader"},
+	{Err: tinyevm.ErrClusterOp, Kind: "cluster-op"},
+	{Err: context.Canceled, Kind: "canceled"},
+	{Err: context.DeadlineExceeded, Kind: "deadline-exceeded"},
+})
 
 // KindOf returns the wire kind of err ("" when untyped). It is the
 // error taxonomy shared by the gateway, the Go client and the load
@@ -121,8 +95,8 @@ var errorKinds = []struct {
 // to stable kebab-case kinds.
 func KindOf(err error) string {
 	for _, ek := range errorKinds {
-		if errors.Is(err, ek.err) {
-			return ek.kind
+		if errors.Is(err, ek.Err) {
+			return ek.Kind
 		}
 	}
 	return ""
@@ -132,8 +106,8 @@ func KindOf(err error) string {
 // unknown).
 func sentinelOf(kind string) error {
 	for _, ek := range errorKinds {
-		if ek.kind == kind {
-			return ek.err
+		if ek.Kind == kind {
+			return ek.Err
 		}
 	}
 	return nil

@@ -186,10 +186,10 @@ func (l *legacyOp) record() (*opRecord, error) {
 		Receiver: l.Receiver, Data: blobField(l.Data), Addr: addrField(l.Addr),
 	}
 	for _, st := range l.Steps {
-		rec.Steps = append(rec.Steps, opStep(st))
+		rec.Steps = append(rec.Steps, RouteStep(st))
 	}
 	for _, rd := range l.Readings {
-		rec.Readings = append(rec.Readings, opReading(rd))
+		rec.Readings = append(rec.Readings, SensorReading(rd))
 	}
 	if len(rec.Secret) > 0 {
 		if _, err := rec.Secret.secret(); err != nil {

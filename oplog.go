@@ -42,19 +42,6 @@ import (
 	"tinyevm/internal/store/disk"
 )
 
-// opStep is one hop of a journaled multi-hop route.
-type opStep struct {
-	Node    string
-	Channel uint64
-}
-
-// opReading is one journaled sensor reading (nondeterministic input,
-// captured at log time so replay does not touch the sensor bus).
-type opReading struct {
-	ID    uint64
-	Value uint64
-}
-
 // opRecord is one journaled operation: a flat union over every op
 // kind. Op is the opDef's name, filled in by run. Its disk form (pinned
 // by TestOpRecordFormatPin) carries only the fields that are set.
@@ -76,8 +63,8 @@ type opRecord struct {
 	Secret      blobField
 	Final       blobField
 	Receiver    string
-	Steps       []opStep
-	Readings    []opReading
+	Steps       []RouteStep
+	Readings    []SensorReading // captured at log time: replay does not touch the sensor bus
 	Data        blobField
 	Addr        addrField
 }
@@ -246,17 +233,17 @@ func decodeOpRecord(data []byte) (*opRecord, error) {
 	if has(fSteps) {
 		n := r.Count(r.Remaining() / 5) // a step is at least a u32 length and a uvarint
 		empty(fSteps, n == 0)
-		rec.Steps = make([]opStep, n)
+		rec.Steps = make([]RouteStep, n)
 		for i := range rec.Steps {
-			rec.Steps[i] = opStep{Node: r.String(r.Remaining()), Channel: r.Uvarint()}
+			rec.Steps[i] = RouteStep{Node: r.String(r.Remaining()), Channel: r.Uvarint()}
 		}
 	}
 	if has(fReadings) {
 		n := r.Count(r.Remaining() / 2)
 		empty(fReadings, n == 0)
-		rec.Readings = make([]opReading, n)
+		rec.Readings = make([]SensorReading, n)
 		for i := range rec.Readings {
-			rec.Readings[i] = opReading{ID: r.Uvarint(), Value: r.Uvarint()}
+			rec.Readings[i] = SensorReading{ID: r.Uvarint(), Value: r.Uvarint()}
 		}
 	}
 	rec.Data = blob(fData)

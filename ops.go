@@ -151,11 +151,7 @@ var (
 	opRoutePayment = defOp("routePayment", scopeService, (*Service).applyRoute)
 
 	opSendSensorData = defOp("sendSensorData", scopePeerAddr, func(_ *Service, sn *ServiceNode, rec *opRecord) (res opResult, err error) {
-		readings := make([]protocol.SensorReading, len(rec.Readings))
-		for i, r := range rec.Readings {
-			readings[i] = protocol.SensorReading(r)
-		}
-		res.data, err = sn.n.SendSensorReadings(rec.Peer.addr(), readings)
+		res.data, err = sn.n.SendSensorReadings(rec.Peer.addr(), rec.Readings)
 		return res, err
 	})
 

@@ -142,9 +142,9 @@ func FuzzJournalReplay(f *testing.F) {
 	// Well-formed records the live path could never have journaled.
 	const max = 1<<64 - 1
 	zeros := make([]byte, 32)
-	readings := make([]tinyevm.OpReading, 4001)
+	readings := make([]tinyevm.SensorReading, 4001)
 	for i := range readings {
-		readings[i] = tinyevm.OpReading{ID: 1, Value: 2}
+		readings[i] = tinyevm.SensorReading{ID: 1, Value: 2}
 	}
 	for _, rec := range []tinyevm.OpRecord{
 		{Seq: 6, Op: "payy"},
@@ -162,8 +162,8 @@ func FuzzJournalReplay(f *testing.F) {
 		{Seq: 6, Op: "sendSensorData", Node: "car", Peer: strictLot[:], Readings: readings},
 		{Seq: 6, Op: "routePayment", Secret: zeros, Receiver: "lot"},
 		{Seq: 6, Op: "routePayment", Secret: zeros, Receiver: "lot", Amount: max, Fee: max,
-			Steps: []tinyevm.OpStep{{Node: "car", Channel: 1}, {Node: "car", Channel: 1}}},
-		{Seq: 6, Op: "routePayment", Secret: zeros, Receiver: "car", Amount: 5, Steps: []tinyevm.OpStep{{Node: "car", Channel: 1}}},
+			Steps: []tinyevm.RouteStep{{Node: "car", Channel: 1}, {Node: "car", Channel: 1}}},
+		{Seq: 6, Op: "routePayment", Secret: zeros, Receiver: "car", Amount: 5, Steps: []tinyevm.RouteStep{{Node: "car", Channel: 1}}},
 		{Seq: 6, Op: "deposit", Node: "car", Amount: max},
 		{Seq: 6, Op: "exit", Node: "lot"},
 		{Seq: 6, Op: "settle", Node: "car"},

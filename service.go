@@ -664,10 +664,7 @@ func (s *Service) RoutePayment(ctx context.Context, steps []RouteStep, receiver 
 	if err != nil {
 		return Hash{}, err
 	}
-	rec := &opRecord{Receiver: receiver, Amount: amount, Fee: hopFee, Secret: secretOf(secret)}
-	for _, st := range steps {
-		rec.Steps = append(rec.Steps, opStep(st))
-	}
+	rec := &opRecord{Receiver: receiver, Amount: amount, Fee: hopFee, Secret: secretOf(secret), Steps: steps}
 	res, err := s.run(ctx, opRoutePayment, rec, nil)
 	return res.lock, err
 }
@@ -855,103 +852,37 @@ func (s *Service) dispatch(scope []*ServiceNode) []error {
 	return errs
 }
 
-// deliverOne pops and handles the oldest pending message on sn.
+// deliverOne hands the oldest pending frame on sn to its party and
+// publishes what the frame did.
 func (s *Service) deliverOne(sn *ServiceNode) error {
-	msg, ok := sn.n.Radio.Peek()
-	if !ok {
-		return nil
-	}
-	t, err := protocol.PeekType(msg.Payload)
+	d, err := sn.n.Party.Deliver()
 	if err != nil {
-		sn.n.Radio.Receive() // drop the malformed frame
 		return err
 	}
-	p := sn.n.Party
-	name := sn.n.Name()
-
-	switch t {
-	case protocol.MsgChannelOpen:
-		cs, err := p.AcceptChannel()
-		if err != nil {
-			return err
-		}
-		s.emit(Event{Type: EventChannelOpened, Node: name, Channel: cs.ID, Peer: cs.Peer, Amount: cs.Deposit})
-
-	case protocol.MsgPayment:
-		pay, err := protocol.DecodePayment(msg.Payload)
-		if err != nil {
-			sn.n.Radio.Receive()
-			return err
-		}
-		if pay.HashLock.IsZero() {
-			prev := uint64(0)
-			if cs, ok := p.ChannelByWire(pay.Template, pay.ChannelID, msg.From); ok {
-				prev = cs.Cumulative
-			}
-			pay, err = p.ReceivePayment()
-			if err != nil {
-				return err
-			}
-			cs, _ := p.ChannelOf(pay)
-			s.emit(Event{
-				Type: EventPaymentReceived, Node: name,
-				Channel: cs.ID, Peer: cs.Peer,
-				Seq: pay.Seq, Amount: pay.Cumulative - prev,
-				Payment: pay,
-			})
-		} else {
-			pay, err = p.ReceiveConditional()
-			if err != nil {
-				return err
-			}
-			cs, _ := p.ChannelOf(pay)
-			s.emit(Event{
-				Type: EventPaymentReceived, Node: name,
-				Channel: cs.ID, Peer: cs.Peer,
-				Seq: pay.Seq, Payment: pay,
-			})
-		}
-
-	case protocol.MsgCloseRequest, protocol.MsgCloseAck:
-		handle := p.AcceptClose // countersign an incoming close
-		if t == protocol.MsgCloseAck {
-			handle = p.FinishClose // record the ack on the initiator
-		}
-		fs, err := handle()
-		if err != nil {
-			return err
-		}
-		cs, _ := p.ChannelByOpener(fs.Template, fs.ChannelID, fs.Sender)
-		s.emit(Event{
-			Type: EventChannelClosed, Node: name,
-			Channel: cs.ID, Peer: cs.Peer,
-			Seq: fs.Seq, Amount: fs.Cumulative, Final: fs,
-		})
-
-	case protocol.MsgHTLCClaim:
-		pay, err := p.AcceptClaim()
-		if err != nil {
-			return err
-		}
-		cs, _ := p.ChannelOf(pay)
-		s.emit(Event{
-			Type: EventClaimSettled, Node: name,
-			Channel: cs.ID, Peer: cs.Peer,
-			Seq: pay.Seq, Payment: pay,
-		})
-
-	case protocol.MsgSensorData:
-		data, err := p.ReceiveSensorData()
-		if err != nil {
-			return err
-		}
-		s.emit(Event{Type: EventSensorData, Node: name, Peer: data.From, Readings: data.Readings})
-
-	default:
-		sn.n.Radio.Receive()
-		return fmt.Errorf("tinyevm: undispatchable message type %d", t)
-	}
+	s.emit(deliveryEvent(sn.n.Name(), d))
 	return nil
+}
+
+// deliveryEvent is the event a delivered frame publishes on node's
+// stream.
+func deliveryEvent(node string, d protocol.Delivery) Event {
+	e := Event{Node: node}
+	if cs := d.Channel; cs != nil {
+		e.Channel, e.Peer = cs.ID, cs.Peer
+	}
+	switch d.Type {
+	case protocol.MsgChannelOpen:
+		e.Type, e.Amount = EventChannelOpened, d.Channel.Deposit
+	case protocol.MsgPayment:
+		e.Type, e.Seq, e.Amount, e.Payment = EventPaymentReceived, d.Payment.Seq, d.Added, d.Payment
+	case protocol.MsgCloseRequest, protocol.MsgCloseAck:
+		e.Type, e.Seq, e.Amount, e.Final = EventChannelClosed, d.Final.Seq, d.Final.Cumulative, d.Final
+	case protocol.MsgHTLCClaim:
+		e.Type, e.Seq, e.Payment = EventClaimSettled, d.Payment.Seq, d.Payment
+	case protocol.MsgSensorData:
+		e.Type, e.Peer, e.Readings = EventSensorData, d.Sensor.From, d.Sensor.Readings
+	}
+	return e
 }
 
 // checkDisputes emits a dispute event for every fraud entry the template
@@ -1106,7 +1037,7 @@ func (sn *ServiceNode) SendSensorData(ctx context.Context, peer Address, sensorI
 			if err != nil {
 				return fmt.Errorf("tinyevm: reading sensor 0x%x: %w", id, err)
 			}
-			rec.Readings = append(rec.Readings, opReading{ID: id, Value: v})
+			rec.Readings = append(rec.Readings, SensorReading{ID: id, Value: v})
 		}
 		return nil
 	})
