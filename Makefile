@@ -22,7 +22,8 @@ bench-check:
 
 # Run the on-disk-format fuzzers (the byte codec's reader, the record
 # log, the segment codec, the service's op-record decoder and replay,
-# its checkpoint decoder, the chain's record decoders), the light
+# its checkpoint decoder, the chain's record decoders), the store
+# open's meta record and format window, the light
 # client's state-proof verifier, the JSON-RPC gateway's request and
 # batch handling, the radio wire's and the cluster peer wire's
 # decoders, a party's receive path on hostile frames, the cluster
@@ -49,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentCodec$$' -fuzztime $(FUZZTIME) ./internal/store/disk/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s .
+	$(GO) test -run '^$$' -fuzz '^FuzzStoredMeta$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzChainRecordDecode$$' -fuzztime $(FUZZTIME) ./internal/chain/
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyStateProof$$' -fuzztime $(FUZZTIME) ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeHTTP$$' -fuzztime $(FUZZTIME) ./internal/rpc/

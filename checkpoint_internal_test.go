@@ -19,7 +19,7 @@ import (
 // channel, deposits, commits, fraud, an active exit, sensors).
 func goldenCheckpoint(t testing.TB) []byte {
 	t.Helper()
-	text, err := os.ReadFile("testdata/format/v2/checkpoint.golden")
+	text, err := os.ReadFile("testdata/format/checkpoint.golden")
 	if err != nil {
 		t.Fatal(err)
 	}

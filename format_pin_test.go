@@ -1,24 +1,19 @@
 package tinyevm_test
 
 // The on-disk format pins for the service's own records: the operation
-// journal (op/<seq>) and the checkpoint (ckpt/state).
+// journal (op/<seq>) and the checkpoint (ckpt/state), and the formats a
+// store may have to be opened at all.
 //
-// testdata/format/v2 holds what this tree writes — binary records, kept
-// as hex — for a fixed workload that issues every operation kind; the
-// tree must keep writing those bytes and must replay them to the
-// deployment recorded beside them. Its store.golden is the whole store
-// (every key, values in hex) the format-2 commit left after replaying
-// that journal, chain account and head records included; it is never
-// regenerated: TestMigrateFormat2Store opens it.
+// testdata/format holds what this tree writes — binary records, kept as
+// hex — for a fixed workload that issues every operation kind; the tree
+// must keep writing those bytes and must replay them to the deployment
+// recorded beside them (expect.json). testdata/format/v<N> holds, for
+// the one older format this build still opens, the whole store (every
+// key, values in hex) a format-N commit left after replaying that
+// journal; it is never regenerated: TestMigrateFormat2Store opens it.
 //
-// testdata/format itself holds the LEGACY fixtures: the JSON journal
-// and checkpoint the commit before the op table wrote for the same
-// workload, what it recovered to (expect.json), and the chain/* and
-// meta/service records the commit before the binary records wrote when
-// replaying that journal (chain.golden). They are never regenerated:
-// TestMigrateLegacyStore opens a store made of them.
-//
-// Regenerate v2 (only for an intentional format change) with
+// Regenerate the current-format pins (only for an intentional format
+// change) with
 //
 //	go test -run 'TestOpRecordFormatPin|TestCheckpointFormatPin' -update-format .
 
@@ -27,6 +22,7 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"go/parser"
@@ -46,8 +42,8 @@ import (
 var updateFormat = flag.Bool("update-format", false, "rewrite testdata/format from this tree")
 
 const (
-	legacyFormatDir = "testdata/format"
-	formatDir       = legacyFormatDir + "/v2"
+	formatDir  = "testdata/format"
+	format2Dir = formatDir + "/v2"
 )
 
 // formatSecret is the fixed preimage of every conditional payment in
@@ -250,14 +246,14 @@ func goldenLines(t testing.TB, dir, name string) []string {
 	return strings.Split(strings.TrimSuffix(string(readGolden(t, dir, name)), "\n"), "\n")
 }
 
-// goldenJournal returns the v2 golden journal's "key hex(value)" lines.
+// goldenJournal returns the golden journal's "key hex(value)" lines.
 func goldenJournal(t testing.TB) []string { return goldenLines(t, formatDir, "journal.golden") }
 
-// assertExpect holds a recovered deployment to an expect.json.
-func assertExpect(t *testing.T, dir string, svc *tinyevm.Service) {
+// assertExpect holds a recovered deployment to the golden expect.json.
+func assertExpect(t *testing.T, svc *tinyevm.Service) {
 	t.Helper()
 	var want formatExpect
-	if err := json.Unmarshal(readGolden(t, dir, "expect.json"), &want); err != nil {
+	if err := json.Unmarshal(readGolden(t, formatDir, "expect.json"), &want); err != nil {
 		t.Fatal(err)
 	}
 	got := captureState(t, svc)
@@ -358,7 +354,7 @@ func TestOpRecordFormatPin(t *testing.T) {
 	if n := svc2.RecoveryInfo().ReplayedOps; n != len(golden) {
 		t.Fatalf("replayed %d of %d golden records", n, len(golden))
 	}
-	assertExpect(t, formatDir, svc2)
+	assertExpect(t, svc2)
 }
 
 // TestCheckpointFormatPin checkpoints after every sealed block of the
@@ -435,115 +431,6 @@ func (b *countingBatch) Commit() error {
 	return b.Batch.Commit()
 }
 
-// legacyStore builds a store out of the legacy fixtures, returning it
-// and the journal's length.
-func legacyStore(t *testing.T) (*store.Mem, int) {
-	t.Helper()
-	kv := store.NewMem()
-	journal := goldenLines(t, legacyFormatDir, "journal.golden")
-	for _, line := range append(journal, goldenLines(t, legacyFormatDir, "chain.golden")...) {
-		key, value, _ := strings.Cut(line, " ")
-		if err := kv.Put([]byte(key), []byte(value)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := kv.Put([]byte("ckpt/state"), readGolden(t, legacyFormatDir, "checkpoint.golden")); err != nil {
-		t.Fatal(err)
-	}
-	return kv, len(journal)
-}
-
-// TestMigrateLegacyStore opens a store made of the legacy fixtures —
-// the JSON journal (unpruned), the JSON checkpoint taken 27 ops into
-// it, and the JSON chain archive and meta record — and requires: one
-// atomic batch migrates it; it recovers, checkpoint first and tail on
-// top, to the deployment expect.json recorded; every record is then
-// byte-for-byte what this tree writes natively for the same workload;
-// and a second open writes nothing.
-func TestMigrateLegacyStore(t *testing.T) {
-	legacy, journal := legacyStore(t)
-
-	counted := &countingKV{KVStore: legacy}
-	svc, _, err := tinyevm.NewService("lot", formatOpts(counted)...)
-	if err != nil {
-		t.Fatalf("opening the legacy store: %v", err)
-	}
-	info := svc.RecoveryInfo()
-	if info.CheckpointHeight != 6 || info.CheckpointSeq != 27 || info.ReplayedOps != journal-27 {
-		t.Fatalf("recovered from checkpoint %d/%d with %d ops on top, want 6/27 with %d",
-			info.CheckpointHeight, info.CheckpointSeq, info.ReplayedOps, journal-27)
-	}
-	assertExpect(t, legacyFormatDir, svc)
-	svc.Close()
-	if counted.commits != 1 {
-		t.Fatalf("the migration took %d commits, want one atomic batch", counted.commits)
-	}
-
-	// The same store, written natively: the whole workload without
-	// checkpoints, plus the checkpoint a run that checkpoints every
-	// block holds after the workload's head.
-	native := store.NewMem()
-	svc2, lot2, err := tinyevm.NewService("lot", formatOpts(native)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	formatWorkloadHead(t, svc2, lot2)
-	formatWorkloadTail(t, svc2, lot2)
-	svc2.Close()
-	ckpt := store.NewMem()
-	svc3, lot3, err := tinyevm.NewService("lot", formatOpts(ckpt, tinyevm.WithCheckpointInterval(1))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	formatWorkloadHead(t, svc3, lot3)
-	svc3.Close()
-	copyKey(t, native, ckpt, "ckpt/state")
-
-	dump := func(kv store.KVStore) (keys []string, values map[string][]byte) {
-		values = make(map[string][]byte)
-		if err := kv.Iterate(nil, func(k, v []byte) error {
-			if strings.HasPrefix(string(k), "op/") {
-				_, v = maskRouteSecret(t, v)
-			}
-			keys = append(keys, string(k))
-			values[string(k)] = v
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return keys, values
-	}
-	gotKeys, got := dump(legacy)
-	wantKeys, want := dump(native)
-	if strings.Join(gotKeys, "\n") != strings.Join(wantKeys, "\n") {
-		t.Fatalf("migrated store holds keys\n%s\na native one\n%s", strings.Join(gotKeys, "\n"), strings.Join(wantKeys, "\n"))
-	}
-	for _, k := range wantKeys {
-		if !bytes.Equal(got[k], want[k]) {
-			t.Errorf("%s differs:\nmigrated %x\n  native %x", k, got[k], want[k])
-		}
-		if k != "meta/service" && got[k][0] != codec.DiskFormat {
-			t.Errorf("%s starts with %#02x, not the format byte", k, got[k][0])
-		}
-	}
-	if !bytes.Contains(got["meta/service"], []byte(`"format":3`)) {
-		t.Errorf("meta record carries no stamp: %s", got["meta/service"])
-	}
-	assertNoChainState(t, legacy)
-
-	// Stamped: the second open reads binary and writes nothing.
-	counted.commits = 0
-	svc4, _, err := tinyevm.NewService("lot", formatOpts(counted)...)
-	if err != nil {
-		t.Fatalf("second open: %v", err)
-	}
-	defer svc4.Close()
-	assertExpect(t, legacyFormatDir, svc4)
-	if counted.commits != 0 {
-		t.Fatalf("the second open committed %d batches, want none", counted.commits)
-	}
-}
-
 // assertNoChainState requires kv to hold none of the chain records
 // format 3 dropped: per-account records and the head pointer.
 func assertNoChainState(t *testing.T, kv store.KVStore) {
@@ -557,6 +444,19 @@ func assertNoChainState(t *testing.T, kv store.KVStore) {
 	}
 }
 
+// format2Store loads the whole store the format-2 commit wrote.
+func format2Store(t *testing.T) *store.Mem {
+	t.Helper()
+	kv := store.NewMem()
+	for _, line := range goldenLines(t, format2Dir, "store.golden") {
+		key, value := cutRecord(t, line)
+		if err := kv.Put([]byte(key), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return kv
+}
+
 // TestMigrateFormat2Store opens the whole store the format-2 commit
 // wrote for the format workload — binary records, plus a record per
 // account and a head pointer beside the chain's blocks — and requires:
@@ -564,13 +464,7 @@ func assertNoChainState(t *testing.T, kv store.KVStore) {
 // recovers to the deployment expect.json recorded; and a second open
 // writes nothing.
 func TestMigrateFormat2Store(t *testing.T) {
-	kv := store.NewMem()
-	for _, line := range goldenLines(t, formatDir, "store.golden") {
-		key, value := cutRecord(t, line)
-		if err := kv.Put([]byte(key), value); err != nil {
-			t.Fatal(err)
-		}
-	}
+	kv := format2Store(t)
 	counted := &countingKV{KVStore: kv}
 	for open := 1; open <= 2; open++ {
 		counted.commits = 0
@@ -578,7 +472,7 @@ func TestMigrateFormat2Store(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open %d of the format-2 store: %v", open, err)
 		}
-		assertExpect(t, formatDir, svc)
+		assertExpect(t, svc)
 		svc.Close()
 		if want := 2 - open; counted.commits != want {
 			t.Fatalf("open %d committed %d batches, want %d", open, counted.commits, want)
@@ -591,69 +485,85 @@ func TestMigrateFormat2Store(t *testing.T) {
 	}
 }
 
-// TestMigrationRefusesWhatItCannotRead: a legacy record that does not
-// decode — nested payments and secrets included — fails the open and
-// leaves the store exactly as it was. A legacy account record is the
-// exception: it is dropped unread, so a malformed one goes with the rest
-// and the store opens.
-func TestMigrationRefusesWhatItCannotRead(t *testing.T) {
-	// The legacy checkpoint with its first channel's last payment cut to
-	// one byte.
-	ckpt := string(readGolden(t, legacyFormatDir, "checkpoint.golden"))
-	at := strings.Index(ckpt, `"lastPayment":"`) + len(`"lastPayment":"`)
-	badPayment := ckpt[:at] + `00` + ckpt[at+strings.Index(ckpt[at:], `"`):]
-	for _, bad := range []struct {
-		key, value string
-		dropped    bool
-	}{
-		{"op/0000000000000003", `{"seq":3,"op":"openChannel","node":"car","peer":"0xzz"}`, false},
-		{"op/000000000000001d", `{"seq":29,"op":"routePayment","amount":250,"fee":10,"secret":"00","receiver":"lot",` +
-			`"steps":[{"node":"bike","channel":3},{"node":"car","channel":4}]}`, false},
-		{"ckpt/state", `{"seq":27,"height":6,"chainState":{"zz":{}}}`, false},
-		{"ckpt/state", badPayment, false},
-		{"chain/block/0000000000000002", `{"number":2,"hash":"0x12"}`, false},
-		{"chain/acct/0c4a8b51fe89b07f81f7396327dc56f9c5408ee7", `{"balance":"0g"}`, true},
-	} {
-		t.Run(bad.key, func(t *testing.T) {
-			legacy, _ := legacyStore(t)
-			if err := legacy.Put([]byte(bad.key), []byte(bad.value)); err != nil {
+// TestStoreFormatRefused: a store outside the window this build opens
+// (its own format and the one before it) fails the open with
+// ErrStoreFormat naming its format, and every key and value is left
+// exactly as it was.
+func TestStoreFormatRefused(t *testing.T) {
+	withMeta := func(meta string) func(t *testing.T) *store.Mem {
+		return func(t *testing.T) *store.Mem {
+			kv := format2Store(t)
+			if err := kv.Put([]byte("meta/service"), []byte(meta)); err != nil {
 				t.Fatal(err)
 			}
-			before := cloneStore(t, legacy)
-			svc, _, err := tinyevm.NewService("lot", formatOpts(legacy)...)
-			if bad.dropped {
-				if err != nil {
-					t.Fatalf("the store did not open: %v", err)
-				}
-				assertExpect(t, legacyFormatDir, svc)
-				svc.Close()
-				assertNoChainState(t, legacy)
-				return
+			return kv
+		}
+	}
+	const params = `{"provider":"lot","challengePeriod":4,"radioSeed":1,"radioLossRate":0,` +
+		`"providerFunds":100000000,"nodeFunds":100000000`
+	for _, tc := range []struct {
+		name   string
+		format int
+		build  func(t *testing.T) *store.Mem
+	}{
+		{"stampless meta", 0, withMeta(params + `}`)},
+		{"op record without meta", 0, func(t *testing.T) *store.Mem {
+			kv := store.NewMem()
+			key, value := cutRecord(t, goldenJournal(t)[0])
+			if err := kv.Put([]byte(key), value); err != nil {
+				t.Fatal(err)
 			}
+			return kv
+		}},
+		{"format 0", 0, withMeta(params + `,"format":0}`)},
+		{"format 4", 4, withMeta(params + `,"format":4}`)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			kv := tc.build(t)
+			before := cloneStore(t, kv)
+			svc, _, err := tinyevm.NewService("lot", formatOpts(kv)...)
 			if err == nil {
 				svc.Close()
 				t.Fatal("the store opened")
 			}
-			if !strings.Contains(err.Error(), strings.TrimPrefix(bad.key, "chain/")) {
-				t.Errorf("error does not name %s: %v", bad.key, err)
+			if !errors.Is(err, tinyevm.ErrStoreFormat) {
+				t.Fatalf("error is not ErrStoreFormat: %v", err)
 			}
-			if err := before.Iterate(nil, func(k, v []byte) error {
-				if now, _, _ := legacy.Get(k); !bytes.Equal(now, v) {
-					return fmt.Errorf("%s was rewritten by a failed migration", k)
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
+			if want := fmt.Sprintf("format %d", tc.format); !strings.Contains(err.Error(), want) {
+				t.Errorf("error does not name %s: %v", want, err)
 			}
+			assertSameStore(t, before, kv)
 		})
+	}
+}
+
+// assertSameStore requires got to hold exactly want's keys and values.
+func assertSameStore(t *testing.T, want, got *store.Mem) {
+	t.Helper()
+	n := 0
+	if err := want.Iterate(nil, func(k, v []byte) error {
+		n++
+		if now, ok, _ := got.Get(k); !ok || !bytes.Equal(now, v) {
+			return fmt.Errorf("%s was rewritten", k)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Iterate(nil, func(k, _ []byte) error {
+		n--
+		return nil
+	}); err != nil || n != 0 {
+		t.Fatalf("the store gained %d keys (%v)", -n, err)
 	}
 }
 
 // TestDiskFormatsAreBinary fails when a non-test file outside the
 // packages that speak JSON to the outside world (the RPC gateway, the
-// load harness, the commands, the disk backend's MANIFEST) and outside
-// the migrate files imports encoding/json, or when fields.go grows its
-// hex back: no JSON encoder for a disk record may exist.
+// load harness, the commands, the disk backend's MANIFEST) imports
+// encoding/json — except the one file that holds the JSON meta record —
+// or when fields.go grows its hex back: no JSON encoder for a disk
+// record may exist.
 func TestDiskFormatsAreBinary(t *testing.T) {
 	allowed := func(path string) bool {
 		for _, dir := range []string{"internal/rpc/", "internal/load/", "cmd/", "internal/store/disk/", "bench/", "examples/"} {
@@ -661,7 +571,7 @@ func TestDiskFormatsAreBinary(t *testing.T) {
 				return true
 			}
 		}
-		return filepath.Base(path) == "migrate.go"
+		return path == "migrate.go"
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

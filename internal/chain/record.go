@@ -20,8 +20,8 @@
 //
 // Ordering is part of the format: a state has exactly one encoding, so
 // records are deterministic without a sorting encoder and the replayed-
-// seal cross-check in persistSeal can compare bytes. Nothing here reads
-// or writes the JSON these records replaced; that lives in migrate.go.
+// seal cross-check in persistSeal can compare bytes. A store of the JSON
+// these records replaced is refused before the chain sees it.
 
 package chain
 

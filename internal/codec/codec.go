@@ -23,9 +23,10 @@ import (
 
 // DiskFormat is the first byte of every binary disk record. The records
 // it replaced were JSON objects, whose first byte is '{' (0x7b): no
-// version of this byte may ever take that value, so a legacy store is
-// recognisable from one record (see the migrate files) and a binary
-// decoder handed JSON refuses it at offset 0.
+// version of this byte may ever take that value, so a binary decoder
+// handed JSON refuses it at offset 0. Which store formats a build opens
+// is decided by the stamp in the service's meta record, never by
+// sniffing a record.
 const DiskFormat byte = 0x02
 
 // Writer appends fields to Buf.

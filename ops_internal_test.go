@@ -96,7 +96,7 @@ func TestOpTable(t *testing.T) {
 
 	// Every kind's record, as the format pin journals it, decodes and
 	// re-encodes to the same bytes.
-	golden, err := os.Open("testdata/format/v2/journal.golden")
+	golden, err := os.Open("testdata/format/journal.golden")
 	if err != nil {
 		t.Fatal(err)
 	}

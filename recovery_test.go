@@ -7,7 +7,6 @@ package tinyevm_test
 
 import (
 	"context"
-	"encoding/json"
 	"testing"
 
 	"tinyevm"
@@ -336,63 +335,50 @@ func TestServiceRecoveryRejectsForeignStore(t *testing.T) {
 }
 
 // TestServiceRecoveryKeepsItsFunds: the initial balances are deployment
-// parameters like the challenge period. A store from before they were
-// recorded was funded with the default of its day (100M / 100M) and must
-// still replay under today's larger default; a recorded store reopens
-// with its own funds when none are given and refuses different ones.
+// parameters like the challenge period. A store reopens with its own
+// funds when none are given — zero funds included, which the meta record
+// leaves out — and with the same funds spelled out, and refuses
+// different ones; a store created under the defaults records them.
 func TestServiceRecoveryKeepsItsFunds(t *testing.T) {
-	const legacy = 100_000_000
+	for _, tc := range []struct {
+		name  string
+		funds uint64
+	}{{"zero funds", 0}, {"explicit funds", 100_000_000}} {
+		t.Run(tc.name, func(t *testing.T) {
+			kv := store.NewMem()
+			created := tinyevm.WithFunds(tc.funds, tc.funds)
+			svc, lot, err := tinyevm.NewService("lot", recoveryOpts(tinyevm.WithStore(kv), created)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runRecoveryWorkload(t, svc, lot)
+			want := captureState(t, svc)
+			svc.Close()
+
+			for _, reopen := range [][]tinyevm.Option{{tinyevm.WithStore(kv)}, {tinyevm.WithStore(kv), created}} {
+				svc2, _, err := tinyevm.NewService("lot", recoveryOpts(reopen...)...)
+				if err != nil {
+					t.Fatalf("reopening with %d options: %v", len(reopen), err)
+				}
+				assertSameDeployment(t, want, captureState(t, svc2))
+				svc2.Close()
+			}
+			if _, _, err := tinyevm.NewService("lot", recoveryOpts(tinyevm.WithStore(kv), tinyevm.WithFunds(tc.funds+1, tc.funds))...); err == nil {
+				t.Fatal("different funds accepted")
+			}
+		})
+	}
+
+	// A store created under the defaults records them and reopens.
 	kv := store.NewMem()
-	svc, lot, err := tinyevm.NewService("lot", recoveryOpts(tinyevm.WithStore(kv), tinyevm.WithFunds(legacy, legacy))...)
+	svc, lot, err := tinyevm.NewService("lot", recoveryOpts(tinyevm.WithStore(kv))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runRecoveryWorkload(t, svc, lot)
 	want := captureState(t, svc)
 	svc.Close()
-
-	// Make it a store from before the record: strip the two fields.
-	meta, ok, err := kv.Get([]byte("meta/service"))
-	if err != nil || !ok {
-		t.Fatalf("meta record: %v %v", ok, err)
-	}
-	var fields map[string]any
-	if err := json.Unmarshal(meta, &fields); err != nil {
-		t.Fatal(err)
-	}
-	if fields["providerFunds"] != float64(legacy) || fields["nodeFunds"] != float64(legacy) {
-		t.Fatalf("funds not recorded: %s", meta)
-	}
-	delete(fields, "providerFunds")
-	delete(fields, "nodeFunds")
-	if meta, err = json.Marshal(fields); err != nil {
-		t.Fatal(err)
-	}
-	if err := kv.Put([]byte("meta/service"), meta); err != nil {
-		t.Fatal(err)
-	}
-
 	svc2, _, err := tinyevm.NewService("lot", recoveryOpts(tinyevm.WithStore(kv))...)
-	if err != nil {
-		t.Fatalf("legacy store under the current defaults: %v", err)
-	}
-	assertSameDeployment(t, want, captureState(t, svc2))
-	svc2.Close()
-
-	if _, _, err := tinyevm.NewService("lot", recoveryOpts(tinyevm.WithStore(kv), tinyevm.WithFunds(legacy+1, legacy))...); err == nil {
-		t.Fatal("different funds accepted")
-	}
-
-	// A store created under the defaults records them and reopens.
-	kv = store.NewMem()
-	svc, lot, err = tinyevm.NewService("lot", recoveryOpts(tinyevm.WithStore(kv))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runRecoveryWorkload(t, svc, lot)
-	want = captureState(t, svc)
-	svc.Close()
-	svc2, _, err = tinyevm.NewService("lot", recoveryOpts(tinyevm.WithStore(kv))...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,10 @@ import (
 var (
 	// ErrServiceClosed is returned by every operation after Close.
 	ErrServiceClosed = errors.New("tinyevm: service closed")
+	// ErrStoreFormat is returned by NewService for a store whose format
+	// this build does not open (only its own and the one before it);
+	// the store is left as it was.
+	ErrStoreFormat = errors.New("tinyevm: unsupported store format")
 	// ErrUnknownNode is returned when a node name is not registered.
 	ErrUnknownNode = errors.New("tinyevm: unknown node")
 	// ErrIncompleteClose is returned by Close when the counterparty did
@@ -254,8 +258,8 @@ func NewService(providerName string, opts ...Option) (*Service, *ServiceNode, er
 		used   bool
 	)
 	if kv != nil {
-		// Reading the meta is also what migrates a store written before
-		// the binary records, so it comes before every other read.
+		// Reading the meta is also what refuses or migrates a store of
+		// another format, so it comes before every other read.
 		var err error
 		if stored, used, err = storedMeta(kv); err != nil {
 			return fail(err)
