@@ -105,7 +105,7 @@ func TestClusterSmokeE2E(t *testing.T) {
 	// Mesh formed and heartbeat mining is replicating on every daemon.
 	waitCluster("cluster mesh and first blocks", func() bool {
 		for _, c := range clients {
-			st, err := c.NodeStatus(ctx)
+			st, err := gateway[rpc.NodeStatus](ctx, c, "tinyevm_nodeStatus", nil)
 			if err != nil || st.Peers < n-1 || st.Height < 2 || st.Role == "syncing" {
 				return false
 			}
@@ -138,7 +138,7 @@ func TestClusterSmokeE2E(t *testing.T) {
 
 	// SIGKILL one daemon mid-run; no shutdown path runs.
 	time.Sleep(1500 * time.Millisecond)
-	victimSt, err := clients[2].NodeStatus(ctx)
+	victimSt, err := gateway[rpc.NodeStatus](ctx, clients[2], "tinyevm_nodeStatus", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestClusterSmokeE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCluster("victim resynced past its pre-kill height", func() bool {
-		st, err := clients[2].NodeStatus(ctx)
+		st, err := gateway[rpc.NodeStatus](ctx, clients[2], "tinyevm_nodeStatus", nil)
 		return err == nil && st.Role != "syncing" && st.Height >= victimSt.Height
 	})
 
@@ -174,7 +174,7 @@ func TestClusterSmokeE2E(t *testing.T) {
 	waitCluster("all daemons above a common height", func() bool {
 		h = 0
 		for _, c := range clients {
-			st, err := c.NodeStatus(ctx)
+			st, err := gateway[rpc.NodeStatus](ctx, c, "tinyevm_nodeStatus", nil)
 			if err != nil || st.Height < 2 {
 				return false
 			}
@@ -185,12 +185,12 @@ func TestClusterSmokeE2E(t *testing.T) {
 		return h >= 2
 	})
 	h--
-	ref, err := clients[0].BlockHash(ctx, h)
+	ref, err := blockHash(ctx, clients[0], h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < n; i++ {
-		got, err := clients[i].BlockHash(ctx, h)
+		got, err := blockHash(ctx, clients[i], h)
 		if err != nil {
 			t.Fatalf("daemon %d blockHash(%d): %v", i, h, err)
 		}

@@ -56,7 +56,7 @@ func differentialWorkload() eval.EngineWorkloadParams {
 }
 
 func hashReceipts(receipts []*chain.Receipt) string {
-	h := keccak.New()
+	h := &keccak.Hasher{}
 	var buf [8]byte
 	for _, r := range receipts {
 		h.Write(r.TxHash[:])
@@ -129,7 +129,7 @@ func runCorpusFixture(t *testing.T) (results, state string) {
 	t.Helper()
 	contracts := corpus.Generate(corpus.DefaultParams(120))
 	dev := device.New("differential-golden")
-	h := keccak.New()
+	h := &keccak.Hasher{}
 	var buf [8]byte
 	for _, c := range contracts {
 		r := dev.Deploy(c.InitCode, 0)

@@ -32,7 +32,8 @@ func lossySystem(t *testing.T, loss float64) (*System, *Node, *Node) {
 func TestProtocolSurvivesLossyLink(t *testing.T) {
 	// 30% frame loss: TSCH retransmissions must carry the full channel
 	// lifecycle through.
-	sys, lot, car := lossySystem(t, 0.30)
+	_, lot, car := lossySystem(t, 0.30)
+	car.Dev.TraceEnabled, lot.Dev.TraceEnabled = true, true
 
 	cs, err := car.OpenChannel(lot.Address(), 10_000, 0)
 	if err != nil {
@@ -62,8 +63,14 @@ func TestProtocolSurvivesLossyLink(t *testing.T) {
 	if final.Cumulative != 500 {
 		t.Fatalf("cumulative %d", final.Cumulative)
 	}
-	// The loss process really fired.
-	if sys.Network.FramesLost() == 0 {
+	// The loss process really fired: a sender waited out a missing ACK.
+	acked := true
+	for _, n := range []*Node{car, lot} {
+		for _, s := range n.Dev.Trace.Samples() {
+			acked = acked && s.Label != "ack timeout"
+		}
+	}
+	if acked {
 		t.Fatal("no frames lost at 30% loss")
 	}
 	// Retransmissions cost real radio energy.

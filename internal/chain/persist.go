@@ -129,7 +129,7 @@ func (c *Chain) persistSeal(b *Block, receipts []*Receipt) {
 	}
 }
 
-// restoreBlocks loads blocks and receipts 1..upto from the attached
+// restoreBlocks loads blocks 1..upto from the attached
 // store, verifying parent links and recomputing every block hash. It
 // returns the state commitment recorded with block upto (zero when upto
 // is 0).
@@ -142,11 +142,8 @@ func (c *Chain) restoreBlocks(upto uint64) (commitment types.Hash, err error) {
 		if !ok {
 			return commitment, fmt.Errorf("chain: store missing block %d (want through %d)", n, upto)
 		}
-		var (
-			b        *Block
-			receipts []*Receipt
-		)
-		b, receipts, commitment, err = decodeBlock(data)
+		var b *Block
+		b, _, commitment, err = decodeBlock(data)
 		if err != nil {
 			return commitment, fmt.Errorf("chain: decoding block %d: %w", n, err)
 		}
@@ -160,9 +157,6 @@ func (c *Chain) restoreBlocks(upto uint64) (commitment types.Hash, err error) {
 			return commitment, fmt.Errorf("chain: block %d hash mismatch (stored %s, computed %s)", n, b.Hash, got)
 		}
 		c.blocks = append(c.blocks, b)
-		for _, r := range receipts {
-			c.receipts[r.TxHash] = r
-		}
 	}
 	return commitment, nil
 }

@@ -106,20 +106,6 @@ func TestChainPersistRestore(t *testing.T) {
 	if got, want := r.State().Digest(), c.State().Digest(); got != want {
 		t.Fatalf("state digest %s != %s", got, want)
 	}
-	for _, b := range c.blocks {
-		for _, txh := range b.TxHashes {
-			orig, _ := c.Receipt(txh)
-			got, ok := r.Receipt(txh)
-			if !ok {
-				t.Fatalf("receipt %s missing after restore", txh)
-			}
-			if got.Status != orig.Status || got.GasUsed != orig.GasUsed ||
-				got.ContractAddress != orig.ContractAddress || got.BlockNumber != orig.BlockNumber {
-				t.Fatalf("receipt %s diverged after restore", txh)
-			}
-		}
-	}
-
 	// The restored chain keeps persisting: seal one more block on it
 	// and restore again.
 	key := fundedKey(r, "persist-bob")

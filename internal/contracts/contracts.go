@@ -17,7 +17,6 @@ import (
 
 	"tinyevm/internal/asm"
 	"tinyevm/internal/keccak"
-	"tinyevm/internal/secp256k1"
 	"tinyevm/internal/types"
 	"tinyevm/internal/uint256"
 )
@@ -556,31 +555,9 @@ func CreateChannelCalldata(sensorParam uint64) []byte {
 	return Calldata(SigCreateChannel, uintWord(sensorParam))
 }
 
-// ChannelAtCalldata builds calldata for channelAt(index).
-func ChannelAtCalldata(index uint64) []byte {
-	return Calldata(SigChannelAt, uintWord(index))
-}
-
 // RegisterCalldata builds calldata for register(seq, cumulative).
 func RegisterCalldata(seq, cumulative uint64) []byte {
 	return Calldata(SigRegister, uintWord(seq), uintWord(cumulative))
-}
-
-// PaymentDigest is the message a payment signature covers:
-// keccak256(channelAddress_word . amount_word). The contract's close()
-// recomputes exactly this.
-func PaymentDigest(channel types.Address, amount uint64) types.Hash {
-	return types.HashConcat(addrWord(channel), uintWord(amount))
-}
-
-// CloseCalldata builds calldata for close(amount, r, s, v) from a
-// serialized 65-byte signature.
-func CloseCalldata(amount uint64, sig *secp256k1.Signature) []byte {
-	raw := sig.Serialize()
-	r := raw[0:32]
-	s := raw[32:64]
-	v := []byte{raw[64]}
-	return Calldata(SigClose, uintWord(amount), r, s, v)
 }
 
 // WordToAddress extracts an address from a 32-byte return word.

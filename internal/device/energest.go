@@ -83,29 +83,10 @@ func (e *Energest) Record(s PowerState, d time.Duration) {
 // Elapsed returns the accumulated time in state s.
 func (e *Energest) Elapsed(s PowerState) time.Duration { return e.elapsed[s] }
 
-// Total returns the sum over all states.
-func (e *Energest) Total() time.Duration {
-	var t time.Duration
-	for i := PowerState(0); i < numStates; i++ {
-		t += e.elapsed[i]
-	}
-	return t
-}
-
 // Reset clears all accumulators.
 func (e *Energest) Reset() {
 	e.elapsed = [numStates]time.Duration{}
 	e.residual = [numStates]time.Duration{}
-}
-
-// Snapshot returns a copy of the accumulators for differential
-// measurements around one operation.
-func (e *Energest) Snapshot() [5]time.Duration {
-	var out [5]time.Duration
-	for i := PowerState(0); i < numStates; i++ {
-		out[i] = e.elapsed[i]
-	}
-	return out
 }
 
 // PowerModel holds per-state current draw and the supply voltage. The
@@ -220,14 +201,3 @@ func (t *Trace) Samples() []CurrentSample {
 
 // Reset clears the trace.
 func (t *Trace) Reset() { t.samples = nil }
-
-// Duration returns the end time of the last span.
-func (t *Trace) Duration() time.Duration {
-	var end time.Duration
-	for _, s := range t.samples {
-		if e := s.Start + s.Duration; e > end {
-			end = e
-		}
-	}
-	return end
-}

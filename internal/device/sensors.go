@@ -45,19 +45,13 @@ type SensorFunc func(param uint64) (uint64, error)
 type Sensors struct {
 	mu       sync.Mutex
 	handlers map[uint64]SensorFunc
-	// reads counts opcode-driven accesses per id, for test assertions
-	// and the evaluation harness.
-	reads map[uint64]uint64
 }
 
 var _ evm.SensorBus = (*Sensors)(nil)
 
 // NewSensors returns an empty bus.
 func NewSensors() *Sensors {
-	return &Sensors{
-		handlers: make(map[uint64]SensorFunc),
-		reads:    make(map[uint64]uint64),
-	}
+	return &Sensors{handlers: make(map[uint64]SensorFunc)}
 }
 
 // Register installs a handler for the given id, replacing any previous
@@ -77,19 +71,9 @@ func (s *Sensors) RegisterValue(id uint64, value uint64) {
 func (s *Sensors) Sense(id, param uint64) (uint64, error) {
 	s.mu.Lock()
 	fn, ok := s.handlers[id]
-	if ok {
-		s.reads[id]++
-	}
 	s.mu.Unlock()
 	if !ok {
 		return 0, fmt.Errorf("%w: 0x%x", ErrUnknownSensor, id)
 	}
 	return fn(param)
-}
-
-// Reads returns how many times id was accessed through the bus.
-func (s *Sensors) Reads(id uint64) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reads[id]
 }

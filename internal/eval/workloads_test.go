@@ -87,7 +87,7 @@ func TestERC20InsufficientReverts(t *testing.T) {
 	rich := workloadAccounts("workload-erc20", 1)[0]
 	token := built.Batch[0].To
 	data := CallData(Selector("transfer(address,uint256)"),
-		word(rich.PublicKey.Address().Bytes()), uintWord(999))
+		addrWord(rich.PublicKey.Address()), uintWord(999))
 	tx := chain.NewTx(0, token, 0, data)
 	if err := tx.Sign(pauper); err != nil {
 		t.Fatal(err)

@@ -64,13 +64,6 @@ type ExecResult struct {
 	gasRemaining uint64
 }
 
-// Reverted reports whether execution ended in REVERT (state rolled back,
-// return data available).
-func (r *ExecResult) Reverted() bool { return r.Err == ErrRevert }
-
-// Failed reports whether execution failed for any reason.
-func (r *ExecResult) Failed() bool { return r.Err != nil }
-
 // frame is one execution frame (one contract activation). Frames and
 // their stacks and memories are pooled: release returns them for reuse
 // after the frame's observable results have been copied out.

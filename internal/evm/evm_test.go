@@ -110,7 +110,7 @@ func TestStackOrderConvention(t *testing.T) {
 	var want uint256.Int
 	want.Sub(uint256.NewInt(3), uint256.NewInt(10))
 	if !got.Eq(&want) {
-		t.Fatalf("SUB order wrong: got %s", got.Hex())
+		t.Fatalf("SUB order wrong: got %s", hexOf(got))
 	}
 }
 
@@ -127,7 +127,7 @@ func TestSignedOpcodes(t *testing.T) {
 	var want uint256.Int
 	want.SDiv(new(uint256.Int).Neg(uint256.NewInt(8)), uint256.NewInt(3))
 	if !got.Eq(&want) {
-		t.Fatalf("SDIV: got %s want %s", got.Hex(), want.Hex())
+		t.Fatalf("SDIV: got %s want %s", hexOf(got), hexOf(&want))
 	}
 }
 
@@ -151,7 +151,7 @@ func TestMemoryOpcodes(t *testing.T) {
 		MLOAD
 	`+returnTop)
 	if got := retWord(t, res); got.Uint64() != 0xab {
-		t.Fatalf("MSTORE8 got %s", got.Hex())
+		t.Fatalf("MSTORE8 got %s", hexOf(got))
 	}
 
 	res = runTiny(t, `
@@ -363,7 +363,7 @@ func TestKeccakOpcode(t *testing.T) {
 	var w uint256.Int
 	w.SetBytes(want[:])
 	if !got.Eq(&w) {
-		t.Fatalf("KECCAK256 got %s want %s", got.Hex(), w.Hex())
+		t.Fatalf("KECCAK256 got %s want %s", hexOf(got), hexOf(&w))
 	}
 }
 
@@ -408,7 +408,7 @@ func TestCallDataOpcodes(t *testing.T) {
 	input[31] = 0x99
 	res := vm.Call(callerAddr, contractAddr, input, uint256.NewInt(0), 0)
 	if got := retWord(t, res); got.Uint64() != 0x99 {
-		t.Fatalf("CALLDATALOAD got %s", got.Hex())
+		t.Fatalf("CALLDATALOAD got %s", hexOf(got))
 	}
 
 	vm = testVM(t, evm.TinyConfig(), "CALLDATASIZE"+returnTop)
@@ -427,7 +427,7 @@ func TestCallDataOpcodes(t *testing.T) {
 	`+returnTop)
 	res = vm.Call(callerAddr, contractAddr, input, uint256.NewInt(0), 0)
 	if got := retWord(t, res); got.Uint64() != 0x99 {
-		t.Fatalf("CALLDATACOPY got %s", got.Hex())
+		t.Fatalf("CALLDATACOPY got %s", hexOf(got))
 	}
 }
 
@@ -512,7 +512,7 @@ func TestRevert(t *testing.T) {
 		PUSH1 0x00
 		REVERT
 	`)
-	if !res.Reverted() {
+	if res.Err != evm.ErrRevert {
 		t.Fatalf("got %v, want revert", res.Err)
 	}
 	if len(res.ReturnData) != 32 || res.ReturnData[31] != 0x2a {
@@ -530,7 +530,7 @@ func TestRevertRollsBackState(t *testing.T) {
 		REVERT
 	`)
 	res := vm.Call(callerAddr, contractAddr, nil, uint256.NewInt(0), 0)
-	if !res.Reverted() {
+	if res.Err != evm.ErrRevert {
 		t.Fatalf("want revert, got %v", res.Err)
 	}
 	v := vm.State.GetState(contractAddr, uint256.NewInt(0))
@@ -943,7 +943,7 @@ func TestSignExtendOpcode(t *testing.T) {
 	`+returnTop)
 	got := retWord(t, res)
 	if !got.Eq(new(uint256.Int).SetAllOnes()) {
-		t.Fatalf("SIGNEXTEND got %s", got.Hex())
+		t.Fatalf("SIGNEXTEND got %s", hexOf(got))
 	}
 }
 
@@ -1204,7 +1204,7 @@ func TestBinopShapes(t *testing.T) {
 					state := evm.NewMemState()
 					state.SetCode(contractAddr, code)
 					res := evm.New(cfg, state).Call(callerAddr, contractAddr, nil, uint256.NewInt(0), 1_000_000)
-					if got := retWord(t, res).Hex(); got != tc.want[i] {
+					if got := hexOf(retWord(t, res)); got != tc.want[i] {
 						t.Errorf("shape %d (%s mode): got %s, want %s", i, cfg.Mode, got, tc.want[i])
 					}
 				}
@@ -1240,3 +1240,6 @@ func BenchmarkInterpreterArithLoop(b *testing.B) {
 		}
 	}
 }
+
+// hexOf is z in minimal 0x-prefixed hex.
+func hexOf(z *uint256.Int) string { return "0x" + z.ToBig().Text(16) }

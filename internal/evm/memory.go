@@ -19,11 +19,6 @@ type Memory struct {
 	peak uint64
 }
 
-// NewMemory returns a memory with the given hard cap (0 = unlimited).
-func NewMemory(cap uint64) *Memory {
-	return &Memory{cap: cap}
-}
-
 // memoryPool recycles memories across frame executions. Released
 // memories are zeroed up to their previous length (see release), so
 // Expand can reuse retained capacity without exposing stale bytes.

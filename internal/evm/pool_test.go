@@ -84,7 +84,7 @@ func TestPooledMemoryReleaseLeakProof(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !w.IsZero() {
-		t.Fatalf("reused memory leaked %s", w.Hex())
+		t.Fatalf("reused memory leaked %s", &w)
 	}
 	m2.release()
 }

@@ -16,11 +16,6 @@ type Stack struct {
 	maxDepth int
 }
 
-// NewStack returns a stack bounded to limit words.
-func NewStack(limit int) *Stack {
-	return &Stack{data: make([]uint256.Int, 0, min(limit, 64)), limit: limit}
-}
-
 // stackPool recycles stacks across frame executions. Stacks are
 // released with their used words zeroed (see release), so a pooled
 // stack is indistinguishable from a fresh one.
@@ -56,9 +51,6 @@ func (s *Stack) Len() int { return len(s.data) }
 
 // MaxDepth returns the high-water mark of the stack depth.
 func (s *Stack) MaxDepth() int { return s.maxDepth }
-
-// Limit returns the configured depth limit.
-func (s *Stack) Limit() int { return s.limit }
 
 // Push appends v to the stack, copying the value.
 func (s *Stack) Push(v *uint256.Int) error {
@@ -125,11 +117,4 @@ func (s *Stack) Swap(n int) error {
 	top := len(s.data) - 1
 	s.data[top], s.data[top-n] = s.data[top-n], s.data[top]
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -116,8 +116,8 @@ func keccakF1600(a *[25]uint64) {
 // Hasher is a streaming Keccak-256 hasher implementing hash.Hash. The
 // zero value is ready to use — Sum256/Sum256Concat and the digest
 // functions of the payment path rely on that to keep the sponge on the
-// caller's stack (var h Hasher; h.Write(...); h.Digest()) — and New
-// exists only for callers that need a hash.Hash.
+// caller's stack (var h Hasher; h.Write(...); h.Digest()), and
+// &Hasher{} is a hash.Hash.
 type Hasher struct {
 	state  [25]uint64
 	buf    [rate256]byte
@@ -125,11 +125,6 @@ type Hasher struct {
 }
 
 var _ hash.Hash = (*Hasher)(nil)
-
-// New returns a new Keccak-256 hasher.
-func New() *Hasher {
-	return &Hasher{}
-}
 
 // Write absorbs more data into the sponge. It never returns an error.
 func (h *Hasher) Write(p []byte) (int, error) {

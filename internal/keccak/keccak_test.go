@@ -47,7 +47,7 @@ func TestStreamingMatchesOneShot(t *testing.T) {
 		r.Read(data)
 		want := Sum256(data)
 
-		h := New()
+		h := &Hasher{}
 		// Write in random-sized chunks.
 		rest := data
 		for len(rest) > 0 {
@@ -63,7 +63,7 @@ func TestStreamingMatchesOneShot(t *testing.T) {
 }
 
 func TestSumDoesNotMutateState(t *testing.T) {
-	h := New()
+	h := &Hasher{}
 	h.Write([]byte("partial"))
 	first := h.Sum(nil)
 	second := h.Sum(nil)
@@ -78,7 +78,7 @@ func TestSumDoesNotMutateState(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	h := New()
+	h := &Hasher{}
 	h.Write([]byte("garbage"))
 	h.Reset()
 	h.Write([]byte("abc"))
@@ -89,7 +89,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestInterfaceSizes(t *testing.T) {
-	h := New()
+	h := &Hasher{}
 	if h.Size() != 32 {
 		t.Fatalf("Size = %d, want 32", h.Size())
 	}
@@ -114,7 +114,7 @@ func TestBlockBoundaries(t *testing.T) {
 	for _, n := range []int{0, 1, 134, 135, 136, 137, 271, 272, 273, 500} {
 		data := bytes.Repeat([]byte{0xa5}, n)
 		oneShot := Sum256(data)
-		h := New()
+		h := &Hasher{}
 		for _, c := range data {
 			h.Write([]byte{c})
 		}

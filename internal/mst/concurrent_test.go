@@ -22,8 +22,8 @@ func leafSet(gen, n int) []Leaf {
 }
 
 // TestTreeConcurrentReaders hammers one immutable tree from many
-// goroutines: Root, Len, Leaf, Prove, Verify and AuditSum must all be
-// safe to call concurrently (run under -race).
+// goroutines: Root, Len, Leaf, Prove and Verify must all be safe to
+// call concurrently (run under -race).
 func TestTreeConcurrentReaders(t *testing.T) {
 	const n = 64
 	tree, err := New(leafSet(1, n))
@@ -55,10 +55,6 @@ func TestTreeConcurrentReaders(t *testing.T) {
 				}
 				if err := Verify(root, leaf, proof); err != nil {
 					t.Error(err)
-					return
-				}
-				if !tree.AuditSum(root.Sum) {
-					t.Error("audit sum failed")
 					return
 				}
 			}

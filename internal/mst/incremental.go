@@ -63,7 +63,6 @@ type mapNode struct {
 	// hash and subSum authenticate the whole subtree rooted here.
 	hash   types.Hash
 	subSum uint64
-	size   int
 }
 
 // NewMap returns an empty map. Its root is the zero Root.
@@ -111,13 +110,6 @@ func recompute(n *mapNode) {
 	rh, rs := childDigest(n.right)
 	n.hash = hashMapNode(n.key, n.valHash, n.sum, lh, ls, rh, rs)
 	n.subSum = n.sum + ls + rs // wrapping by design
-	n.size = 1
-	if n.left != nil {
-		n.size += n.left.size
-	}
-	if n.right != nil {
-		n.size += n.right.size
-	}
 }
 
 func rotateRight(n *mapNode) *mapNode {
@@ -209,14 +201,6 @@ func mapMerge(a, b *mapNode) *mapNode {
 	b.left = mapMerge(a, b.left)
 	recompute(b)
 	return b
-}
-
-// Len returns the number of keys in the map.
-func (m *Map) Len() int {
-	if m.root == nil {
-		return 0
-	}
-	return m.root.size
 }
 
 // Root returns the authenticated digest of the map. The empty map's

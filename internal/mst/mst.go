@@ -4,16 +4,14 @@
 //
 // Every node carries both a hash and a sum. A parent's sum is the sum of
 // its children's sums, so the root simultaneously authenticates the set
-// of committed states and the total amount of money they claim. An
-// inclusion proof therefore lets the contract check both that a state is
-// committed and that the total claimed payments stay within the locked
-// deposit — the paper's "sum audit" condition.
+// of committed states and the total amount of money they claim, which
+// the contract holds within the locked deposit — the paper's "sum
+// audit" condition.
 package mst
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"tinyevm/internal/types"
 )
@@ -28,26 +26,6 @@ type Leaf struct {
 	Sum uint64
 }
 
-// Proof is an inclusion proof for one leaf. Each step carries the sibling
-// hash and sibling sum, plus the side the sibling is on.
-type Proof struct {
-	// LeafIndex is the index of the proven leaf in the original leaf
-	// slice.
-	LeafIndex int
-	// Steps are ordered bottom-up.
-	Steps []ProofStep
-}
-
-// ProofStep is one level of a Merkle-sum inclusion proof.
-type ProofStep struct {
-	// SiblingHash is the hash of the sibling subtree.
-	SiblingHash types.Hash
-	// SiblingSum is the sum of the sibling subtree.
-	SiblingSum uint64
-	// Right reports whether the sibling is on the right of the path node.
-	Right bool
-}
-
 // Root is the authenticated digest of a Merkle-sum tree.
 type Root struct {
 	// Hash authenticates the full leaf set.
@@ -59,7 +37,6 @@ type Root struct {
 // Errors returned by tree operations.
 var (
 	ErrEmptyTree    = errors.New("mst: tree has no leaves")
-	ErrIndexRange   = errors.New("mst: leaf index out of range")
 	ErrSumOverflow  = errors.New("mst: sum overflow")
 	ErrProofInvalid = errors.New("mst: proof does not verify")
 )
@@ -149,74 +126,4 @@ func New(leaves []Leaf) (*Tree, error) {
 func (t *Tree) Root() Root {
 	top := t.levels[len(t.levels)-1][0]
 	return Root{Hash: top.hash, Sum: top.sum}
-}
-
-// Len returns the number of leaves.
-func (t *Tree) Len() int { return len(t.leaves) }
-
-// Leaf returns the i-th leaf.
-func (t *Tree) Leaf(i int) (Leaf, error) {
-	if i < 0 || i >= len(t.leaves) {
-		return Leaf{}, fmt.Errorf("%w: %d of %d", ErrIndexRange, i, len(t.leaves))
-	}
-	return t.leaves[i], nil
-}
-
-// Prove produces an inclusion proof for the i-th leaf.
-func (t *Tree) Prove(i int) (*Proof, error) {
-	if i < 0 || i >= len(t.leaves) {
-		return nil, fmt.Errorf("%w: %d of %d", ErrIndexRange, i, len(t.leaves))
-	}
-	proof := &Proof{LeafIndex: i}
-	idx := i
-	for lvl := 0; lvl < len(t.levels)-1; lvl++ {
-		level := t.levels[lvl]
-		sibling := idx ^ 1
-		if sibling < len(level) {
-			proof.Steps = append(proof.Steps, ProofStep{
-				SiblingHash: level[sibling].hash,
-				SiblingSum:  level[sibling].sum,
-				Right:       sibling > idx,
-			})
-		}
-		// When sibling >= len(level) the node was promoted unchanged and
-		// no step is emitted for this level.
-		idx /= 2
-	}
-	return proof, nil
-}
-
-// Verify checks an inclusion proof against a root. It returns nil when
-// the leaf is proven to be part of the committed set AND the root sum
-// matches the recomputed sum — the combined hash/sum validation condition
-// from the paper.
-func Verify(root Root, leaf Leaf, proof *Proof) error {
-	cur := node{hash: hashLeaf(leaf), sum: leaf.Sum}
-	for _, step := range proof.Steps {
-		sib := node{hash: step.SiblingHash, sum: step.SiblingSum}
-		sum := cur.sum + sib.sum
-		if sum < cur.sum {
-			return ErrSumOverflow
-		}
-		if step.Right {
-			cur = node{hash: hashInterior(cur, sib), sum: sum}
-		} else {
-			cur = node{hash: hashInterior(sib, cur), sum: sum}
-		}
-	}
-	if cur.hash != root.Hash {
-		return fmt.Errorf("%w: hash mismatch", ErrProofInvalid)
-	}
-	if cur.sum != root.Sum {
-		return fmt.Errorf("%w: sum mismatch (%d != %d)", ErrProofInvalid, cur.sum, root.Sum)
-	}
-	return nil
-}
-
-// AuditSum reports whether the tree's total committed value stays within
-// the given limit (the deposit locked on-chain). This is the condition
-// that makes over-claiming detectable: "if it exceeds the allowed range,
-// the payment is invalid".
-func (t *Tree) AuditSum(limit uint64) bool {
-	return t.Root().Sum <= limit
 }

@@ -171,22 +171,6 @@ func TestProveRange(t *testing.T) {
 	}
 }
 
-func TestAuditSum(t *testing.T) {
-	tree, err := New(mkLeaves(10, 20, 30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tree.AuditSum(60) {
-		t.Fatal("audit failed at exact limit")
-	}
-	if !tree.AuditSum(100) {
-		t.Fatal("audit failed below limit")
-	}
-	if tree.AuditSum(59) {
-		t.Fatal("audit passed above limit — overspend undetected")
-	}
-}
-
 func TestRootChangesWithAnyLeaf(t *testing.T) {
 	base := mkLeaves(5, 6, 7, 8, 9)
 	tree, err := New(base)

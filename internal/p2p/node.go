@@ -188,14 +188,6 @@ func (n *Node) markSeen(h types.Hash) bool {
 	return true
 }
 
-// BroadcastTx gossips a locally submitted transaction to every peer.
-func (n *Node) BroadcastTx(tx *chain.Transaction) {
-	if !n.markSeen(tx.Hash()) {
-		return
-	}
-	n.relay(Encode(&TxMsg{Tx: tx}), nil)
-}
-
 // BroadcastBlock gossips a locally sealed block to every peer.
 func (n *Node) BroadcastBlock(b *BlockMsg) {
 	n.markSeen(b.Header.Hash)

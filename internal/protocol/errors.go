@@ -96,6 +96,10 @@ func (e *ChannelError) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *ChannelError) Unwrap() error { return e.Err }
 
+// errors.Is and errors.As reach Unwrap through this interface: the RPC
+// gateway maps a wrapped sentinel to its error kind that way.
+var _ interface{ Unwrap() error } = (*ChannelError)(nil)
+
 // chanErr wraps err with channel context, passing nil through.
 func chanErr(op string, channel uint64, err error) error {
 	if err == nil {

@@ -7,7 +7,6 @@ import (
 
 	"tinyevm/internal/codec"
 	"tinyevm/internal/contracts"
-	"tinyevm/internal/keccak"
 	"tinyevm/internal/types"
 )
 
@@ -304,10 +303,4 @@ func DecodeHTLCClaim(buf []byte) (*HTLCClaim, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// PreimageHash returns the hash lock of a preimage (keccak-256); the
-// on-chain template uses it when validating hash-locked commits.
-func PreimageHash(preimage Secret) types.Hash {
-	return types.Hash(keccak.Sum256(preimage[:]))
 }

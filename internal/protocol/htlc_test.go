@@ -260,6 +260,17 @@ func TestClosedChannelNeverAdvances(t *testing.T) {
 			_, acceptErr := f.car.AcceptClaim()
 			return []error{claimErr, acceptErr}
 		}},
+		{"close request after a one-sided reopen", func(t *testing.T, f *routeFixture, _ Secret) []error {
+			closeChannel(t, f)
+			if err := f.car.Reopen(f.carHubID); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.car.CloseChannel(f.carHubID); err != nil {
+				t.Fatal(err)
+			}
+			_, err := f.hub.AcceptClose()
+			return []error{err}
+		}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -635,6 +635,9 @@ func (p *Party) acceptClose(fs *FinalState) (*ChannelState, error) {
 	if !ok {
 		return nil, chanErr("accept close", fs.ChannelID, ErrUnknownChannel)
 	}
+	if cs.Closed() {
+		return nil, chanErr("accept close", cs.ID, ErrChannelClosed)
+	}
 	if fs.Cumulative != cs.Cumulative {
 		return nil, chanErrf("accept close", cs.ID, "%w: final %d != local %d",
 			ErrDecreasingCumulative, fs.Cumulative, cs.Cumulative)
@@ -726,8 +729,9 @@ func (p *Party) Reopen(channelID uint64) error {
 
 // TxSender is the slice of main-chain behaviour the party's phase-3
 // operations need: nonce lookup and submit-and-mine. *chain.Chain
-// satisfies it directly (serial block production); the service layer
-// substitutes a parallel-engine-backed producer.
+// satisfies it directly (serial block production); a clustered service
+// substitutes clusterTxSender, which seals only on the consensus
+// schedule.
 type TxSender interface {
 	NonceOf(types.Address) uint64
 	SendTransaction(*chain.Transaction) (*chain.Receipt, error)

@@ -166,8 +166,8 @@ func TestSideChainLinksAndVerify(t *testing.T) {
 	if err := sc.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if sc.Len() != 4 {
-		t.Fatalf("len %d", sc.Len())
+	if len(sc.entries) != 4 {
+		t.Fatalf("len %d", len(sc.entries))
 	}
 	var maxSeq uint64
 	var paid []uint64

@@ -185,40 +185,3 @@ func PaymentLatency(s *Scenario, channelID, amount uint64) (time.Duration, error
 	}
 	return end - start, nil
 }
-
-// SettleScenario drives phase 3 on-chain: the lot commits the final
-// state, the car exits, blocks pass the challenge window, and the
-// template settles. It returns the settlement receipt.
-func SettleScenario(s *Scenario, fs *FinalState) (*chain.Receipt, error) {
-	if _, err := s.Lot.CommitOnChain(s.Chain, fs); err != nil {
-		return nil, fmt.Errorf("commit: %w", err)
-	}
-	if _, err := s.Car.ExitOnChain(s.Chain); err != nil {
-		return nil, fmt.Errorf("exit: %w", err)
-	}
-	// Let the challenge period lapse.
-	exitReq, _ := s.Template.Exit()
-	for s.Chain.Head().Number <= exitReq.Deadline {
-		s.Chain.MineBlock()
-	}
-	r, err := s.Lot.SettleOnChain(s.Chain)
-	if err != nil {
-		return nil, fmt.Errorf("settle: %w", err)
-	}
-	if !r.Status {
-		return r, fmt.Errorf("settle failed: %w", r.Err)
-	}
-	return r, nil
-}
-
-// FundDeposit performs the car's on-chain deposit (phase 1).
-func FundDeposit(s *Scenario, amount uint64) error {
-	r, err := s.Car.DepositOnChain(s.Chain, amount)
-	if err != nil {
-		return err
-	}
-	if !r.Status {
-		return fmt.Errorf("deposit failed: %w", r.Err)
-	}
-	return nil
-}

@@ -99,17 +99,6 @@ func (s *SideChain) Append(kind byte, channelID, seq, amount uint64) LogEntry {
 	return e
 }
 
-// Len returns the number of entries.
-func (s *SideChain) Len() int { return len(s.entries) }
-
-// Head returns the hash of the latest entry (or the anchor when empty).
-func (s *SideChain) Head() types.Hash {
-	if len(s.entries) == 0 {
-		return s.anchor
-	}
-	return s.entries[len(s.entries)-1].Hash
-}
-
 // Entries returns a copy of the log.
 func (s *SideChain) Entries() []LogEntry {
 	out := make([]LogEntry, len(s.entries))

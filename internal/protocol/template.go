@@ -295,12 +295,6 @@ func (t *Template) commitKeys() []commitKey {
 	return keys
 }
 
-// CommittedBy returns the latest accepted state for a sender's channel.
-func (t *Template) CommittedBy(sender types.Address, channelID uint64) (*Commit, bool) {
-	cm, ok := t.committed[commitKey{Sender: sender, ID: channelID}]
-	return cm, ok
-}
-
 // Root builds the current Merkle-sum tree over all committed states:
 // "The on-chain smart contract uses a Merkle-Sum-Tree, which has the sum
 // of the payments and the hash value."

@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"tinyevm/internal/device"
@@ -81,21 +80,16 @@ type Message struct {
 }
 
 // Network is a single TSCH broadcast domain joining two or more nodes.
-// Frame counters are atomic: disjoint node pairs may transmit
-// concurrently under the service's sharded hot path, and the shared
-// network object must not be the thing that races. For the same reason
-// the loss process keeps no network-wide state: whether a frame is lost
-// is a pure function of the seed, the sender and how many frames that
-// sender has drawn for (Endpoint.lost), so it does not depend on how
-// transmissions of different senders interleave.
+// Disjoint node pairs may transmit concurrently under the service's
+// sharded hot path, so the shared network object holds no mutable
+// transmit state. The loss process keeps none either: whether a frame
+// is lost is a pure function of the seed, the sender and how many
+// frames that sender has drawn for (Endpoint.lost), so it does not
+// depend on how transmissions of different senders interleave.
 type Network struct {
 	cfg   Config
 	seed  uint64
 	nodes map[types.Address]*Endpoint
-
-	// stats
-	framesSent atomic.Uint64
-	framesLost atomic.Uint64
 }
 
 // NewNetwork creates a network with the given config; seed fixes the loss
@@ -108,12 +102,6 @@ func NewNetwork(cfg Config, seed int64) *Network {
 	}
 }
 
-// FramesSent returns the total frames transmitted (including retries).
-func (n *Network) FramesSent() uint64 { return n.framesSent.Load() }
-
-// FramesLost returns the number of frames the loss process dropped.
-func (n *Network) FramesLost() uint64 { return n.framesLost.Load() }
-
 // Endpoint is one device's attachment to the network.
 type Endpoint struct {
 	net   *Network
@@ -121,8 +109,6 @@ type Endpoint struct {
 	inbox []Message
 	// txSlot is the node's dedicated transmit cell in the slotframe.
 	txSlot int
-	// associated reports whether the node has joined the schedule.
-	associated bool
 	// lossDraws counts the frames this node has sent under a non-zero
 	// LossRate — its position in its own loss stream.
 	lossDraws uint64
@@ -131,33 +117,16 @@ type Endpoint struct {
 // Join attaches a device to the network and assigns it a transmit cell.
 func (n *Network) Join(dev *device.Device) *Endpoint {
 	ep := &Endpoint{
-		net:        n,
-		dev:        dev,
-		txSlot:     len(n.nodes) % n.cfg.SlotframeLength,
-		associated: true,
+		net:    n,
+		dev:    dev,
+		txSlot: len(n.nodes) % n.cfg.SlotframeLength,
 	}
 	n.nodes[dev.Address()] = ep
 	return ep
 }
 
-// Device returns the endpoint's device.
-func (ep *Endpoint) Device() *device.Device { return ep.dev }
-
 // Address returns the endpoint's device address.
 func (ep *Endpoint) Address() types.Address { return ep.dev.Address() }
-
-// Associate models TSCH joining: the node listens for an enhanced beacon
-// (charged as RX) and aligns its schedule. The paper reports results
-// after discovery ("Node discovery happens quickly, and the energy
-// consumption is insignificant"); callers normally invoke this once
-// before the measured window.
-func (ep *Endpoint) Associate(scan time.Duration) {
-	if scan <= 0 {
-		scan = 2 * ep.net.cfg.SlotDuration
-	}
-	ep.dev.SpendRX(scan, "TSCH beacon scan")
-	ep.associated = true
-}
 
 // nextTxCell returns the start of the node's next transmit cell at or
 // after t.
@@ -240,9 +209,7 @@ func (ep *Endpoint) sendFrame(dst *Endpoint, chunk int) error {
 		ep.dev.SpendTX(air, "frame tx")
 		dst.dev.SpendRX(air, "frame rx")
 
-		ep.net.framesSent.Add(1)
 		if ep.lost() {
-			ep.net.framesLost.Add(1)
 			// Sender listens for the ACK that never comes.
 			ep.dev.SpendRX(cfg.RxGuard+ackAir, "ack timeout")
 			continue

@@ -72,20 +72,20 @@ func TestEnergyAccounting(t *testing.T) {
 	}
 	// Sender: TX for frames, RX for acks. Receiver: RX for guard+frames,
 	// TX for acks.
-	if a.Device().Energest.Elapsed(device.StateTX) == 0 {
+	if a.dev.Energest.Elapsed(device.StateTX) == 0 {
 		t.Fatal("sender TX not charged")
 	}
-	if a.Device().Energest.Elapsed(device.StateRX) == 0 {
+	if a.dev.Energest.Elapsed(device.StateRX) == 0 {
 		t.Fatal("sender ack RX not charged")
 	}
-	if b.Device().Energest.Elapsed(device.StateRX) == 0 {
+	if b.dev.Energest.Elapsed(device.StateRX) == 0 {
 		t.Fatal("receiver RX not charged")
 	}
-	if b.Device().Energest.Elapsed(device.StateTX) == 0 {
+	if b.dev.Energest.Elapsed(device.StateTX) == 0 {
 		t.Fatal("receiver ack TX not charged")
 	}
 	// Receiver listens longer than the sender transmits (guard windows).
-	if b.Device().Energest.Elapsed(device.StateRX) <= a.Device().Energest.Elapsed(device.StateTX) {
+	if b.dev.Energest.Elapsed(device.StateRX) <= a.dev.Energest.Elapsed(device.StateTX) {
 		t.Fatal("RX guard missing: receiver RX <= sender TX")
 	}
 }
@@ -97,7 +97,7 @@ func TestSlottedLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delivery cannot be faster than the first TX cell plus airtime.
-	if b.Device().Now() < time.Duration(0) {
+	if b.dev.Now() < time.Duration(0) {
 		t.Fatal("negative clock")
 	}
 	msg, _ := b.Receive()
@@ -106,7 +106,7 @@ func TestSlottedLatency(t *testing.T) {
 	}
 	// Clocks stay coherent: the receiver is never behind the frame
 	// arrival instant.
-	if b.Device().Now() < msg.ArrivedAt {
+	if b.dev.Now() < msg.ArrivedAt {
 		t.Fatal("receiver clock behind arrival")
 	}
 }
@@ -115,7 +115,7 @@ func TestClockSynchronization(t *testing.T) {
 	_, a, b := twoNodes(t, DefaultConfig(), 5)
 	// Receiver is busy (its clock far ahead); the send must align to the
 	// later clock, not deliver into the receiver's past.
-	b.Device().SpendCPU(500*time.Millisecond, "busy")
+	b.dev.SpendCPU(500*time.Millisecond, "busy")
 	if _, err := a.Send(b.Address(), []byte("sync")); err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +123,15 @@ func TestClockSynchronization(t *testing.T) {
 	if msg.ArrivedAt < 500*time.Millisecond {
 		t.Fatalf("message arrived in the receiver's past: %v", msg.ArrivedAt)
 	}
-	if a.Device().Now() < 500*time.Millisecond {
-		t.Fatalf("sender clock did not advance to the shared cell: %v", a.Device().Now())
+	if a.dev.Now() < 500*time.Millisecond {
+		t.Fatalf("sender clock did not advance to the shared cell: %v", a.dev.Now())
 	}
 }
 
 func TestLossAndRetries(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LossRate = 0.5
-	net, a, b := twoNodes(t, cfg, 42)
+	_, a, b := twoNodes(t, cfg, 42)
 	delivered := 0
 	for i := 0; i < 50; i++ {
 		if _, err := a.Send(b.Address(), []byte("lossy")); err == nil {
@@ -143,10 +143,10 @@ func TestLossAndRetries(t *testing.T) {
 		// ~3%, so ~48-50 of 50 should succeed.
 		t.Fatalf("only %d/50 delivered", delivered)
 	}
-	if net.FramesLost() == 0 {
+	if a.framesLost() == 0 {
 		t.Fatal("loss process never fired at 50% loss")
 	}
-	if net.FramesSent() <= 50 {
+	if a.LossDraws() <= 50 {
 		t.Fatal("no retransmissions counted")
 	}
 }
@@ -167,14 +167,14 @@ func TestLossIsPerSender(t *testing.T) {
 		return out
 	}
 	lostBy := func(interleave bool) (uint64, uint64) {
-		net, a, b := twoNodes(t, cfg, 42)
+		_, a, b := twoNodes(t, cfg, 42)
 		for i := 0; i < 40; i++ {
 			a.Send(b.Address(), []byte("from a"))
 			if interleave {
 				b.Send(a.Address(), []byte("from b"))
 			}
 		}
-		return a.LossDraws(), net.FramesLost()
+		return a.LossDraws(), a.framesLost() + b.framesLost()
 	}
 	aloneDraws, aloneLost := lostBy(false)
 	mixedDraws, mixedLost := lostBy(true)
@@ -221,15 +221,6 @@ func TestSendValidation(t *testing.T) {
 	}
 }
 
-func TestAssociateChargesRX(t *testing.T) {
-	_, a, _ := twoNodes(t, DefaultConfig(), 8)
-	before := a.Device().Energest.Elapsed(device.StateRX)
-	a.Associate(0)
-	if a.Device().Energest.Elapsed(device.StateRX) <= before {
-		t.Fatal("association did not charge RX")
-	}
-}
-
 func TestPaperScaleRadioBudget(t *testing.T) {
 	// A protocol round exchanges roughly: sensor data both ways (~80 B
 	// each), one signed payment (~170 B), one signed final state
@@ -249,8 +240,8 @@ func TestPaperScaleRadioBudget(t *testing.T) {
 	if _, err := lot.Send(car.Address(), make([]byte, 170)); err != nil {
 		t.Fatal(err)
 	}
-	tx := car.Device().Energest.Elapsed(device.StateTX)
-	rx := car.Device().Energest.Elapsed(device.StateRX)
+	tx := car.dev.Energest.Elapsed(device.StateTX)
+	rx := car.dev.Energest.Elapsed(device.StateRX)
 	if tx < 2*time.Millisecond || tx > 80*time.Millisecond {
 		t.Fatalf("TX %v outside the paper's regime", tx)
 	}

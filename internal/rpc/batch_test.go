@@ -39,7 +39,7 @@ func TestBatchEndToEnd(t *testing.T) {
 	_, client := newTestGateway(t)
 	ctx := context.Background()
 
-	provider, err := client.Provider(ctx)
+	provider, err := call[NodeInfo](ctx, client, "tinyevm_provider", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func TestBatchEndToEnd(t *testing.T) {
 		Pay("vehicle", ch.ID, 50, &p2).
 		Add("tinyevm_noSuchMethod", nil, nil).
 		Add("tinyevm_head", nil, &head)
-	if b.Len() != 5 {
-		t.Fatalf("batch length = %d, want 5", b.Len())
+	if len(b.entries) != 5 {
+		t.Fatalf("batch length = %d, want 5", len(b.entries))
 	}
 
 	errs, err := b.Call(ctx)
@@ -221,7 +221,7 @@ func TestBatchConcurrentClients(t *testing.T) {
 	_, client := newTestGateway(t)
 	ctx := context.Background()
 
-	provider, err := client.Provider(ctx)
+	provider, err := call[NodeInfo](ctx, client, "tinyevm_provider", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

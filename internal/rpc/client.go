@@ -177,25 +177,12 @@ type NodeInfo struct {
 	Address string `json:"address"`
 }
 
-// Provider returns the gateway's provider node.
-func (c *Client) Provider(ctx context.Context) (NodeInfo, error) {
-	var out NodeInfo
-	err := c.Call(ctx, "tinyevm_provider", nil, &out)
-	return out, err
-}
-
 // AddNode creates a node (with the gateway's default temperature
 // sensor installed).
 func (c *Client) AddNode(ctx context.Context, name string) (NodeInfo, error) {
 	var out NodeInfo
 	err := c.Call(ctx, "tinyevm_addNode", map[string]string{"name": name}, &out)
 	return out, err
-}
-
-// RegisterSensor installs a fixed-value sensor on a node.
-func (c *Client) RegisterSensor(ctx context.Context, node string, id, value uint64) error {
-	return c.Call(ctx, "tinyevm_registerSensor",
-		map[string]any{"node": node, "id": id, "value": value}, nil)
 }
 
 // OpenChannel opens an off-chain channel from node toward peer (hex
@@ -228,13 +215,6 @@ func (c *Client) Channel(ctx context.Context, node string, channel uint64) (Chan
 	var out Channel
 	err := c.Call(ctx, "tinyevm_channel",
 		map[string]any{"node": node, "channel": channel}, &out)
-	return out, err
-}
-
-// Channels fetches every channel snapshot of a node.
-func (c *Client) Channels(ctx context.Context, node string) ([]Channel, error) {
-	var out []Channel
-	err := c.Call(ctx, "tinyevm_channels", map[string]any{"node": node}, &out)
 	return out, err
 }
 
@@ -273,15 +253,6 @@ func (c *Client) RunChallengePeriod(ctx context.Context) error {
 	return c.Call(ctx, "tinyevm_runChallengePeriod", nil, nil)
 }
 
-// Balance returns a main-chain balance (hex address or node name).
-func (c *Client) Balance(ctx context.Context, address string) (uint64, error) {
-	var out struct {
-		Balance uint64 `json:"balance"`
-	}
-	err := c.Call(ctx, "tinyevm_balance", map[string]string{"address": address}, &out)
-	return out.Balance, err
-}
-
 // Head returns the main-chain head block number.
 func (c *Client) Head(ctx context.Context) (uint64, error) {
 	var out struct {
@@ -289,41 +260,6 @@ func (c *Client) Head(ctx context.Context) (uint64, error) {
 	}
 	err := c.Call(ctx, "tinyevm_head", nil, &out)
 	return out.Head, err
-}
-
-// NodeStatus returns the daemon's cluster view: height, head hash,
-// peer count and role ("standalone" when the daemon is not clustered).
-func (c *Client) NodeStatus(ctx context.Context) (NodeStatus, error) {
-	var out NodeStatus
-	err := c.Call(ctx, "tinyevm_nodeStatus", nil, &out)
-	return out, err
-}
-
-// ServiceStats returns the sharded hot path's statistics: stripe
-// count, per-stripe pending ops, seal-pipeline depth, journal sequence
-// and node count.
-func (c *Client) ServiceStats(ctx context.Context) (ServiceStats, error) {
-	var out ServiceStats
-	err := c.Call(ctx, "tinyevm_serviceStats", nil, &out)
-	return out, err
-}
-
-// StoreStatus returns the daemon's durable-store status: backend kind,
-// segment/compaction vitals and checkpoint position. Daemons without a
-// store answer with a server error.
-func (c *Client) StoreStatus(ctx context.Context) (StoreStatus, error) {
-	var out StoreStatus
-	err := c.Call(ctx, "tinyevm_storeStatus", nil, &out)
-	return out, err
-}
-
-// StateProof fetches a light-client account proof for address (hex
-// address or node name). The daemon must run the MST state commitment.
-func (c *Client) StateProof(ctx context.Context, address string) (StateProof, error) {
-	var out StateProof
-	err := c.Call(ctx, "tinyevm_stateProof",
-		map[string]string{"address": address}, &out)
-	return out, err
 }
 
 // VerifyStateProof verifies a StateProof end to end on the client
@@ -401,41 +337,4 @@ func decodeMapProof(p *StateProof) (mst.MapProof, mst.Root, error) {
 	}
 	root.Sum = p.RootSum
 	return proof, root, nil
-}
-
-// BlockHash returns the hex hash of the sealed block at a height.
-func (c *Client) BlockHash(ctx context.Context, number uint64) (string, error) {
-	var out struct {
-		Hash string `json:"hash"`
-	}
-	err := c.Call(ctx, "tinyevm_blockHash", map[string]uint64{"number": number}, &out)
-	return out.Hash, err
-}
-
-// Subscribe opens an event subscription on a node and returns its id.
-func (c *Client) Subscribe(ctx context.Context, node string) (string, error) {
-	var out struct {
-		Subscription string `json:"subscription"`
-	}
-	err := c.Call(ctx, "tinyevm_subscribe", map[string]string{"node": node}, &out)
-	return out.Subscription, err
-}
-
-// Poll long-polls a subscription: it blocks server-side until at least
-// one event arrives or timeoutMs expires, returning up to max events
-// and whether the stream has closed.
-func (c *Client) Poll(ctx context.Context, subscription string, max, timeoutMs int) ([]Event, bool, error) {
-	var out struct {
-		Events []Event `json:"events"`
-		Closed bool    `json:"closed"`
-	}
-	err := c.Call(ctx, "tinyevm_poll",
-		map[string]any{"subscription": subscription, "max": max, "timeoutMs": timeoutMs}, &out)
-	return out.Events, out.Closed, err
-}
-
-// Unsubscribe cancels a subscription.
-func (c *Client) Unsubscribe(ctx context.Context, subscription string) error {
-	return c.Call(ctx, "tinyevm_unsubscribe",
-		map[string]string{"subscription": subscription}, nil)
 }

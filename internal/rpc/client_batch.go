@@ -33,9 +33,6 @@ type batchEntry struct {
 // NewBatch starts an empty batch on this client.
 func (c *Client) NewBatch() *Batch { return &Batch{c: c} }
 
-// Len returns the number of calls added so far.
-func (b *Batch) Len() int { return len(b.entries) }
-
 // Add appends one call; the response's result is decoded into out (nil
 // discards it). Returns b for chaining. A params encoding failure is
 // latched and surfaced by Call.

@@ -42,13 +42,13 @@ func TestRPCEndToEndConcurrentClients(t *testing.T) {
 	const pays = 3
 	const amount = 125
 
-	provider, err := client.Provider(ctx)
+	provider, err := call[NodeInfo](ctx, client, "tinyevm_provider", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Subscriber: long-poll the provider's stream, counting payments.
-	subID, err := client.Subscribe(ctx, provider.Name)
+	sub, err := call[subscription](ctx, client, "tinyevm_subscribe", map[string]string{"node": provider.Name})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,12 @@ func TestRPCEndToEndConcurrentClients(t *testing.T) {
 		seen := make(map[string]int)
 		defer func() { counts <- seen }()
 		for {
-			events, closed, err := client.Poll(subCtx, subID, 500, 1000)
-			if err != nil || closed {
+			p, err := call[poll](subCtx, client, "tinyevm_poll",
+				map[string]any{"subscription": sub.Subscription, "max": 500, "timeoutMs": 1000})
+			if err != nil || p.Closed {
 				return
 			}
-			for _, e := range events {
+			for _, e := range p.Events {
 				seen[e.Type]++
 				if e.Type == "payment-received" && e.Amount != amount {
 					t.Errorf("payment event amount %d, want %d", e.Amount, amount)
@@ -141,7 +142,7 @@ func TestRPCEndToEndConcurrentClients(t *testing.T) {
 	}
 
 	// The provider's table holds one closed channel per client.
-	chans, err := client.Channels(ctx, provider.Name)
+	chans, err := call[[]Channel](ctx, client, "tinyevm_channels", map[string]string{"node": provider.Name})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestRPCOnChainLifecycle(t *testing.T) {
 
 	// The provider commits its own view of the channel: find its local
 	// handle for the car's channel.
-	chans, err := client.Channels(ctx, "provider")
+	chans, err := call[[]Channel](ctx, client, "tinyevm_channels", map[string]string{"node": "provider"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,21 +232,21 @@ func TestRPCOnChainLifecycle(t *testing.T) {
 	if err := client.RunChallengePeriod(ctx); err != nil {
 		t.Fatal(err)
 	}
-	before, err := client.Balance(ctx, "car")
+	before, err := call[balance](ctx, client, "tinyevm_balance", map[string]string{"address": "car"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r, err := client.Settle(ctx, "provider"); err != nil || !r.Status {
 		t.Fatalf("settle: %v %+v", err, r)
 	}
-	after, err := client.Balance(ctx, "car")
+	after, err := call[balance](ctx, client, "tinyevm_balance", map[string]string{"address": "car"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Settlement refunds the car's unspent deposit (10_000 - 2_500); the
 	// car pays no gas in this window.
-	if after-before != 7_500 {
-		t.Fatalf("car refund = %d, want 7500", after-before)
+	if after.Balance-before.Balance != 7_500 {
+		t.Fatalf("car refund = %d, want 7500", after.Balance-before.Balance)
 	}
 }
 
@@ -275,14 +276,15 @@ func TestRPCUnsubscribe(t *testing.T) {
 	_, client := newTestGateway(t)
 	ctx := context.Background()
 
-	subID, err := client.Subscribe(ctx, "provider")
+	sub, err := call[subscription](ctx, client, "tinyevm_subscribe", map[string]string{"node": "provider"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Unsubscribe(ctx, subID); err != nil {
+	if err := client.Call(ctx, "tinyevm_unsubscribe", sub, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.Poll(ctx, subID, 10, 100); err == nil {
+	if _, err := call[poll](ctx, client, "tinyevm_poll",
+		map[string]any{"subscription": sub.Subscription, "max": 10, "timeoutMs": 100}); err == nil {
 		t.Fatal("poll after unsubscribe should fail")
 	}
 }
@@ -294,9 +296,7 @@ func TestRPCSubscriptionBound(t *testing.T) {
 	_, client := newTestGateway(t)
 	ctx := context.Background()
 
-	ids := make([]struct {
-		Subscription string `json:"subscription"`
-	}, maxSubscriptions)
+	ids := make([]subscription, maxSubscriptions)
 	b := client.NewBatch()
 	for i := range ids {
 		b.Add("tinyevm_subscribe", map[string]string{"node": "provider"}, &ids[i])
@@ -312,13 +312,14 @@ func TestRPCSubscriptionBound(t *testing.T) {
 	}
 
 	var rpcErr *Error
-	if _, err := client.Subscribe(ctx, "provider"); !errors.As(err, &rpcErr) || rpcErr.Code != codeServer {
+	provider := map[string]string{"node": "provider"}
+	if _, err := call[subscription](ctx, client, "tinyevm_subscribe", provider); !errors.As(err, &rpcErr) || rpcErr.Code != codeServer {
 		t.Fatalf("subscribe past the bound: got %v, want a server error", err)
 	}
-	if err := client.Unsubscribe(ctx, ids[0].Subscription); err != nil {
+	if err := client.Call(ctx, "tinyevm_unsubscribe", ids[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Subscribe(ctx, "provider"); err != nil {
+	if _, err := call[subscription](ctx, client, "tinyevm_subscribe", provider); err != nil {
 		t.Fatalf("subscribe after freeing a slot: %v", err)
 	}
 }
@@ -327,34 +328,34 @@ func TestRPCSubscriptionBound(t *testing.T) {
 // endpoints on a standalone gateway: role "standalone", zero peers,
 // and a stable block hash once a block is sealed.
 func TestRPCNodeStatusAndBlockHash(t *testing.T) {
-	svc, client := newTestGateway(t)
+	_, client := newTestGateway(t)
 	ctx := context.Background()
 
-	st, err := client.NodeStatus(ctx)
+	st, err := call[NodeStatus](ctx, client, "tinyevm_nodeStatus", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Role != "standalone" || st.Peers != 0 {
 		t.Fatalf("standalone status = %+v", st)
 	}
-	if err := svc.MineBlock(ctx); err != nil {
+	if _, err := client.Deposit(ctx, "provider", 1); err != nil { // seals a block
 		t.Fatal(err)
 	}
-	st, err = client.NodeStatus(ctx)
+	st, err = call[NodeStatus](ctx, client, "tinyevm_nodeStatus", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Height != 1 || st.Head == "" {
 		t.Fatalf("post-mine status = %+v", st)
 	}
-	h, err := client.BlockHash(ctx, 1)
+	h, err := call[blockHash](ctx, client, "tinyevm_blockHash", map[string]uint64{"number": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h != st.Head {
-		t.Fatalf("blockHash(1) = %s, head = %s", h, st.Head)
+	if h.Hash != st.Head {
+		t.Fatalf("blockHash(1) = %s, head = %s", h.Hash, st.Head)
 	}
-	if _, err := client.BlockHash(ctx, 99); err == nil {
+	if _, err := call[blockHash](ctx, client, "tinyevm_blockHash", map[string]uint64{"number": 99}); err == nil {
 		t.Fatal("blockHash(99) succeeded for unsealed height")
 	}
 }

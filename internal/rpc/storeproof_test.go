@@ -23,7 +23,7 @@ func TestStoreStatusRPC(t *testing.T) {
 	if _, err := client.Deposit(ctx, "car", 5_000); err != nil { // seals a block
 		t.Fatal(err)
 	}
-	st, err := client.StoreStatus(ctx)
+	st, err := call[StoreStatus](ctx, client, "tinyevm_storeStatus", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestStoreStatusRPC(t *testing.T) {
 
 	// Storeless service: the method must fail loudly, not fabricate.
 	_, storeless := newTestGateway(t)
-	if _, err := storeless.StoreStatus(ctx); err == nil {
+	if _, err := call[StoreStatus](ctx, storeless, "tinyevm_storeStatus", nil); err == nil {
 		t.Fatal("storeStatus succeeded without a store")
 	}
 }
@@ -78,7 +78,7 @@ func TestStateProofRPC(t *testing.T) {
 	}
 
 	for _, target := range []string{"car", car.Address} {
-		p, err := client.StateProof(ctx, target)
+		p, err := call[StateProof](ctx, client, "tinyevm_stateProof", map[string]string{"address": target})
 		if err != nil {
 			t.Fatalf("stateProof(%s): %v", target, err)
 		}
@@ -104,7 +104,7 @@ func TestStateProofRPC(t *testing.T) {
 
 	// Digest-mode gateway: the method fails with a server error.
 	_, legacy := newTestGateway(t)
-	if _, err := legacy.StateProof(ctx, "provider"); err == nil {
+	if _, err := call[StateProof](ctx, legacy, "tinyevm_stateProof", map[string]string{"address": "provider"}); err == nil {
 		t.Fatal("stateProof succeeded under the legacy digest commitment")
 	}
 }

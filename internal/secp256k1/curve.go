@@ -13,7 +13,7 @@
 // product folds back through 2^256 ≡ 2^32 + 977 (mod P). Points are
 // Jacobian with mixed-affine addition. k·G reads a 60 KB table of
 // j·16^i·G built once on first use; u1·G + u2·Q, the core of Verify and
-// RecoverPublicKey, interleaves two width-5 wNAF recodings over one
+// RecoverAddress, interleaves two width-5 wNAF recodings over one
 // shared doubling chain (Strauss). Nothing on these paths touches the
 // heap except Sign's returned Signature. The math/big implementation
 // this replaced lives on in oracle_test.go as the differential oracle
@@ -33,7 +33,7 @@
 // s <= N/2 and ParseSignature — the one door every signature from the
 // wire, the disk or a peer comes through — refuses s > N/2, so two
 // encodings of one authorisation never circulate. Verify and
-// RecoverPublicKey only range-check (0 < r, s < N): the ECRECOVER
+// RecoverAddress only range-check (0 < r, s < N): the ECRECOVER
 // precompile hands them words straight from contract calldata and must
 // accept high-S exactly as Ethereum's does. The twin (r, N-s, v^1) of a
 // valid signature therefore verifies and recovers the same key, and does
@@ -42,8 +42,6 @@ package secp256k1
 
 import (
 	"errors"
-	"fmt"
-	"io"
 
 	"tinyevm/internal/keccak"
 	"tinyevm/internal/types"
@@ -53,7 +51,6 @@ import (
 var (
 	ErrInvalidKey       = errors.New("secp256k1: invalid private key")
 	ErrInvalidSignature = errors.New("secp256k1: invalid signature")
-	ErrInvalidPubKey    = errors.New("secp256k1: invalid public key")
 	ErrRecoveryFailed   = errors.New("secp256k1: public key recovery failed")
 )
 
@@ -67,32 +64,6 @@ type PublicKey struct {
 type PrivateKey struct {
 	PublicKey
 	D [32]byte
-}
-
-// GenerateKey creates a private key using entropy from rand.
-func GenerateKey(rand io.Reader) (*PrivateKey, error) {
-	var buf [32]byte
-	for {
-		if _, err := io.ReadFull(rand, buf[:]); err != nil {
-			return nil, fmt.Errorf("secp256k1: reading entropy: %w", err)
-		}
-		if key, err := PrivateKeyFromBytes(buf[:]); err == nil {
-			return key, nil
-		}
-	}
-}
-
-// PrivateKeyFromBytes builds a private key from a 32-byte big-endian
-// scalar d, 0 < d < N.
-func PrivateKeyFromBytes(b []byte) (*PrivateKey, error) {
-	if len(b) != 32 {
-		return nil, fmt.Errorf("%w: need 32 bytes, got %d", ErrInvalidKey, len(b))
-	}
-	var d scalar
-	if !d.setBytes((*[32]byte)(b)) || d.isZero() {
-		return nil, ErrInvalidKey
-	}
-	return newPrivateKey(&d), nil
 }
 
 // newPrivateKey derives the public point of a non-zero scalar.
@@ -130,46 +101,6 @@ func (p *PublicKey) point() (a affinePoint, ok bool) {
 	return a, okX && okY && a.isOnCurve()
 }
 
-// SerializeUncompressed returns the 65-byte 0x04||X||Y encoding.
-func (p *PublicKey) SerializeUncompressed() []byte {
-	out := make([]byte, 65)
-	out[0] = 0x04
-	copy(out[1:33], p.X[:])
-	copy(out[33:65], p.Y[:])
-	return out
-}
-
-// SerializeCompressed returns the 33-byte 0x02/0x03||X encoding.
-func (p *PublicKey) SerializeCompressed() []byte {
-	out := make([]byte, 33)
-	out[0] = 0x02 | p.Y[31]&1
-	copy(out[1:33], p.X[:])
-	return out
-}
-
-// ParsePublicKey decodes a 65-byte uncompressed or 33-byte compressed
-// public key and validates that it lies on the curve.
-func ParsePublicKey(b []byte) (*PublicKey, error) {
-	switch {
-	case len(b) == 65 && b[0] == 0x04:
-		pub := &PublicKey{X: [32]byte(b[1:33]), Y: [32]byte(b[33:65])}
-		if _, ok := pub.point(); !ok {
-			return nil, ErrInvalidPubKey
-		}
-		return pub, nil
-	case len(b) == 33 && (b[0] == 0x02 || b[0] == 0x03):
-		var x fieldVal
-		var a affinePoint
-		if !x.setBytes((*[32]byte)(b[1:33])) || !a.liftX(&x, b[0] == 0x03) {
-			return nil, ErrInvalidPubKey
-		}
-		pub := publicKeyOf(a)
-		return &pub, nil
-	default:
-		return nil, fmt.Errorf("%w: bad encoding (len %d)", ErrInvalidPubKey, len(b))
-	}
-}
-
 // Address returns the Ethereum address of the public key:
 // keccak256(X||Y)[12:].
 func (p *PublicKey) Address() types.Address {
@@ -179,6 +110,3 @@ func (p *PublicKey) Address() types.Address {
 	h := keccak.Sum256(raw[:])
 	return types.BytesToAddress(h[12:])
 }
-
-// Equal reports whether two public keys are the same point.
-func (p *PublicKey) Equal(q *PublicKey) bool { return *p == *q }

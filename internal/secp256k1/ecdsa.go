@@ -182,18 +182,9 @@ func (a *affinePoint) xModN() (r scalar) {
 	return r
 }
 
-// RecoverPublicKey recovers the signing public key from a signature and
-// the signed digest, the operation behind Ethereum's ecrecover.
-func RecoverPublicKey(hash types.Hash, sig *Signature) (*PublicKey, error) {
-	pub, err := recoverKey(hash, sig)
-	if err != nil {
-		return nil, err
-	}
-	return &pub, nil
-}
-
-// recoverKey is RecoverPublicKey by value, so RecoverAddress stays off
-// the heap.
+// recoverKey recovers the signing public key from a signature and the
+// signed digest, the operation behind Ethereum's ecrecover. It returns
+// the key by value, so RecoverAddress stays off the heap.
 func recoverKey(hash types.Hash, sig *Signature) (PublicKey, error) {
 	r, s, ok := sig.scalars()
 	if !ok {

@@ -9,7 +9,7 @@ import (
 	"tinyevm/internal/types"
 )
 
-// FuzzSignRecoverVsBig holds Sign, Verify, RecoverPublicKey and
+// FuzzSignRecoverVsBig holds Sign, Verify, recoverKey and
 // ParseSignature to the math/big implementation in oracle_test.go: the
 // same signature bytes for any key and digest, and the same verdict —
 // down to which error — for any (r, s, v), malformed ones included.
@@ -82,19 +82,19 @@ func FuzzSignRecoverVsBig(f *testing.F) {
 		} {
 			bc := &bigSignature{R: new(big.Int).SetBytes(c.R[:]), S: new(big.Int).SetBytes(c.S[:]), V: c.V}
 
-			pub, err := RecoverPublicKey(digest, c)
+			pub, err := recoverKey(digest, c)
 			bigRec, bigErr := bigRecover(digest, bc)
 			switch {
 			case (err == nil) != (bigErr == nil),
 				errors.Is(err, ErrInvalidSignature) != errors.Is(bigErr, ErrInvalidSignature),
 				errors.Is(err, ErrRecoveryFailed) != errors.Is(bigErr, ErrRecoveryFailed):
 				t.Fatalf("Recover(%x, %x) = %v, oracle %v", digest, c.Serialize(), err, bigErr)
-			case err == nil && *pub != (PublicKey{X: *be32(bigRec.X), Y: *be32(bigRec.Y)}):
+			case err == nil && pub != (PublicKey{X: *be32(bigRec.X), Y: *be32(bigRec.Y)}):
 				t.Fatalf("Recover(%x, %x) = %x, oracle %x", digest, c.Serialize(), pub.SerializeUncompressed(), bigRec.X)
 			}
 			addr, addrErr := RecoverAddress(digest, c)
 			if (addrErr == nil) != (err == nil) || (err == nil && addr != pub.Address()) {
-				t.Fatalf("RecoverAddress(%x, %x) disagrees with RecoverPublicKey", digest, c.Serialize())
+				t.Fatalf("RecoverAddress(%x, %x) disagrees with recoverKey", digest, c.Serialize())
 			}
 
 			if got, want := Verify(&key.PublicKey, digest, c), bigVerify(bigPub, digest, bc); got != want {

@@ -128,7 +128,7 @@ func TestInfinityIsRejected(t *testing.T) {
 	z := new(big.Int).Mul(s, k)
 	digest := types.Hash(*be32(z.Mod(z, bigN)))
 	sig := &Signature{R: *be32(rx), S: *be32(s), V: byte(ry.Bit(0))}
-	if _, err := RecoverPublicKey(digest, sig); !errors.Is(err, ErrRecoveryFailed) {
+	if _, err := recoverKey(digest, sig); !errors.Is(err, ErrRecoveryFailed) {
 		t.Fatalf("recovery at infinity: %v, want ErrRecoveryFailed", err)
 	}
 	if _, err := bigRecover(digest, &bigSignature{R: rx, S: s, V: sig.V}); !errors.Is(err, ErrRecoveryFailed) {

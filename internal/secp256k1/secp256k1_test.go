@@ -2,7 +2,6 @@ package secp256k1
 
 import (
 	"bytes"
-	"crypto/rand"
 	"errors"
 	"math/big"
 	mrand "math/rand"
@@ -144,10 +143,7 @@ func rescale(p *jacobianPoint, c *fieldVal) (q jacobianPoint) {
 }
 
 func TestKeyGeneration(t *testing.T) {
-	key, err := GenerateKey(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := DeterministicKey("key-generation")
 	if _, ok := key.PublicKey.point(); !ok {
 		t.Fatal("generated public key not on curve")
 	}
@@ -260,11 +256,11 @@ func TestRecover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pub, err := RecoverPublicKey(digest, sig)
+		pub, err := recoverKey(digest, sig)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pub.Equal(&key.PublicKey) {
+		if pub != key.PublicKey {
 			t.Fatalf("recovered wrong key for seed %q", seed)
 		}
 		addr, err := RecoverAddress(digest, sig)
@@ -285,11 +281,11 @@ func TestRecoverRejectsWrongV(t *testing.T) {
 		t.Fatal(err)
 	}
 	flipped := &Signature{R: sig.R, S: sig.S, V: sig.V ^ 1}
-	pub, err := RecoverPublicKey(digest, flipped)
-	if err == nil && pub.Equal(&key.PublicKey) {
+	pub, err := recoverKey(digest, flipped)
+	if err == nil && pub == key.PublicKey {
 		t.Fatal("recovery with flipped v returned the true signer")
 	}
-	if _, err := RecoverPublicKey(digest, &Signature{R: sig.R, S: sig.S, V: 2}); !errors.Is(err, ErrInvalidSignature) {
+	if _, err := recoverKey(digest, &Signature{R: sig.R, S: sig.S, V: 2}); !errors.Is(err, ErrInvalidSignature) {
 		t.Fatalf("recovery id 2 accepted: %v", err)
 	}
 }
@@ -305,7 +301,7 @@ func TestRecoverNoPointForR(t *testing.T) {
 		}
 		sig := &Signature{V: 0}
 		sig.R[31], sig.S[31] = byte(x), 1
-		if _, err := RecoverPublicKey(digest, sig); !errors.Is(err, ErrRecoveryFailed) {
+		if _, err := recoverKey(digest, sig); !errors.Is(err, ErrRecoveryFailed) {
 			t.Fatalf("r = %d: %v, want ErrRecoveryFailed", x, err)
 		}
 		return
@@ -376,7 +372,7 @@ func TestPublicKeySerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p1.Equal(&key.PublicKey) {
+	if *p1 != key.PublicKey {
 		t.Fatal("uncompressed round trip failed")
 	}
 
@@ -388,7 +384,7 @@ func TestPublicKeySerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p2.Equal(&key.PublicKey) {
+	if *p2 != key.PublicKey {
 		t.Fatal("compressed round trip failed")
 	}
 
@@ -520,7 +516,7 @@ func BenchmarkRecover(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RecoverPublicKey(digest, sig); err != nil {
+		if _, err := recoverKey(digest, sig); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -119,20 +119,6 @@ func NewHistogram(xs []float64, n int) Histogram {
 	return h
 }
 
-// Density returns the normalized bin heights (sum of height*width = 1),
-// the quantity plotted on the paper's Figure 3a/3c y-axes.
-func (h Histogram) Density() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.Total == 0 || h.Width == 0 {
-		return out
-	}
-	norm := float64(h.Total) * h.Width
-	for i, c := range h.Counts {
-		out[i] = float64(c) / norm
-	}
-	return out
-}
-
 // RenderHistogram draws a horizontal-bar histogram with bin labels.
 func RenderHistogram(h Histogram, width int, label string) string {
 	var b strings.Builder

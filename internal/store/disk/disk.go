@@ -98,16 +98,6 @@ func WithFlushBytes(n int64) Option {
 	}
 }
 
-// WithCompactSegments sets the live-segment count that triggers a
-// background compaction.
-func WithCompactSegments(n int) Option {
-	return func(db *DB) {
-		if n > 1 {
-			db.compactSegs = n
-		}
-	}
-}
-
 // manifest is the on-disk MANIFEST: the live segment list in
 // oldest → newest order plus the next segment id. It is replaced
 // atomically (temp + rename + directory fsync), so the set of live
@@ -386,24 +376,6 @@ func (db *DB) Flush() error {
 		return store.ErrClosed
 	}
 	return db.flushLocked()
-}
-
-// Compact triggers a compaction (if one is not already running) and
-// waits for it.
-func (db *DB) Compact() error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return store.ErrClosed
-	}
-	if !db.compacting && len(db.segs) > 1 {
-		db.startCompactionLocked()
-	}
-	db.mu.Unlock()
-	db.compactWG.Wait()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.compactErr
 }
 
 func (db *DB) segPath(id uint64) string {

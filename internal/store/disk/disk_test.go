@@ -90,7 +90,7 @@ func TestDiskOverwritesBoundTheWAL(t *testing.T) {
 // overwrites across the memtable/segment boundary.
 func TestDiskFlushAndGet(t *testing.T) {
 	dir := t.TempDir()
-	db := openTest(t, dir, WithFlushBytes(256), WithCompactSegments(1000))
+	db := openTest(t, dir, WithFlushBytes(256), withCompactSegments(1000))
 	defer db.Close()
 
 	const n = 200
@@ -130,7 +130,7 @@ func TestDiskFlushAndGet(t *testing.T) {
 
 func TestDiskTombstoneShadowsSegments(t *testing.T) {
 	dir := t.TempDir()
-	db := openTest(t, dir, WithCompactSegments(1000))
+	db := openTest(t, dir, withCompactSegments(1000))
 	defer db.Close()
 
 	if err := db.Put([]byte("k"), []byte("old")); err != nil {
@@ -151,7 +151,7 @@ func TestDiskTombstoneShadowsSegments(t *testing.T) {
 		t.Fatal("tombstone did not shadow older segment")
 	}
 	db.Close()
-	db = openTest(t, dir, WithCompactSegments(1000))
+	db = openTest(t, dir, withCompactSegments(1000))
 	defer db.Close()
 	if _, ok, _ := db.Get([]byte("k")); ok {
 		t.Fatal("tombstone lost across reopen")
@@ -160,7 +160,7 @@ func TestDiskTombstoneShadowsSegments(t *testing.T) {
 
 func TestDiskCompaction(t *testing.T) {
 	dir := t.TempDir()
-	db := openTest(t, dir, WithCompactSegments(1000))
+	db := openTest(t, dir, withCompactSegments(1000))
 	defer db.Close()
 
 	for round := 0; round < 5; round++ {

@@ -511,7 +511,7 @@ func TestFormatPin(t *testing.T) {
 	})
 	t.Run("disk/write", func(t *testing.T) {
 		dir := t.TempDir()
-		db, err := disk.Open(dir, disk.WithCompactSegments(1000))
+		db, err := disk.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +551,7 @@ func TestFormatPin(t *testing.T) {
 		t.Run("disk/open-"+tc.name, func(t *testing.T) {
 			dir := copyGolden(t, filepath.Join(golden, "store"), tc.tear, diskFiles...)
 			for pass := 0; pass < 2; pass++ {
-				db, err := disk.Open(dir, disk.WithCompactSegments(1000))
+				db, err := disk.Open(dir)
 				if err != nil {
 					t.Fatal(err)
 				}

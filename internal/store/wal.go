@@ -15,7 +15,7 @@ import (
 //
 // Compaction rewrites the live map as a single record and atomically
 // replaces the file; it runs on Open when the log carries substantially
-// more dead weight than live data, and can be forced with Compact.
+// more dead weight than live data.
 type WAL struct {
 	mu  sync.Mutex
 	log *Log
@@ -148,15 +148,4 @@ func (w *WAL) Close() error {
 	}
 	w.closed = true
 	return w.log.Close()
-}
-
-// Compact rewrites the log to hold exactly the live pairs, atomically
-// replacing the file.
-func (w *WAL) Compact() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	return w.log.Rewrite(SortedOps(w.index, ""))
 }

@@ -144,10 +144,3 @@ func (bp *BlockPool) PruneBelow(floor uint64) {
 		}
 	}
 }
-
-// Len reports the number of parked blocks.
-func (bp *BlockPool) Len() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return len(bp.byNo)
-}

@@ -100,8 +100,8 @@ func TestBlockPool(t *testing.T) {
 	}
 	bp.Add(blk(3))
 	bp.PruneBelow(6)
-	if bp.Len() != 1 {
-		t.Fatalf("PruneBelow left %d blocks, want 1 (height 7)", bp.Len())
+	if len(bp.byNo) != 1 {
+		t.Fatalf("PruneBelow left %d blocks, want 1 (height 7)", len(bp.byNo))
 	}
 	if b := bp.Pop(7); b == nil {
 		t.Fatal("height 7 pruned by mistake")

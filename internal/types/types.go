@@ -59,9 +59,6 @@ func (h Hash) String() string { return h.Hex() }
 // IsZero reports whether h is the all-zero hash.
 func (h Hash) IsZero() bool { return h == Hash{} }
 
-// Bytes returns h as a byte slice.
-func (h Hash) Bytes() []byte { return h[:] }
-
 // HexToHash parses a 0x-prefixed or bare 64-digit hex string.
 func HexToHash(s string) (Hash, error) {
 	var h Hash
@@ -92,12 +89,6 @@ func (a Address) String() string { return a.Hex() }
 
 // IsZero reports whether a is the zero address.
 func (a Address) IsZero() bool { return a == Address{} }
-
-// Bytes returns a as a byte slice.
-func (a Address) Bytes() []byte { return a[:] }
-
-// Hash returns the address left-padded to 32 bytes, the EVM word form.
-func (a Address) Hash() Hash { return BytesToHash(a[:]) }
 
 // HexToAddress parses a 0x-prefixed or bare 40-digit hex string.
 func HexToAddress(s string) (Address, error) {

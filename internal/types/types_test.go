@@ -62,7 +62,7 @@ func TestAddressHexRoundTrip(t *testing.T) {
 
 func TestAddressHashForm(t *testing.T) {
 	a := MustHexToAddress("0x00112233445566778899aabbccddeeff00112233")
-	h := a.Hash()
+	h := BytesToHash(a[:])
 	// The address occupies the low 20 bytes of the 32-byte word.
 	if BytesToAddress(h[12:]) != a {
 		t.Fatal("address word form misaligned")

@@ -10,7 +10,6 @@ package uint256
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -24,12 +23,6 @@ type Int [4]uint64
 func NewInt(v uint64) *Int {
 	return &Int{v, 0, 0, 0}
 }
-
-// errors returned by the parsing helpers.
-var (
-	ErrSyntax   = errors.New("uint256: invalid syntax")
-	ErrTooLarge = errors.New("uint256: value exceeds 256 bits")
-)
 
 // Clone returns a copy of z.
 func (z *Int) Clone() *Int {
@@ -165,16 +158,6 @@ func (z *Int) Add(x, y *Int) *Int {
 	return z
 }
 
-// AddOverflow sets z = x + y and reports whether the addition overflowed.
-func (z *Int) AddOverflow(x, y *Int) (*Int, bool) {
-	var c uint64
-	z[0], c = bits.Add64(x[0], y[0], 0)
-	z[1], c = bits.Add64(x[1], y[1], c)
-	z[2], c = bits.Add64(x[2], y[2], c)
-	z[3], c = bits.Add64(x[3], y[3], c)
-	return z, c != 0
-}
-
 // Sub sets z = x - y (mod 2^256) and returns z.
 func (z *Int) Sub(x, y *Int) *Int {
 	var b uint64
@@ -183,16 +166,6 @@ func (z *Int) Sub(x, y *Int) *Int {
 	z[2], b = bits.Sub64(x[2], y[2], b)
 	z[3], _ = bits.Sub64(x[3], y[3], b)
 	return z
-}
-
-// SubOverflow sets z = x - y and reports whether the subtraction borrowed.
-func (z *Int) SubOverflow(x, y *Int) (*Int, bool) {
-	var b uint64
-	z[0], b = bits.Sub64(x[0], y[0], 0)
-	z[1], b = bits.Sub64(x[1], y[1], b)
-	z[2], b = bits.Sub64(x[2], y[2], b)
-	z[3], b = bits.Sub64(x[3], y[3], b)
-	return z, b != 0
 }
 
 // Neg sets z = -x (mod 2^256), i.e. the two's complement, and returns z.
@@ -698,14 +671,6 @@ func (z *Int) Bytes32() [32]byte {
 	return out
 }
 
-// Bytes returns the minimal big-endian byte representation of z. Zero is
-// returned as an empty slice.
-func (z *Int) Bytes() []byte {
-	full := z.Bytes32()
-	n := z.ByteLen()
-	return full[32-n:]
-}
-
 // PutBytes32 writes z into buf as 32 big-endian bytes. buf must be at
 // least 32 bytes long.
 func (z *Int) PutBytes32(buf []byte) {
@@ -732,85 +697,6 @@ func (z *Int) SetFromBig(b *big.Int) bool {
 	return overflow
 }
 
-// SetFromHex parses a hex string, with optional 0x prefix, into z.
-func (z *Int) SetFromHex(s string) error {
-	if len(s) >= 2 && (s[0:2] == "0x" || s[0:2] == "0X") {
-		s = s[2:]
-	}
-	if len(s) == 0 {
-		return fmt.Errorf("%w: empty hex", ErrSyntax)
-	}
-	if len(s) > 64 {
-		return ErrTooLarge
-	}
-	z.Clear()
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		var v uint64
-		switch {
-		case c >= '0' && c <= '9':
-			v = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			v = uint64(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			v = uint64(c-'A') + 10
-		default:
-			return fmt.Errorf("%w: bad hex digit %q", ErrSyntax, c)
-		}
-		z.Lsh(z, 4)
-		z[0] |= v
-	}
-	return nil
-}
-
-// FromHex parses a hex string into a new Int.
-func FromHex(s string) (*Int, error) {
-	z := new(Int)
-	if err := z.SetFromHex(s); err != nil {
-		return nil, err
-	}
-	return z, nil
-}
-
-// MustFromHex parses a hex string into a new Int and panics on error. It
-// is intended for package-level constants and tests.
-func MustFromHex(s string) *Int {
-	z, err := FromHex(s)
-	if err != nil {
-		panic(err)
-	}
-	return z
-}
-
-// SetFromDecimal parses a base-10 string into z.
-func (z *Int) SetFromDecimal(s string) error {
-	if len(s) == 0 {
-		return fmt.Errorf("%w: empty decimal", ErrSyntax)
-	}
-	z.Clear()
-	// maxDiv10 = (2^256 - 1) / 10; multiplying anything larger by ten
-	// would wrap.
-	var maxDiv10 Int
-	maxDiv10.Div(new(Int).SetAllOnes(), NewInt(10))
-	ten := NewInt(10)
-	var digit Int
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return fmt.Errorf("%w: bad decimal digit %q", ErrSyntax, c)
-		}
-		if z.Gt(&maxDiv10) {
-			return ErrTooLarge
-		}
-		z.Mul(z, ten)
-		digit.SetUint64(uint64(c - '0'))
-		if _, overflow := z.AddOverflow(z, &digit); overflow {
-			return ErrTooLarge
-		}
-	}
-	return nil
-}
-
 // Dec returns the base-10 representation of z.
 func (z *Int) Dec() string {
 	if z.IsZero() {
@@ -832,20 +718,6 @@ func (z *Int) Dec() string {
 		out += fmt.Sprintf("%019d", chunks[i])
 	}
 	return out
-}
-
-// Hex returns the minimal 0x-prefixed hexadecimal representation of z.
-func (z *Int) Hex() string {
-	if z.IsZero() {
-		return "0x0"
-	}
-	b := z.Bytes()
-	s := fmt.Sprintf("%x", b)
-	// Trim one possible leading zero nibble from the first byte.
-	if s[0] == '0' {
-		s = s[1:]
-	}
-	return "0x" + s
 }
 
 // String implements fmt.Stringer, returning the decimal representation.

@@ -408,21 +408,6 @@ func TestDecimal(t *testing.T) {
 		if got := x.Dec(); got != want {
 			t.Fatalf("Dec(%s) = %s, want %s", x.Hex(), got, want)
 		}
-		y := new(Int)
-		if err := y.SetFromDecimal(want); err != nil {
-			t.Fatalf("SetFromDecimal(%q): %v", want, err)
-		}
-		if !y.Eq(x) {
-			t.Fatalf("decimal round trip %s -> %s", want, y.Dec())
-		}
-	}
-	var z Int
-	if err := z.SetFromDecimal("x"); err == nil {
-		t.Fatal("SetFromDecimal should reject non-digits")
-	}
-	huge := new(big.Int).Add(twoTo256, big.NewInt(5)).String()
-	if err := z.SetFromDecimal(huge); err == nil {
-		t.Fatal("SetFromDecimal should reject overflow")
 	}
 }
 
@@ -564,24 +549,6 @@ func BenchmarkMulMod(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		z.MulMod(x, y, m)
-	}
-}
-
-func TestAddSubOverflowFlags(t *testing.T) {
-	max := new(Int).SetAllOnes()
-	one := NewInt(1)
-
-	if _, over := new(Int).AddOverflow(max, one); !over {
-		t.Fatal("max+1 did not report overflow")
-	}
-	if _, over := new(Int).AddOverflow(NewInt(2), NewInt(3)); over {
-		t.Fatal("2+3 reported overflow")
-	}
-	if _, under := new(Int).SubOverflow(NewInt(1), NewInt(2)); !under {
-		t.Fatal("1-2 did not report borrow")
-	}
-	if _, under := new(Int).SubOverflow(NewInt(5), NewInt(2)); under {
-		t.Fatal("5-2 reported borrow")
 	}
 }
 

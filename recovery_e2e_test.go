@@ -139,7 +139,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	if head < ackedHead {
 		t.Fatalf("recovered head %d below acknowledged head %d", head, ackedHead)
 	}
-	carChans, err := client.Channels(ctx, "car")
+	carChans, err := gateway[[]rpc.Channel](ctx, client, "tinyevm_channels", map[string]string{"node": "car"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		t.Fatalf("recovered cumulative %d outside acked..attempted window [%d, %d]", gotCum, lowCum, highCum)
 	}
 	// The receiver side must agree with the payer side exactly.
-	lotChans, err := client.Channels(ctx, "lot")
+	lotChans, err := gateway[[]rpc.Channel](ctx, client, "tinyevm_channels", map[string]string{"node": "lot"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,17 +188,18 @@ func e2eSnapshot(t *testing.T, client *rpc.Client) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov, err := client.Provider(ctx)
+	prov, err := gateway[rpc.NodeInfo](ctx, client, "tinyevm_provider", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	provBal, err := client.Balance(ctx, prov.Address)
+	provBal, err := gateway[struct{ Balance uint64 }](ctx, client, "tinyevm_balance",
+		map[string]string{"address": prov.Address})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := fmt.Sprintf("head=%d provider=%s bal=%d", head, prov.Address, provBal)
+	out := fmt.Sprintf("head=%d provider=%s bal=%d", head, prov.Address, provBal.Balance)
 	for _, node := range []string{"car", "lot"} {
-		chans, err := client.Channels(ctx, node)
+		chans, err := gateway[[]rpc.Channel](ctx, client, "tinyevm_channels", map[string]string{"node": node})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,4 +237,18 @@ func waitReady(t *testing.T, client *rpc.Client) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatal("tinyevm-serve did not become ready")
+}
+
+// gateway calls one JSON-RPC method on c and decodes its result into a T.
+func gateway[T any](ctx context.Context, c *rpc.Client, method string, params any) (T, error) {
+	var out T
+	err := c.Call(ctx, method, params, &out)
+	return out, err
+}
+
+// blockHash is tinyevm_blockHash: the hex hash of the sealed block at a
+// height.
+func blockHash(ctx context.Context, c *rpc.Client, number uint64) (string, error) {
+	out, err := gateway[struct{ Hash string }](ctx, c, "tinyevm_blockHash", map[string]uint64{"number": number})
+	return out.Hash, err
 }

@@ -153,7 +153,7 @@ func WithMSTCommitment(on bool) Option {
 // execution — replaying it single-threaded reproduces the deployment
 // byte-for-byte. See shard.go for the lock-ordering rules.
 //
-// Unlike the deprecated lockstep façade (NewSystem), the service
+// Unlike the lockstep façade (NewSystem), the service
 // dispatches incoming wire messages automatically: a Pay on one node is
 // verified, registered and observable on the counterparty — via
 // Subscribe event streams — without any manual ReceivePayment call.
@@ -466,12 +466,6 @@ func (s *Service) HeadBlock(ctx context.Context) (uint64, error) {
 	return n, err
 }
 
-// MineBlock produces one block from any pending transactions.
-func (s *Service) MineBlock(ctx context.Context) error {
-	_, err := s.run(ctx, opMineBlock, &opRecord{}, nil)
-	return err
-}
-
 // RunChallengePeriod advances the chain past the active exit deadline.
 func (s *Service) RunChallengePeriod(ctx context.Context) error {
 	_, err := s.run(ctx, opRunChallenge, &opRecord{}, nil)
@@ -592,43 +586,10 @@ func (s *Service) StoreStatus(ctx context.Context) (StoreStatus, bool, error) {
 	return st, ok, err
 }
 
-// StateCommitment is the chain's current authenticated state root
-// under the MST commitment mode (WithMSTCommitment).
-type StateCommitment struct {
-	// Root is the Merkle-sum-tree root hash over all accounts.
-	Root Hash
-	// Sum is the tree's sum total (balances, low 64 bits, wrapping).
-	Sum uint64
-	// Commitment is the folded digest persisted in block records.
-	Commitment Hash
-	// Height is the chain head the root was read at.
-	Height uint64
-}
-
-// StateCommitment returns the current MST state root. It fails with
-// chain.ErrNoMSTCommitment unless WithMSTCommitment is enabled.
-func (s *Service) StateCommitment(ctx context.Context) (StateCommitment, error) {
-	var out StateCommitment
-	err := s.do(ctx, func() error {
-		root, err := s.sys.Chain.StateRoot()
-		if err != nil {
-			return err
-		}
-		out = StateCommitment{
-			Root:       root.Hash,
-			Sum:        root.Sum,
-			Commitment: chain.CommitmentDigest(root),
-			Height:     s.sys.Chain.Head().Number,
-		}
-		return nil
-	})
-	return out, err
-}
-
 // StateProof builds a light-client-verifiable membership proof that
 // addr's account is committed under the chain head's state commitment.
 // Requires WithMSTCommitment; verify with chain.VerifyAccountProof (or
-// client-side via rpc.Client.VerifyStateProof, which also re-digests
+// client-side via rpc.VerifyStateProof, which also re-digests
 // the account preimage).
 func (s *Service) StateProof(ctx context.Context, addr Address) (*AccountProof, error) {
 	var p *AccountProof

@@ -20,7 +20,7 @@ func registerTemp(n interface {
 }
 
 // TestServiceMatchesLockstepFacade runs the same session through the
-// deprecated lockstep façade and through the event-driven Service and
+// lockstep façade and through the event-driven Service and
 // requires the doubly-signed final states to be byte-identical on the
 // wire.
 func TestServiceMatchesLockstepFacade(t *testing.T) {

@@ -98,7 +98,7 @@ func TestStoreSmokeE2E(t *testing.T) {
 		}
 	}
 	churn(24)
-	st, err := client.StoreStatus(ctx)
+	st, err := gateway[rpc.StoreStatus](ctx, client, "tinyevm_storeStatus", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestStoreSmokeE2E(t *testing.T) {
 	if post.headHash != preKill.headHash || post.stateRoot != preKill.stateRoot {
 		t.Fatalf("restart diverged:\n before %+v\n after  %+v", preKill, post)
 	}
-	st2, err := client.StoreStatus(ctx)
+	st2, err := gateway[rpc.StoreStatus](ctx, client, "tinyevm_storeStatus", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestStoreSmokeE2E(t *testing.T) {
 	}
 
 	// A state proof verifies client-side against the recovered root.
-	p, err := client.StateProof(ctx, "car")
+	p, err := gateway[rpc.StateProof](ctx, client, "tinyevm_stateProof", map[string]string{"address": "car"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ type smokeSnapshot struct {
 func nodeStatusSnapshot(t *testing.T, client *rpc.Client) smokeSnapshot {
 	t.Helper()
 	ctx := context.Background()
-	ns, err := client.NodeStatus(ctx)
+	ns, err := gateway[rpc.NodeStatus](ctx, client, "tinyevm_nodeStatus", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +183,11 @@ func nodeStatusSnapshot(t *testing.T, client *rpc.Client) smokeSnapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, err := client.BlockHash(ctx, head)
+	hash, err := blockHash(ctx, client, head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chans, err := client.Channels(ctx, "car")
+	chans, err := gateway[[]rpc.Channel](ctx, client, "tinyevm_channels", map[string]string{"node": "car"})
 	if err != nil || len(chans) != 1 {
 		t.Fatalf("car channels: %v %v", chans, err)
 	}

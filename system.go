@@ -94,11 +94,7 @@ func DefaultConfig() Config {
 // is created immediately and owns the on-chain template. The returned
 // deployment is the original lockstep API: single-threaded, with manual
 // message pumping (AcceptChannel / ReceivePayment / AcceptClose).
-//
-// Deprecated: use NewService, which is concurrency-safe, takes
-// contexts, and dispatches wire messages automatically. NewSystem
-// remains for existing callers and measurement harnesses that need
-// lockstep control over both parties.
+// NewService builds on it.
 func NewSystem(cfg Config, providerName string) (*System, *Node, error) {
 	radioCfg := radio.DefaultConfig()
 	radioCfg.LossRate = cfg.RadioLossRate
@@ -163,12 +159,6 @@ func (s *System) join(dev *device.Device) (*Node, error) {
 	n := &Node{Party: party, name: dev.Name}
 	s.nodes[dev.Name] = n
 	return n, nil
-}
-
-// Node returns a joined node by name.
-func (s *System) Node(name string) (*Node, bool) {
-	n, ok := s.nodes[name]
-	return n, ok
 }
 
 // Provider returns the service-provider address.

@@ -113,7 +113,3 @@ func Assemble(src string) ([]byte, error) { return asm.Assemble(src) }
 // Calldata builds selector-prefixed calldata from 32-byte word
 // arguments (shorter words are right-aligned).
 func Calldata(sig string, words ...[]byte) []byte { return contracts.Calldata(sig, words...) }
-
-// NewSecret draws a random hash-lock preimage and returns it with its
-// lock (keccak-256 of the preimage).
-func NewSecret() (Secret, Hash, error) { return protocol.NewSecret() }
